@@ -417,11 +417,11 @@ uint64_t MutableAbIndex::SizeInBytes() const {
 
 void MutableAbIndex::StartBackgroundRebuild() {
   std::lock_guard<std::mutex> lock(rebuild_thread_mu_);
-  // The previous rebuild thread (if any) has finished — rebuild_running_
-  // was false when the caller claimed the token — so this join is
-  // immediate; it just reaps the handle.
+  // The previous rebuild thread (if any) released the token before the
+  // caller claimed it, leaving only its stats bookkeeping, so this join
+  // is near-immediate; it reaps the handle.
   if (rebuild_thread_.joinable()) rebuild_thread_.join();
-  rebuild_thread_ = std::thread([this] { RebuildOnce(); });
+  rebuild_thread_ = std::thread([this] { RunRebuild(); });
 }
 
 void MutableAbIndex::Rebuild() {
@@ -433,7 +433,7 @@ void MutableAbIndex::Rebuild() {
     }
     WaitForRebuild();
   }
-  RebuildOnce();
+  RunRebuild();
 }
 
 void MutableAbIndex::WaitForRebuild() {
@@ -449,10 +449,16 @@ void MutableAbIndex::WaitForRebuild() {
   }
 }
 
-void MutableAbIndex::RebuildOnce() {
+void MutableAbIndex::RunRebuild() {
+  while (RebuildGeneration()) {
+  }
+}
+
+bool MutableAbIndex::RebuildGeneration() {
   AB_SPAN("mutable/rebuild");
   auto start = std::chrono::steady_clock::now();
   uint32_t d = mapping_.num_attributes();
+  bool again = false;
 
   // Phase 1 — snapshot the live set and open the delta log.
   std::vector<uint32_t> bins_snapshot;
@@ -491,6 +497,7 @@ void MutableAbIndex::RebuildOnce() {
   {
     AB_SPAN("mutable/rebuild_replay");
     std::lock_guard<std::mutex> lock(mu_);
+    bool replayed = !delta_log_.empty();
     for (const DeltaOp& op : delta_log_) {
       for (uint32_t a = 0; a < d; ++a) bins[a] = row_bins_[op.row * d + a];
       if (op.insert) {
@@ -513,8 +520,14 @@ void MutableAbIndex::RebuildOnce() {
     slots_[target].gen = std::move(fresh);
     current_slot_.store(target, std::memory_order_release);
     generation_count_.fetch_add(1, std::memory_order_relaxed);
+    // The replayed mutations can already push the regrown generation over
+    // budget. Rebuild again then: no later insert may come to trigger it.
+    // Otherwise the token is released under mu_, so an insert landing
+    // after the swap sees it free and triggers the next rebuild itself.
+    again = options_.auto_rebuild && replayed &&
+            NeedsRebuildLocked(*slots_[target].gen);
+    if (!again) rebuild_running_.store(false, std::memory_order_release);
   }
-  rebuild_running_.store(false, std::memory_order_release);
 
   AB_STATS_INC(obs::Counter::kMutableRebuilds);
   AB_STATS_ADD(obs::Counter::kMutableRebuildRows, carried);
@@ -523,6 +536,7 @@ void MutableAbIndex::RebuildOnce() {
                     std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - start)
                         .count()));
+  return again;
 }
 
 }  // namespace ab

@@ -200,7 +200,12 @@ class MutableAbIndex {
   void EnsureLiveChunkLocked(uint64_t row);
   bool NeedsRebuildLocked(const Generation& gen) const;
   void StartBackgroundRebuild();
-  void RebuildOnce();
+  /// Holds the rebuild token: runs RebuildGeneration until it releases
+  /// the token.
+  void RunRebuild();
+  /// One snapshot/build/replay/swap. Returns true when auto-rebuild must
+  /// go again; otherwise it has released rebuild_running_ under mu_.
+  bool RebuildGeneration();
 
   // Reader-side helpers (lock-free).
   std::atomic<uint64_t>* LiveWord(uint64_t row) const;

@@ -162,8 +162,8 @@ bool HybridEngine::RowLive(uint64_t row) const {
     return !(words[row / 64].load(std::memory_order_acquire) &
              (uint64_t{1} << (row % 64)));
   }
-  if (ingest_ == nullptr || ingest_->delta == nullptr) return false;
-  return ingest_->delta->RowLive(row - base_n);
+  const ab::MutableAbIndex* delta = delta_index();
+  return delta != nullptr && delta->RowLive(row - base_n);
 }
 
 HybridEngine::IngestStats HybridEngine::GetIngestStats() const {
@@ -171,7 +171,7 @@ HybridEngine::IngestStats HybridEngine::GetIngestStats() const {
   if (ingest_ == nullptr) return stats;
   stats.ingested = ingest_->committed.load(std::memory_order_acquire);
   stats.deleted = ingest_->deletes.load(std::memory_order_relaxed);
-  if (const ab::MutableAbIndex* delta = ingest_->delta.get()) {
+  if (const ab::MutableAbIndex* delta = delta_index()) {
     stats.delta_live = delta->live_rows();
     stats.delta_generations = delta->generation();
     stats.delta_worst_fp = delta->WorstExpectedFp();
@@ -547,8 +547,8 @@ void HybridEngine::AppendDeltaMatches(const EngineQuery& query,
                                       const std::vector<uint64_t>* rows_global,
                                       EngineResult* result) const {
   uint64_t committed = ingest_->committed.load(std::memory_order_acquire);
+  if (committed == 0) return;
   const ab::MutableAbIndex* delta = ingest_->delta.get();
-  if (committed == 0 || delta == nullptr) return;
   if (rows_global != nullptr && rows_global->empty()) return;
   AB_SPAN("engine/delta_eval");
   uint64_t base_n = table_.num_rows();

@@ -155,9 +155,16 @@ class HybridEngine {
   };
   IngestStats GetIngestStats() const;
 
-  /// The delta index, or nullptr before the first ingest (tests).
+  /// The delta index, or nullptr before the first committed ingest.
+  /// IngestRow creates the delta under its mutex before it publishes the
+  /// first row with a release store of `committed`, so the pointer is
+  /// read only after an acquire load of `committed` sees a row.
   const ab::MutableAbIndex* delta_index() const {
-    return ingest_ ? ingest_->delta.get() : nullptr;
+    if (ingest_ == nullptr ||
+        ingest_->committed.load(std::memory_order_acquire) == 0) {
+      return nullptr;
+    }
+    return ingest_->delta.get();
   }
 
   /// Times both paths on a synthetic row-subset sweep and returns the

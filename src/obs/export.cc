@@ -1,9 +1,8 @@
 #include "obs/export.h"
 
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 
+#include "obs/appendf.h"
 #include "util/simd.h"
 
 #if !defined(AB_VERSION_STRING)
@@ -12,6 +11,8 @@
 
 namespace abitmap {
 namespace obs {
+
+using internal::Appendf;
 
 namespace {
 
@@ -90,20 +91,6 @@ const char* const kHistogramHelp[kNumHistograms] = {
     "Serve response rendering wall time in nanoseconds",
     "Serve response socket-flush wall time in nanoseconds",
 };
-
-void Appendf(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out->append(buf, static_cast<size_t>(n) < sizeof(buf)
-                                  ? static_cast<size_t>(n)
-                                  : sizeof(buf) - 1);
-}
 
 /// Index one past the last non-empty bucket (0 when all empty).
 size_t TrimmedBuckets(const HistogramSnapshot& h) {

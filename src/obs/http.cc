@@ -6,7 +6,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <utility>
 
 #include "obs/export.h"
 #include "obs/slowlog.h"
@@ -22,48 +21,64 @@ namespace {
 
 const char* StatusText(int status) {
   switch (status) {
-    case 200:
-      return "OK";
-    case 400:
-      return "Bad Request";
-    case 404:
-      return "Not Found";
-    case 405:
-      return "Method Not Allowed";
-    case 431:
-      return "Request Header Fields Too Large";
-    default:
-      return "Error";
+    case 200: return "OK";
+    case 400: return "Bad Request";
+    case 404: return "Not Found";
+    case 405: return "Method Not Allowed";
+    case 431: return "Request Header Fields Too Large";
+    case 503: return "Service Unavailable";
+    case 504: return "Gateway Timeout";
+    default: return "Error";
   }
 }
 
-void WriteResponse(int fd, const HttpRequest& request,
-                   const HttpResponse& response) {
-  std::string head = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                     StatusText(response.status) + "\r\n";
-  head += "Content-Type: " + response.content_type + "\r\n";
-  head += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
-  head += "Connection: close\r\n\r\n";
-  // util::net::SendAll sends MSG_NOSIGNAL: a peer that hangs up
-  // mid-response (scrape timeout, aborted curl) surfaces as EPIPE, not a
-  // SIGPIPE killing the embedding process.
-  if (!util::net::SendAll(fd, head.data(), head.size())) return;
-  if (request.method != "HEAD") {
-    util::net::SendAll(fd, response.body.data(), response.body.size());
-  }
+/// Sends one response. util::net::SendAll sends MSG_NOSIGNAL: a peer that
+/// hangs up mid-response (scrape timeout, aborted curl) surfaces as
+/// EPIPE, not a SIGPIPE killing the embedding process.
+void WriteResponse(int fd, const HttpResponse& response, bool head) {
+  std::string bytes = RenderHttpResponse(response, head);
+  util::net::SendAll(fd, bytes.data(), bytes.size());
 }
 
 }  // namespace
+
+HttpResponse HandleObsGet(const std::string& path) {
+  const char* kJson = "application/json";
+  if (path == "/healthz") {
+    return HttpResponse{200, "text/plain; charset=utf-8", "ok\n"};
+  }
+  if (path == "/metrics") {
+    return HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
+                        ToPrometheus(SnapshotStats())};
+  }
+  if (path == "/stats.json") {
+    return HttpResponse{200, kJson, ToJson(SnapshotStats())};
+  }
+  if (path == "/traces.json") {
+    return HttpResponse{200, kJson, SpansToChromeJson()};
+  }
+  if (path == "/slow.json") return HttpResponse{200, kJson, SlowLogToJson()};
+  if (path == "/timeseries.json") {
+    return HttpResponse{200, kJson, TimeSeriesToJson()};
+  }
+  return HttpResponse{404, "text/plain", "not found\n"};
+}
+
+std::string RenderHttpResponse(const HttpResponse& response, bool head) {
+  std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
+                    StatusText(response.status) + "\r\n";
+  out += "Content-Type: " + response.content_type + "\r\n";
+  out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
+  out += "Connection: close\r\n\r\n";
+  if (!head) out += response.body;
+  return out;
+}
 
 HttpServer::HttpServer() : HttpServer(Options()) {}
 
 HttpServer::HttpServer(Options options) : options_(options) {}
 
 HttpServer::~HttpServer() { Stop(); }
-
-void HttpServer::Handle(std::string path, Handler handler) {
-  routes_.emplace_back(std::move(path), std::move(handler));
-}
 
 util::Status HttpServer::Start() {
   if (running()) {
@@ -115,8 +130,8 @@ void HttpServer::HandleConnection(int fd) {
   // Read until the end of the header block; the endpoints take no bodies.
   while (raw.find("\r\n\r\n") == std::string::npos) {
     if (raw.size() >= options_.max_request_bytes) {
-      HttpRequest req{"GET", ""};
-      WriteResponse(fd, req, HttpResponse{431, "text/plain", "too large\n"});
+      WriteResponse(fd, HttpResponse{431, "text/plain", "too large\n"},
+                    /*head=*/false);
       return;
     }
     ssize_t n = ::read(fd, buf, sizeof(buf));
@@ -127,70 +142,27 @@ void HttpServer::HandleConnection(int fd) {
     raw.append(buf, static_cast<size_t>(n));
   }
 
-  HttpRequest request;
-  size_t line_end = raw.find("\r\n");
-  std::string line = raw.substr(0, line_end);
+  std::string line = raw.substr(0, raw.find("\r\n"));
   size_t sp1 = line.find(' ');
   size_t sp2 = sp1 == std::string::npos ? std::string::npos
                                         : line.find(' ', sp1 + 1);
   if (sp1 == std::string::npos || sp2 == std::string::npos) {
-    WriteResponse(fd, request,
-                  HttpResponse{400, "text/plain", "bad request\n"});
+    WriteResponse(fd, HttpResponse{400, "text/plain", "bad request\n"},
+                  /*head=*/false);
     return;
   }
-  request.method = line.substr(0, sp1);
-  request.path = line.substr(sp1 + 1, sp2 - sp1 - 1);
-  size_t query = request.path.find('?');
-  if (query != std::string::npos) request.path.resize(query);
+  std::string method = line.substr(0, sp1);
+  std::string path = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  size_t query = path.find('?');
+  if (query != std::string::npos) path.resize(query);
 
-  if (request.method != "GET" && request.method != "HEAD") {
-    WriteResponse(fd, request,
-                  HttpResponse{405, "text/plain", "method not allowed\n"});
+  if (method != "GET" && method != "HEAD") {
+    WriteResponse(fd,
+                  HttpResponse{405, "text/plain", "method not allowed\n"},
+                  /*head=*/false);
     return;
   }
-  for (const auto& [path, handler] : routes_) {
-    if (path == request.path) {
-      WriteResponse(fd, request, handler(request));
-      return;
-    }
-  }
-  WriteResponse(fd, request, HttpResponse{404, "text/plain", "not found\n"});
-}
-
-void RegisterObsEndpoints(HttpServer* server) {
-  server->Handle("/metrics", [](const HttpRequest&) {
-    HttpResponse r;
-    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    r.body = ToPrometheus(SnapshotStats());
-    return r;
-  });
-  server->Handle("/stats.json", [](const HttpRequest&) {
-    HttpResponse r;
-    r.content_type = "application/json";
-    r.body = ToJson(SnapshotStats());
-    return r;
-  });
-  server->Handle("/healthz", [](const HttpRequest&) {
-    return HttpResponse{200, "text/plain; charset=utf-8", "ok\n"};
-  });
-  server->Handle("/traces.json", [](const HttpRequest&) {
-    HttpResponse r;
-    r.content_type = "application/json";
-    r.body = SpansToChromeJson();
-    return r;
-  });
-  server->Handle("/slow.json", [](const HttpRequest&) {
-    HttpResponse r;
-    r.content_type = "application/json";
-    r.body = SlowLogToJson();
-    return r;
-  });
-  server->Handle("/timeseries.json", [](const HttpRequest&) {
-    HttpResponse r;
-    r.content_type = "application/json";
-    r.body = TimeSeriesToJson();
-    return r;
-  });
+  WriteResponse(fd, HandleObsGet(path), method == "HEAD");
 }
 
 }  // namespace obs

@@ -3,10 +3,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "util/status.h"
 
@@ -21,7 +19,8 @@
 /// shared socket hardening in util/net.h (loopback binds, MSG_NOSIGNAL
 /// sends, clamped receive timeouts).
 ///
-/// RegisterObsEndpoints() wires the standard endpoint set:
+/// HandleObsGet() is the one table of observability endpoints, served by
+/// this server and by the query port of serve::QueryServer:
 ///   GET /metrics          Prometheus exposition of the stats snapshot
 ///   GET /stats.json       JSON snapshot (obs::ToJson)
 ///   GET /healthz          "ok\n" liveness probe
@@ -34,16 +33,20 @@
 namespace abitmap {
 namespace obs {
 
-struct HttpRequest {
-  std::string method;  ///< "GET" or "HEAD" (anything else is rejected)
-  std::string path;    ///< request target, query string stripped
-};
-
 struct HttpResponse {
   int status = 200;
   std::string content_type = "text/plain; charset=utf-8";
   std::string body;
 };
+
+/// The response for GET `path` from the endpoint table above; 404 for
+/// any other path.
+HttpResponse HandleObsGet(const std::string& path);
+
+/// Serializes a complete HTTP/1.1 response: status line, Content-Type,
+/// Content-Length and Connection: close, then the body. A HEAD response
+/// (`head` true) carries the same headers as GET and no body.
+std::string RenderHttpResponse(const HttpResponse& response, bool head);
 
 class HttpServer {
  public:
@@ -54,18 +57,12 @@ class HttpServer {
     int recv_timeout_ms = 2000;  ///< must be positive; values < 1 clamp to 1
   };
 
-  using Handler = std::function<HttpResponse(const HttpRequest&)>;
-
   HttpServer();  ///< default Options
   explicit HttpServer(Options options);
   ~HttpServer();  ///< calls Stop()
 
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
-
-  /// Registers an exact-match handler for `path`. Must be called before
-  /// Start(); later registrations would race the serving thread.
-  void Handle(std::string path, Handler handler);
 
   /// Binds 127.0.0.1:port, starts listening, and spawns the serving
   /// thread. FailedPrecondition on socket/bind errors (e.g. port in use).
@@ -86,17 +83,12 @@ class HttpServer {
   void HandleConnection(int fd);
 
   Options options_;
-  std::vector<std::pair<std::string, Handler>> routes_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
   std::thread serve_thread_;
 };
-
-/// Registers /metrics, /stats.json, /healthz, /traces.json, /slow.json,
-/// and /timeseries.json.
-void RegisterObsEndpoints(HttpServer* server);
 
 }  // namespace obs
 }  // namespace abitmap

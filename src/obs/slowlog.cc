@@ -1,35 +1,20 @@
 #include "obs/slowlog.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
-#include <cstring>
-#include <type_traits>
 
+#include "obs/appendf.h"
+#include "obs/seqlock_ring.h"
 #include "obs/span.h"
 
 namespace abitmap {
 namespace obs {
 
+using internal::Appendf;
+
 namespace {
 
 std::atomic<uint64_t> g_threshold_ns{100ull * 1000 * 1000};  // 100 ms
-
-void Appendf(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out->append(buf, static_cast<size_t>(n) < sizeof(buf)
-                                  ? static_cast<size_t>(n)
-                                  : sizeof(buf) - 1);
-}
 
 }  // namespace
 
@@ -45,33 +30,7 @@ uint64_t SlowLogThresholdNs() {
 
 namespace {
 
-static_assert(std::is_trivially_copyable<SlowQueryRecord>::value,
-              "ring slots copy records through word-sized atomic stores");
-static_assert(sizeof(SlowQueryRecord) % 8 == 0,
-              "record must pack into whole 64-bit words");
-
-constexpr size_t kRecordWords = sizeof(SlowQueryRecord) / 8;
-
-/// Seqlock slot, same protocol as the span ring (span.cc): seq holds
-/// 2*ticket+1 while the claiming writer stores the payload words and
-/// 2*ticket+2 once complete; a reader accepts only a stable even seq
-/// observed before and after its relaxed payload reads.
-struct alignas(64) Slot {
-  std::atomic<uint64_t> seq{0};
-  std::atomic<uint64_t> words[kRecordWords] = {};
-};
-
-struct Ring {
-  std::atomic<uint64_t> head{0};  ///< total records ever published
-  Slot slots[kSlowLogCapacity];
-
-  static Ring& Instance() {
-    // Leaked singleton, as in span.cc: completions can land from
-    // threads torn down after main() returns.
-    static Ring* r = new Ring();
-    return *r;
-  }
-};
+using SlowLogRing = SeqlockRing<SlowQueryRecord, kSlowLogCapacity>;
 
 /// Mirrors the stage breakdown into the span ring as one
 /// serve/slow_request parent with child spans per nonzero stage, so
@@ -107,52 +66,20 @@ void PublishStageSpans(const SlowQueryRecord& rec) {
 }  // namespace
 
 void RecordSlowQuery(const SlowQueryRecord& record) {
-  Ring& ring = Ring::Instance();
-  uint64_t words[kRecordWords];
-  std::memcpy(words, &record, sizeof(record));
-  uint64_t ticket = ring.head.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = ring.slots[ticket % kSlowLogCapacity];
-  s.seq.store(2 * ticket + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  for (size_t w = 0; w < kRecordWords; ++w) {
-    s.words[w].store(words[w], std::memory_order_relaxed);
-  }
-  s.seq.store(2 * ticket + 2, std::memory_order_release);
+  SlowLogRing::Instance().Publish(record);
   PublishStageSpans(record);
 }
 
 std::vector<SlowQueryRecord> SnapshotSlowLog() {
-  Ring& ring = Ring::Instance();
-  uint64_t head = ring.head.load(std::memory_order_acquire);
-  uint64_t count = std::min<uint64_t>(head, kSlowLogCapacity);
-  std::vector<SlowQueryRecord> out;
-  out.reserve(count);
-  for (uint64_t t = head - count; t < head; ++t) {
-    Slot& s = ring.slots[t % kSlowLogCapacity];
-    uint64_t seq = s.seq.load(std::memory_order_acquire);
-    if (seq == 0 || (seq & 1) != 0) continue;
-    uint64_t words[kRecordWords];
-    for (size_t w = 0; w < kRecordWords; ++w) {
-      words[w] = s.words[w].load(std::memory_order_relaxed);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.seq.load(std::memory_order_relaxed) != seq) continue;
-    SlowQueryRecord rec;
-    std::memcpy(&rec, words, sizeof(rec));
+  std::vector<SlowQueryRecord> records = SlowLogRing::Instance().Snapshot();
+  for (SlowQueryRecord& rec : records) {
     if (rec.path == nullptr) rec.path = "";
     if (rec.backend == nullptr) rec.backend = "";
-    out.push_back(rec);
   }
-  return out;
+  return records;
 }
 
-void ClearSlowLog() {
-  Ring& ring = Ring::Instance();
-  ring.head.store(0, std::memory_order_relaxed);
-  for (Slot& s : ring.slots) {
-    s.seq.store(0, std::memory_order_relaxed);
-  }
-}
+void ClearSlowLog() { SlowLogRing::Instance().Clear(); }
 
 #endif  // !AB_DISABLE_STATS
 

@@ -15,10 +15,8 @@
 /// ring keeps the most recent kSlowLogCapacity of them and serves the
 /// contents at /slow.json.
 ///
-/// Recording contract mirrors the span ring: publishing is one ticket
-/// fetch_add plus relaxed word stores into a seqlock-guarded slot —
-/// never blocks, never allocates, TSan-clean. Readers skip slots torn by
-/// a concurrent overwrite. RecordSlowQuery() additionally publishes the
+/// The ring is a SeqlockRing (obs/seqlock_ring.h), whose header states
+/// the recording protocol. RecordSlowQuery() additionally publishes the
 /// request's stage subtree (queue/batch/engine/verify spans under one
 /// serve/slow_request parent) into the span ring so /traces.json shows
 /// slow requests with their full breakdown.
@@ -33,7 +31,7 @@ namespace abitmap {
 namespace obs {
 
 /// One retained slow request. Plain trivially-copyable value struct:
-/// the ring stores it through relaxed word-sized atomic stores.
+/// the ring stores it as whole 64-bit words.
 /// `path`/`backend` point at static storage (the engine fills them with
 /// string literals).
 struct SlowQueryRecord {

@@ -3,45 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <unordered_map>
+
+#include "obs/appendf.h"
+#include "obs/seqlock_ring.h"
 
 namespace abitmap {
 namespace obs {
 
-namespace {
-
-void Appendf(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  va_list args_copy;
-  va_copy(args_copy, args);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n <= 0) {
-    va_end(args_copy);
-    return;
-  }
-  if (static_cast<size_t>(n) < sizeof(buf)) {
-    out->append(buf, static_cast<size_t>(n));
-  } else {
-    // Truncating would emit syntactically broken JSON (unterminated
-    // strings, clipped braces); reformat into the destination instead.
-    size_t old_size = out->size();
-    out->resize(old_size + static_cast<size_t>(n) + 1);
-    std::vsnprintf(&(*out)[old_size], static_cast<size_t>(n) + 1, fmt,
-                   args_copy);
-    out->resize(old_size + static_cast<size_t>(n));
-  }
-  va_end(args_copy);
-}
-
-}  // namespace
+using internal::Appendf;
 
 #if !defined(AB_DISABLE_STATS)
 
@@ -49,46 +19,14 @@ namespace internal {
 
 namespace {
 
-/// One ring slot. All fields are relaxed atomics so a reader racing an
-/// overwrite reads stale-or-new values, never indeterminate ones; the
-/// sequence number tells it whether the payload was stable. seq holds
-/// 2*ticket+1 while the claiming writer fills the slot and 2*ticket+2
-/// once the payload is complete. A reader accepts a slot only when it
-/// observes the same even, nonzero seq before and after its payload
-/// reads (with an acquire fence in between): the writer's release fence
-/// after the odd store guarantees that any visible payload byte is
-/// preceded by its odd seq, so a stable even seq proves the payload is
-/// exactly the one that seq's writer published. Writers overwriting a
-/// slot out of ticket order can leave it carrying the older ticket's
-/// event; that event is still coherent and is kept.
-struct alignas(64) Slot {
-  std::atomic<uint64_t> seq{0};
-  std::atomic<const char*> name{nullptr};
-  std::atomic<uint32_t> tid{0};
-  std::atomic<uint64_t> span_id{0};
-  std::atomic<uint64_t> parent_id{0};
-  std::atomic<uint64_t> start_ns{0};
-  std::atomic<uint64_t> dur_ns{0};
-};
-
-struct Ring {
-  std::atomic<uint64_t> head{0};  ///< total spans ever published
-  Slot slots[kSpanRingCapacity];
-
-  static Ring& Instance() {
-    // Leaked singleton, same rationale as the stats registry: spans may be
-    // published from thread_local destructors after main() returns.
-    static Ring* r = new Ring();
-    return *r;
-  }
-};
+using SpanRing = SeqlockRing<SpanEvent, kSpanRingCapacity>;
 
 std::atomic<uint32_t> next_tid{0};
 std::atomic<uint64_t> next_span_id{0};
 
 }  // namespace
 
-thread_local uint64_t tls_current_span = 0;
+constinit thread_local uint64_t tls_current_span = 0;
 
 uint32_t SpanTid() {
   thread_local uint32_t tid = 0;
@@ -102,62 +40,17 @@ uint64_t NextSpanId() {
 
 void PublishSpan(const char* name, uint32_t tid, uint64_t span_id,
                  uint64_t parent_id, uint64_t start_ns, uint64_t dur_ns) {
-  Ring& ring = Ring::Instance();
-  uint64_t ticket = ring.head.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = ring.slots[ticket % kSpanRingCapacity];
-  s.seq.store(2 * ticket + 1, std::memory_order_relaxed);
-  // Order the odd "write in progress" mark before the payload stores: a
-  // reader that can see any payload byte can also see the odd seq, so a
-  // stable even seq across the reader's two checks proves coherence.
-  std::atomic_thread_fence(std::memory_order_release);
-  s.name.store(name, std::memory_order_relaxed);
-  s.tid.store(tid, std::memory_order_relaxed);
-  s.span_id.store(span_id, std::memory_order_relaxed);
-  s.parent_id.store(parent_id, std::memory_order_relaxed);
-  s.start_ns.store(start_ns, std::memory_order_relaxed);
-  s.dur_ns.store(dur_ns, std::memory_order_relaxed);
-  s.seq.store(2 * ticket + 2, std::memory_order_release);
+  SpanRing::Instance().Publish(
+      SpanEvent{name, tid, span_id, parent_id, start_ns, dur_ns});
 }
 
 }  // namespace internal
 
 std::vector<SpanEvent> SnapshotSpans() {
-  internal::Ring& ring = internal::Ring::Instance();
-  uint64_t head = ring.head.load(std::memory_order_acquire);
-  uint64_t count = std::min<uint64_t>(head, kSpanRingCapacity);
-  std::vector<SpanEvent> out;
-  out.reserve(count);
-  for (uint64_t t = head - count; t < head; ++t) {
-    internal::Slot& s = ring.slots[t % kSpanRingCapacity];
-    // Accept any stable, complete publication — not just ticket t's.
-    // Writers landing out of ticket order can leave the slot holding the
-    // previous lap's event; it is coherent, so keep it rather than
-    // dropping a slot from the snapshot.
-    uint64_t seq = s.seq.load(std::memory_order_acquire);
-    if (seq == 0 || (seq & 1) != 0) continue;  // never written / mid-write
-    SpanEvent e;
-    e.name = s.name.load(std::memory_order_relaxed);
-    e.tid = s.tid.load(std::memory_order_relaxed);
-    e.span_id = s.span_id.load(std::memory_order_relaxed);
-    e.parent_id = s.parent_id.load(std::memory_order_relaxed);
-    e.start_ns = s.start_ns.load(std::memory_order_relaxed);
-    e.dur_ns = s.dur_ns.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.seq.load(std::memory_order_relaxed) != seq) continue;
-    if (e.name == nullptr) continue;
-    out.push_back(e);
-  }
-  return out;
+  return internal::SpanRing::Instance().Snapshot();
 }
 
-void ClearSpans() {
-  internal::Ring& ring = internal::Ring::Instance();
-  ring.head.store(0, std::memory_order_relaxed);
-  for (internal::Slot& s : ring.slots) {
-    s.seq.store(0, std::memory_order_relaxed);
-    s.name.store(nullptr, std::memory_order_relaxed);
-  }
-}
+void ClearSpans() { internal::SpanRing::Instance().Clear(); }
 
 #else  // AB_DISABLE_STATS
 
@@ -174,7 +67,7 @@ std::string SpansToChromeJson() {
   out += "\"traceEvents\": [";
 
   // Thread-name metadata so Perfetto labels the rows.
-  std::vector<uint32_t> tids;
+  std::vector<uint64_t> tids;
   for (const SpanEvent& e : events) {
     if (std::find(tids.begin(), tids.end(), e.tid) == tids.end()) {
       tids.push_back(e.tid);
@@ -182,10 +75,11 @@ std::string SpansToChromeJson() {
   }
   std::sort(tids.begin(), tids.end());
   bool first = true;
-  for (uint32_t tid : tids) {
+  for (uint64_t tid : tids) {
     Appendf(&out,
             "%s\n{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
-            "\"tid\": %u, \"args\": {\"name\": \"abitmap-%u\"}}",
+            "\"tid\": %" PRIu64 ", \"args\": {\"name\": \"abitmap-%" PRIu64
+            "\"}}",
             first ? "" : ",", tid, tid);
     first = false;
   }
@@ -197,7 +91,7 @@ std::string SpansToChromeJson() {
   for (const SpanEvent& e : events) {
     Appendf(&out,
             "%s\n{\"name\": \"%s\", \"cat\": \"abitmap\", \"ph\": \"X\", "
-            "\"pid\": 1, \"tid\": %u, \"ts\": %.3f, \"dur\": %.3f, "
+            "\"pid\": 1, \"tid\": %" PRIu64 ", \"ts\": %.3f, \"dur\": %.3f, "
             "\"args\": {\"id\": %" PRIu64 ", \"parent\": %" PRIu64 "}}",
             first ? "" : ",", e.name, e.tid,
             static_cast<double>(e.start_ns) / 1000.0,
@@ -213,12 +107,14 @@ std::string SpansToChromeJson() {
                                std::min(e.start_ns, p.start_ns + p.dur_ns));
       Appendf(&out,
               ",\n{\"name\": \"%s\", \"cat\": \"abitmap\", \"ph\": \"s\", "
-              "\"id\": %" PRIu64 ", \"pid\": 1, \"tid\": %u, \"ts\": %.3f}",
+              "\"id\": %" PRIu64 ", \"pid\": 1, \"tid\": %" PRIu64
+              ", \"ts\": %.3f}",
               e.name, e.span_id, p.tid,
               static_cast<double>(s_ns) / 1000.0);
       Appendf(&out,
               ",\n{\"name\": \"%s\", \"cat\": \"abitmap\", \"ph\": \"f\", "
-              "\"bp\": \"e\", \"id\": %" PRIu64 ", \"pid\": 1, \"tid\": %u, "
+              "\"bp\": \"e\", \"id\": %" PRIu64 ", \"pid\": 1, \"tid\": %" PRIu64
+              ", "
               "\"ts\": %.3f}",
               e.name, e.span_id, e.tid,
               static_cast<double>(e.start_ns) / 1000.0);

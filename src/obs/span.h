@@ -19,10 +19,9 @@
 ///    closing is one clock read plus one lock-free ring publish. Spans
 ///    wrap *phases* (a build, a merge, one evaluation chunk) — never
 ///    per-probe work; probe-level accounting stays in the stats counters.
-///  * The ring holds the most recent kSpanRingCapacity completed spans.
-///    Publishing never blocks and never allocates: old events are
-///    overwritten, and a reader that races an overwrite skips that slot
-///    (per-slot sequence numbers, all fields relaxed atomics — TSan-clean).
+///  * The ring holds the most recent kSpanRingCapacity completed spans;
+///    it is a SeqlockRing (obs/seqlock_ring.h), whose header states the
+///    publish/snapshot protocol.
 ///  * Parent context propagates through util::ThreadPool: Submit captures
 ///    the submitting thread's innermost open span, and the worker adopts
 ///    it for the task's duration, so a parallel BuildParallel /
@@ -42,7 +41,9 @@ namespace obs {
 /// static storage (span sites pass string literals).
 struct SpanEvent {
   const char* name = "";
-  uint32_t tid = 0;        ///< stable small per-thread id (1-based)
+  /// Stable small per-thread id (1-based). A full word, so the ring's
+  /// word copy of an event built from registers needs no 32-bit merge.
+  uint64_t tid = 0;
   uint64_t span_id = 0;    ///< process-unique, nonzero
   uint64_t parent_id = 0;  ///< 0 = root span
   uint64_t start_ns = 0;   ///< steady-clock timestamp at open
@@ -81,8 +82,10 @@ std::string SpansToChromeJson();
 namespace internal {
 
 /// Innermost open span of the calling thread (0 = none). A plain
-/// thread_local: only the owning thread reads or writes it.
-extern thread_local uint64_t tls_current_span;
+/// thread_local: only the owning thread reads or writes it. constinit
+/// lets other translation units read it directly instead of through a
+/// TLS init wrapper.
+extern constinit thread_local uint64_t tls_current_span;
 
 uint32_t SpanTid();      ///< stable 1-based id of the calling thread
 uint64_t NextSpanId();   ///< process-unique, nonzero

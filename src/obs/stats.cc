@@ -208,7 +208,7 @@ thread_local TlsReleaser tls_releaser;
 
 }  // namespace
 
-thread_local ThreadStatsBlock* tls_block = nullptr;
+constinit thread_local ThreadStatsBlock* tls_block = nullptr;
 
 ThreadStatsBlock* AcquireTlsBlockSlow() {
   Registry& reg = Registry::Instance();

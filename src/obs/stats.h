@@ -198,7 +198,7 @@ struct alignas(64) ThreadStatsBlock {
 /// The calling thread's block, acquired (and registered for snapshots)
 /// on first use. Constant-initialized thread_local pointer: the fast
 /// path is one TLS load and a null check.
-extern thread_local ThreadStatsBlock* tls_block;
+extern constinit thread_local ThreadStatsBlock* tls_block;
 ThreadStatsBlock* AcquireTlsBlockSlow();
 inline ThreadStatsBlock* TlsBlock() {
   ThreadStatsBlock* b = tls_block;

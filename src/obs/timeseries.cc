@@ -1,33 +1,14 @@
 #include "obs/timeseries.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
-#include <cstring>
-#include <type_traits>
+
+#include "obs/appendf.h"
+#include "obs/seqlock_ring.h"
 
 namespace abitmap {
 namespace obs {
 
-namespace {
-
-void Appendf(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out->append(buf, static_cast<size_t>(n) < sizeof(buf)
-                                  ? static_cast<size_t>(n)
-                                  : sizeof(buf) - 1);
-}
-
-}  // namespace
+using internal::Appendf;
 
 TsSample TsSampleFromStats(const StatsSnapshot& snapshot) {
   TsSample s;
@@ -53,77 +34,17 @@ TsSample TsSampleFromStats(const StatsSnapshot& snapshot) {
 
 #if !defined(AB_DISABLE_STATS)
 
-namespace {
-
-static_assert(std::is_trivially_copyable<TsSample>::value,
-              "ring slots copy samples through word-sized atomic stores");
-static_assert(sizeof(TsSample) % 8 == 0,
-              "sample must pack into whole 64-bit words");
-
-constexpr size_t kSampleWords = sizeof(TsSample) / 8;
-
-/// Seqlock slot; identical protocol to span.cc and slowlog.cc.
-struct alignas(64) Slot {
-  std::atomic<uint64_t> seq{0};
-  std::atomic<uint64_t> words[kSampleWords] = {};
-};
-
-struct Ring {
-  std::atomic<uint64_t> head{0};  ///< total samples ever published
-  Slot slots[kTimeSeriesCapacity];
-
-  static Ring& Instance() {
-    static Ring* r = new Ring();  // leaked, as in span.cc
-    return *r;
-  }
-};
-
-}  // namespace
+using TimeSeriesRing = SeqlockRing<TsSample, kTimeSeriesCapacity>;
 
 void RecordTimeSeriesSample(const TsSample& sample) {
-  Ring& ring = Ring::Instance();
-  uint64_t words[kSampleWords];
-  std::memcpy(words, &sample, sizeof(sample));
-  uint64_t ticket = ring.head.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = ring.slots[ticket % kTimeSeriesCapacity];
-  s.seq.store(2 * ticket + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  for (size_t w = 0; w < kSampleWords; ++w) {
-    s.words[w].store(words[w], std::memory_order_relaxed);
-  }
-  s.seq.store(2 * ticket + 2, std::memory_order_release);
+  TimeSeriesRing::Instance().Publish(sample);
 }
 
 std::vector<TsSample> SnapshotTimeSeries() {
-  Ring& ring = Ring::Instance();
-  uint64_t head = ring.head.load(std::memory_order_acquire);
-  uint64_t count = std::min<uint64_t>(head, kTimeSeriesCapacity);
-  std::vector<TsSample> out;
-  out.reserve(count);
-  for (uint64_t t = head - count; t < head; ++t) {
-    Slot& s = ring.slots[t % kTimeSeriesCapacity];
-    uint64_t seq = s.seq.load(std::memory_order_acquire);
-    if (seq == 0 || (seq & 1) != 0) continue;
-    uint64_t words[kSampleWords];
-    for (size_t w = 0; w < kSampleWords; ++w) {
-      words[w] = s.words[w].load(std::memory_order_relaxed);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.seq.load(std::memory_order_relaxed) != seq) continue;
-    TsSample sample;
-    std::memcpy(&sample, words, sizeof(sample));
-    out.push_back(sample);
-  }
-  return out;
+  return TimeSeriesRing::Instance().Snapshot();
 }
 
-void ClearTimeSeries() {
-  Ring& ring = Ring::Instance();
-  ring.head.store(0, std::memory_order_relaxed);
-  for (Slot& s : ring.slots) {
-    s.seq.store(0, std::memory_order_relaxed);
-  }
-}
+void ClearTimeSeries() { TimeSeriesRing::Instance().Clear(); }
 
 #endif  // !AB_DISABLE_STATS
 

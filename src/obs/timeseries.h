@@ -16,9 +16,8 @@
 /// into one fixed-size TsSample and publishes it here. /timeseries.json
 /// serves the retained window.
 ///
-/// Same seqlock-ring recording contract as span.h and slowlog.h:
-/// publishing never blocks or allocates, readers skip torn slots,
-/// everything is relaxed-atomic word traffic — TSan-clean.
+/// The ring is a SeqlockRing (obs/seqlock_ring.h), whose header states
+/// the recording protocol.
 ///
 /// Compile-out contract: with -DAB_DISABLE_STATS=ON the record/snapshot
 /// APIs are link-compatible no-ops and TimeSeriesToJson() reports

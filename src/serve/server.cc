@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "core/mutable_index.h"
-#include "obs/export.h"
+#include "obs/http.h"
 #include "obs/slowlog.h"
 #include "obs/stats.h"
 #include "obs/timeseries.h"
@@ -32,28 +32,11 @@ namespace serve {
 
 namespace {
 
-const char* HttpStatusText(int status) {
-  switch (status) {
-    case 200: return "OK";
-    case 400: return "Bad Request";
-    case 404: return "Not Found";
-    case 405: return "Method Not Allowed";
-    case 431: return "Request Header Fields Too Large";
-    case 503: return "Service Unavailable";
-    case 504: return "Gateway Timeout";
-    default: return "Error";
-  }
-}
-
-std::string RenderHttp(int status, const std::string& content_type,
-                       const std::string& body) {
-  std::string out = "HTTP/1.1 " + std::to_string(status) + " " +
-                    HttpStatusText(status) + "\r\n";
-  out += "Content-Type: " + content_type + "\r\n";
-  out += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  out += "Connection: close\r\n\r\n";
-  out += body;
-  return out;
+std::string RenderHttp(int status, const char* content_type,
+                       std::string body) {
+  return obs::RenderHttpResponse(
+      obs::HttpResponse{status, content_type, std::move(body)},
+      /*head=*/false);
 }
 
 std::string RenderHttpQueryResponse(const QueryResponse& response) {
@@ -288,16 +271,20 @@ class QueryServer::Worker {
     epoll_event events[kMaxEvents];
     for (;;) {
       int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, 100);
+      // Reset the wakeup eventfd before draining the mailbox: a post that
+      // lands after the drain re-arms it, so the next epoll_wait returns
+      // at once instead of waiting out its timeout.
+      for (int i = 0; i < n; ++i) {
+        if (events[i].data.u64 != 0) continue;
+        uint64_t val;
+        while (::read(event_fd_, &val, sizeof(val)) > 0) {
+        }
+      }
       DrainMailbox();
       if (stop_.load(std::memory_order_acquire)) break;
       for (int i = 0; i < n; ++i) {
         uint64_t token = events[i].data.u64;
-        if (token == 0) {
-          uint64_t val;
-          while (::read(event_fd_, &val, sizeof(val)) > 0) {
-          }
-          continue;
-        }
+        if (token == 0) continue;
         auto it = conns_.find(token);
         if (it == conns_.end()) continue;  // closed earlier this sweep
         if (events[i].events & (EPOLLERR | EPOLLHUP)) {
@@ -501,32 +488,15 @@ class QueryServer::Worker {
       return conns_.count(token) > 0;
     }
     if (request.method == "GET" || request.method == "HEAD") {
-      std::string body;
-      std::string content_type = "text/plain; charset=utf-8";
-      int status = 200;
-      if (request.path == "/healthz") {
-        body = "ok\n";
-      } else if (request.path == "/metrics") {
-        content_type = "text/plain; version=0.0.4; charset=utf-8";
-        body = obs::ToPrometheus(obs::SnapshotStats());
-        body += IngestGaugesPrometheus(server_->engine_, server_->service_.get(),
-                                       server_->options_.slow_threshold_ns);
-      } else if (request.path == "/stats.json") {
-        content_type = "application/json";
-        body = obs::ToJson(obs::SnapshotStats());
-      } else if (request.path == "/slow.json") {
-        content_type = "application/json";
-        body = obs::SlowLogToJson();
-      } else if (request.path == "/timeseries.json") {
-        content_type = "application/json";
-        body = obs::TimeSeriesToJson();
-      } else {
-        status = 404;
-        body = "not found\n";
+      obs::HttpResponse response = obs::HandleObsGet(request.path);
+      if (request.path == "/metrics") {
+        response.body += IngestGaugesPrometheus(
+            server_->engine_, server_->service_.get(),
+            server_->options_.slow_threshold_ns);
       }
-      if (request.method == "HEAD") body.clear();
       uint64_t token = conn.token;
-      QueueBytes(conn, RenderHttp(status, content_type, body),
+      QueueBytes(conn,
+                 obs::RenderHttpResponse(response, request.method == "HEAD"),
                  /*close_after=*/true);
       return conns_.count(token) > 0;
     }

@@ -1,7 +1,9 @@
 #include "engine/hybrid_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <random>
+#include <thread>
 
 #include "gtest/gtest.h"
 #include "obs/stats.h"
@@ -502,6 +504,35 @@ TEST(HybridEngineTest, IngestStatsTrackChurnAndMergeSignal) {
   // expected FP relative to folding none.
   EXPECT_GE(after.base_fp_if_merged, before.base_fp_if_merged);
   EXPECT_GT(after.base_fp_if_merged, 0.0);
+}
+
+TEST(HybridEngineTest, FirstIngestRacesLockFreeReaders) {
+  // TSan witness: the first IngestRow creates the delta index under the
+  // ingest mutex while GetIngestStats and RowLive read it without one.
+  HybridEngine engine = MakeEngine(600, 29);
+  const uint64_t first_id = engine.base_rows();
+  std::atomic<int> running{0};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&]() {
+      running.fetch_add(1);
+      while (!done.load(std::memory_order_acquire)) {
+        HybridEngine::IngestStats stats = engine.GetIngestStats();
+        EXPECT_LE(stats.ingested, 1u);
+        EXPECT_LE(stats.delta_live, 1u);
+        if (engine.RowLive(first_id)) {
+          EXPECT_NE(engine.delta_index(), nullptr);
+        }
+      }
+    });
+  }
+  while (running.load() < 2) std::this_thread::yield();
+  engine.IngestRow({50.0, 10.0, 3.0});
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_TRUE(engine.RowLive(first_id));
+  EXPECT_EQ(engine.GetIngestStats().delta_live, 1u);
 }
 
 TEST(HybridEngineTest, ExecuteBatchSeesMutations) {

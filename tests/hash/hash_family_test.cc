@@ -1,6 +1,7 @@
 #include "hash/hash_family.h"
 
 #include <memory>
+#include <ostream>
 
 #include "hash/sha1.h"
 #include <set>
@@ -18,6 +19,10 @@ struct FamilyCase {
   const char* label;
   std::unique_ptr<HashFamily> (*make)();
 };
+
+// Without this, gtest prints the case as raw bytes — two pointers that
+// move with ASLR — so the registered test names changed on every build.
+void PrintTo(const FamilyCase& c, std::ostream* os) { *os << c.label; }
 
 std::unique_ptr<HashFamily> MakeIndep() { return MakeIndependentFamily(); }
 std::unique_ptr<HashFamily> MakeSha() { return MakeSha1Family(); }

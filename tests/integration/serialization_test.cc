@@ -175,7 +175,10 @@ TEST_P(AbIndexSerializationTest, FileRoundTrip) {
   cfg.level = GetParam();
   cfg.alpha = 4;
   ab::AbIndex original = ab::AbIndex::Build(dataset_, cfg);
-  std::string path = ::testing::TempDir() + "/abitmap_index_test.abit";
+  // One file per level: ctest runs the three instances as concurrent
+  // processes, which would otherwise overwrite each other's file.
+  std::string path = ::testing::TempDir() + "/abitmap_index_test_" +
+                     std::to_string(static_cast<int>(GetParam())) + ".abit";
   ASSERT_TRUE(original.SaveToFile(path).ok());
   util::StatusOr<ab::AbIndex> back = ab::AbIndex::LoadFromFile(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();

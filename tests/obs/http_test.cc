@@ -1,8 +1,8 @@
 // Embedded observability HTTP server: loopback integration tests. A raw
 // BSD-socket client (the test needs no HTTP library either) fetches every
-// registered endpoint — including while a multi-threaded build + query
-// workload is running — and checks status codes, content types, and
-// payload shape in both tier-1 configurations.
+// endpoint — including while a multi-threaded build + query workload is
+// running — and checks status codes, content types, and payload shape in
+// both tier-1 configurations.
 
 #include "obs/http.h"
 
@@ -81,7 +81,6 @@ FetchResult Get(uint16_t port, const std::string& path) {
 class HttpServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    RegisterObsEndpoints(&server_);
     util::Status status = server_.Start();  // ephemeral port
     ASSERT_TRUE(status.ok()) << status.message();
     ASSERT_NE(server_.port(), 0);
@@ -210,7 +209,6 @@ TEST_F(HttpServerTest, ServesDuringParallelWorkload) {
 
 TEST(HttpServerLifecycleTest, StopIsIdempotentAndRestartFails) {
   HttpServer server;
-  RegisterObsEndpoints(&server);
   ASSERT_TRUE(server.Start().ok());
   EXPECT_TRUE(server.running());
   EXPECT_FALSE(server.Start().ok());  // already started

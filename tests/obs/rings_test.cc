@@ -1,7 +1,8 @@
-// Tests of the slow-query log and time-series rings (src/obs/slowlog.h,
-// src/obs/timeseries.h): seqlock ring round-trips, bounded wraparound,
-// JSON schemas, threshold plumbing, and the compile-out contract. Like
-// stats_test.cc the file compiles in both configurations, branching on
+// Tests of the seqlock ring (src/obs/seqlock_ring.h) and the slow-query
+// log and time-series rings built on it (src/obs/slowlog.h,
+// src/obs/timeseries.h): round-trips, bounded wraparound, JSON schemas,
+// threshold plumbing, and the compile-out contract. Like stats_test.cc
+// the file compiles in both configurations, branching on
 // obs::kStatsEnabled; the concurrency cases double as TSan witnesses for
 // the word-ring publish protocol.
 
@@ -12,6 +13,7 @@
 
 #include "gtest/gtest.h"
 
+#include "obs/seqlock_ring.h"
 #include "obs/slowlog.h"
 #include "obs/stats.h"
 #include "obs/timeseries.h"
@@ -19,6 +21,85 @@
 namespace abitmap {
 namespace obs {
 namespace {
+
+// --- the ring itself -------------------------------------------------------
+
+/// Every word carries the same value, so a torn read (words from two
+/// publications) shows up as unequal words.
+struct TicketRecord {
+  uint64_t words[5];
+};
+
+TicketRecord MakeTicketRecord(uint64_t ticket) {
+  TicketRecord r;
+  for (uint64_t& w : r.words) w = ticket;
+  return r;
+}
+
+bool Whole(const TicketRecord& r) {
+  for (uint64_t w : r.words) {
+    if (w != r.words[0]) return false;
+  }
+  return true;
+}
+
+TEST(SeqlockRingTest, NoTornRecordsNewestSurviveWrapClearEmpties) {
+  // A small ring, so writers lap each other constantly: a writer still
+  // storing its words when the ring wraps back onto its slot is the case
+  // that can tear.
+  constexpr size_t kCapacity = 8;
+  using Ring = SeqlockRing<TicketRecord, kCapacity>;
+  Ring& ring = Ring::Instance();
+  ring.Clear();
+
+  // 4 writers overwrite the slots many times over while a reader
+  // snapshots: every surfaced record must be whole.
+  constexpr int kWriters = 4;
+  constexpr uint64_t kPerWriter = 5000;
+  std::atomic<uint64_t> next_ticket{1};
+  std::atomic<bool> reading{false};
+  std::atomic<bool> stop{false};
+  std::thread reader([&]() {
+    reading.store(true, std::memory_order_release);
+    while (!stop.load(std::memory_order_acquire)) {
+      for (const TicketRecord& r : ring.Snapshot()) {
+        ASSERT_TRUE(Whole(r)) << "torn record surfaced";
+      }
+    }
+  });
+  while (!reading.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&]() {
+      for (uint64_t i = 0; i < kPerWriter; ++i) {
+        ring.Publish(MakeTicketRecord(
+            next_ticket.fetch_add(1, std::memory_order_relaxed)));
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  for (const TicketRecord& r : ring.Snapshot()) EXPECT_TRUE(Whole(r));
+
+  // Quiescent wraparound: after 3 laps only the newest kCapacity remain,
+  // oldest first.
+  ring.Clear();
+  for (uint64_t t = 0; t < 3 * kCapacity; ++t) {
+    ring.Publish(MakeTicketRecord(t));
+  }
+  std::vector<TicketRecord> records = ring.Snapshot();
+  ASSERT_EQ(records.size(), kCapacity);
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_TRUE(Whole(records[i]));
+    EXPECT_EQ(records[i].words[0], 2 * kCapacity + i);
+  }
+
+  ring.Clear();
+  EXPECT_TRUE(ring.Snapshot().empty());
+}
+
+// --- slow-query log -------------------------------------------------------
 
 SlowQueryRecord MakeRecord(uint64_t trace_id) {
   SlowQueryRecord r;
@@ -41,8 +122,6 @@ SlowQueryRecord MakeRecord(uint64_t trace_id) {
   r.observed_precision = 0.97;
   return r;
 }
-
-// --- slow-query log -------------------------------------------------------
 
 TEST(SlowLogTest, ThresholdAccessorsWorkInBothConfigurations) {
   // Threshold is configuration, not telemetry: it must round-trip even in

@@ -2,12 +2,15 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/http.h"
+#include "obs/stats.h"
 #include "serve/loadgen.h"
 #include "serve/protocol.h"
 #include "serve/workload.h"
@@ -448,6 +451,112 @@ TEST_F(QueryServerTest, ConnectionLimitShedsExcessAccepts) {
   // The first connection keeps working.
   ASSERT_TRUE(first.RoundTrip(request, &response));
   EXPECT_EQ(response.status, StatusCode::kOk);
+  server.Stop();
+}
+
+TEST_F(QueryServerTest, FreshConnectionInsertsBesideQueriesAnswerPromptly) {
+  // Every /insert arrives on a new connection (Connection: close), which
+  // the acceptor hands to the worker through its mailbox, while query
+  // completions reach the same mailbox from the dispatcher. A handoff
+  // whose wakeup is lost waits out the worker's 100 ms epoll timeout.
+  QueryServer::Options options = DefaultOptions();
+  options.num_workers = 1;  // all handoffs share one mailbox
+  options.telemetry_interval_ms = 0;
+  QueryServer server(&engine_, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // One query on each of several connections: their completions land in
+  // the mailbox together, so the worker is still draining (sending
+  // responses) when the first answer prompts the next insert.
+  constexpr int kQueryConns = 16;
+  std::vector<Client> clients;
+  for (int c = 0; c < kQueryConns; ++c) {
+    clients.push_back(Client::Connect(server.port()));
+  }
+  QueryRequest request;
+  request.predicates.push_back(engine::ValuePredicate{0, 10.0, 60.0});
+  request.count_only = true;
+  const std::string body = R"({"values":[45.5,17,3.2]})";
+  const std::string insert = "POST /insert HTTP/1.1\r\nContent-Length: " +
+                             std::to_string(body.size()) + "\r\n\r\n" +
+                             body;
+  uint64_t slowest_ns = 0;
+  for (int i = 0; i < 100; ++i) {
+    uint64_t start = MonotonicNowNs();
+    for (Client& client : clients) ASSERT_TRUE(client.Send(request));
+    QueryResponse response;
+    ASSERT_TRUE(clients[0].Receive(&response));
+    EXPECT_EQ(response.status, StatusCode::kOk);
+    Client inserter = Client::Connect(server.port());
+    ASSERT_TRUE(inserter.SendRaw(insert));
+    std::string reply = inserter.ReadUntilClose();
+    EXPECT_NE(reply.find("\"status\":\"ok\""), std::string::npos) << reply;
+    for (int c = 1; c < kQueryConns; ++c) {
+      ASSERT_TRUE(clients[c].Receive(&response));
+      EXPECT_EQ(response.status, StatusCode::kOk);
+    }
+    // A lost wakeup, of the insert's handoff or of a completion, stalls
+    // the round for the worker's 100 ms timeout.
+    slowest_ns = std::max(slowest_ns, MonotonicNowNs() - start);
+  }
+  EXPECT_LT(slowest_ns, 50u * 1000 * 1000);
+  server.Stop();
+}
+
+TEST_F(QueryServerTest, TracesJsonShowsSlowRequestSpans) {
+  QueryServer::Options options = DefaultOptions();
+  options.slow_threshold_ns = 0;  // every request is retained as slow
+  QueryServer server(&engine_, options);
+  ASSERT_TRUE(server.Start().ok());
+  {
+    Client client = Client::Connect(server.port());
+    QueryRequest request;
+    request.predicates.push_back(engine::ValuePredicate{0, 10.0, 60.0});
+    request.count_only = true;
+    QueryResponse response;
+    ASSERT_TRUE(client.RoundTrip(request, &response));
+    EXPECT_EQ(response.status, StatusCode::kOk);
+  }
+  Client scraper = Client::Connect(server.port());
+  ASSERT_TRUE(scraper.SendRaw("GET /traces.json HTTP/1.1\r\n\r\n"));
+  std::string reply = scraper.ReadUntilClose();
+  EXPECT_NE(reply.find("HTTP/1.1 200"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("application/json"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("\"traceEvents\""), std::string::npos) << reply;
+  if (obs::kStatsEnabled) {
+    EXPECT_NE(reply.find("serve/slow_request"), std::string::npos) << reply;
+  } else {
+    EXPECT_NE(reply.find("\"enabled\": false"), std::string::npos) << reply;
+  }
+  server.Stop();
+}
+
+TEST_F(QueryServerTest, HeadAnswersGetHeadersWithoutBodyOnBothServers) {
+  QueryServer::Options options = DefaultOptions();
+  options.telemetry_interval_ms = 0;  // keep /timeseries.json unchanged
+  QueryServer server(&engine_, options);
+  ASSERT_TRUE(server.Start().ok());
+  obs::HttpServer obs_server;
+  ASSERT_TRUE(obs_server.Start().ok());
+
+  auto fetch = [](uint16_t port, const std::string& method,
+                  const std::string& path) {
+    Client client = Client::Connect(port);
+    EXPECT_TRUE(client.SendRaw(method + " " + path + " HTTP/1.1\r\n\r\n"));
+    return client.ReadUntilClose();
+  };
+  for (uint16_t port : {server.port(), obs_server.port()}) {
+    for (const char* path :
+         {"/healthz", "/slow.json", "/timeseries.json", "/nope"}) {
+      std::string get = fetch(port, "GET", path);
+      std::string head = fetch(port, "HEAD", path);
+      size_t header_end = get.find("\r\n\r\n");
+      ASSERT_NE(header_end, std::string::npos) << get;
+      EXPECT_GT(get.size(), header_end + 4) << path << ": GET has a body";
+      EXPECT_EQ(head, get.substr(0, header_end + 4)) << path;
+    }
+  }
+  obs_server.Stop();
   server.Stop();
 }
 

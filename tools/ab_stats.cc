@@ -148,7 +148,6 @@ int main(int argc, char** argv) {
   obs::HttpServer server(
       obs::HttpServer::Options{static_cast<uint16_t>(serve_port)});
   if (serve) {
-    obs::RegisterObsEndpoints(&server);
     util::Status status = server.Start();
     if (!status.ok()) {
       std::fprintf(stderr, "ab_stats: %s\n", status.message().c_str());

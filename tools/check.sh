@@ -10,7 +10,8 @@
 #
 # Likewise, when -fsanitize=address links, a tier-1 pass runs under
 # ASan+UBSan (AB_ADDRESS_SANITIZER=ON) to check the SIMD gather/tail
-# paths for out-of-bounds reads and the hash kernels for UB. Set
+# paths for out-of-bounds reads and the hash kernels for UB. UBSan runs
+# with halt_on_error=1, so any report fails its test. Set
 # AB_CHECK_ASAN=0 to skip, AB_CHECK_ASAN=1 to require it.
 #
 # A second tier-1 configuration always runs with the observability layer
@@ -53,10 +54,11 @@
 # request) and --telemetry-ms=200, drives an ab_loadgen --timings burst,
 # and checks the request-tracing surface end to end: the loadgen JSON
 # must carry the per-stage "stage_us" aggregates, /slow.json must show
-# retained records with trace ids, /timeseries.json must have collected
-# at least two ticker samples, and after a POST /insert the /metrics
-# gauge abitmap_engine_delta_live must be nonzero. Advisory by default;
-# AB_CHECK_OBS_SERVE=strict makes a failure fatal, =0 skips.
+# retained records with trace ids, /traces.json must serve the Chrome
+# trace of those requests (traceEvents), /timeseries.json must have
+# collected at least two ticker samples, and after a POST /insert the
+# /metrics gauge abitmap_engine_delta_live must be nonzero. Advisory by
+# default; AB_CHECK_OBS_SERVE=strict makes a failure fatal, =0 skips.
 #
 # Usage: tools/check.sh [build-dir]   (default: build/check)
 set -euo pipefail
@@ -237,6 +239,8 @@ if [ "${AB_CHECK_ASAN:-auto}" != "0" ]; then
     echo "== build (ASan) =="
     cmake --build "$asan_dir" -j "$jobs"
     echo "== tier-1 tests (ASan) =="
+    # UBSan recovers and exits 0 by default; make a report fatal.
+    export UBSAN_OPTIONS=halt_on_error=1
     ctest --test-dir "$asan_dir" -L tier1 --output-on-failure -j "$jobs"
   elif [ "${AB_CHECK_ASAN:-auto}" = "1" ]; then
     echo "error: AB_CHECK_ASAN=1 but the toolchain cannot link -fsanitize=address,undefined" >&2
@@ -460,8 +464,9 @@ if [ "${AB_CHECK_OBS_SERVE:-advisory}" != "0" ]; then
   echo "== observability smoke (tracing + slow log + time series) =="
   # The request-tracing surface end to end on a live server: stage
   # timings echoed to the loadgen, every request retained in /slow.json
-  # (threshold 0), ticker samples accumulating in /timeseries.json, and
-  # the ingest gauges moving on /metrics after an insert.
+  # (threshold 0) and traced in /traces.json, ticker samples
+  # accumulating in /timeseries.json, and the ingest gauges moving on
+  # /metrics after an insert.
   obs_ok=1
   obs_log="$build_dir/ab_serve_obs_smoke.log"
   obs_rows=20000
@@ -514,6 +519,15 @@ if [ "${AB_CHECK_OBS_SERVE:-advisory}" != "0" ]; then
     esac
   fi
   if [ "$obs_ok" = "1" ]; then
+    case "$(http_get "$obs_port" /traces.json)" in
+      *'"traceEvents"'*) ;;
+      *)
+        echo "obs smoke: /traces.json lacks traceEvents" >&2
+        obs_ok=0
+        ;;
+    esac
+  fi
+  if [ "$obs_ok" = "1" ]; then
     # One extra ticker period so at least two samples have landed.
     sleep 0.5
     obs_ts_samples="$(http_get "$obs_port" /timeseries.json |
@@ -561,8 +575,8 @@ if [ "${AB_CHECK_OBS_SERVE:-advisory}" != "0" ]; then
     fi
     echo "obs smoke: ADVISORY failure (AB_CHECK_OBS_SERVE=strict to enforce)" >&2
   else
-    echo "obs smoke: timings + slow log ($obs_ts_samples ts samples) +" \
-      "ingest gauges ok on port $obs_port"
+    echo "obs smoke: timings + slow log + traces ($obs_ts_samples ts" \
+      "samples) + ingest gauges ok on port $obs_port"
   fi
 fi
 

@@ -7,11 +7,22 @@
 // only ("without any row filtering"), which is constant in the row count;
 // the WAH+filter column adds the row-extraction scan. AB time is linear in
 // the rows queried.
+//
+// The "Roaring direct" column answers the same row subsets by Roaring's
+// direct access (RoaringIndex::Evaluate: only the containers of the
+// chunks a subset touches). A last section sweeps it against the AB over
+// contiguous and uniformly scattered subsets, on the uniform dataset and
+// on a dense build whose columns the selector marks AB-preferred — the
+// evidence behind HybridEngine's rule that only plans touching WAH or BBC
+// route subsets to the AB.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <random>
 
 #include "bench/bench_util.h"
+#include "engine/exact_index.h"
 #include "roaring/roaring_index.h"
 #include "util/stopwatch.h"
 
@@ -36,6 +47,102 @@ double TimeRoaringBitwise(const roaring::RoaringIndex& index,
   return ms;
 }
 
+/// Average per-query wall time (ms) of `eval(query)` — a row-subset answer
+/// (one bit per requested row) — after a warm-up pass.
+template <typename Eval>
+double TimeSubsetAnswer(const std::vector<bitmap::BitmapQuery>& queries,
+                        Eval eval) {
+  uint64_t sink = 0;
+  for (const bitmap::BitmapQuery& q : queries) sink += eval(q).size();
+  util::Stopwatch timer;
+  for (const bitmap::BitmapQuery& q : queries) sink += eval(q)[0];
+  double ms = timer.ElapsedMillis() / queries.size();
+  if (sink == 0xFFFFFFFF) std::printf(" ");
+  return ms;
+}
+
+/// The same queries over as many rows drawn uniformly at random from the
+/// relation (distinct, ascending) instead of a contiguous range.
+std::vector<bitmap::BitmapQuery> Scattered(
+    std::vector<bitmap::BitmapQuery> queries, uint64_t num_rows,
+    uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  for (bitmap::BitmapQuery& q : queries) {
+    std::vector<uint64_t> rows(num_rows);
+    for (uint64_t i = 0; i < num_rows; ++i) rows[i] = i;
+    // Partial Fisher-Yates: the first q.rows.size() slots are the sample.
+    size_t want = q.rows.size();
+    for (size_t i = 0; i < want; ++i) {
+      std::swap(rows[i], rows[i + rng() % (num_rows - i)]);
+    }
+    rows.resize(want);
+    std::sort(rows.begin(), rows.end());
+    q.rows = std::move(rows);
+  }
+  return queries;
+}
+
+/// Roaring direct access against the AB (scalar and batched kernels) and
+/// WAH's whole-relation-then-pick, over contiguous and scattered subsets,
+/// counting the cells where an AB kernel beat direct access.
+void DirectVsAbSweep(const bitmap::BinnedDataset& data, double alpha,
+                    const char* backend, uint32_t bins_per_attr) {
+  bitmap::BitmapTable table = bitmap::BitmapTable::Build(data);
+  wah::WahIndex wah_index = wah::WahIndex::Build(table);
+  engine::ExactIndex exact = engine::ExactIndex::Build(table, nullptr, backend);
+  ab::AbConfig cfg;
+  cfg.level = ab::Level::kPerAttribute;
+  cfg.alpha = alpha;
+  ab::AbIndex ab_index = ab::AbIndex::Build(data, cfg);
+  PrintHeader("Roaring direct vs AB: " + data.name + " (" + backend +
+              " build, alpha=" + std::to_string(static_cast<int>(alpha)) +
+              "), msec per query");
+  std::printf("selector on this data: %s\n",
+              engine::ExactIndex::Build(table, nullptr, "auto")
+                  .ChoiceSummary()
+                  .c_str());
+  std::printf("%-9s %8s %-10s %12s %10s %12s %14s %9s\n", "fraction",
+              "rows", "shape", "WAH(+filter)", "AB", "AB(batched)",
+              "Roaring direct", "AB/direct");
+  int ab_wins = 0;
+  for (double frac : {0.001, 0.005, 0.01, 0.05, 0.10, 0.15, 0.20, 0.30}) {
+    uint64_t rows =
+        std::max<uint64_t>(1, static_cast<uint64_t>(frac * data.num_rows()));
+    data::QueryGenParams qp;
+    qp.num_queries = 20;
+    qp.qdim = 2;
+    qp.bins_per_attr = bins_per_attr;
+    qp.rows_queried = rows;
+    qp.seed = 11;
+    std::vector<bitmap::BitmapQuery> contiguous =
+        data::GenerateQueries(data, qp);
+    for (int scattered = 0; scattered < 2; ++scattered) {
+      std::vector<bitmap::BitmapQuery> queries =
+          scattered ? Scattered(contiguous, data.num_rows(), 12) : contiguous;
+      for (const bitmap::BitmapQuery& q : queries) {
+        AB_CHECK(exact.Evaluate(q) == wah_index.Evaluate(q));
+      }
+      double wah_ms = TimeWah(wah_index, queries).full_ms;
+      double ab_ms = TimeAbEvaluate(ab_index, queries);
+      double batched_ms = TimeSubsetAnswer(
+          queries, [&](const bitmap::BitmapQuery& q) {
+            return ab_index.EvaluateBatched(q);
+          });
+      double direct_ms = TimeSubsetAnswer(
+          queries,
+          [&](const bitmap::BitmapQuery& q) { return exact.Evaluate(q); });
+      double best_ab = std::min(ab_ms, batched_ms);
+      if (best_ab < direct_ms) ++ab_wins;
+      std::printf("%-9.3f %8llu %-10s %12.4f %10.4f %12.4f %14.4f %9.1f\n",
+                  frac, static_cast<unsigned long long>(rows),
+                  scattered ? "scattered" : "contiguous", wah_ms, ab_ms,
+                  batched_ms, direct_ms, best_ab / direct_ms);
+      std::fflush(stdout);
+    }
+  }
+  std::printf("AB faster than Roaring direct in %d of 16 cells.\n", ab_wins);
+}
+
 void Run() {
   for (EvalDataset& e : AllDatasets()) {
     bitmap::BitmapTable table = bitmap::BitmapTable::Build(e.data);
@@ -52,16 +159,24 @@ void Run() {
     std::printf("index sizes: WAH %s, Roaring %s\n",
                 FormatBytes(wah_index.SizeInBytes()).c_str(),
                 FormatBytes(roaring_index.SizeInBytes()).c_str());
-    std::printf("%-8s %14s %14s %14s %14s %10s\n", "rows", "WAH(bitwise)",
-                "WAH(+filter)", "Roaring", "AB", "AB/WAH");
+    std::printf("%-8s %14s %14s %14s %14s %14s %14s %10s\n", "rows",
+                "WAH(bitwise)", "WAH(+filter)", "Roaring", "Roaring direct",
+                "direct(scat.)", "AB", "AB/WAH");
+    auto direct = [&](const bitmap::BitmapQuery& q) {
+      return roaring_index.Evaluate(q);
+    };
     for (uint64_t rows : RowSweep(e.data.num_rows())) {
       std::vector<bitmap::BitmapQuery> queries = PaperWorkload(e.data, rows);
       WahTimes wah_times = TimeWah(wah_index, queries);
       double roaring_ms = TimeRoaringBitwise(roaring_index, queries);
+      double direct_ms = TimeSubsetAnswer(queries, direct);
+      double scattered_ms = TimeSubsetAnswer(
+          Scattered(queries, e.data.num_rows(), 10), direct);
       double ab_ms = TimeAbEvaluate(ab_index, queries);
-      std::printf("%-8llu %14.4f %14.4f %14.4f %14.4f %10.3f\n",
+      std::printf("%-8llu %14.4f %14.4f %14.4f %14.4f %14.4f %14.4f %10.3f\n",
                   static_cast<unsigned long long>(rows),
-                  wah_times.bitwise_ms, wah_times.full_ms, roaring_ms, ab_ms,
+                  wah_times.bitwise_ms, wah_times.full_ms, roaring_ms,
+                  direct_ms, scattered_ms, ab_ms,
                   ab_ms / wah_times.bitwise_ms);
       std::fflush(stdout);
     }
@@ -69,8 +184,8 @@ void Run() {
     // Crossover sweep: fraction of the relation queried where AB stops
     // winning against the WAH bit-wise time.
     std::printf("\nCrossover sweep (%s):\n", e.data.name.c_str());
-    std::printf("%-10s %12s %12s %12s %8s\n", "fraction", "WAH(bitwise)",
-                "Roaring", "AB", "AB wins");
+    std::printf("%-10s %12s %12s %15s %12s %8s\n", "fraction",
+                "WAH(bitwise)", "Roaring", "Roaring direct", "AB", "AB wins");
     double crossover = -1;
     for (double frac : {0.01, 0.05, 0.10, 0.15, 0.20, 0.30}) {
       uint64_t rows =
@@ -87,11 +202,12 @@ void Run() {
           data::GenerateQueries(e.data, qp);
       WahTimes wah_times = TimeWah(wah_index, queries);
       double roaring_ms = TimeRoaringBitwise(roaring_index, queries);
+      double direct_ms = TimeSubsetAnswer(queries, direct);
       double ab_ms = TimeAbEvaluate(ab_index, queries);
       bool wins = ab_ms < wah_times.bitwise_ms;
       if (!wins && crossover < 0) crossover = frac;
-      std::printf("%-10.2f %12.4f %12.4f %12.4f %8s\n", frac,
-                  wah_times.bitwise_ms, roaring_ms, ab_ms,
+      std::printf("%-10.2f %12.4f %12.4f %15.4f %12.4f %8s\n", frac,
+                  wah_times.bitwise_ms, roaring_ms, direct_ms, ab_ms,
                   wins ? "yes" : "no");
       std::fflush(stdout);
     }
@@ -102,10 +218,22 @@ void Run() {
       std::printf("AB won at every tested fraction (paper crossover: ~15%%).\n");
     }
   }
+  EvalDataset uniform = MakeUniform();
+  DirectVsAbSweep(uniform.data, uniform.paper_alpha, "auto", 4);
+  // Dense, incompressible columns: the uniform dataset's shape with 3 bins
+  // per attribute, so every bitmap column holds ~33% of the rows in runs
+  // of ~1.5 — the selector's AB-preferred (kAb) regime, stored as Roaring
+  // bitset containers.
+  DirectVsAbSweep(
+      data::MakeSynthetic("dense", uniform.data.num_rows(), 2, 3,
+                          data::Distribution::kUniform, 13),
+      uniform.paper_alpha, "ab", 1);
   std::printf(
       "\nShapes to check (paper): WAH bitwise time constant per dataset; AB\n"
       "linear in rows; AB faster by 1-3 orders of magnitude at 100-1000\n"
-      "rows; crossover around 15%% of the relation.\n");
+      "rows; crossover around 15%% of the relation. Beyond the paper:\n"
+      "Roaring direct access follows the subset like the AB and stays below\n"
+      "it, so the crossover holds for WAH/BBC and not for Roaring.\n");
 }
 
 }  // namespace

@@ -248,8 +248,10 @@ int CmdDemo() {
               static_cast<unsigned long long>(engine.AbSizeBytes()));
   std::printf("exact backends: %s\n",
               engine.exact_index().ChoiceSummary().c_str());
-  std::printf("calibrated AB/WAH crossover: %.1f%% of rows\n",
-              engine.MeasureCrossover() * 100);
+  std::printf(
+      "AB crossover for plans touching WAH/BBC columns: %.1f%% of rows "
+      "(all-Roaring plans use direct access at any subset size)\n",
+      engine.MeasureCrossover() * 100);
 
   engine::EngineQuery q;
   q.predicates.push_back(engine::ValuePredicate{0, 25.0, 50.0});

@@ -203,6 +203,35 @@ util::BitVector ExactIndex::AttributeOrBits(
   return bits;
 }
 
+bool ExactIndex::PlanHasDirectAccess(const bitmap::BitmapQuery& query) const {
+  // Every range is validated, also past the first non-Roaring bin.
+  bool direct = true;
+  for (const bitmap::AttributeRange& range : query.ranges) {
+    AB_CHECK_LE(range.lo_bin, range.hi_bin);
+    AB_CHECK_LT(range.hi_bin, mapping_.cardinality(range.attr));
+    for (uint32_t b = range.lo_bin; b <= range.hi_bin && direct; ++b) {
+      const Column& col = columns_[mapping_.GlobalColumn(range.attr, b)];
+      direct = std::holds_alternative<roaring::RoaringBitmap>(col.data);
+    }
+  }
+  return direct;
+}
+
+std::vector<std::vector<const roaring::RoaringBitmap*>>
+ExactIndex::RoaringTerms(const bitmap::BitmapQuery& query) const {
+  std::vector<std::vector<const roaring::RoaringBitmap*>> terms;
+  terms.reserve(query.ranges.size());
+  for (const bitmap::AttributeRange& range : query.ranges) {
+    std::vector<const roaring::RoaringBitmap*>& bins = terms.emplace_back();
+    bins.reserve(range.hi_bin - range.lo_bin + 1);
+    for (uint32_t b = range.lo_bin; b <= range.hi_bin; ++b) {
+      bins.push_back(&std::get<roaring::RoaringBitmap>(
+          columns_[mapping_.GlobalColumn(range.attr, b)].data));
+    }
+  }
+  return terms;
+}
+
 util::BitVector ExactIndex::ExecuteBitwiseBits(
     const bitmap::BitmapQuery& query) const {
   if (query.ranges.empty()) {
@@ -213,25 +242,11 @@ util::BitVector ExactIndex::ExecuteBitwiseBits(
   }
   // All-Roaring plans stay in container form end to end: MultiOr per
   // attribute, galloping AND across attributes, one expansion at the end.
-  bool all_roaring = true;
-  for (const bitmap::AttributeRange& range : query.ranges) {
-    AB_CHECK_LE(range.lo_bin, range.hi_bin);
-    AB_CHECK_LT(range.hi_bin, mapping_.cardinality(range.attr));
-    for (uint32_t b = range.lo_bin; b <= range.hi_bin && all_roaring; ++b) {
-      const Column& col = columns_[mapping_.GlobalColumn(range.attr, b)];
-      all_roaring = std::holds_alternative<roaring::RoaringBitmap>(col.data);
-    }
-  }
-  if (all_roaring) {
+  if (PlanHasDirectAccess(query)) {
     roaring::RoaringBitmap result;
     bool first = true;
-    for (const bitmap::AttributeRange& range : query.ranges) {
-      std::vector<const roaring::RoaringBitmap*> bins;
-      bins.reserve(range.hi_bin - range.lo_bin + 1);
-      for (uint32_t b = range.lo_bin; b <= range.hi_bin; ++b) {
-        bins.push_back(&std::get<roaring::RoaringBitmap>(
-            columns_[mapping_.GlobalColumn(range.attr, b)].data));
-      }
+    for (const std::vector<const roaring::RoaringBitmap*>& bins :
+         RoaringTerms(query)) {
       roaring::RoaringBitmap attr_result = roaring::RoaringBitmap::MultiOr(bins);
       if (first) {
         result = std::move(attr_result);
@@ -258,6 +273,9 @@ util::BitVector ExactIndex::ExecuteBitwiseBits(
 }
 
 std::vector<bool> ExactIndex::Evaluate(const bitmap::BitmapQuery& query) const {
+  if (!query.rows.empty() && PlanHasDirectAccess(query)) {
+    return roaring::EvaluateRows(RoaringTerms(query), query.rows);
+  }
   util::BitVector bits = ExecuteBitwiseBits(query);
   if (query.rows.empty()) {
     std::vector<bool> out(num_rows_, false);
@@ -290,17 +308,6 @@ const char* ExactIndex::PlanBackendLabel(
     }
   }
   return label == nullptr ? "none" : label;
-}
-
-bool ExactIndex::PlanPrefersAb(const bitmap::BitmapQuery& query) const {
-  if (query.ranges.empty()) return false;
-  for (const bitmap::AttributeRange& range : query.ranges) {
-    for (uint32_t b = range.lo_bin; b <= range.hi_bin; ++b) {
-      const Column& col = columns_[mapping_.GlobalColumn(range.attr, b)];
-      if (col.choice != BackendChoice::kAb) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace engine

@@ -20,11 +20,10 @@ namespace engine {
 
 /// Per-column backend decision of the density-adaptive selector. kWah,
 /// kBbc, and kRoaring are physical encodings; kAb marks a column as
-/// "dense and incompressible — prefer the Approximate Bitmap for
-/// subset queries" and is physically stored as Roaring (whose bitset
-/// containers are the verbatim form such columns collapse to anyway).
-/// Queries whose plan touches only kAb-preferring columns get a higher
-/// AB-routing crossover in HybridEngine (the paper's ~15% regime).
+/// "dense and incompressible" — the paper's AB-preferred regime — and is
+/// physically stored as Roaring (whose bitset containers are the verbatim
+/// form such columns collapse to anyway), so its row subsets get
+/// Roaring's direct access like any other Roaring column.
 enum class BackendChoice : uint8_t {
   kWah = 0,
   kBbc = 1,
@@ -70,7 +69,7 @@ ColumnProfile ProfileColumn(const util::BitVector& column);
 ///  * avg run >= 31 set bits                -> kWah (a 31-bit literal's
 ///    worth per fill word: word-aligned RLE is at its best)
 ///  * density >= 25% and avg run < 8        -> kAb (incompressible-dense;
-///    stored Roaring, routed AB-first for subsets)
+///    stored Roaring)
 ///  * density < 5% and avg run >= 8         -> kBbc (byte-aligned fills
 ///    win below WAH's word granularity)
 ///  * otherwise                             -> kRoaring (mid-density,
@@ -121,8 +120,11 @@ class ExactIndex {
   /// (native per backend), AND across attributes. One bit per row.
   util::BitVector ExecuteBitwiseBits(const bitmap::BitmapQuery& query) const;
 
-  /// Full answer for a row-subset query (WahIndex::Evaluate contract):
-  /// rows must be sorted, empty rows means all rows.
+  /// Full answer for a row-subset query: one bit per requested row, in
+  /// request order (rows may be unsorted and repeat); empty rows means all
+  /// rows. A subset of a plan with direct access is answered from the
+  /// containers of the chunks it touches (roaring::EvaluateRows); any
+  /// other plan evaluates the whole relation, then picks the rows.
   std::vector<bool> Evaluate(const bitmap::BitmapQuery& query) const;
 
   /// Expands column j back to its verbatim form (tests, parity checks).
@@ -132,9 +134,11 @@ class ExactIndex {
   /// "mixed". Returns "none" for an empty plan.
   const char* PlanBackendLabel(const bitmap::BitmapQuery& query) const;
 
-  /// True when every column the plan touches is kAb-preferring (the
-  /// routing hint HybridEngine uses to raise the AB crossover).
-  bool PlanPrefersAb(const bitmap::BitmapQuery& query) const;
+  /// True when every column the plan touches is stored as Roaring (kRoaring
+  /// or kAb), so a row subset costs what the subset touches. False when a
+  /// WAH or BBC column must be decompressed over the whole relation — the
+  /// plans HybridEngine still routes to the AB below its crossover.
+  bool PlanHasDirectAccess(const bitmap::BitmapQuery& query) const;
 
  private:
   struct Column {
@@ -149,6 +153,10 @@ class ExactIndex {
   /// OR of one attribute range's bins as verbatim bits (mixed-backend
   /// path).
   util::BitVector AttributeOrBits(const bitmap::AttributeRange& range) const;
+
+  /// Each range's bin bitmaps, for a plan with direct access.
+  std::vector<std::vector<const roaring::RoaringBitmap*>> RoaringTerms(
+      const bitmap::BitmapQuery& query) const;
 
   bitmap::ColumnMapping mapping_;
   uint64_t num_rows_;

@@ -466,19 +466,18 @@ EngineResult HybridEngine::RouteBase(const EngineQuery& query,
   if (query.rows.empty()) {
     return ExecuteExactImpl(query, pool);
   }
-  double fraction = static_cast<double>(query.rows.size()) /
-                    static_cast<double>(table_.num_rows());
-  // Plans confined to AB-preferring (dense, incompressible) columns get
-  // the paper's ~15% crossover: their exact bitmaps are near-verbatim, so
-  // the AB keeps winning far past the generic threshold.
-  double crossover = options_.crossover_fraction;
+  // Roaring keeps direct access, so an all-Roaring plan answers any row
+  // subset from the containers it touches. Only plans that must
+  // decompress a WAH or BBC column over the whole relation route small
+  // subsets to the AB.
   bitmap::BitmapQuery bin_query;
   ToBinQuery(query, &bin_query);
-  if (exact_->PlanPrefersAb(bin_query)) {
-    crossover = std::max(crossover, kAbPreferredCrossover);
-  }
-  if (fraction <= crossover) {
-    return ExecuteAbImpl(query, pool);
+  if (!exact_->PlanHasDirectAccess(bin_query)) {
+    double fraction = static_cast<double>(query.rows.size()) /
+                      static_cast<double>(table_.num_rows());
+    if (fraction <= options_.crossover_fraction) {
+      return ExecuteAbImpl(query, pool);
+    }
   }
   return ExecuteExactImpl(query, pool);
 }
@@ -694,17 +693,22 @@ std::vector<EngineResult> HybridEngine::ExecuteBatch(
 double HybridEngine::MeasureCrossover() {
   // Time both paths on a mid-selectivity predicate over growing row
   // subsets; the threshold is the first fraction where the exact arm's
-  // (constant) cost drops below the AB's (linear) cost.
+  // (constant) cost drops below the AB's (linear) cost. The predicate
+  // covers roughly a quarter of the domain of the first attribute whose
+  // plan lacks direct access: only such plans route by fraction.
   uint64_t n = table_.num_rows();
   EngineQuery query;
-  uint32_t cardinality = discretized_.binners[0].cardinality();
-  // A predicate covering roughly a quarter of attribute 0's domain.
-  const std::vector<double>& col = table_.column(0);
-  auto [mn, mx] = std::minmax_element(col.begin(), col.end());
-  query.predicates.push_back(
-      ValuePredicate{0, *mn, *mn + (*mx - *mn) / 4});
   query.exact = false;
-  (void)cardinality;
+  for (uint32_t attr = 0; attr < table_.num_columns(); ++attr) {
+    const std::vector<double>& col = table_.column(attr);
+    auto [mn, mx] = std::minmax_element(col.begin(), col.end());
+    query.predicates = {ValuePredicate{attr, *mn, *mn + (*mx - *mn) / 4}};
+    bitmap::BitmapQuery bin_query;
+    ToBinQuery(query, &bin_query);
+    if (!exact_->PlanHasDirectAccess(bin_query)) break;
+    query.predicates.clear();
+  }
+  if (query.predicates.empty()) return options_.crossover_fraction;
 
   double crossover = 1.0;
   for (double fraction : {0.002, 0.005, 0.01, 0.02, 0.05, 0.10, 0.20}) {

@@ -52,21 +52,24 @@ struct EngineResult {
   obs::QueryTrace trace;
 };
 
-/// The query router the paper's introduction implies: exact compressed
-/// bitmaps win on whole-relation queries, the Approximate Bitmap wins when
-/// the query names a small row subset ("executing a query that selects up
-/// to around 15% of the rows by using AB is still faster"). HybridEngine
-/// maintains both over one table — the AB plus a density-adaptive
-/// ExactIndex whose per-column backend (WAH / BBC / Roaring) the selector
-/// picks at build time — and routes each query by the fraction of rows it
-/// touches. Plans that only touch AB-preferring (dense, incompressible)
-/// columns get the paper's higher ~15% crossover.
+/// The query router the paper's introduction implies, corrected for
+/// Roaring. The paper routes small row subsets to the Approximate Bitmap
+/// because run-length bitmaps lose direct access ("executing a query that
+/// selects up to around 15% of the rows by using AB is still faster").
+/// HybridEngine maintains both over one table — the AB plus a
+/// density-adaptive ExactIndex whose per-column backend (WAH / BBC /
+/// Roaring) the selector picks at build time:
+///  * whole-relation queries run on the exact arm;
+///  * a row subset of a plan stored all as Roaring (kRoaring or kAb
+///    columns) also runs on the exact arm, by direct access: only the
+///    containers of the chunks the subset touches are read, so the cost
+///    follows the subset as the AB's does;
+///  * a row subset of a plan that touches a WAH or BBC column — the
+///    encodings that really lack direct access — goes to the AB when it
+///    names at most `crossover_fraction` of the rows.
+/// ExecuteWithAb reaches the AB for any query.
 class HybridEngine {
  public:
-  /// Effective AB crossover for plans confined to kAb-preferring columns
-  /// (the paper's "up to around 15% of the rows" regime).
-  static constexpr double kAbPreferredCrossover = 0.15;
-
   struct Options {
     /// Discretization applied to every column.
     BinningSpec binning;
@@ -77,10 +80,12 @@ class HybridEngine {
     /// "ab"). The AB_BACKEND environment variable, when set, wins over
     /// this field.
     std::string backend = "auto";
-    /// Row-subset fraction below which the AB path is used. The paper's
-    /// hardware put the crossover near 0.15; on this implementation the
-    /// measured value is lower (see bench_fig14_wah_vs_ab) — calibrate
-    /// with MeasureCrossover() or set explicitly.
+    /// Row-subset fraction at or below which a plan touching a WAH or BBC
+    /// column is answered by the AB (all-Roaring plans use direct access
+    /// at every fraction). The paper's hardware put the crossover near
+    /// 0.15; on this implementation the measured value is lower (see
+    /// bench_fig14_wah_vs_ab) — calibrate with MeasureCrossover() or set
+    /// explicitly.
     double crossover_fraction = 0.02;
     /// Worker threads for large AB evaluations and candidate
     /// verification. 0 picks util::DefaultThreadCount(); 1 disables the
@@ -167,9 +172,12 @@ class HybridEngine {
     return ingest_->delta.get();
   }
 
-  /// Times both paths on a synthetic row-subset sweep and returns the
-  /// fraction at which the exact arm overtakes the AB; also updates the
-  /// routing threshold.
+  /// Times both paths on a synthetic row-subset sweep over a predicate
+  /// whose plan lacks direct access (the first attribute with a WAH or
+  /// BBC bin) and returns the fraction at which the exact arm overtakes
+  /// the AB; also updates the routing threshold. When every attribute is
+  /// stored as Roaring no plan routes by fraction, and the current
+  /// threshold is returned unchanged.
   double MeasureCrossover();
 
   const Table& table() const { return table_; }
@@ -191,8 +199,8 @@ class HybridEngine {
   /// nobody would run the nested chunks).
   EngineResult ExecuteRouted(const EngineQuery& query,
                              util::ThreadPool* pool) const;
-  /// The pre-ingest routing body (crossover-fraction dispatch over the
-  /// base indexes only).
+  /// The pre-ingest routing body over the base indexes only: direct
+  /// access for all-Roaring plans, crossover-fraction dispatch otherwise.
   EngineResult RouteBase(const EngineQuery& query,
                          util::ThreadPool* pool) const;
   /// Mutation-aware execution: base result minus tombstones, plus

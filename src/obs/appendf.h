@@ -6,8 +6,8 @@
 #include <cstdio>
 #include <string>
 
-/// Internal to src/obs: the printf-style appender every JSON, Prometheus
-/// and text renderer in the layer writes through.
+/// The printf-style appender every JSON, Prometheus and text renderer in
+/// src/obs writes through, and the query server's live gauges beside them.
 
 namespace abitmap {
 namespace obs {

@@ -104,6 +104,19 @@ void HttpServer::Stop() {
   }
 }
 
+bool ParseRequestLine(const std::string& line, std::string* method,
+                      std::string* path) {
+  size_t sp1 = line.find(' ');
+  size_t sp2 = sp1 == std::string::npos ? std::string::npos
+                                        : line.find(' ', sp1 + 1);
+  if (sp1 == std::string::npos || sp2 == std::string::npos) return false;
+  *method = line.substr(0, sp1);
+  *path = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  size_t query = path->find('?');
+  if (query != std::string::npos) path->resize(query);
+  return true;
+}
+
 void HttpServer::ServeLoop() {
   // Connections are serviced serially: the endpoint payloads are small
   // and cheap (snapshot + render), so one slow reader can delay — but
@@ -142,19 +155,12 @@ void HttpServer::HandleConnection(int fd) {
     raw.append(buf, static_cast<size_t>(n));
   }
 
-  std::string line = raw.substr(0, raw.find("\r\n"));
-  size_t sp1 = line.find(' ');
-  size_t sp2 = sp1 == std::string::npos ? std::string::npos
-                                        : line.find(' ', sp1 + 1);
-  if (sp1 == std::string::npos || sp2 == std::string::npos) {
+  std::string method, path;
+  if (!ParseRequestLine(raw.substr(0, raw.find("\r\n")), &method, &path)) {
     WriteResponse(fd, HttpResponse{400, "text/plain", "bad request\n"},
                   /*head=*/false);
     return;
   }
-  std::string method = line.substr(0, sp1);
-  std::string path = line.substr(sp1 + 1, sp2 - sp1 - 1);
-  size_t query = path.find('?');
-  if (query != std::string::npos) path.resize(query);
 
   if (method != "GET" && method != "HEAD") {
     WriteResponse(fd,

@@ -43,6 +43,13 @@ struct HttpResponse {
 /// any other path.
 HttpResponse HandleObsGet(const std::string& path);
 
+/// Splits an HTTP/1.1 request line ("GET /metrics?x=1 HTTP/1.1") into
+/// its method and path, dropping any query string from the path. False
+/// when the line lacks the two separating spaces. The one request-line
+/// parser of this server and serve::QueryServer.
+bool ParseRequestLine(const std::string& line, std::string* method,
+                      std::string* path);
+
 /// Serializes a complete HTTP/1.1 response: status line, Content-Type,
 /// Content-Length and Connection: close, then the body. A HEAD response
 /// (`head` true) carries the same headers as GET and no body.

@@ -435,12 +435,27 @@ bool Container::operator==(const Container& other) const {
 
 namespace {
 
-/// ORs a flattened (start, length-1) run list into `words` (kBitsetWords
-/// long), setting whole words for the interior of long runs.
-void RunsToWords(const std::vector<uint16_t>& runs, uint64_t* words) {
-  for (size_t r = 0; r < runs.size(); r += 2) {
-    uint32_t start = runs[r];
-    uint32_t last = start + runs[r + 1];  // inclusive
+/// ORs the values of a flattened (start, length-1) run list that fall in
+/// words [first_word, first_word + num_words) into `words`, indexed from
+/// first_word, setting whole words for the interior of long runs.
+void RunsToWords(const std::vector<uint16_t>& runs, uint64_t* words,
+                 uint32_t first_word = 0,
+                 uint32_t num_words = Container::kBitsetWords) {
+  uint32_t lo = first_word * 64;
+  uint32_t hi = (first_word + num_words) * 64 - 1;  // inclusive
+  // First run whose last value reaches the window.
+  size_t lo_run = 0, hi_run = runs.size() / 2;
+  while (lo_run < hi_run) {
+    size_t mid = (lo_run + hi_run) / 2;
+    if (uint32_t{runs[mid * 2]} + runs[mid * 2 + 1] < lo) {
+      lo_run = mid + 1;
+    } else {
+      hi_run = mid;
+    }
+  }
+  for (size_t r = lo_run * 2; r < runs.size() && runs[r] <= hi; r += 2) {
+    uint32_t start = std::max<uint32_t>(runs[r], lo) - lo;
+    uint32_t last = std::min<uint32_t>(runs[r] + runs[r + 1], hi) - lo;
     size_t w0 = start >> 6, w1 = last >> 6;
     uint64_t first_mask = ~uint64_t{0} << (start & 63);
     uint64_t last_mask = ~uint64_t{0} >> (63 - (last & 63));
@@ -680,6 +695,30 @@ void Container::OrInto(uint64_t* words) const {
       break;
     case ContainerKind::kRun:
       RunsToWords(array_, words);
+      break;
+  }
+}
+
+void Container::OrRangeInto(uint64_t* words, uint32_t first_word,
+                            uint32_t num_words) const {
+  AB_DCHECK(first_word + num_words <= kBitsetWords);
+  switch (kind_) {
+    case ContainerKind::kArray: {
+      uint32_t lo = first_word * 64;
+      uint32_t end = lo + num_words * 64;
+      auto it = std::lower_bound(array_.begin(), array_.end(),
+                                 static_cast<uint16_t>(lo));
+      for (; it != array_.end() && *it < end; ++it) {
+        uint32_t v = *it - lo;
+        words[v >> 6] |= uint64_t{1} << (v & 63);
+      }
+      break;
+    }
+    case ContainerKind::kBitset:
+      util::simd::OrWords(words, words_.data() + first_word, num_words);
+      break;
+    case ContainerKind::kRun:
+      RunsToWords(array_, words, first_word, num_words);
       break;
   }
 }

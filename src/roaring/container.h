@@ -109,6 +109,14 @@ class Container {
   /// accumulation primitive of multi-way unions.
   void OrInto(uint64_t* words) const;
 
+  /// OrInto restricted to one window of the chunk: ORs the values in
+  /// [64 * first_word, 64 * (first_word + num_words)) into `words`
+  /// (num_words long), value v landing at bit v - 64 * first_word. The
+  /// read primitive of row-subset evaluation; the window must lie inside
+  /// the chunk.
+  void OrRangeInto(uint64_t* words, uint32_t first_word,
+                   uint32_t num_words) const;
+
   /// Materializes the sorted value list (tests / conversions).
   std::vector<uint16_t> ToArray() const;
 

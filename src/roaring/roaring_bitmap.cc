@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/logging.h"
+#include "util/simd.h"
 
 namespace abitmap {
 namespace roaring {
@@ -11,6 +12,11 @@ namespace {
 
 constexpr uint32_t kChunkBits = 16;
 constexpr uint64_t kChunkMask = (uint64_t{1} << kChunkBits) - 1;
+
+/// EvaluateRows answers a chunk from word windows while the window spans
+/// at most this many words per requested row, and by per-row
+/// Container::Get beyond that.
+constexpr size_t kWindowWordsPerRow = 16;
 
 }  // namespace
 
@@ -59,11 +65,14 @@ uint64_t RoaringBitmap::Count() const {
 }
 
 bool RoaringBitmap::Get(uint64_t row) const {
-  uint32_t key = static_cast<uint32_t>(row >> kChunkBits);
+  const Container* c = FindContainer(static_cast<uint32_t>(row >> kChunkBits));
+  return c != nullptr && c->Get(static_cast<uint16_t>(row & kChunkMask));
+}
+
+const Container* RoaringBitmap::FindContainer(uint32_t key) const {
   auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-  if (it == keys_.end() || *it != key) return false;
-  return containers_[it - keys_.begin()].Get(
-      static_cast<uint16_t>(row & kChunkMask));
+  if (it == keys_.end() || *it != key) return nullptr;
+  return &containers_[it - keys_.begin()];
 }
 
 uint64_t RoaringBitmap::FindNextSet(uint64_t from) const {
@@ -257,6 +266,103 @@ RoaringBitmap RoaringBitmap::MultiOr(
         ++pos[s];
       }
     }
+  }
+  return out;
+}
+
+std::vector<bool> EvaluateRows(
+    const std::vector<std::vector<const RoaringBitmap*>>& terms,
+    const std::vector<uint64_t>& rows) {
+  size_t n = rows.size();
+  if (terms.empty()) return std::vector<bool>(n, true);
+  std::vector<bool> out(n, false);
+  // Visit the requested rows grouped by chunk key: through `order`, the
+  // positions stably sorted by key, unless the subset is already ascending
+  // by key (contiguous or sorted) and is visited as given.
+  auto key_of = [&rows](size_t i) {
+    return static_cast<uint32_t>(rows[i] >> kChunkBits);
+  };
+  std::vector<uint32_t> order;
+  for (size_t i = 1; i < n; ++i) {
+    if (key_of(i) < key_of(i - 1)) {
+      order.resize(n);
+      for (size_t j = 0; j < n; ++j) order[j] = static_cast<uint32_t>(j);
+      std::stable_sort(order.begin(), order.end(),
+                       [&key_of](uint32_t a, uint32_t b) {
+                         return key_of(a) < key_of(b);
+                       });
+      break;
+    }
+  }
+  auto at = [&order](size_t p) { return order.empty() ? p : order[p]; };
+  // Per chunk: each term's containers (flattened, term t spanning
+  // [first[t], first[t + 1])) and the window buffers.
+  std::vector<const Container*> found;
+  std::vector<size_t> first(terms.size() + 1);
+  std::vector<uint64_t> acc, term_words;
+  for (size_t s = 0; s < n;) {
+    uint32_t key = key_of(at(s));
+    size_t e = s;
+    uint32_t lo = Container::kCapacity, hi = 0;
+    for (; e < n && key_of(at(e)) == key; ++e) {
+      uint32_t low = static_cast<uint32_t>(rows[at(e)] & kChunkMask);
+      lo = std::min(lo, low);
+      hi = std::max(hi, low);
+    }
+    found.clear();
+    bool empty_term = false;
+    for (size_t t = 0; t < terms.size(); ++t) {
+      first[t] = found.size();
+      for (const RoaringBitmap* bitmap : terms[t]) {
+        if (const Container* c = bitmap->FindContainer(key)) {
+          found.push_back(c);
+        }
+      }
+      if (found.size() == first[t]) {
+        empty_term = true;  // no bitmap of this term has the chunk
+        break;
+      }
+    }
+    first[terms.size()] = found.size();
+    if (empty_term) {
+      s = e;
+      continue;
+    }
+    uint32_t first_word = lo >> 6;
+    uint32_t num_words = (hi >> 6) - first_word + 1;
+    size_t count = e - s;
+    if (num_words <= count * kWindowWordsPerRow) {
+      acc.assign(num_words, 0);
+      for (size_t t = 0; t < terms.size(); ++t) {
+        uint64_t* dst = acc.data();
+        if (t > 0) {
+          term_words.assign(num_words, 0);
+          dst = term_words.data();
+        }
+        for (size_t f = first[t]; f < first[t + 1]; ++f) {
+          found[f]->OrRangeInto(dst, first_word, num_words);
+        }
+        if (t > 0) util::simd::AndWords(acc.data(), dst, num_words);
+      }
+      uint32_t base = first_word * 64;
+      for (size_t p = s; p < e; ++p) {
+        uint32_t v = static_cast<uint32_t>(rows[at(p)] & kChunkMask) - base;
+        if ((acc[v >> 6] >> (v & 63)) & 1) out[at(p)] = true;
+      }
+    } else {
+      for (size_t p = s; p < e; ++p) {
+        uint16_t low = static_cast<uint16_t>(rows[at(p)] & kChunkMask);
+        bool hit = true;
+        for (size_t t = 0; t < terms.size() && hit; ++t) {
+          hit = false;
+          for (size_t f = first[t]; f < first[t + 1] && !hit; ++f) {
+            hit = found[f]->Get(low);
+          }
+        }
+        if (hit) out[at(p)] = true;
+      }
+    }
+    s = e;
   }
   return out;
 }

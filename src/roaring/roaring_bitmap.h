@@ -41,6 +41,10 @@ class RoaringBitmap {
   uint64_t Count() const;
   bool Get(uint64_t row) const;
 
+  /// The container of chunk `key` (rows [key << 16, (key + 1) << 16)), or
+  /// nullptr when the chunk holds no set row. O(log containers).
+  const Container* FindContainer(uint32_t key) const;
+
   /// Smallest set row >= from, or kNoBit.
   uint64_t FindNextSet(uint64_t from) const;
 
@@ -87,6 +91,21 @@ class RoaringBitmap {
   std::vector<uint32_t> keys_;
   std::vector<Container> containers_;
 };
+
+/// Direct-access evaluation of an AND of ORs over a row subset: out[i] is
+/// true iff, for every term, rows[i] is set in at least one bitmap of that
+/// term (no terms: every row qualifies). Rows may come in any order and
+/// repeat; out follows their order. Only the containers of chunks that
+/// hold a requested row are read: rows are grouped by chunk key, each
+/// bitmap's container for a chunk is located once, and the chunk is
+/// answered either from the term's OR over the chunk's [min, max]
+/// requested-row window (Container::OrRangeInto into a word buffer,
+/// ANDed across terms) or, when the requested rows are sparse in that
+/// window, by Container::Get per row. The cost follows the subset, not
+/// the relation — the direct access the paper's WAH/BBC premise lacks.
+std::vector<bool> EvaluateRows(
+    const std::vector<std::vector<const RoaringBitmap*>>& terms,
+    const std::vector<uint64_t>& rows);
 
 RoaringBitmap And(const RoaringBitmap& a, const RoaringBitmap& b);
 RoaringBitmap Or(const RoaringBitmap& a, const RoaringBitmap& b);

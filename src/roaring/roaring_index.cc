@@ -103,15 +103,20 @@ util::BitVector RoaringIndex::ExecuteBitwiseBits(
 
 std::vector<bool> RoaringIndex::Evaluate(
     const bitmap::BitmapQuery& query) const {
-  RoaringBitmap result = ExecuteBitwise(query);
-  if (query.rows.empty()) {
-    std::vector<bool> out(num_rows_, false);
-    for (uint64_t row : result.ToRows()) out[row] = true;
-    return out;
+  if (!query.rows.empty()) {
+    std::vector<std::vector<const RoaringBitmap*>> terms;
+    for (const bitmap::AttributeRange& range : query.ranges) {
+      AB_CHECK_LE(range.lo_bin, range.hi_bin);
+      AB_CHECK_LT(range.hi_bin, mapping_.cardinality(range.attr));
+      std::vector<const RoaringBitmap*>& bins = terms.emplace_back();
+      for (uint32_t b = range.lo_bin; b <= range.hi_bin; ++b) {
+        bins.push_back(&column(range.attr, b));
+      }
+    }
+    return EvaluateRows(terms, query.rows);
   }
-  std::vector<bool> out;
-  out.reserve(query.rows.size());
-  for (uint64_t row : query.rows) out.push_back(result.Get(row));
+  std::vector<bool> out(num_rows_, false);
+  for (uint64_t row : ExecuteBitwise(query).ToRows()) out[row] = true;
   return out;
 }
 

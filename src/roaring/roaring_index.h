@@ -61,9 +61,10 @@ class RoaringIndex {
   /// compressed form directly).
   util::BitVector ExecuteBitwiseBits(const bitmap::BitmapQuery& query) const;
 
-  /// Full answer for a row-subset query, same contract as
-  /// WahIndex::Evaluate: bit-wise phase then extraction of the requested
-  /// rows. Rows must be sorted; empty rows means all rows.
+  /// Full answer for a row-subset query, one bit per requested row in
+  /// request order (rows may be unsorted and repeat). A subset is answered
+  /// by direct access (EvaluateRows: only the containers of the chunks it
+  /// touches); empty rows means all rows, from the bit-wise phase.
   std::vector<bool> Evaluate(const bitmap::BitmapQuery& query) const;
 
  private:

@@ -9,7 +9,6 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -19,6 +18,7 @@
 #include <vector>
 
 #include "core/mutable_index.h"
+#include "obs/appendf.h"
 #include "obs/http.h"
 #include "obs/slowlog.h"
 #include "obs/stats.h"
@@ -67,18 +67,11 @@ DecodeStatus ParseHttpRequest(const std::string& in, size_t max_bytes,
   }
 
   size_t line_end = in.find("\r\n");
-  std::string line = in.substr(0, line_end);
-  size_t sp1 = line.find(' ');
-  size_t sp2 = sp1 == std::string::npos ? std::string::npos
-                                        : line.find(' ', sp1 + 1);
-  if (sp1 == std::string::npos || sp2 == std::string::npos) {
+  if (!obs::ParseRequestLine(in.substr(0, line_end), &out->method,
+                             &out->path)) {
     *error_status = 400;
     return DecodeStatus::kMalformed;
   }
-  out->method = line.substr(0, sp1);
-  out->path = line.substr(sp1 + 1, sp2 - sp1 - 1);
-  size_t query = out->path.find('?');
-  if (query != std::string::npos) out->path.resize(query);
 
   // Scan headers for Content-Length (case-insensitive); everything else
   // is irrelevant to this server.
@@ -118,11 +111,8 @@ DecodeStatus ParseHttpRequest(const std::string& in, size_t max_bytes,
 
 void AppendGauge(std::string* out, const char* name, const char* help,
                  double value) {
-  char buf[384];
-  std::snprintf(buf, sizeof(buf),
-                "# HELP %s %s\n# TYPE %s gauge\n%s %.9g\n", name, help, name,
-                name, value);
-  *out += buf;
+  obs::internal::Appendf(out, "# HELP %s %s\n# TYPE %s gauge\n%s %.9g\n",
+                         name, help, name, name, value);
 }
 
 /// Live engine/serve gauges appended to the /metrics body. These are

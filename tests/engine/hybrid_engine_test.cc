@@ -72,27 +72,47 @@ TEST(HybridEngineTest, ExactResultsMatchBruteForceBothPaths) {
   }
 }
 
+HybridEngine MakeForcedEngine(uint64_t rows, uint64_t seed,
+                              const char* backend) {
+  HybridEngine::Options options;
+  options.binning.bins = 16;
+  options.ab.alpha = 16;
+  options.ab.level = ab::Level::kPerAttribute;
+  options.backend = backend;
+  return HybridEngine::Build(MakeRandomTable(rows, seed), options);
+}
+
 TEST(HybridEngineTest, RoutesByRowFraction) {
-  HybridEngine engine = MakeEngine(5000, 3);
+  // Only plans that touch a WAH or BBC column route by row fraction.
+  for (const char* backend : {"wah", "bbc"}) {
+    HybridEngine engine = MakeForcedEngine(5000, 3, backend);
+    EngineQuery q;
+    q.predicates.push_back(ValuePredicate{0, 0.0, 50.0});
+
+    // Whole relation -> exact arm; the trace carries the serving backend.
+    EngineResult whole = engine.Execute(q);
+    EXPECT_EQ(whole.path, "exact");
+    EXPECT_STREQ(whole.trace.backend, backend);
+
+    // Tiny subset (below the default 2% threshold) -> AB.
+    q.rows = bitmap::RowRange(100, 140);  // 41 rows of 5000 = 0.8%
+    EngineResult tiny = engine.Execute(q);
+    EXPECT_EQ(tiny.path, "ab") << backend;
+    EXPECT_STREQ(tiny.trace.backend, "ab");
+
+    // Large subset -> exact arm.
+    q.rows = bitmap::RowRange(0, 2499);  // 50%
+    EXPECT_EQ(engine.Execute(q).path, "exact") << backend;
+  }
+  // An all-Roaring plan keeps direct access: every subset is exact.
+  HybridEngine engine = MakeForcedEngine(5000, 3, "roaring");
   EngineQuery q;
   q.predicates.push_back(ValuePredicate{0, 0.0, 50.0});
-
-  // Whole relation -> exact arm.
-  EngineResult whole = engine.Execute(q);
-  EXPECT_EQ(whole.path, "exact");
-  // The trace carries the serving backend: a single name or "mixed".
-  EXPECT_STRNE(whole.trace.backend, "");
-  EXPECT_STRNE(whole.trace.backend, "none");
-
-  // Tiny subset (below the default 2% threshold) -> AB.
-  q.rows = bitmap::RowRange(100, 140);  // 41 rows of 5000 = 0.8%
+  q.rows = bitmap::RowRange(100, 140);
   EngineResult tiny = engine.Execute(q);
-  EXPECT_EQ(tiny.path, "ab");
-  EXPECT_STREQ(tiny.trace.backend, "ab");
-
-  // Large subset -> exact arm.
-  q.rows = bitmap::RowRange(0, 2499);  // 50%
-  EXPECT_EQ(engine.Execute(q).path, "exact");
+  EXPECT_EQ(tiny.path, "exact");
+  EXPECT_STREQ(tiny.trace.backend, "roaring");
+  EXPECT_EQ(tiny.row_ids, BruteForce(engine.table(), q));
 }
 
 TEST(HybridEngineTest, ApproximateModeIsSupersetOfExact) {
@@ -240,23 +260,86 @@ TEST(HybridEngineTest, ForcedBackendsAgreeOnEveryQuery) {
   }
 }
 
-TEST(HybridEngineTest, AbPreferredPlansGetRaisedCrossover) {
-  // Force every column AB-preferring: a subset at 10% of the rows sits
-  // above the default 2% crossover but below the raised 15% one, so it
-  // must route to the AB.
-  HybridEngine::Options options;
-  options.binning.bins = 16;
-  options.ab.alpha = 16;
-  options.backend = "ab";
-  HybridEngine engine = HybridEngine::Build(MakeRandomTable(5000, 14), options);
+TEST(HybridEngineTest, AbPreferredPlansUseDirectAccess) {
+  // kAb-preferring columns are stored as Roaring, so their subsets take
+  // the exact arm at every fraction; the AB stays reachable on request.
+  HybridEngine engine = MakeForcedEngine(5000, 14, "ab");
   EngineQuery q;
   q.predicates.push_back(ValuePredicate{0, 20.0, 60.0});
-  q.rows = bitmap::RowRange(0, 499);  // 10%
-  EngineResult result = engine.Execute(q);
-  EXPECT_EQ(result.path, "ab");
-  // Past the raised crossover the exact arm takes over again.
-  q.rows = bitmap::RowRange(0, 999);  // 20%
-  EXPECT_EQ(engine.Execute(q).path, "exact");
+  for (uint64_t last : {40u, 499u, 999u}) {  // 0.8%, 10%, 20%
+    q.rows = bitmap::RowRange(0, last);
+    EngineResult result = engine.Execute(q);
+    EXPECT_EQ(result.path, "exact") << last;
+    EXPECT_STREQ(result.trace.backend, "ab");
+    EXPECT_EQ(result.row_ids, BruteForce(engine.table(), q)) << last;
+    EngineResult via_ab = engine.ExecuteWithAb(q);
+    EXPECT_EQ(via_ab.path, "ab");
+    EXPECT_EQ(via_ab.row_ids, result.row_ids) << last;
+  }
+}
+
+/// Row subsets in every order the engine accepts, over a table that
+/// spans the 65535/65536 chunk boundary.
+std::vector<std::vector<uint64_t>> EngineRowShapes(uint64_t rows,
+                                                   std::mt19937_64* rng) {
+  std::vector<std::vector<uint64_t>> shapes;
+  shapes.push_back(bitmap::RowRange(65000, 66999));  // contiguous
+  std::vector<uint64_t> scattered;
+  for (int i = 0; i < 500; ++i) scattered.push_back((*rng)() % rows);
+  std::sort(scattered.begin(), scattered.end());
+  shapes.push_back(scattered);
+  std::vector<uint64_t> unsorted = scattered;
+  std::shuffle(unsorted.begin(), unsorted.end(), *rng);
+  shapes.push_back(unsorted);
+  std::vector<uint64_t> dups = {65535, 65536, 65535, rows - 1, 0, 0};
+  dups.insert(dups.end(), unsorted.begin(), unsorted.begin() + 60);
+  dups.insert(dups.end(), unsorted.begin(), unsorted.begin() + 30);
+  std::shuffle(dups.begin(), dups.end(), *rng);
+  shapes.push_back(dups);
+  return shapes;
+}
+
+TEST(HybridEngineTest, DirectAccessSubsetsMatchOracleInAnyRowOrder) {
+  const uint64_t rows = 70000;
+  HybridEngine direct = MakeForcedEngine(rows, 16, "roaring");
+  HybridEngine scan = MakeForcedEngine(rows, 16, "wah");  // whole-then-pick
+  std::mt19937_64 rng(17);
+  std::vector<std::vector<ValuePredicate>> plans = {
+      {{0, 20.0, 45.0}},
+      {{0, 10.0, 80.0}, {1, 5.0, 30.0}},
+      {{0, 0.0, 70.0}, {1, 0.0, 40.0}, {2, 2.0, 4.0}},
+  };
+  for (const std::vector<uint64_t>& subset : EngineRowShapes(rows, &rng)) {
+    for (size_t p = 0; p < plans.size(); ++p) {
+      EngineQuery q;
+      q.predicates = plans[p];
+      q.rows = subset;
+      std::vector<uint64_t> truth = BruteForce(direct.table(), q);
+      EngineResult exact = direct.Execute(q);
+      EXPECT_EQ(exact.path, "exact");
+      EXPECT_EQ(exact.row_ids, truth) << "plan " << p;
+      EXPECT_EQ(scan.ExecuteWithExact(q).row_ids, truth) << "plan " << p;
+
+      // Approximate: bin-level candidates, identical across backends, a
+      // superset of the truth inside the request.
+      q.exact = false;
+      EngineResult approx = direct.Execute(q);
+      EXPECT_EQ(approx.row_ids, scan.ExecuteWithExact(q).row_ids)
+          << "plan " << p;
+      std::vector<uint64_t> got = approx.row_ids;
+      std::vector<uint64_t> want = truth;
+      std::vector<uint64_t> request = subset;
+      std::sort(got.begin(), got.end());
+      std::sort(want.begin(), want.end());
+      std::sort(request.begin(), request.end());
+      EXPECT_TRUE(std::includes(got.begin(), got.end(), want.begin(),
+                                want.end()))
+          << "plan " << p;
+      EXPECT_TRUE(std::includes(request.begin(), request.end(), got.begin(),
+                                got.end()))
+          << "plan " << p;
+    }
+  }
 }
 
 TEST(HybridEngineTest, ChoiceSummaryCoversEveryColumn) {
@@ -477,6 +560,56 @@ TEST(HybridEngineTest, DeleteRowTombstonesBaseAndDeltaRows) {
 
   q.rows = bitmap::RowRange(700, base_n + 99);
   EXPECT_EQ(engine.Execute(q).row_ids, BruteForceMutable(rows, live, q));
+}
+
+TEST(HybridEngineTest, DirectAccessBaseSubsetsUnderInsertsAndDeletes) {
+  // The base part of a subset is answered by direct access, tombstones
+  // mask it afterwards, and the delta part is evaluated as before.
+  HybridEngine engine = MakeForcedEngine(70000, 25, "roaring");
+  const uint64_t base_n = engine.base_rows();
+  std::vector<std::vector<double>> rows;
+  for (uint64_t r = 0; r < base_n; ++r) {
+    rows.push_back({engine.table().value(r, 0), engine.table().value(r, 1),
+                    engine.table().value(r, 2)});
+  }
+  std::mt19937_64 rng(26);
+  for (int i = 0; i < 200; ++i) {
+    std::vector<double> v = {
+        std::uniform_real_distribution<double>(0, 100)(rng),
+        static_cast<double>(rng() % 50),
+        std::normal_distribution<double>(3.0, 1.0)(rng)};
+    engine.IngestRow(v);
+    rows.push_back(v);
+  }
+  std::vector<bool> live(rows.size(), true);
+  for (uint64_t row = 65400; row < 65700; row += 3) {
+    EXPECT_TRUE(engine.DeleteRow(row));
+    live[row] = false;
+  }
+  for (uint64_t local : {5u, 50u, 150u}) {
+    EXPECT_TRUE(engine.DeleteRow(base_n + local));
+    live[base_n + local] = false;
+  }
+
+  EngineQuery q;
+  q.predicates.push_back(ValuePredicate{0, 15.0, 65.0});
+  q.predicates.push_back(ValuePredicate{1, 3.0, 40.0});
+  std::vector<uint64_t> request = bitmap::RowRange(65300, 65800);
+  for (uint64_t r = base_n; r < base_n + 200; r += 2) request.push_back(r);
+  request.push_back(65535);  // duplicate base row
+  request.push_back(base_n + 4);  // duplicate delta row
+  std::shuffle(request.begin(), request.end(), rng);
+  q.rows = request;
+  // Execute returns the base part (in query order), then the delta part
+  // (in query order).
+  EngineQuery ordered = q;
+  std::stable_partition(ordered.rows.begin(), ordered.rows.end(),
+                        [base_n](uint64_t r) { return r < base_n; });
+  std::vector<uint64_t> expected = BruteForceMutable(rows, live, ordered);
+  ASSERT_FALSE(expected.empty());
+  ASSERT_GE(expected.back(), base_n);
+  EXPECT_EQ(engine.Execute(q).row_ids, expected);
+  EXPECT_EQ(engine.ExecuteBatch({q, q})[1].row_ids, expected);
 }
 
 TEST(HybridEngineTest, IngestStatsTrackChurnAndMergeSignal) {

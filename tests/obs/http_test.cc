@@ -160,6 +160,21 @@ TEST_F(HttpServerTest, HeadOmitsBodyAndQueryStringIsStripped) {
   EXPECT_EQ(query.status, 200);
 }
 
+TEST(ParseRequestLineTest, SplitsMethodAndStripsQueryString) {
+  std::string method, path;
+  ASSERT_TRUE(ParseRequestLine("GET /metrics HTTP/1.1", &method, &path));
+  EXPECT_EQ(method, "GET");
+  EXPECT_EQ(path, "/metrics");
+  ASSERT_TRUE(ParseRequestLine("HEAD /slow.json?limit=5&x HTTP/1.1", &method,
+                               &path));
+  EXPECT_EQ(method, "HEAD");
+  EXPECT_EQ(path, "/slow.json");
+  ASSERT_TRUE(ParseRequestLine("GET /? HTTP/1.0", &method, &path));
+  EXPECT_EQ(path, "/");
+  EXPECT_FALSE(ParseRequestLine("GET /metrics", &method, &path));
+  EXPECT_FALSE(ParseRequestLine("", &method, &path));
+}
+
 TEST_F(HttpServerTest, ServesDuringParallelWorkload) {
   // The acceptance scenario: a multi-threaded BuildParallel +
   // EvaluateParallel workload runs while a client scrapes the endpoints.

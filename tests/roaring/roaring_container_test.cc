@@ -227,6 +227,45 @@ TEST(RoaringContainerTest, GetAndNextSetAgreeWithGroundTruth) {
   }
 }
 
+TEST(RoaringContainerTest, OrRangeIntoMatchesFullWordsOverEveryWindow) {
+  std::vector<std::vector<uint16_t>> sets = FuzzSets(19);
+  // Runs ending exactly on a window's first value (0, 64, 128, 192, 4096):
+  // the run search must keep a run whose last value is the window start.
+  std::vector<uint16_t> edges = {0};
+  for (auto [lo, hi] : {std::pair{60, 64}, {120, 128}, {190, 192}, {4000, 4096}}) {
+    for (int v = lo; v <= hi; ++v) edges.push_back(static_cast<uint16_t>(v));
+  }
+  sets.push_back(edges);
+  for (const auto& values : sets) {
+    BitVector bits = ToBits(values);
+    for (Container c : {MakeFlat(values), MakeRunOptimized(values)}) {
+      std::mt19937_64 rng(29);
+      std::vector<std::pair<uint32_t, uint32_t>> windows = {
+          {0, Container::kBitsetWords}, {0, 1}, {1, 1}, {2, 3}, {3, 1},
+          {64, 2}, {Container::kBitsetWords - 1, 1}};
+      for (int i = 0; i < 40; ++i) {
+        uint32_t first = static_cast<uint32_t>(rng() % Container::kBitsetWords);
+        uint32_t num = 1 + static_cast<uint32_t>(
+                               rng() % (Container::kBitsetWords - first));
+        windows.push_back({first, num});
+      }
+      // A zero background checks every bit; a patterned one checks that
+      // the primitive ORs rather than stores.
+      for (uint64_t background : {uint64_t{0}, uint64_t{0x5555555555555555}}) {
+        for (auto [first, num] : windows) {
+          std::vector<uint64_t> words(num, background);
+          c.OrRangeInto(words.data(), first, num);
+          for (uint32_t w = 0; w < num; ++w) {
+            ASSERT_EQ(words[w], bits.words()[first + w] | background)
+                << ContainerKindName(c.kind()) << " window " << first << "+"
+                << num << " word " << w;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(RoaringContainerTest, CountRunsMatchesDefinitionEverywhere) {
   for (const auto& values : FuzzSets(19)) {
     uint32_t expect = 0;

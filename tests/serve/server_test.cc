@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -558,6 +559,70 @@ TEST_F(QueryServerTest, HeadAnswersGetHeadersWithoutBodyOnBothServers) {
   }
   obs_server.Stop();
   server.Stop();
+}
+
+TEST_F(QueryServerTest, QueryStringIsStrippedTheSameOnBothServers) {
+  QueryServer::Options options = DefaultOptions();
+  options.telemetry_interval_ms = 0;
+  QueryServer server(&engine_, options);
+  ASSERT_TRUE(server.Start().ok());
+  obs::HttpServer obs_server;
+  ASSERT_TRUE(obs_server.Start().ok());
+
+  auto status_line = [](uint16_t port, const std::string& target) {
+    Client client = Client::Connect(port);
+    EXPECT_TRUE(client.SendRaw("GET " + target + " HTTP/1.1\r\n\r\n"));
+    std::string response = client.ReadUntilClose();
+    return response.substr(0, response.find("\r\n"));
+  };
+  for (const char* target :
+       {"/healthz?verbose=1", "/slow.json?", "/nope?healthz", "/healthz"}) {
+    EXPECT_EQ(status_line(server.port(), target),
+              status_line(obs_server.port(), target))
+        << target;
+  }
+  EXPECT_EQ(status_line(server.port(), "/healthz?verbose=1"),
+            "HTTP/1.1 200 OK");
+  EXPECT_EQ(status_line(server.port(), "/nope?healthz"),
+            "HTTP/1.1 404 Not Found");
+  obs_server.Stop();
+  server.Stop();
+}
+
+TEST_F(QueryServerTest, IngestGaugesRenderWholeLines) {
+  QueryServer server(&engine_, DefaultOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Client client = Client::Connect(server.port());
+  ASSERT_TRUE(client.SendRaw("GET /metrics HTTP/1.1\r\n\r\n"));
+  std::string body = client.ReadUntilClose();
+  server.Stop();
+  for (const char* name :
+       {"abitmap_engine_total_rows", "abitmap_engine_delta_live",
+        "abitmap_engine_delta_generations", "abitmap_engine_delta_worst_fp",
+        "abitmap_engine_base_fp_if_merged", "abitmap_engine_delta_fp_budget",
+        "abitmap_engine_delta_rebuild_running", "abitmap_serve_queue_depth",
+        "abitmap_serve_slow_threshold_ns"}) {
+    std::string help = std::string("# HELP ") + name + " ";
+    size_t at = body.find(help);
+    ASSERT_NE(at, std::string::npos) << name;
+    // HELP (non-empty text), TYPE and value lines, each complete.
+    size_t help_end = body.find('\n', at);
+    ASSERT_NE(help_end, std::string::npos) << name;
+    EXPECT_GT(help_end, at + help.size()) << name;
+    std::string type = std::string("# TYPE ") + name + " gauge\n";
+    ASSERT_EQ(body.compare(help_end + 1, type.size(), type), 0) << name;
+    size_t value_at = help_end + 1 + type.size();
+    size_t value_end = body.find('\n', value_at);
+    ASSERT_NE(value_end, std::string::npos) << name;
+    std::string line = body.substr(value_at, value_end - value_at);
+    std::string prefix = std::string(name) + " ";
+    ASSERT_EQ(line.compare(0, prefix.size(), prefix), 0) << line;
+    char* end = nullptr;
+    std::string value = line.substr(prefix.size());
+    std::strtod(value.c_str(), &end);
+    EXPECT_TRUE(!value.empty() && *end == '\0') << line;
+  }
+  EXPECT_EQ(body.back(), '\n');
 }
 
 TEST_F(QueryServerTest, LoadgenDrivesTheServerCleanly) {

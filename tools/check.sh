@@ -582,10 +582,15 @@ fi
 
 echo "== batch-eval bench (smoke) =="
 # Scale the datasets down and take a single rep: this validates that the
-# three pipelines run end to end, not their timings.
-ABITMAP_BENCH_SCALE=100 "$build_dir/bench/bench_batch_eval" \
-  --benchmark_min_time=0.01 --benchmark_repetitions=1 \
-  --benchmark_format=json >"$build_dir/bench_batch_eval_smoke.json"
-echo "wrote $build_dir/bench_batch_eval_smoke.json"
+# three pipelines run end to end, not their timings. Run inside the build
+# dir: the bench writes BENCH_query.json into its cwd and the smoke must
+# not clobber the checked-in full-scale record.
+batch_dir="$build_dir/batch-eval-smoke"
+mkdir -p "$batch_dir"
+(cd "$batch_dir" &&
+  ABITMAP_BENCH_SCALE=100 "$build_dir/bench/bench_batch_eval" \
+    --benchmark_min_time=0.01 --benchmark_repetitions=1 \
+    --benchmark_format=json) >"$batch_dir/bench_batch_eval_smoke.json"
+echo "wrote $batch_dir/bench_batch_eval_smoke.json"
 
 echo "OK"

@@ -195,14 +195,6 @@ bool HybridEngine::ToBinQuery(const EngineQuery& query,
   return true;
 }
 
-bool HybridEngine::RowMatches(uint64_t row, const EngineQuery& query) const {
-  for (const ValuePredicate& p : query.predicates) {
-    double v = table_.value(row, p.attr);
-    if (v < p.lo || v > p.hi) return false;
-  }
-  return true;
-}
-
 namespace {
 
 /// Result-index sizes below which batching/parallelism cost more than
@@ -237,6 +229,81 @@ void FinalizeVerification(const EngineQuery& query, uint64_t candidates,
   }
 }
 
+/// The exact check of one query, hoisted out of the candidate loop: each
+/// predicate's raw column and inclusive bounds. An approximate query
+/// carries no bounds, so every candidate passes.
+class BoundCheck {
+ public:
+  BoundCheck(const Table& table, const EngineQuery& query) {
+    if (!query.exact) return;
+    bounds_.reserve(query.predicates.size());
+    for (const ValuePredicate& p : query.predicates) {
+      bounds_.push_back(Bound{table.column(p.attr).data(), p.lo, p.hi});
+    }
+  }
+
+  /// Whether `row` satisfies every predicate, tested without a branch per
+  /// predicate. `!(v < lo) & !(v > hi)` negates the early-exit test
+  /// `v < lo || v > hi` exactly, NaN included, so rows pass as they did.
+  bool Passes(uint64_t row) const {
+    bool ok = true;
+    for (const Bound& b : bounds_) {
+      double v = b.values[row];
+      ok &= !(v < b.lo) & !(v > b.hi);
+    }
+    return ok;
+  }
+
+  /// The whole-relation verify kernel: walks the set bits of
+  /// words[word_begin, word_end) and writes each candidate's row id at the
+  /// cursor, advancing the cursor only when the row passes. `out` needs one
+  /// slot per set bit; returns the number of rows kept, in ascending order.
+  size_t CollectWords(const uint64_t* words, size_t word_begin,
+                      size_t word_end, uint64_t* out) const {
+    size_t kept = 0;
+    for (size_t w = word_begin; w < word_end; ++w) {
+      const uint64_t base = static_cast<uint64_t>(w) * 64;
+      for (uint64_t word = words[w]; word != 0; word &= word - 1) {
+        uint64_t row = base + util::simd::CountTrailingZeros64(word);
+        out[kept] = row;
+        kept += Passes(row);
+      }
+    }
+    return kept;
+  }
+
+ private:
+  struct Bound {
+    const double* values;
+    double lo;
+    double hi;
+  };
+  std::vector<Bound> bounds_;
+};
+
+/// Runs `collect(begin, end, &part)` over the pool's contiguous chunks of
+/// [0, n) and appends the parts to `row_ids` in chunk order, which is row
+/// order; returns the total of the candidate counts `collect` returns.
+template <typename Collect>
+uint64_t CollectChunked(util::ThreadPool* pool, uint64_t n,
+                        const Collect& collect,
+                        std::vector<uint64_t>* row_ids) {
+  std::vector<std::vector<uint64_t>> parts(pool->num_threads());
+  std::vector<uint64_t> part_candidates(parts.size(), 0);
+  pool->ParallelFor(0, n, [&](uint64_t begin, uint64_t end, int chunk) {
+    part_candidates[chunk] = collect(begin, end, &parts[chunk]);
+  });
+  size_t kept = 0;
+  for (const std::vector<uint64_t>& part : parts) kept += part.size();
+  row_ids->reserve(row_ids->size() + kept);
+  uint64_t candidates = 0;
+  for (size_t c = 0; c < parts.size(); ++c) {
+    candidates += part_candidates[c];
+    row_ids->insert(row_ids->end(), parts[c].begin(), parts[c].end());
+  }
+  return candidates;
+}
+
 /// Maps evaluation bits back to row ids, optionally pruning. Candidate
 /// verification against the raw values is chunked through `pool` (when
 /// present) for large results — each worker collects its chunk's
@@ -255,58 +322,35 @@ EngineResult CollectResult(const HybridEngine& engine,
   EngineResult result;
   result.path = std::move(path);
   result.approximate = !query.exact;
-  auto consider = [&](uint64_t row, bool bit,
-                      std::vector<uint64_t>* row_ids) {
-    if (!bit) return;
-    if (query.exact) {
-      // Prune both AB false positives and bin-boundary overshoot.
-      for (const ValuePredicate& p : query.predicates) {
-        double v = engine.table().value(row, p.attr);
-        if (v < p.lo || v > p.hi) return;
-      }
+  // Prunes both AB false positives and bin-boundary overshoot.
+  const BoundCheck check(engine.table(), query);
+  // Returns the candidates in [begin, end) and appends the survivors.
+  auto collect = [&](uint64_t begin, uint64_t end,
+                     std::vector<uint64_t>* row_ids) {
+    uint64_t cand = 0;
+    for (uint64_t i = begin; i < end; ++i) {
+      if (!bits[i]) continue;
+      ++cand;
+      uint64_t row = bin_query.rows.empty() ? i : bin_query.rows[i];
+      if (check.Passes(row)) row_ids->push_back(row);
     }
-    row_ids->push_back(row);
-  };
-  auto row_at = [&](size_t i) {
-    return bin_query.rows.empty() ? static_cast<uint64_t>(i)
-                                  : bin_query.rows[i];
+    return cand;
   };
   size_t n = bin_query.rows.empty() ? bits.size() : bin_query.rows.size();
-  uint64_t candidates = 0;
-  if (pool != nullptr && n >= kParallelMinRows) {
-    std::vector<std::vector<uint64_t>> parts(pool->num_threads());
-    std::vector<uint64_t> part_candidates(parts.size(), 0);
-    pool->ParallelFor(0, n,
-                      [&](uint64_t begin, uint64_t end, int chunk) {
-                        std::vector<uint64_t>* out = &parts[chunk];
-                        uint64_t cand = 0;
-                        for (uint64_t i = begin; i < end; ++i) {
-                          cand += bits[i] ? 1 : 0;
-                          consider(row_at(i), bits[i], out);
-                        }
-                        part_candidates[chunk] = cand;
-                      });
-    for (size_t c = 0; c < parts.size(); ++c) {
-      candidates += part_candidates[c];
-      result.row_ids.insert(result.row_ids.end(), parts[c].begin(),
-                            parts[c].end());
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      candidates += bits[i] ? 1 : 0;
-      consider(row_at(i), bits[i], &result.row_ids);
-    }
-  }
+  uint64_t candidates =
+      pool != nullptr && n >= kParallelMinRows
+          ? CollectChunked(pool, n, collect, &result.row_ids)
+          : collect(0, n, &result.row_ids);
   FinalizeVerification(query, candidates, &result);
   result.trace.verify_ns =
       static_cast<uint64_t>(verify_timer.ElapsedMicros() * 1000.0);
   return result;
 }
 
-/// Whole-relation variant over the decompressed query result: candidates
-/// are the set bits, walked word-wise with FindNextSet, so sparse results
-/// skip their zero runs instead of testing every row. Row ids come out in
-/// the same ascending order CollectResult produces.
+/// Whole-relation variant over the packed query result, one word at a
+/// time: the row list is sized from the candidate popcount up front, and
+/// BoundCheck::CollectWords fills it without a branch per candidate. With
+/// a pool, chunks split the words, so the parts concatenate in row order.
 EngineResult CollectResultFromBits(const HybridEngine& engine,
                                    const EngineQuery& query,
                                    const util::BitVector& bits,
@@ -317,47 +361,23 @@ EngineResult CollectResultFromBits(const HybridEngine& engine,
   EngineResult result;
   result.path = std::move(path);
   result.approximate = !query.exact;
-  auto verified = [&](uint64_t row) {
-    if (query.exact) {
-      for (const ValuePredicate& p : query.predicates) {
-        double v = engine.table().value(row, p.attr);
-        if (v < p.lo || v > p.hi) return false;
-      }
-    }
-    return true;
+  const BoundCheck check(engine.table(), query);
+  // Bits past size() in the last word are zero, so whole words are safe.
+  const uint64_t* words = bits.words().data();
+  const size_t num_words = bits.words().size();
+  // Verifies words [begin, end) into `row_ids`; returns the candidates.
+  auto collect = [&](size_t begin, size_t end,
+                     std::vector<uint64_t>* row_ids) {
+    uint64_t cand = util::simd::PopcountWords(words + begin, end - begin);
+    row_ids->resize(cand);
+    row_ids->resize(check.CollectWords(words, begin, end, row_ids->data()));
+    return cand;
   };
-  size_t n = bits.size();
-  if (pool != nullptr && n >= kParallelMinRows) {
-    // Contiguous ascending chunks (ParallelFor's contract), so
-    // concatenating parts in chunk order keeps row ids sorted.
-    std::vector<std::vector<uint64_t>> parts(pool->num_threads());
-    std::vector<uint64_t> part_candidates(parts.size(), 0);
-    pool->ParallelFor(0, n, [&](uint64_t begin, uint64_t end, int chunk) {
-      std::vector<uint64_t>* out = &parts[chunk];
-      uint64_t cand = 0;
-      for (size_t pos = bits.FindNextSet(begin); pos < end;
-           pos = bits.FindNextSet(pos + 1)) {
-        ++cand;
-        if (verified(pos)) out->push_back(pos);
-      }
-      part_candidates[chunk] = cand;
-    });
-    uint64_t candidates = 0;
-    for (size_t c = 0; c < parts.size(); ++c) {
-      candidates += part_candidates[c];
-      result.row_ids.insert(result.row_ids.end(), parts[c].begin(),
-                            parts[c].end());
-    }
-    FinalizeVerification(query, candidates, &result);
-  } else {
-    uint64_t candidates = 0;
-    for (size_t pos = bits.FindNextSet(0); pos < n;
-         pos = bits.FindNextSet(pos + 1)) {
-      ++candidates;
-      if (verified(pos)) result.row_ids.push_back(pos);
-    }
-    FinalizeVerification(query, candidates, &result);
-  }
+  uint64_t candidates =
+      pool != nullptr && bits.size() >= kParallelMinRows
+          ? CollectChunked(pool, num_words, collect, &result.row_ids)
+          : collect(0, num_words, &result.row_ids);
+  FinalizeVerification(query, candidates, &result);
   result.trace.verify_ns =
       static_cast<uint64_t>(verify_timer.ElapsedMicros() * 1000.0);
   return result;

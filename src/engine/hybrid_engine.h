@@ -223,9 +223,6 @@ class HybridEngine {
   /// predicate selects no bins (empty result).
   bool ToBinQuery(const EngineQuery& query, bitmap::BitmapQuery* out) const;
 
-  /// Verifies a candidate row against the raw values.
-  bool RowMatches(uint64_t row, const EngineQuery& query) const;
-
   Table table_;
   Options options_;
   Table::Discretized discretized_;

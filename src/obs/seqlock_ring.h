@@ -16,10 +16,10 @@
 ///
 /// Protocol (a per-slot seqlock):
 ///  * Publish claims a ticket with one relaxed fetch_add on `head` and
-///    writes slot ticket % N. It stores the odd seq 2*ticket+1, issues a
-///    release fence, stores the record's words with relaxed atomic
-///    stores, then stores the even seq 2*ticket+2 with release. It never
-///    allocates; old records are overwritten.
+///    writes slot ticket % N. It stores the odd seq 2*ticket+1, stores the
+///    record's words with release stores, then stores the even seq
+///    2*ticket+2 with release. It never allocates; old records are
+///    overwritten.
 ///  * Each slot has one writer at a time: a writer first waits until the
 ///    slot's seq shows that the previous lap's ticket (ticket - N) has
 ///    finished. Without that, a writer lapped mid-write (N later publishes
@@ -28,16 +28,17 @@
 ///    is one load on the fast path; it spins only for a lapped writer.
 ///  * Snapshot walks the newest min(head, N) slots and accepts a slot only
 ///    when it observes the same even, nonzero seq before and after its
-///    relaxed word loads (with an acquire fence in between). The writer's
-///    release fence after the odd store guarantees that any visible
-///    payload word is preceded by its odd seq, so a stable even seq proves
-///    the words are exactly the ones that seq's writer published. Slots
+///    acquire word loads. A word load that reads some writer's release
+///    store synchronizes with it, so the later seq load sees that writer's
+///    odd seq or a newer one; a stable even seq therefore proves the words
+///    are exactly the ones that seq's writer published. Slots
 ///    being overwritten are skipped. A slot whose current ticket has not
 ///    started writing still holds the previous lap's record; it is
 ///    coherent, so readers accept any stable even seq, not just the one
 ///    for ticket t.
-///  * Every shared field is an atomic, so readers racing writers are
-///    TSan-clean.
+///  * Every shared field is an atomic and the ordering rests on
+///    release/acquire word accesses, not on fences, so ThreadSanitizer
+///    models it. On x86 both are plain moves.
 ///
 /// Each use is a leaked singleton (Instance()): records may be published
 /// from thread_local destructors after main() returns.
@@ -71,12 +72,11 @@ class SeqlockRing {
       WaitForPreviousLap(s, previous_lap, ticket);
     }
     s.seq.store(2 * ticket + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
     // Unrolled, the copy of a record built from registers stays in
     // registers: one plain store per word.
 #pragma GCC unroll 32
     for (size_t w = 0; w < kWords; ++w) {
-      s.words[w].store(words[w], std::memory_order_relaxed);
+      s.words[w].store(words[w], std::memory_order_release);
     }
     s.seq.store(2 * ticket + 2, std::memory_order_release);
   }
@@ -93,9 +93,8 @@ class SeqlockRing {
       if (seq == 0 || (seq & 1) != 0) continue;  // never written / mid-write
       uint64_t words[kWords];
       for (size_t w = 0; w < kWords; ++w) {
-        words[w] = s.words[w].load(std::memory_order_relaxed);
+        words[w] = s.words[w].load(std::memory_order_acquire);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (s.seq.load(std::memory_order_relaxed) != seq) continue;
       T record;
       std::memcpy(&record, words, sizeof(T));

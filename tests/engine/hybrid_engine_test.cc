@@ -147,6 +147,83 @@ TEST(HybridEngineTest, BinBoundaryOvershootIsPruned) {
   }
 }
 
+TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
+  // Above kParallelMinRows (16,384) and not a multiple of 64, so the
+  // pooled verify splits the words and the last word is partial.
+  constexpr uint64_t kRows = 20011;
+  HybridEngine::Options options;
+  options.binning.bins = 16;
+  options.ab.alpha = 16;
+  options.ab.level = ab::Level::kPerAttribute;
+  options.num_threads = 1;
+  HybridEngine serial =
+      HybridEngine::Build(MakeRandomTable(kRows, 21), options);
+  options.num_threads = 4;
+  HybridEngine pooled =
+      HybridEngine::Build(MakeRandomTable(kRows, 21), options);
+  const Table& t = serial.table();
+  Table::Discretized bins = t.Discretize(options.binning);
+
+  // The bin-level answer: rows whose bins fall in every predicate's range.
+  auto bin_candidates = [&](const EngineQuery& q) {
+    std::vector<uint64_t> out;
+    for (uint64_t r = 0; r < kRows; ++r) {
+      bool match = true;
+      for (const ValuePredicate& p : q.predicates) {
+        const bitmap::Binner& b = bins.binners[p.attr];
+        uint32_t bin = b.BinOf(t.value(r, p.attr));
+        match = match && bin >= b.BinOf(p.lo) && bin <= b.BinOf(p.hi);
+      }
+      if (match) out.push_back(r);
+    }
+    return out;
+  };
+  // Bounds taken from raw values present in the column: the rows holding
+  // them must survive, since both bounds are inclusive.
+  auto span = [&](uint32_t attr, uint64_t a, uint64_t b) {
+    double x = t.value(a, attr), y = t.value(b, attr);
+    return ValuePredicate{attr, std::min(x, y), std::max(x, y)};
+  };
+  std::vector<std::vector<ValuePredicate>> cases = {
+      {},
+      {span(0, 17, 9001)},
+      {ValuePredicate{1, 7.0, 7.0}},
+      {span(0, 3, 20010), ValuePredicate{1, 10.0, 30.0}},
+      {span(2, 5, 123), ValuePredicate{1, 0.0, 12.0}, span(0, 44, 19999)},
+      {ValuePredicate{1, 10.25, 10.75}},  // between integers: empty
+      {ValuePredicate{0, -1.0, 101.0}},   // the whole domain
+  };
+  // Serial and pooled engines must both equal the brute force, so they
+  // also equal each other.
+  for (size_t c = 0; c < cases.size(); ++c) {
+    EngineQuery q;
+    q.predicates = cases[c];
+    std::vector<uint64_t> truth = BruteForce(t, q);
+    std::vector<uint64_t> candidates = bin_candidates(q);
+    if (c == 5) {
+      EXPECT_TRUE(truth.empty());
+    }
+    if (c == 6) {
+      EXPECT_EQ(truth.size(), kRows);
+    }
+    for (const HybridEngine* engine : {&serial, &pooled}) {
+      q.exact = true;
+      EngineResult exact = engine->Execute(q);
+      EXPECT_EQ(exact.path, "exact") << c;
+      EXPECT_EQ(exact.row_ids, truth) << c;
+      EXPECT_EQ(exact.trace.candidates, candidates.size()) << c;
+      EXPECT_EQ(exact.trace.verified_matches, truth.size()) << c;
+      // The AB arm verifies through CollectResult's check (pooled here).
+      EXPECT_EQ(engine->ExecuteWithAb(q).row_ids, truth) << c;
+      q.exact = false;
+      EngineResult approx = engine->Execute(q);
+      EXPECT_TRUE(approx.approximate) << c;
+      EXPECT_EQ(approx.row_ids, candidates) << c;
+      EXPECT_EQ(approx.trace.candidates, candidates.size()) << c;
+    }
+  }
+}
+
 TEST(HybridEngineTest, EmptyPredicateListSelectsRequestedRows) {
   HybridEngine engine = MakeEngine(500, 6);
   EngineQuery q;

@@ -60,6 +60,13 @@
 # /metrics gauge abitmap_engine_delta_live must be nonzero. Advisory by
 # default; AB_CHECK_OBS_SERVE=strict makes a failure fatal, =0 skips.
 #
+# A perfbench smoke runs `python3 perfbench/run.py --self-test` (the
+# brute-force oracle must catch a corrupted expected answer) and one
+# 1-second exact_scan run, which must report "correct": true and
+# "failed": 0, so served exact answers are checked against the oracle on
+# the benchmark's 1M-row table. Advisory by default;
+# AB_CHECK_PERFBENCH=strict makes a failure fatal, =0 skips.
+#
 # Usage: tools/check.sh [build-dir]   (default: build/check)
 set -euo pipefail
 
@@ -577,6 +584,46 @@ if [ "${AB_CHECK_OBS_SERVE:-advisory}" != "0" ]; then
   else
     echo "obs smoke: timings + slow log + traces ($obs_ts_samples ts" \
       "samples) + ingest gauges ok on port $obs_port"
+  fi
+fi
+
+if [ "${AB_CHECK_PERFBENCH:-advisory}" != "0" ]; then
+  echo "== perfbench smoke =="
+  # The served benchmark's oracle, end to end at 1M rows: run.py's
+  # self-test must catch a corrupted expected answer on every workload,
+  # then one 1-second exact_scan run must answer every served exact count
+  # correctly ("correct": true, "failed": 0). run.py builds into
+  # .bench_build/ and writes .bench_out/ at the repo root. Advisory by
+  # default; AB_CHECK_PERFBENCH=strict makes a failure fatal, =0 skips.
+  perf_log="$build_dir/perfbench_smoke.log"
+  perf_ok=1
+  if ! (cd "$repo_root" && python3 perfbench/run.py --self-test) \
+    >"$perf_log" 2>&1; then
+    echo "perfbench smoke: self-test failed; see $perf_log" >&2
+    perf_ok=0
+  fi
+  perf_result=""
+  if [ "$perf_ok" = "1" ]; then
+    perf_result="$(cd "$repo_root" && python3 perfbench/run.py \
+      --workload exact_scan --seed 1 --seconds 1 --trace 0 \
+      2>>"$perf_log" | tail -n 1)" || true
+    if ! printf '%s' "$perf_result" | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
+' 2>>"$perf_log"; then
+      echo "perfbench smoke: exact_scan run not correct; got: $perf_result" >&2
+      perf_ok=0
+    fi
+  fi
+  if [ "$perf_ok" != "1" ]; then
+    if [ "${AB_CHECK_PERFBENCH:-advisory}" = "strict" ]; then
+      echo "error: AB_CHECK_PERFBENCH=strict and the smoke failed" >&2
+      exit 1
+    fi
+    echo "perfbench smoke: ADVISORY failure (AB_CHECK_PERFBENCH=strict to enforce)" >&2
+  else
+    echo "perfbench smoke: oracle self-test + exact_scan correct, 0 failed"
   fi
 fi
 

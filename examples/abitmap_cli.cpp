@@ -11,7 +11,8 @@
 // `build` persists only the Approximate Bitmap index (that is the point of
 // the structure: it answers queries without the data); `query` therefore
 // takes bin ids. The `demo` subcommand shows the full value-space path
-// through HybridEngine, including AB/WAH routing.
+// through HybridEngine: the density-adaptive exact index plus raw-value
+// verify.
 
 #include <cstdio>
 #include <cstdlib>
@@ -240,18 +241,12 @@ int CmdDemo() {
 
   engine::HybridEngine::Options options;
   options.binning.bins = 20;
-  options.ab.alpha = 16;
   engine::HybridEngine engine =
       engine::HybridEngine::Build(std::move(table).value(), options);
-  std::printf("index sizes: exact %llu bytes, AB %llu bytes\n",
-              static_cast<unsigned long long>(engine.ExactSizeBytes()),
-              static_cast<unsigned long long>(engine.AbSizeBytes()));
+  std::printf("exact index: %llu bytes\n",
+              static_cast<unsigned long long>(engine.ExactSizeBytes()));
   std::printf("exact backends: %s\n",
               engine.exact_index().ChoiceSummary().c_str());
-  std::printf(
-      "AB crossover for plans touching WAH/BBC columns: %.1f%% of rows "
-      "(all-Roaring plans use direct access at any subset size)\n",
-      engine.MeasureCrossover() * 100);
 
   engine::EngineQuery q;
   q.predicates.push_back(engine::ValuePredicate{0, 25.0, 50.0});

@@ -354,18 +354,6 @@ double AbIndex::WorstExpectedFp() const {
   return worst;
 }
 
-double AbIndex::WorstExpectedFpWithExtraRows(uint64_t extra_rows) const {
-  uint64_t d = mapping_.num_attributes();
-  uint64_t extra_cells = extra_rows;
-  if (config_.level == Level::kPerDataset) extra_cells = extra_rows * d;
-  double worst = 0;
-  for (const ApproximateBitmap& f : filters_) {
-    worst = std::max(
-        worst, f.ExpectedFalsePositiveRateAt(f.insertions() + extra_cells));
-  }
-  return worst;
-}
-
 AbIndex AbIndex::MakeSkeleton(const bitmap::BinnedDataset& dataset,
                               const AbConfig& config,
                               const FamilyFactory& factory) {

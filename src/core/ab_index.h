@@ -292,17 +292,8 @@ class AbIndex {
   bool NeedsRebuild(double fp_budget_factor = 2.0) const;
 
   /// Largest expected FP rate across filters at the current insertion
-  /// counts. Public so the engine can report base-index precision health
-  /// next to the mutable delta's effective-α drift.
+  /// counts (the NeedsRebuild measure).
   double WorstExpectedFp() const;
-
-  /// What-if variant: the worst expected FP rate if `extra_rows` more rows
-  /// were appended. Per-attribute/per-dataset filters take exactly 1 / d
-  /// extra cells per row; for per-column filters the per-column split is
-  /// unknowable in advance, so each filter is charged the full extra_rows
-  /// (a conservative upper bound). This is the engine's signal for "time
-  /// to fold the mutable delta into a rebuilt base index".
-  double WorstExpectedFpWithExtraRows(uint64_t extra_rows) const;
 
   /// As-built expected FP of the worst filter (the NeedsRebuild baseline).
   double built_fp() const { return built_fp_; }

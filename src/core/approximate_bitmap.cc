@@ -556,11 +556,6 @@ double ApproximateBitmap::ExpectedFalsePositiveRate() const {
   return FalsePositiveRateExact(bits_.size(), insertions_, k_);
 }
 
-double ApproximateBitmap::ExpectedFalsePositiveRateAt(
-    uint64_t insertions) const {
-  return FalsePositiveRateExact(bits_.size(), insertions, k_);
-}
-
 void ApproximateBitmap::Serialize(util::ByteWriter* out) const {
   out->WriteVarint(static_cast<uint64_t>(k_));
   out->WriteVarint(insertions_);

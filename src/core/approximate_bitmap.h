@@ -280,10 +280,6 @@ class ApproximateBitmap {
   /// exact formula with the actual insertion count).
   double ExpectedFalsePositiveRate() const;
 
-  /// What-if variant at a hypothetical insertion count — capacity planning
-  /// for append/ingest paths (AbIndex::WorstExpectedFpWithExtraRows).
-  double ExpectedFalsePositiveRateAt(uint64_t insertions) const;
-
   const hash::HashFamily& family() const { return *family_; }
 
   /// The underlying bit array (serialization, diagnostics).

@@ -70,22 +70,24 @@ bool CountingApproximateBitmap::Test(uint64_t key,
 
 namespace {
 
-// Relaxed atomic nibble accessors over the packed counter bytes. The
+// Atomic nibble accessors over the packed counter bytes. The
 // single-writer contract (see header) means read-modify-write does not
-// need an atomic RMW instruction — a relaxed load + relaxed store of the
-// byte is race-free against the other writer-side nibble because there is
-// no other writer, and race-defined against concurrent readers.
-inline uint8_t LoadCounterRelaxed(const std::vector<uint8_t>& bytes,
-                                  uint64_t idx) {
+// need an atomic RMW instruction — a load + store of the byte is
+// race-free against the other writer-side nibble because there is no
+// other writer, and race-defined against concurrent readers. The writer
+// stores with release and TestAtomic loads with acquire: the ordering the
+// caller's seqlock rests on.
+inline uint8_t LoadCounter(const std::vector<uint8_t>& bytes, uint64_t idx,
+                           std::memory_order order) {
   // atomic_ref<const T> only lands in C++26; the const_cast is sound
   // because the referenced byte is never actually written through here.
   uint8_t byte = std::atomic_ref<uint8_t>(
                      const_cast<uint8_t&>(bytes[idx >> 1]))
-                     .load(std::memory_order_relaxed);
+                     .load(order);
   return (idx & 1) ? (byte >> 4) : (byte & 0x0F);
 }
 
-inline void StoreCounterRelaxed(std::vector<uint8_t>& bytes, uint64_t idx,
+inline void StoreCounterRelease(std::vector<uint8_t>& bytes, uint64_t idx,
                                 uint8_t value) {
   AB_DCHECK(value <= 15);
   std::atomic_ref<uint8_t> ref(bytes[idx >> 1]);
@@ -95,7 +97,7 @@ inline void StoreCounterRelaxed(std::vector<uint8_t>& bytes, uint64_t idx,
   } else {
     byte = static_cast<uint8_t>((byte & 0xF0) | value);
   }
-  ref.store(byte, std::memory_order_relaxed);
+  ref.store(byte, std::memory_order_release);
 }
 
 }  // namespace
@@ -105,8 +107,8 @@ void CountingApproximateBitmap::InsertAtomic(uint64_t key,
   uint64_t probes[kMaxHashFunctions];
   family_->Probes(key, cell, k_, num_counters_, probes);
   for (int t = 0; t < k_; ++t) {
-    uint8_t c = LoadCounterRelaxed(counters_, probes[t]);
-    if (c < kSaturated) StoreCounterRelaxed(counters_, probes[t], c + 1);
+    uint8_t c = LoadCounter(counters_, probes[t], std::memory_order_relaxed);
+    if (c < kSaturated) StoreCounterRelease(counters_, probes[t], c + 1);
   }
   std::atomic_ref<uint64_t> live(live_);
   live.store(live.load(std::memory_order_relaxed) + 1,
@@ -118,10 +120,10 @@ void CountingApproximateBitmap::RemoveAtomic(uint64_t key,
   uint64_t probes[kMaxHashFunctions];
   family_->Probes(key, cell, k_, num_counters_, probes);
   for (int t = 0; t < k_; ++t) {
-    uint8_t c = LoadCounterRelaxed(counters_, probes[t]);
+    uint8_t c = LoadCounter(counters_, probes[t], std::memory_order_relaxed);
     AB_CHECK_GE(c, 1);
     // Saturated counters are sticky, same rule as Remove.
-    if (c < kSaturated) StoreCounterRelaxed(counters_, probes[t], c - 1);
+    if (c < kSaturated) StoreCounterRelease(counters_, probes[t], c - 1);
   }
   std::atomic_ref<uint64_t> live(live_);
   uint64_t n = live.load(std::memory_order_relaxed);
@@ -133,9 +135,8 @@ bool CountingApproximateBitmap::TestAtomic(uint64_t key,
                                            const hash::CellRef& cell) const {
   if (family_->PrefersLazyProbes()) {
     for (int t = 0; t < k_; ++t) {
-      if (LoadCounterRelaxed(counters_,
-                             family_->ProbeAt(key, cell, t, num_counters_)) ==
-          0) {
+      if (LoadCounter(counters_, family_->ProbeAt(key, cell, t, num_counters_),
+                      std::memory_order_acquire) == 0) {
         return false;
       }
     }
@@ -144,7 +145,9 @@ bool CountingApproximateBitmap::TestAtomic(uint64_t key,
   uint64_t probes[kMaxHashFunctions];
   family_->Probes(key, cell, k_, num_counters_, probes);
   for (int t = 0; t < k_; ++t) {
-    if (LoadCounterRelaxed(counters_, probes[t]) == 0) return false;
+    if (LoadCounter(counters_, probes[t], std::memory_order_acquire) == 0) {
+      return false;
+    }
   }
   return true;
 }

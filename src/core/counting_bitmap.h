@@ -57,11 +57,13 @@ class CountingApproximateBitmap {
   /// Contract: there is at most ONE mutating thread at a time (the caller
   /// serializes writers externally); any number of threads may call
   /// TestAtomic/LiveRelaxed concurrently with it. All counter-byte and
-  /// live-count accesses go through std::atomic_ref with relaxed ordering,
-  /// so the data race is defined behaviour (and TSan-clean); *ordering* —
-  /// "a committed row's cells are visible" — is the caller's job, via its
-  /// seqlock/publication protocol. The plain Insert/Remove/Test remain the
-  /// single-threaded build/replay path.
+  /// live-count accesses go through std::atomic_ref, so the data race is
+  /// defined behaviour (and TSan-clean). The writer's counter-byte stores
+  /// are release and TestAtomic's loads acquire, so a reader that observes
+  /// one store also observes every write made before it — the edge the
+  /// caller's seqlock validates against. Live counts are relaxed. The
+  /// plain Insert/Remove/Test remain the single-threaded build/replay
+  /// path.
   void InsertAtomic(uint64_t key, const hash::CellRef& cell);
   void RemoveAtomic(uint64_t key, const hash::CellRef& cell);
   bool TestAtomic(uint64_t key, const hash::CellRef& cell) const;

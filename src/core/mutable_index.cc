@@ -222,11 +222,10 @@ void MutableAbIndex::WriteRowCells(Generation* gen, uint64_t row,
     CountingAbIndex::CellProbe probe = gen->index.ProbeFor(row, a, bins[a]);
     std::atomic<uint64_t>& version = gen->versions[probe.filter].v;
     uint64_t v = version.load(std::memory_order_relaxed);
-    // Seqlock write window: odd version out (release fence keeps it
-    // ahead of the cell stores on weakly-ordered hardware), mutate
-    // through relaxed atomics, even version out with release.
+    // Seqlock write window: odd version out, cells through release
+    // stores (a reader whose acquire load sees one of them also sees the
+    // odd version), even version out with release.
     version.store(v + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
     CountingApproximateBitmap* filter = gen->index.mutable_filter(probe.filter);
     if (insert) {
       filter->InsertAtomic(probe.key, probe.cell);
@@ -306,9 +305,11 @@ bool MutableAbIndex::TestCellIn(const Generation& gen, uint64_t row,
   for (;;) {
     uint64_t v1 = version.load(std::memory_order_acquire);
     if ((v1 & 1) == 0) {
+      // TestAtomic's counter loads are acquire: one that reads a store of
+      // a later write window synchronizes with it, so this version load
+      // sees that window's odd version (or newer) and the probe retries.
       bool hit = gen.index.filter(probe.filter)
                      .TestAtomic(probe.key, probe.cell);
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (version.load(std::memory_order_relaxed) == v1) return hit;
     }
     // Torn or in-progress window: retry.

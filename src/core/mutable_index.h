@@ -28,13 +28,12 @@ namespace ab {
 ///  - **Writers** (serialized by an internal mutex) insert/delete rows in
 ///    the counting filters of the current *generation*. Every filter
 ///    carries a seqlock version counter: a row mutation bumps the touched
-///    filter's version odd, applies the cell updates through relaxed
-///    atomics, then publishes the even version with release ordering —
-///    the protocol proven by the obs/span ring.
+///    filter's version odd, applies the cell updates through release
+///    stores, then publishes the even version with release ordering —
+///    the protocol of obs::SeqlockRing, with no fences, so TSan models it.
 ///  - **Readers** never lock. A probe snapshots the filter version (spins
-///    past odd = write in progress), tests the cells through relaxed
-///    atomic loads, then revalidates the version; a torn window is
-///    retried. Row visibility is a separate atomic live-bit set: insert
+///    past odd = write in progress), tests the cells through acquire
+///    loads, then revalidates the version; a torn window is retried. Row visibility is a separate atomic live-bit set: insert
 ///    publishes filter cells *before* the live bit, delete clears the
 ///    live bit *before* decrementing cells, so a reader that observes a
 ///    row live is guaranteed its cells are present — the no-false-negative

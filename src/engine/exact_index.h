@@ -136,8 +136,8 @@ class ExactIndex {
 
   /// True when every column the plan touches is stored as Roaring (kRoaring
   /// or kAb), so a row subset costs what the subset touches. False when a
-  /// WAH or BBC column must be decompressed over the whole relation — the
-  /// plans HybridEngine still routes to the AB below its crossover.
+  /// WAH or BBC column must be decompressed over the whole relation, so
+  /// Evaluate answers a subset of the plan whole-then-pick.
   bool PlanHasDirectAccess(const bitmap::BitmapQuery& query) const;
 
  private:

@@ -30,11 +30,11 @@ HybridEngine HybridEngine::Build(Table table, const Options& options) {
   if (const char* env = std::getenv("AB_BACKEND")) {
     if (env[0] != '\0') engine.options_.backend = env;
   }
-  // The pool is created before the indexes so construction itself runs
-  // through it: exact-column compression and AB filter population both
-  // fan out over the same workers that later serve queries. Every
-  // parallel build path is bit-identical to its serial counterpart, so a
-  // 1-thread engine and an N-thread engine hold the same indexes.
+  // The pool is created before the index so construction itself runs
+  // through it: exact-column compression fans out over the same workers
+  // that later serve queries. The parallel build is bit-identical to the
+  // serial one, so a 1-thread engine and an N-thread engine hold the same
+  // index.
   int threads = options.num_threads == 0 ? util::DefaultThreadCount()
                                          : options.num_threads;
   if (threads > 1) {
@@ -44,8 +44,6 @@ HybridEngine HybridEngine::Build(Table table, const Options& options) {
       bitmap::BitmapTable::Build(engine.discretized_.dataset);
   engine.exact_ = std::make_unique<ExactIndex>(ExactIndex::Build(
       bitmap_table, engine.pool_.get(), engine.options_.backend));
-  engine.ab_ = std::make_unique<ab::AbIndex>(ab::AbIndex::BuildParallel(
-      engine.discretized_.dataset, options.ab, engine.pool_.get()));
   engine.ingest_ = std::make_unique<IngestState>();
   return engine;
 }
@@ -176,11 +174,10 @@ HybridEngine::IngestStats HybridEngine::GetIngestStats() const {
     stats.delta_generations = delta->generation();
     stats.delta_worst_fp = delta->WorstExpectedFp();
   }
-  stats.base_fp_if_merged = ab_->WorstExpectedFpWithExtraRows(stats.delta_live);
   return stats;
 }
 
-bool HybridEngine::ToBinQuery(const EngineQuery& query,
+void HybridEngine::ToBinQuery(const EngineQuery& query,
                               bitmap::BitmapQuery* out) const {
   out->ranges.clear();
   out->rows = query.rows;
@@ -192,22 +189,17 @@ bool HybridEngine::ToBinQuery(const EngineQuery& query,
     uint32_t hi_bin = binner.BinOf(p.hi);
     out->ranges.push_back(bitmap::AttributeRange{p.attr, lo_bin, hi_bin});
   }
-  return true;
 }
 
 namespace {
 
-/// Result-index sizes below which batching/parallelism cost more than
-/// they save: tiny row subsets stay on the scalar path, mid-size ones on
-/// the single-thread batched kernel.
-constexpr uint64_t kBatchEvalMinRows = 256;
+/// Result size below which a pooled verify costs more than it saves.
 constexpr uint64_t kParallelMinRows = 1 << 14;
 
 /// Folds the collection outcome into the result's trace and the engine
 /// counters. In exact mode pruning reveals the truth, so the observed
-/// precision (verified / candidates) becomes known; note it prunes bin
-/// overshoot as well as AB false positives, so it lower-bounds the
-/// cell-level precision ab_theory predicts.
+/// precision (verified / candidates) becomes known: the share of bin
+/// candidates that survive the bin-overshoot prune.
 void FinalizeVerification(const EngineQuery& query, uint64_t candidates,
                           EngineResult* result) {
   result->trace.candidates = candidates;
@@ -311,7 +303,7 @@ uint64_t CollectChunked(util::ThreadPool* pool, uint64_t n,
 EngineResult CollectResult(const HybridEngine& engine,
                            const EngineQuery& query,
                            const bitmap::BitmapQuery& bin_query,
-                           const std::vector<bool>& bits, std::string path,
+                           const std::vector<bool>& bits,
                            util::ThreadPool* pool) {
   AB_SPAN("engine/verify");
   obs::ScopedLatencyTimer timer(obs::Histogram::kVerifyLatencyNs);
@@ -320,9 +312,8 @@ EngineResult CollectResult(const HybridEngine& engine,
   // configurations.
   util::Stopwatch verify_timer;
   EngineResult result;
-  result.path = std::move(path);
   result.approximate = !query.exact;
-  // Prunes both AB false positives and bin-boundary overshoot.
+  // Prunes bin-boundary overshoot.
   const BoundCheck check(engine.table(), query);
   // Returns the candidates in [begin, end) and appends the survivors.
   auto collect = [&](uint64_t begin, uint64_t end,
@@ -354,12 +345,11 @@ EngineResult CollectResult(const HybridEngine& engine,
 EngineResult CollectResultFromBits(const HybridEngine& engine,
                                    const EngineQuery& query,
                                    const util::BitVector& bits,
-                                   std::string path, util::ThreadPool* pool) {
+                                   util::ThreadPool* pool) {
   AB_SPAN("engine/verify");
   obs::ScopedLatencyTimer timer(obs::Histogram::kVerifyLatencyNs);
   util::Stopwatch verify_timer;
   EngineResult result;
-  result.path = std::move(path);
   result.approximate = !query.exact;
   const BoundCheck check(engine.table(), query);
   // Bits past size() in the last word are zero, so whole words are safe.
@@ -385,56 +375,6 @@ EngineResult CollectResultFromBits(const HybridEngine& engine,
 
 }  // namespace
 
-EngineResult HybridEngine::ExecuteWithAb(const EngineQuery& query) const {
-  return ExecuteAbImpl(query, pool_.get());
-}
-
-EngineResult HybridEngine::ExecuteAbImpl(const EngineQuery& query,
-                                         util::ThreadPool* pool) const {
-  AB_SPAN("engine/ab");
-  AB_STATS_INC(obs::Counter::kEngineAbRouted);
-  util::Stopwatch query_timer;
-  bitmap::BitmapQuery bin_query;
-  ToBinQuery(query, &bin_query);
-  // Route by result cardinality: whole-relation and large row-subset
-  // evaluations go through the batched (and, with a pool, parallel)
-  // kernel; small subsets stay scalar — the window setup would dominate.
-  uint64_t n =
-      bin_query.rows.empty() ? table_.num_rows() : bin_query.rows.size();
-  obs::QueryTrace trace;
-  std::vector<bool> bits;
-  if (pool != nullptr && n >= kParallelMinRows) {
-    bits = ab_->EvaluateParallel(bin_query, pool, &trace);
-  } else if (n >= kBatchEvalMinRows) {
-    bits = ab_->EvaluateBatched(bin_query, &trace);
-  } else {
-    bits = ab_->Evaluate(bin_query);
-    // The scalar path carries no trace plumbing; fill the shared fields
-    // at this level so every AB-routed result reads the same.
-    trace.rows_evaluated = n;
-    trace.attrs_in_plan = bin_query.ranges.size();
-    trace.predicted_precision = ab_->EstimateQueryPrecision(bin_query);
-    trace.simd_level =
-        util::simd::SimdLevelName(util::simd::ActiveSimdLevel());
-  }
-  EngineResult result =
-      CollectResult(*this, query, bin_query, bits, "ab", pool);
-  // Graft the collection outcome onto the evaluation trace.
-  trace.candidates = result.trace.candidates;
-  trace.verified_matches = result.trace.verified_matches;
-  trace.observed_precision = result.trace.observed_precision;
-  trace.verify_ns = result.trace.verify_ns;
-  result.trace = trace;
-  result.trace.path = "ab";
-  result.trace.backend = "ab";
-  result.trace.latency_ms = query_timer.ElapsedMillis();
-  return result;
-}
-
-EngineResult HybridEngine::ExecuteWithExact(const EngineQuery& query) const {
-  return ExecuteExactImpl(query, pool_.get());
-}
-
 EngineResult HybridEngine::ExecuteExactImpl(const EngineQuery& query,
                                             util::ThreadPool* pool) const {
   AB_SPAN("engine/exact");
@@ -447,10 +387,11 @@ EngineResult HybridEngine::ExecuteExactImpl(const EngineQuery& query,
     // Whole relation: keep the bit-wise result packed and walk its set
     // bits — the verification loop touches only candidate rows.
     util::BitVector bits = exact_->ExecuteBitwiseBits(bin_query);
-    result = CollectResultFromBits(*this, query, bits, "exact", pool);
+    result = CollectResultFromBits(*this, query, bits, pool);
   } else {
+    // Direct access for an all-Roaring plan, whole-then-pick otherwise.
     std::vector<bool> bits = exact_->Evaluate(bin_query);
-    result = CollectResult(*this, query, bin_query, bits, "exact", pool);
+    result = CollectResult(*this, query, bin_query, bits, pool);
   }
   result.trace.rows_evaluated =
       bin_query.rows.empty() ? table_.num_rows() : bin_query.rows.size();
@@ -460,6 +401,7 @@ EngineResult HybridEngine::ExecuteExactImpl(const EngineQuery& query,
   // removes bin overshoot.
   result.trace.simd_level =
       util::simd::SimdLevelName(util::simd::ActiveSimdLevel());
+  result.path = "exact";
   result.trace.path = "exact";
   result.trace.backend = exact_->PlanBackendLabel(bin_query);
   result.trace.latency_ms = query_timer.ElapsedMillis();
@@ -467,55 +409,47 @@ EngineResult HybridEngine::ExecuteExactImpl(const EngineQuery& query,
 }
 
 EngineResult HybridEngine::Execute(const EngineQuery& query) const {
-  return ExecuteRouted(query, pool_.get());
+  return ExecuteImpl(query, pool_.get());
 }
 
-EngineResult HybridEngine::ExecuteRouted(const EngineQuery& query,
-                                         util::ThreadPool* pool) const {
+EngineResult HybridEngine::ExecuteImpl(const EngineQuery& query,
+                                       util::ThreadPool* pool) const {
   AB_SPAN("engine/execute");
   obs::ScopedLatencyTimer timer(obs::Histogram::kQueryLatencyNs);
   AB_STATS_INC(obs::Counter::kEngineQueries);
   if (HasMutations()) {
     return ExecuteMutable(query, pool);
   }
-  return RouteBase(query, pool);
+  return ExecuteExactImpl(query, pool);
 }
 
-EngineResult HybridEngine::RouteBase(const EngineQuery& query,
-                                     util::ThreadPool* pool) const {
-  if (query.rows.empty()) {
-    return ExecuteExactImpl(query, pool);
-  }
-  // Roaring keeps direct access, so an all-Roaring plan answers any row
-  // subset from the containers it touches. Only plans that must
-  // decompress a WAH or BBC column over the whole relation route small
-  // subsets to the AB.
-  bitmap::BitmapQuery bin_query;
-  ToBinQuery(query, &bin_query);
-  if (!exact_->PlanHasDirectAccess(bin_query)) {
-    double fraction = static_cast<double>(query.rows.size()) /
-                      static_cast<double>(table_.num_rows());
-    if (fraction <= options_.crossover_fraction) {
-      return ExecuteAbImpl(query, pool);
-    }
-  }
-  return ExecuteExactImpl(query, pool);
+void HybridEngine::DropDeletedBaseRows(std::vector<uint64_t>* row_ids) const {
+  if (ingest_->base_deletes.load(std::memory_order_acquire) == 0) return;
+  const std::atomic<uint64_t>* words =
+      ingest_->base_tombstones.load(std::memory_order_acquire);
+  if (words == nullptr) return;
+  auto dead = [&](uint64_t row) {
+    return (words[row / 64].load(std::memory_order_acquire) &
+            (uint64_t{1} << (row % 64))) != 0;
+  };
+  row_ids->erase(std::remove_if(row_ids->begin(), row_ids->end(), dead),
+                 row_ids->end());
 }
 
 EngineResult HybridEngine::ExecuteMutable(const EngineQuery& query,
                                           util::ThreadPool* pool) const {
-  uint64_t base_n = table_.num_rows();
-  bool whole_relation = query.rows.empty();
   EngineResult result;
-  if (whole_relation) {
-    result = RouteBase(query, pool);
+  std::vector<uint64_t> delta_rows;
+  const std::vector<uint64_t>* delta_subset = nullptr;
+  if (query.rows.empty()) {
+    result = ExecuteExactImpl(query, pool);
   } else {
-    // Split the row subset: base ids route through the base indexes,
-    // ingested ids through the delta. Result ids come out base-part
-    // first (in query order), then delta-part (in query order).
+    // Split the row subset: base ids go to the base index, ingested ids
+    // to the delta. Result ids come out base-part first (in query order),
+    // then delta-part (in query order).
+    uint64_t base_n = table_.num_rows();
     EngineQuery base_query = query;
     base_query.rows.clear();
-    std::vector<uint64_t> delta_rows;
     for (uint64_t row : query.rows) {
       if (row < base_n) {
         base_query.rows.push_back(row);
@@ -524,41 +458,15 @@ EngineResult HybridEngine::ExecuteMutable(const EngineQuery& query,
       }
     }
     if (!base_query.rows.empty()) {
-      result = RouteBase(base_query, pool);
+      result = ExecuteExactImpl(base_query, pool);
     } else {
       result.path = "delta";
       result.approximate = !query.exact;
     }
-    if (ingest_->base_deletes.load(std::memory_order_acquire) > 0) {
-      const std::atomic<uint64_t>* words =
-          ingest_->base_tombstones.load(std::memory_order_acquire);
-      if (words != nullptr) {
-        auto dead = [&](uint64_t row) {
-          return (words[row / 64].load(std::memory_order_acquire) &
-                  (uint64_t{1} << (row % 64))) != 0;
-        };
-        result.row_ids.erase(std::remove_if(result.row_ids.begin(),
-                                            result.row_ids.end(), dead),
-                             result.row_ids.end());
-      }
-    }
-    AppendDeltaMatches(query, &delta_rows, &result);
-    return result;
+    delta_subset = &delta_rows;
   }
-  if (ingest_->base_deletes.load(std::memory_order_acquire) > 0) {
-    const std::atomic<uint64_t>* words =
-        ingest_->base_tombstones.load(std::memory_order_acquire);
-    if (words != nullptr) {
-      auto dead = [&](uint64_t row) {
-        return (words[row / 64].load(std::memory_order_acquire) &
-                (uint64_t{1} << (row % 64))) != 0;
-      };
-      result.row_ids.erase(std::remove_if(result.row_ids.begin(),
-                                          result.row_ids.end(), dead),
-                           result.row_ids.end());
-    }
-  }
-  AppendDeltaMatches(query, nullptr, &result);
+  DropDeletedBaseRows(&result.row_ids);
+  AppendDeltaMatches(query, delta_subset, &result);
   return result;
 }
 
@@ -669,7 +577,7 @@ std::vector<EngineResult> HybridEngine::ExecuteBatch(
   std::vector<EngineResult> results(queries.size());
   if (queries.empty()) return results;
   if (queries.size() == 1) {
-    results[0] = ExecuteRouted(queries[0], pool_.get());
+    results[0] = ExecuteImpl(queries[0], pool_.get());
     return results;
   }
   // Collapse identical queries: the first occurrence becomes the unique
@@ -697,57 +605,17 @@ std::vector<EngineResult> HybridEngine::ExecuteBatch(
     // could deadlock with every worker waiting.
     pool_->ParallelForDynamic(0, unique.size(), [&](uint64_t u) {
       size_t i = unique[u];
-      results[i] = ExecuteRouted(queries[i], nullptr);
+      results[i] = ExecuteImpl(queries[i], nullptr);
     });
   } else {
     for (size_t i : unique) {
-      results[i] = ExecuteRouted(queries[i], pool_.get());
+      results[i] = ExecuteImpl(queries[i], pool_.get());
     }
   }
   for (size_t i = 0; i < queries.size(); ++i) {
     if (dup_of[i] != SIZE_MAX) results[i] = results[dup_of[i]];
   }
   return results;
-}
-
-double HybridEngine::MeasureCrossover() {
-  // Time both paths on a mid-selectivity predicate over growing row
-  // subsets; the threshold is the first fraction where the exact arm's
-  // (constant) cost drops below the AB's (linear) cost. The predicate
-  // covers roughly a quarter of the domain of the first attribute whose
-  // plan lacks direct access: only such plans route by fraction.
-  uint64_t n = table_.num_rows();
-  EngineQuery query;
-  query.exact = false;
-  for (uint32_t attr = 0; attr < table_.num_columns(); ++attr) {
-    const std::vector<double>& col = table_.column(attr);
-    auto [mn, mx] = std::minmax_element(col.begin(), col.end());
-    query.predicates = {ValuePredicate{attr, *mn, *mn + (*mx - *mn) / 4}};
-    bitmap::BitmapQuery bin_query;
-    ToBinQuery(query, &bin_query);
-    if (!exact_->PlanHasDirectAccess(bin_query)) break;
-    query.predicates.clear();
-  }
-  if (query.predicates.empty()) return options_.crossover_fraction;
-
-  double crossover = 1.0;
-  for (double fraction : {0.002, 0.005, 0.01, 0.02, 0.05, 0.10, 0.20}) {
-    uint64_t rows = std::max<uint64_t>(1, static_cast<uint64_t>(fraction * n));
-    if (rows > n) break;
-    query.rows = bitmap::RowRange(0, rows - 1);
-    util::Stopwatch ab_timer;
-    (void)ExecuteWithAb(query);
-    double ab_ms = ab_timer.ElapsedMillis();
-    util::Stopwatch exact_timer;
-    (void)ExecuteWithExact(query);
-    double exact_ms = exact_timer.ElapsedMillis();
-    if (ab_ms >= exact_ms) {
-      crossover = fraction;
-      break;
-    }
-  }
-  options_.crossover_fraction = crossover == 1.0 ? 0.20 : crossover;
-  return options_.crossover_fraction;
 }
 
 }  // namespace engine

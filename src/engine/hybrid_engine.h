@@ -44,7 +44,9 @@ struct EngineQuery {
 struct EngineResult {
   std::vector<uint64_t> row_ids;
   bool approximate = false;  ///< true if candidates were not pruned
-  std::string path;          ///< "ab" or "exact"
+  /// "exact" when the base index answered; "delta" when every requested
+  /// row was an ingested one.
+  std::string path;
   /// The query's execution profile: evaluation shape from the index
   /// kernels, candidate/verified counts from the collection pass, and the
   /// predicted-vs-observed precision pair (observed only in exact mode,
@@ -52,55 +54,52 @@ struct EngineResult {
   obs::QueryTrace trace;
 };
 
-/// The query router the paper's introduction implies, corrected for
-/// Roaring. The paper routes small row subsets to the Approximate Bitmap
-/// because run-length bitmaps lose direct access ("executing a query that
-/// selects up to around 15% of the rows by using AB is still faster").
-/// HybridEngine maintains both over one table — the AB plus a
-/// density-adaptive ExactIndex whose per-column backend (WAH / BBC /
-/// Roaring) the selector picks at build time:
-///  * whole-relation queries run on the exact arm;
+/// The query engine over one table: a density-adaptive ExactIndex, whose
+/// per-column backend (WAH / BBC / Roaring) the selector picks at build
+/// time, plus a verify of the candidates against the raw values. The paper
+/// routes small row subsets to the Approximate Bitmap because run-length
+/// bitmaps lose direct access ("executing a query that selects up to
+/// around 15% of the rows by using AB is still faster"). Roaring keeps
+/// direct access, so every query here runs on the exact index:
+///  * a whole-relation query evaluates the bit-wise plan and verifies its
+///    set bits;
 ///  * a row subset of a plan stored all as Roaring (kRoaring or kAb
-///    columns) also runs on the exact arm, by direct access: only the
-///    containers of the chunks the subset touches are read, so the cost
-///    follows the subset as the AB's does;
-///  * a row subset of a plan that touches a WAH or BBC column — the
-///    encodings that really lack direct access — goes to the AB when it
-///    names at most `crossover_fraction` of the rows.
-/// ExecuteWithAb reaches the AB for any query.
+///    columns) is answered by direct access: only the containers of the
+///    chunks the subset touches are read, so the cost follows the subset;
+///  * a row subset of a plan that touches a WAH or BBC column is evaluated
+///    over the whole relation, then picked.
+/// No base AB is built: the selector picks WAH or BBC on no seed dataset,
+/// and the AB-vs-WAH crossover measured on this implementation is about 1%
+/// of the rows (EXPERIMENTS.md, Figure 14). The AB serves only as the
+/// ingest delta (MutableAbIndex); src/core keeps the paper's AB for the
+/// figure benches.
 class HybridEngine {
  public:
   struct Options {
     /// Discretization applied to every column.
     BinningSpec binning;
-    /// AB configuration (level, alpha, k, scheme).
+    /// AB configuration (level, alpha, k, scheme) of the ingest delta.
     ab::AbConfig ab;
     /// Exact-backend selection: "auto" (per-column density-adaptive
     /// selector) or a forced BackendChoiceName ("wah", "bbc", "roaring",
     /// "ab"). The AB_BACKEND environment variable, when set, wins over
     /// this field.
     std::string backend = "auto";
-    /// Row-subset fraction at or below which a plan touching a WAH or BBC
-    /// column is answered by the AB (all-Roaring plans use direct access
-    /// at every fraction). The paper's hardware put the crossover near
-    /// 0.15; on this implementation the measured value is lower (see
-    /// bench_fig14_wah_vs_ab) — calibrate with MeasureCrossover() or set
-    /// explicitly.
-    double crossover_fraction = 0.02;
-    /// Worker threads for large AB evaluations and candidate
-    /// verification. 0 picks util::DefaultThreadCount(); 1 disables the
-    /// pool (every query runs on the calling thread).
+    /// Worker threads for index construction and candidate verification.
+    /// 0 picks util::DefaultThreadCount(); 1 disables the pool (every
+    /// query runs on the calling thread).
     int num_threads = 0;
   };
 
-  /// Builds both indexes. The table is retained for exact-answer pruning.
+  /// Builds the exact index. The table is retained for exact-answer
+  /// pruning.
   static HybridEngine Build(Table table, const Options& options);
 
-  /// Routes and executes a query.
+  /// Executes a query.
   EngineResult Execute(const EngineQuery& query) const;
 
   /// Multi-query batch entry point — the serving frontend's dispatch
-  /// unit. Routes and executes every query, returning results aligned
+  /// unit. Executes every query, returning results aligned
   /// with the input order, each with its own QueryTrace. Two
   /// amortizations over per-query Execute calls:
   ///   * identical queries (same predicates, rows, exact flag) are
@@ -116,15 +115,9 @@ class HybridEngine {
   std::vector<EngineResult> ExecuteBatch(
       const std::vector<EngineQuery>& queries) const;
 
-  /// Forces a specific path (benchmarking / tests). These predate
-  /// streaming ingest and stay base-only: ingested rows and tombstones
-  /// are not consulted. Execute/ExecuteBatch are mutation-aware.
-  EngineResult ExecuteWithAb(const EngineQuery& query) const;
-  EngineResult ExecuteWithExact(const EngineQuery& query) const;
-
   // --- Streaming ingest -------------------------------------------------
   //
-  // The base table and its indexes stay immutable; ingested rows live in
+  // The base table and its index stay immutable; ingested rows live in
   // a side store — raw values in append-only chunks, cells in a
   // MutableAbIndex delta (lock-free readers, α-drift auto-rebuild) —
   // and base-row deletes in an atomic tombstone bitmap. Execute and
@@ -154,9 +147,6 @@ class HybridEngine {
     uint64_t delta_live = 0;         ///< ingested rows still live
     uint64_t delta_generations = 0;  ///< delta-index rebuilds completed
     double delta_worst_fp = 0;       ///< delta effective-α expected FP
-    /// Expected base-AB FP if the live delta were folded into a rebuilt
-    /// base index — the "schedule an offline merge" signal.
-    double base_fp_if_merged = 0;
   };
   IngestStats GetIngestStats() const;
 
@@ -172,21 +162,13 @@ class HybridEngine {
     return ingest_->delta.get();
   }
 
-  /// Times both paths on a synthetic row-subset sweep over a predicate
-  /// whose plan lacks direct access (the first attribute with a WAH or
-  /// BBC bin) and returns the fraction at which the exact arm overtakes
-  /// the AB; also updates the routing threshold. When every attribute is
-  /// stored as Roaring no plan routes by fraction, and the current
-  /// threshold is returned unchanged.
-  double MeasureCrossover();
-
   const Table& table() const { return table_; }
   const bitmap::BinnedDataset& dataset() const { return discretized_.dataset; }
   uint64_t ExactSizeBytes() const { return exact_->SizeInBytes(); }
-  uint64_t AbSizeBytes() const { return ab_->SizeInBytes(); }
-  double crossover_fraction() const { return options_.crossover_fraction; }
+  /// Always 0: the engine holds no base AB (the ingest delta is sized by
+  /// its own index). Kept so index-size reports that add it stay valid.
+  uint64_t AbSizeBytes() const { return 0; }
 
-  const ab::AbIndex& ab_index() const { return *ab_; }
   const ExactIndex& exact_index() const { return *exact_; }
 
  private:
@@ -197,12 +179,11 @@ class HybridEngine {
   /// ParallelForDynamic workers (a pool worker must not coordinate a
   /// nested ParallelFor on the same pool — with every worker waiting,
   /// nobody would run the nested chunks).
-  EngineResult ExecuteRouted(const EngineQuery& query,
-                             util::ThreadPool* pool) const;
-  /// The pre-ingest routing body over the base indexes only: direct
-  /// access for all-Roaring plans, crossover-fraction dispatch otherwise.
-  EngineResult RouteBase(const EngineQuery& query,
-                         util::ThreadPool* pool) const;
+  EngineResult ExecuteImpl(const EngineQuery& query,
+                           util::ThreadPool* pool) const;
+  /// The base index alone: ingested rows and tombstones are not consulted.
+  EngineResult ExecuteExactImpl(const EngineQuery& query,
+                                util::ThreadPool* pool) const;
   /// Mutation-aware execution: base result minus tombstones, plus
   /// verified delta matches.
   EngineResult ExecuteMutable(const EngineQuery& query,
@@ -213,22 +194,18 @@ class HybridEngine {
   void AppendDeltaMatches(const EngineQuery& query,
                           const std::vector<uint64_t>* rows_global,
                           EngineResult* result) const;
+  /// Removes tombstoned base rows from `row_ids`.
+  void DropDeletedBaseRows(std::vector<uint64_t>* row_ids) const;
   bool HasMutations() const;
-  EngineResult ExecuteAbImpl(const EngineQuery& query,
-                             util::ThreadPool* pool) const;
-  EngineResult ExecuteExactImpl(const EngineQuery& query,
-                                util::ThreadPool* pool) const;
 
-  /// Translates value predicates to bin ranges; returns false when a
-  /// predicate selects no bins (empty result).
-  bool ToBinQuery(const EngineQuery& query, bitmap::BitmapQuery* out) const;
+  /// Translates value predicates to bin ranges, and copies the row list.
+  void ToBinQuery(const EngineQuery& query, bitmap::BitmapQuery* out) const;
 
   Table table_;
   Options options_;
   Table::Discretized discretized_;
   std::unique_ptr<ExactIndex> exact_;
-  std::unique_ptr<ab::AbIndex> ab_;
-  /// Shared by batched AB evaluation and exact-answer verification; null
+  /// Shared by index construction and exact-answer verification; null
   /// when options.num_threads resolves to 1.
   std::shared_ptr<util::ThreadPool> pool_;
 

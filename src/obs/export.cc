@@ -43,8 +43,7 @@ const char* const kCounterHelp[kNumCounters] = {
     "Shard-merge words actually ORed",
     "Shard-merge words skipped as untouched",
     "HybridEngine queries executed",
-    "Queries the engine routed to the AB index",
-    "Queries the engine routed to the exact index (any backend)",
+    "Queries the engine ran on the exact index (any backend)",
     "Candidate rows the chosen index reported",
     "Candidates surviving raw-value verification",
     "Candidates pruned as false positives (exact mode)",

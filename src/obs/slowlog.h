@@ -49,7 +49,7 @@ struct SlowQueryRecord {
   uint64_t verify_ns = 0;      ///< candidate verification within engine
   uint64_t serialize_ns = 0;   ///< response rendering (frame or JSON)
   // --- engine trace extract ---
-  const char* path = "";       ///< "ab" or "exact"
+  const char* path = "";       ///< "exact" (engine trace path)
   const char* backend = "";    ///< "wah"/"bbc"/"roaring"/"ab"/"mixed"
   uint64_t candidates = 0;
   uint64_t verified_matches = 0;

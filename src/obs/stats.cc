@@ -35,7 +35,6 @@ const char* const kCounterNames[kNumCounters] = {
     "build_merge_words_ored",
     "build_merge_words_skipped",
     "engine_queries",
-    "engine_ab_routed",
     "engine_exact_routed",
     "engine_candidates",
     "engine_verified",

@@ -70,10 +70,9 @@ enum class Counter : uint32_t {
   kBuildSpillOverflow,     ///< spilled probes that overflowed a ring
   kBuildMergeWordsOred,    ///< shard-merge words actually ORed
   kBuildMergeWordsSkipped, ///< shard-merge words skipped as untouched
-  // --- HybridEngine routing / verification ---
+  // --- HybridEngine execution / verification ---
   kEngineQueries,
-  kEngineAbRouted,
-  kEngineExactRouted,      ///< routed to the exact arm (any backend)
+  kEngineExactRouted,      ///< base-index executions (any backend)
   kEngineCandidates,       ///< rows the chosen index reported 1
   kEngineVerified,         ///< candidates surviving raw-value pruning
   kEngineFalsePositives,   ///< candidates - verified (exact mode only)

@@ -75,10 +75,10 @@ std::string TimeSeriesToJson() {
             ", \"request_p50_us\": %.1f, \"request_p99_us\": %.1f"
             ", \"delta_live\": %" PRIu64 ", \"delta_generations\": %" PRIu64
             ", \"delta_worst_fp\": %.8f, \"delta_fp_budget\": %.8f"
-            ", \"base_fp_if_merged\": %.8f, \"rebuild_running\": %u}",
+            ", \"rebuild_running\": %u}",
             s.request_p50_us, s.request_p99_us, s.delta_live,
             s.delta_generations, s.delta_worst_fp, s.delta_fp_budget,
-            s.base_fp_if_merged, s.rebuild_running);
+            s.rebuild_running);
   }
   out += samples.empty() ? "]\n}\n" : "\n  ]\n}\n";
   return out;

@@ -50,7 +50,6 @@ struct TsSample {
   uint64_t delta_generations = 0;
   double delta_worst_fp = 0.0;
   double delta_fp_budget = 0.0;
-  double base_fp_if_merged = 0.0;
   uint32_t rebuild_running = 0;
   uint32_t reserved = 0;  ///< padding kept explicit for the word copy
 };

@@ -37,7 +37,7 @@ struct QueryTrace {
   uint64_t rows_matched = 0;        ///< rows reported 1
   uint64_t rows_short_circuited = 0;///< rows rejected before the plan end
   uint64_t attrs_in_plan = 0;
-  // --- engine routing / verification ---
+  // --- engine verification ---
   uint64_t candidates = 0;          ///< rows the index reported 1
   uint64_t verified_matches = 0;    ///< candidates surviving raw pruning
   // --- model check (Paper Section 4) ---
@@ -45,10 +45,10 @@ struct QueryTrace {
   double observed_precision = -1.0; ///< verified/candidates; < 0 unknown
   // --- environment ---
   const char* simd_level = "";      ///< active dispatch level name
-  const char* path = "";            ///< "ab" or "exact" (engine-routed)
-  /// Exact-arm backend serving the plan's columns: "wah", "bbc",
-  /// "roaring", "ab" (AB-preferring columns), or "mixed"; "ab" for
-  /// AB-routed queries. Empty outside the engine.
+  const char* path = "";            ///< "exact" for engine queries
+  /// Exact-index backend serving the plan's columns: "wah", "bbc",
+  /// "roaring", "ab" (AB-preferring columns), or "mixed". Empty outside
+  /// the engine.
   const char* backend = "";
   double latency_ms = 0.0;
   /// Wall time spent verifying candidates against raw values, in

@@ -104,7 +104,7 @@ struct QueryResponse {
   std::vector<uint64_t> row_ids;
   StageTimings timings;         ///< filled when the request asked for it
   // Serving annotations (JSON only; diagnostics, not results).
-  const char* path = "";        ///< "ab" / "exact"
+  const char* path = "";        ///< "exact" (engine trace path)
   const char* backend = "";     ///< exact-arm backend label
   uint32_t batch_size = 0;      ///< queries in the dispatch batch
   double latency_us = 0.0;      ///< server-side queue + execution time

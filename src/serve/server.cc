@@ -137,10 +137,6 @@ std::string IngestGaugesPrometheus(engine::HybridEngine* engine,
               "Worst expected false-positive rate across the delta "
               "generation's filters at live cell counts",
               ing.delta_worst_fp);
-  AppendGauge(&out, "abitmap_engine_base_fp_if_merged",
-              "Expected base-AB false-positive rate if the live delta "
-              "were folded into a rebuilt base index",
-              ing.base_fp_if_merged);
   const ab::MutableAbIndex* delta = engine->delta_index();
   AppendGauge(&out, "abitmap_engine_delta_fp_budget",
               "Delta rebuild trigger: as-designed FP times the budget "
@@ -708,7 +704,6 @@ void QueryServer::TelemetryLoop() {
     s.delta_live = ing.delta_live;
     s.delta_generations = ing.delta_generations;
     s.delta_worst_fp = ing.delta_worst_fp;
-    s.base_fp_if_merged = ing.base_fp_if_merged;
     if (const ab::MutableAbIndex* delta = engine_->delta_index()) {
       s.delta_fp_budget =
           delta->DesignFp() * delta->options().fp_budget_factor;

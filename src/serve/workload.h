@@ -25,8 +25,8 @@ engine::Table MakeSeedTable(uint64_t num_rows, uint64_t seed);
 struct TemplateOptions {
   size_t num_templates = 64;
   /// Fraction of rows each template's row subset covers; 0 disables row
-  /// subsets (whole-relation queries, exact-arm heavy). Small fractions
-  /// (~1%) steer queries to the AB path — the paper's serving regime.
+  /// subsets (whole-relation queries). Small fractions (~1%) are the
+  /// paper's direct-access regime.
   double row_fraction = 0.01;
   bool count_only = true;
   uint64_t seed = 7;

@@ -34,6 +34,16 @@ HybridEngine MakeEngine(uint64_t rows, uint64_t seed) {
   return HybridEngine::Build(MakeRandomTable(rows, seed), options);
 }
 
+HybridEngine MakeForcedEngine(uint64_t rows, uint64_t seed,
+                              const char* backend) {
+  HybridEngine::Options options;
+  options.binning.bins = 16;
+  options.ab.alpha = 16;
+  options.ab.level = ab::Level::kPerAttribute;
+  options.backend = backend;
+  return HybridEngine::Build(MakeRandomTable(rows, seed), options);
+}
+
 std::vector<uint64_t> BruteForce(const Table& t, const EngineQuery& q) {
   std::vector<uint64_t> rows = q.rows;
   if (rows.empty()) {
@@ -55,7 +65,10 @@ std::vector<uint64_t> BruteForce(const Table& t, const EngineQuery& q) {
 }
 
 TEST(HybridEngineTest, ExactResultsMatchBruteForceBothPaths) {
+  // Subsets take direct access on the selector's all-Roaring plans and
+  // whole-then-pick on a WAH engine; both must equal the brute force.
   HybridEngine engine = MakeEngine(3000, 1);
+  HybridEngine scan = MakeForcedEngine(3000, 1, "wah");
   std::mt19937_64 rng(2);
   for (int trial = 0; trial < 20; ++trial) {
     EngineQuery q;
@@ -66,53 +79,31 @@ TEST(HybridEngineTest, ExactResultsMatchBruteForceBothPaths) {
       q.rows = bitmap::RowRange(lo, lo + 500);
     }
     std::vector<uint64_t> expected = BruteForce(engine.table(), q);
-    EXPECT_EQ(engine.ExecuteWithAb(q).row_ids, expected) << trial;
-    EXPECT_EQ(engine.ExecuteWithExact(q).row_ids, expected) << trial;
     EXPECT_EQ(engine.Execute(q).row_ids, expected) << trial;
+    EXPECT_EQ(scan.Execute(q).row_ids, expected) << trial;
   }
 }
 
-HybridEngine MakeForcedEngine(uint64_t rows, uint64_t seed,
-                              const char* backend) {
-  HybridEngine::Options options;
-  options.binning.bins = 16;
-  options.ab.alpha = 16;
-  options.ab.level = ab::Level::kPerAttribute;
-  options.backend = backend;
-  return HybridEngine::Build(MakeRandomTable(rows, seed), options);
-}
-
-TEST(HybridEngineTest, RoutesByRowFraction) {
-  // Only plans that touch a WAH or BBC column route by row fraction.
-  for (const char* backend : {"wah", "bbc"}) {
+TEST(HybridEngineTest, EverySubsetRunsOnTheExactArm) {
+  // No base AB: whole relations and row subsets of every size run on the
+  // exact index, whether the plan has direct access (Roaring) or is
+  // evaluated whole then picked (WAH, BBC).
+  for (const char* backend : {"wah", "bbc", "roaring"}) {
     HybridEngine engine = MakeForcedEngine(5000, 3, backend);
     EngineQuery q;
     q.predicates.push_back(ValuePredicate{0, 0.0, 50.0});
-
-    // Whole relation -> exact arm; the trace carries the serving backend.
-    EngineResult whole = engine.Execute(q);
-    EXPECT_EQ(whole.path, "exact");
-    EXPECT_STREQ(whole.trace.backend, backend);
-
-    // Tiny subset (below the default 2% threshold) -> AB.
-    q.rows = bitmap::RowRange(100, 140);  // 41 rows of 5000 = 0.8%
-    EngineResult tiny = engine.Execute(q);
-    EXPECT_EQ(tiny.path, "ab") << backend;
-    EXPECT_STREQ(tiny.trace.backend, "ab");
-
-    // Large subset -> exact arm.
-    q.rows = bitmap::RowRange(0, 2499);  // 50%
-    EXPECT_EQ(engine.Execute(q).path, "exact") << backend;
+    // The whole relation, 41 of 5000 rows (0.8%) and 2500 (50%).
+    for (const std::vector<uint64_t>& rows :
+         {std::vector<uint64_t>{}, bitmap::RowRange(100, 140),
+          bitmap::RowRange(0, 2499)}) {
+      q.rows = rows;
+      EngineResult result = engine.Execute(q);
+      EXPECT_EQ(result.path, "exact") << backend << " " << rows.size();
+      EXPECT_STREQ(result.trace.backend, backend) << rows.size();
+      EXPECT_EQ(result.row_ids, BruteForce(engine.table(), q))
+          << backend << " " << rows.size();
+    }
   }
-  // An all-Roaring plan keeps direct access: every subset is exact.
-  HybridEngine engine = MakeForcedEngine(5000, 3, "roaring");
-  EngineQuery q;
-  q.predicates.push_back(ValuePredicate{0, 0.0, 50.0});
-  q.rows = bitmap::RowRange(100, 140);
-  EngineResult tiny = engine.Execute(q);
-  EXPECT_EQ(tiny.path, "exact");
-  EXPECT_STREQ(tiny.trace.backend, "roaring");
-  EXPECT_EQ(tiny.row_ids, BruteForce(engine.table(), q));
 }
 
 TEST(HybridEngineTest, ApproximateModeIsSupersetOfExact) {
@@ -122,9 +113,9 @@ TEST(HybridEngineTest, ApproximateModeIsSupersetOfExact) {
   q.rows = bitmap::RowRange(0, 999);
 
   q.exact = true;
-  std::vector<uint64_t> exact_rows = engine.ExecuteWithAb(q).row_ids;
+  std::vector<uint64_t> exact_rows = engine.Execute(q).row_ids;
   q.exact = false;
-  EngineResult approx = engine.ExecuteWithAb(q);
+  EngineResult approx = engine.Execute(q);
   EXPECT_TRUE(approx.approximate);
   EXPECT_GE(approx.row_ids.size(), exact_rows.size());
   // Every exact row must appear in the candidate set.
@@ -213,13 +204,30 @@ TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
       EXPECT_EQ(exact.row_ids, truth) << c;
       EXPECT_EQ(exact.trace.candidates, candidates.size()) << c;
       EXPECT_EQ(exact.trace.verified_matches, truth.size()) << c;
-      // The AB arm verifies through CollectResult's check (pooled here).
-      EXPECT_EQ(engine->ExecuteWithAb(q).row_ids, truth) << c;
       q.exact = false;
       EngineResult approx = engine->Execute(q);
       EXPECT_TRUE(approx.approximate) << c;
       EXPECT_EQ(approx.row_ids, candidates) << c;
       EXPECT_EQ(approx.trace.candidates, candidates.size()) << c;
+    }
+  }
+  // Row subsets at or above kParallelMinRows verify through CollectResult
+  // on the pool, each chunk's survivors concatenated in request order.
+  std::mt19937_64 rng(22);
+  std::vector<uint64_t> scattered;
+  for (int i = 0; i < 17000; ++i) scattered.push_back(rng() % kRows);
+  std::sort(scattered.begin(), scattered.end());
+  for (const std::vector<uint64_t>& subset :
+       {bitmap::RowRange(1000, 17999), scattered}) {
+    for (size_t c = 0; c < cases.size(); ++c) {
+      EngineQuery q;
+      q.predicates = cases[c];
+      q.rows = subset;
+      std::vector<uint64_t> truth = BruteForce(t, q);
+      EngineResult exact = pooled.Execute(q);
+      EXPECT_EQ(exact.path, "exact") << c;
+      EXPECT_EQ(exact.row_ids, truth) << c;
+      EXPECT_EQ(exact.trace.verified_matches, truth.size()) << c;
     }
   }
 }
@@ -235,13 +243,12 @@ TEST(HybridEngineTest, EmptyPredicateListSelectsRequestedRows) {
 TEST(HybridEngineTest, SizesReported) {
   HybridEngine engine = MakeEngine(2000, 7);
   EXPECT_GT(engine.ExactSizeBytes(), 0u);
-  EXPECT_GT(engine.AbSizeBytes(), 0u);
 }
 
 TEST(HybridEngineTest, ParallelBuildYieldsIdenticalIndexes) {
-  // Build runs WAH compression and AB population through the engine pool;
-  // both parallel paths are bit-identical to serial, so a 1-thread and a
-  // 4-thread engine must hold the same indexes and answer identically.
+  // Build runs column compression through the engine pool; the parallel
+  // path is bit-identical to serial, so a 1-thread and a 4-thread engine
+  // must hold the same index and answer identically.
   HybridEngine::Options serial_opts;
   serial_opts.binning.bins = 16;
   serial_opts.ab.alpha = 8;
@@ -260,12 +267,6 @@ TEST(HybridEngineTest, ParallelBuildYieldsIdenticalIndexes) {
     ASSERT_EQ(serial.exact_index().DecompressColumn(j),
               parallel.exact_index().DecompressColumn(j))
         << "exact column " << j;
-  }
-  ASSERT_EQ(serial.ab_index().num_filters(), parallel.ab_index().num_filters());
-  for (size_t f = 0; f < serial.ab_index().num_filters(); ++f) {
-    ASSERT_EQ(serial.ab_index().filter(f).bits(),
-              parallel.ab_index().filter(f).bits())
-        << "ab filter " << f;
   }
   EngineQuery q;
   q.predicates.push_back(ValuePredicate{0, 10.0, 70.0});
@@ -329,9 +330,9 @@ TEST(HybridEngineTest, ForcedBackendsAgreeOnEveryQuery) {
       uint64_t lo = rng() % 1000;
       q.rows = bitmap::RowRange(lo, lo + 700);
     }
-    std::vector<uint64_t> expected = engines[0].ExecuteWithExact(q).row_ids;
+    std::vector<uint64_t> expected = engines[0].Execute(q).row_ids;
     for (size_t e = 1; e < engines.size(); ++e) {
-      EXPECT_EQ(engines[e].ExecuteWithExact(q).row_ids, expected)
+      EXPECT_EQ(engines[e].Execute(q).row_ids, expected)
           << "engine " << e << " trial " << trial;
     }
   }
@@ -339,7 +340,7 @@ TEST(HybridEngineTest, ForcedBackendsAgreeOnEveryQuery) {
 
 TEST(HybridEngineTest, AbPreferredPlansUseDirectAccess) {
   // kAb-preferring columns are stored as Roaring, so their subsets take
-  // the exact arm at every fraction; the AB stays reachable on request.
+  // direct access at every fraction.
   HybridEngine engine = MakeForcedEngine(5000, 14, "ab");
   EngineQuery q;
   q.predicates.push_back(ValuePredicate{0, 20.0, 60.0});
@@ -349,9 +350,6 @@ TEST(HybridEngineTest, AbPreferredPlansUseDirectAccess) {
     EXPECT_EQ(result.path, "exact") << last;
     EXPECT_STREQ(result.trace.backend, "ab");
     EXPECT_EQ(result.row_ids, BruteForce(engine.table(), q)) << last;
-    EngineResult via_ab = engine.ExecuteWithAb(q);
-    EXPECT_EQ(via_ab.path, "ab");
-    EXPECT_EQ(via_ab.row_ids, result.row_ids) << last;
   }
 }
 
@@ -395,13 +393,13 @@ TEST(HybridEngineTest, DirectAccessSubsetsMatchOracleInAnyRowOrder) {
       EngineResult exact = direct.Execute(q);
       EXPECT_EQ(exact.path, "exact");
       EXPECT_EQ(exact.row_ids, truth) << "plan " << p;
-      EXPECT_EQ(scan.ExecuteWithExact(q).row_ids, truth) << "plan " << p;
+      EXPECT_EQ(scan.Execute(q).row_ids, truth) << "plan " << p;
 
       // Approximate: bin-level candidates, identical across backends, a
       // superset of the truth inside the request.
       q.exact = false;
       EngineResult approx = direct.Execute(q);
-      EXPECT_EQ(approx.row_ids, scan.ExecuteWithExact(q).row_ids)
+      EXPECT_EQ(approx.row_ids, scan.Execute(q).row_ids)
           << "plan " << p;
       std::vector<uint64_t> got = approx.row_ids;
       std::vector<uint64_t> want = truth;
@@ -431,14 +429,6 @@ TEST(HybridEngineTest, ChoiceSummaryCoversEveryColumn) {
   }
 }
 
-TEST(HybridEngineTest, MeasureCrossoverReturnsSaneFraction) {
-  HybridEngine engine = MakeEngine(20000, 8);
-  double crossover = engine.MeasureCrossover();
-  EXPECT_GT(crossover, 0.0);
-  EXPECT_LE(crossover, 0.5);
-  EXPECT_EQ(engine.crossover_fraction(), crossover);
-}
-
 TEST(HybridEngineTest, ExecuteBatchMatchesPerQueryExecuteInOrder) {
   HybridEngine engine = MakeEngine(3000, 9);
   std::mt19937_64 rng(3);
@@ -448,7 +438,7 @@ TEST(HybridEngineTest, ExecuteBatchMatchesPerQueryExecuteInOrder) {
     double lo = std::uniform_real_distribution<double>(0, 80)(rng);
     q.predicates.push_back(ValuePredicate{0, lo, lo + 20});
     if (i % 3 == 1) {
-      // Row-subset query: exercises the AB routing arm inside a batch.
+      // Row-subset query: exercises direct access inside a batch.
       uint64_t start = rng() % 2900;
       for (uint64_t r = start; r < start + 100; ++r) q.rows.push_back(r);
     }
@@ -710,10 +700,6 @@ TEST(HybridEngineTest, IngestStatsTrackChurnAndMergeSignal) {
   EXPECT_EQ(after.delta_live, 160u);
   EXPECT_GT(after.delta_worst_fp, 0.0);
   EXPECT_LT(after.delta_worst_fp, 1.0);
-  // Folding 160 extra live rows into the base AB can only raise its
-  // expected FP relative to folding none.
-  EXPECT_GE(after.base_fp_if_merged, before.base_fp_if_merged);
-  EXPECT_GT(after.base_fp_if_merged, 0.0);
 }
 
 TEST(HybridEngineTest, FirstIngestRacesLockFreeReaders) {

@@ -599,7 +599,7 @@ TEST_F(QueryServerTest, IngestGaugesRenderWholeLines) {
   for (const char* name :
        {"abitmap_engine_total_rows", "abitmap_engine_delta_live",
         "abitmap_engine_delta_generations", "abitmap_engine_delta_worst_fp",
-        "abitmap_engine_base_fp_if_merged", "abitmap_engine_delta_fp_budget",
+        "abitmap_engine_delta_fp_budget",
         "abitmap_engine_delta_rebuild_running", "abitmap_serve_queue_depth",
         "abitmap_serve_slow_threshold_ns"}) {
     std::string help = std::string("# HELP ") + name + " ";

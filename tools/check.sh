@@ -221,8 +221,11 @@ if [ "${AB_CHECK_TSAN:-auto}" != "0" ]; then
   if tsan_supported; then
     tsan_dir="$build_dir-tsan"
     echo "== configure (ThreadSanitizer) =="
+    # -Werror=tsan: an atomic_thread_fence that TSan cannot model fails
+    # the build instead of leaving the pass blind to that ordering.
     cmake -S "$repo_root" -B "$tsan_dir" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS=-Werror=tsan \
       -DAB_THREAD_SANITIZER=ON >/dev/null
     echo "== build (TSan) =="
     cmake --build "$tsan_dir" -j "$jobs"

@@ -157,12 +157,11 @@ util::BitVector ExactIndex::DecompressColumn(uint32_t global_col) const {
   return std::get<roaring::RoaringBitmap>(col.data).ToBitVector(num_rows_);
 }
 
-util::BitVector ExactIndex::AttributeOrBits(
-    const bitmap::AttributeRange& range) const {
-  // Group the range's bins by backend so each group merges natively, then
-  // OR the (at most three) verbatim partials.
+void ExactIndex::OrRangeInto(const bitmap::AttributeRange& range,
+                             util::BitVector* out) const {
+  // Roaring bins land in `out` as words one by one; WAH and BBC bins
+  // merge natively among themselves first, then land decompressed.
   std::vector<const wah::WahVector*> wah_bins;
-  std::vector<const roaring::RoaringBitmap*> roaring_bins;
   std::vector<const bbc::BbcVector*> bbc_bins;
   for (uint32_t b = range.lo_bin; b <= range.hi_bin; ++b) {
     const Column& col = columns_[mapping_.GlobalColumn(range.attr, b)];
@@ -171,36 +170,17 @@ util::BitVector ExactIndex::AttributeOrBits(
     } else if (const auto* v = std::get_if<bbc::BbcVector>(&col.data)) {
       bbc_bins.push_back(v);
     } else {
-      roaring_bins.push_back(&std::get<roaring::RoaringBitmap>(col.data));
+      std::get<roaring::RoaringBitmap>(col.data).AppendTo(out);
     }
   }
-  util::BitVector bits(num_rows_);
-  bool have = false;
-  if (!wah_bins.empty()) {
-    bits = wah::MultiOr(wah_bins).Decompress();
-    have = true;
-  }
-  if (!roaring_bins.empty()) {
-    roaring::RoaringBitmap merged = roaring::RoaringBitmap::MultiOr(roaring_bins);
-    if (have) {
-      merged.AppendTo(&bits);
-    } else {
-      bits = merged.ToBitVector(num_rows_);
-      have = true;
-    }
-  }
+  if (!wah_bins.empty()) out->OrWith(wah::MultiOr(wah_bins).Decompress());
   if (!bbc_bins.empty()) {
     bbc::BbcVector merged = *bbc_bins[0];
     for (size_t i = 1; i < bbc_bins.size(); ++i) {
       merged = Or(merged, *bbc_bins[i]);
     }
-    if (have) {
-      bits.OrWith(merged.Decompress());
-    } else {
-      bits = merged.Decompress();
-    }
+    out->OrWith(merged.Decompress());
   }
-  return bits;
 }
 
 bool ExactIndex::PlanHasDirectAccess(const bitmap::BitmapQuery& query) const {
@@ -233,41 +213,46 @@ ExactIndex::RoaringTerms(const bitmap::BitmapQuery& query) const {
 }
 
 util::BitVector ExactIndex::ExecuteBitwiseBits(
-    const bitmap::BitmapQuery& query) const {
+    const bitmap::BitmapQuery& query, const std::vector<EdgeBins>& edges,
+    std::vector<util::BitVector>* edge_bits) const {
+  util::BitVector bits(num_rows_);
   if (query.ranges.empty()) {
     // No predicates: every row qualifies.
-    util::BitVector bits(num_rows_);
     bits.Flip();
     return bits;
   }
-  // All-Roaring plans stay in container form end to end: MultiOr per
-  // attribute, galloping AND across attributes, one expansion at the end.
-  if (PlanHasDirectAccess(query)) {
-    roaring::RoaringBitmap result;
-    bool first = true;
-    for (const std::vector<const roaring::RoaringBitmap*>& bins :
-         RoaringTerms(query)) {
-      roaring::RoaringBitmap attr_result = roaring::RoaringBitmap::MultiOr(bins);
-      if (first) {
-        result = std::move(attr_result);
-        first = false;
-      } else {
-        result = And(result, attr_result);
-        if (result.num_containers() == 0) break;  // empty intersection
-      }
-    }
-    return result.ToBitVector(num_rows_);
+  AB_CHECK(edges.empty() || edges.size() == query.ranges.size());
+  if (edge_bits != nullptr) {
+    edge_bits->assign(query.ranges.size(), util::BitVector());
   }
-  util::BitVector bits;
-  bool first = true;
-  for (const bitmap::AttributeRange& range : query.ranges) {
-    util::BitVector attr_bits = AttributeOrBits(range);
-    if (first) {
-      bits = std::move(attr_bits);
-      first = false;
-    } else {
-      bits.AndWith(attr_bits);
+  // The first range ORs straight into the result; each later one into
+  // `attr`, which then ANDs in as words.
+  util::BitVector attr;
+  for (size_t i = 0; i < query.ranges.size(); ++i) {
+    const bitmap::AttributeRange& range = query.ranges[i];
+    AB_CHECK_LE(range.lo_bin, range.hi_bin);
+    AB_CHECK_LT(range.hi_bin, mapping_.cardinality(range.attr));
+    util::BitVector* target = &bits;
+    if (i > 0) {
+      attr = util::BitVector(num_rows_);
+      target = &attr;
     }
+    EdgeBins edge = edges.empty() ? EdgeBins{} : edges[i];
+    bool lo_edge = edge.lo || (edge.hi && range.lo_bin == range.hi_bin);
+    bool hi_edge = edge.hi && range.hi_bin > range.lo_bin;
+    if (lo_edge) {
+      OrRangeInto({range.attr, range.lo_bin, range.lo_bin}, target);
+    }
+    if (hi_edge) {
+      OrRangeInto({range.attr, range.hi_bin, range.hi_bin}, target);
+    }
+    if (edge_bits != nullptr && (lo_edge || hi_edge)) {
+      (*edge_bits)[i] = *target;
+    }
+    uint32_t first = range.lo_bin + (lo_edge ? 1 : 0);
+    uint32_t last = range.hi_bin - (hi_edge ? 1 : 0);
+    if (first <= last) OrRangeInto({range.attr, first, last}, target);
+    if (i > 0) bits.AndWith(attr);
   }
   return bits;
 }

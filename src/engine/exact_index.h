@@ -79,9 +79,10 @@ BackendChoice ChooseBackend(const ColumnProfile& profile);
 /// The engine's exact arm: every column of a BitmapTable compressed with
 /// the backend the selector (or an override) picked for it, behind one
 /// query surface. Columns of different backends compose in a query plan:
-/// each attribute's bin-OR runs natively per backend, attribute partials
-/// combine as verbatim words, and an all-Roaring plan stays in container
-/// form end to end (galloping ANDs included).
+/// each attribute's bin-OR lands in verbatim words (Roaring containers
+/// copied as words, WAH and BBC merged natively first), and attribute
+/// partials AND as words. A row subset of an all-Roaring plan reads only
+/// the containers it touches (direct access).
 class ExactIndex {
  public:
   /// `backend_override` is "auto" (per-column selector) or a forced
@@ -116,9 +117,23 @@ class ExactIndex {
   /// backend).
   uint64_t SizeInBytes() const;
 
+  /// Which end bins of an attribute range hold rows that a raw-value check
+  /// can reject: `lo` flags range.lo_bin, `hi` flags range.hi_bin.
+  struct EdgeBins {
+    bool lo = false;
+    bool hi = false;
+  };
+
   /// Bit-wise phase: OR of the bin bitmaps within each attribute range
-  /// (native per backend), AND across attributes. One bit per row.
-  util::BitVector ExecuteBitwiseBits(const bitmap::BitmapQuery& query) const;
+  /// (Roaring bins copied as words, WAH and BBC merged natively), AND of
+  /// the attributes as words. One bit per row. With `edge_bits`, the
+  /// call also returns one vector per range: (*edge_bits)[i] holds the OR
+  /// of the end bins that edges[i] flags (`edges` is empty or one entry per
+  /// range), and is empty when range i flags none.
+  util::BitVector ExecuteBitwiseBits(
+      const bitmap::BitmapQuery& query,
+      const std::vector<EdgeBins>& edges = {},
+      std::vector<util::BitVector>* edge_bits = nullptr) const;
 
   /// Full answer for a row-subset query: one bit per requested row, in
   /// request order (rows may be unsorted and repeat); empty rows means all
@@ -150,9 +165,9 @@ class ExactIndex {
   ExactIndex(bitmap::ColumnMapping mapping, uint64_t num_rows)
       : mapping_(std::move(mapping)), num_rows_(num_rows) {}
 
-  /// OR of one attribute range's bins as verbatim bits (mixed-backend
-  /// path).
-  util::BitVector AttributeOrBits(const bitmap::AttributeRange& range) const;
+  /// ORs the bins of one attribute range into `out` (num_rows_ bits).
+  void OrRangeInto(const bitmap::AttributeRange& range,
+                   util::BitVector* out) const;
 
   /// Each range's bin bitmaps, for a plan with direct access.
   std::vector<std::vector<const roaring::RoaringBitmap*>> RoaringTerms(

@@ -193,32 +193,55 @@ void HybridEngine::ToBinQuery(const EngineQuery& query,
 
 namespace {
 
+/// Which end bins of `range`, predicate `p`'s bins under `binner`, hold
+/// rows that can fail it. Bin i holds [B[i-1], B[i]) (BinOf's
+/// upper_bound) and is an edge bin unless lo <= B[i-1] and B[i] <= hi;
+/// bin 0 and the last bin are open at their outer end, so they are always
+/// edge bins.
+ExactIndex::EdgeBins EdgeBinsOf(const ValuePredicate& p,
+                                const bitmap::AttributeRange& range,
+                                const bitmap::Binner& binner) {
+  const std::vector<double>& b = binner.boundaries();
+  auto interior = [&](uint32_t i) {
+    return i > 0 && i < b.size() && p.lo <= b[i - 1] && b[i] <= p.hi;
+  };
+  return {!interior(range.lo_bin), !interior(range.hi_bin)};
+}
+
 /// Result size below which a pooled verify costs more than it saves.
 constexpr uint64_t kParallelMinRows = 1 << 14;
 
-/// Folds the collection outcome into the result's trace and the engine
-/// counters. In exact mode pruning reveals the truth, so the observed
-/// precision (verified / candidates) becomes known: the share of bin
-/// candidates that survive the bin-overshoot prune.
+/// Folds the collection outcome into the result, its trace and the engine
+/// counters: `kept` of `candidates` rows survived (all of them in
+/// approximate mode). In exact mode pruning reveals the truth, so the
+/// observed precision (verified / candidates) becomes known: the share of
+/// bin candidates that survive the bin-overshoot prune.
 void FinalizeVerification(const EngineQuery& query, uint64_t candidates,
-                          EngineResult* result) {
+                          uint64_t kept, EngineResult* result) {
+  result->count = kept;
   result->trace.candidates = candidates;
   if (query.exact) {
-    uint64_t verified = result->row_ids.size();
-    result->trace.verified_matches = verified;
+    result->trace.verified_matches = kept;
     result->trace.observed_precision =
         candidates == 0 ? 1.0
-                        : static_cast<double>(verified) /
+                        : static_cast<double>(kept) /
                               static_cast<double>(candidates);
 #if !defined(AB_DISABLE_STATS)
     obs::internal::ThreadStatsBlock* b = obs::internal::TlsBlock();
     b->Add(obs::Counter::kEngineCandidates, candidates);
-    b->Add(obs::Counter::kEngineVerified, verified);
-    b->Add(obs::Counter::kEngineFalsePositives, candidates - verified);
+    b->Add(obs::Counter::kEngineVerified, kept);
+    b->Add(obs::Counter::kEngineFalsePositives, candidates - kept);
 #endif
   } else {
     AB_STATS_ADD(obs::Counter::kEngineCandidates, candidates);
   }
+}
+
+/// Whether `v` lies in [lo, hi], tested without a branch: `!(v < lo) &
+/// !(v > hi)` negates the early-exit test `v < lo || v > hi` exactly, so a
+/// NaN value passes. The one definition of "a row passes a predicate".
+inline bool InBounds(double v, double lo, double hi) {
+  return !(v < lo) & !(v > hi);
 }
 
 /// The exact check of one query, hoisted out of the candidate loop: each
@@ -234,34 +257,12 @@ class BoundCheck {
     }
   }
 
-  /// Whether `row` satisfies every predicate, tested without a branch per
-  /// predicate. `!(v < lo) & !(v > hi)` negates the early-exit test
-  /// `v < lo || v > hi` exactly, NaN included, so rows pass as they did.
+  /// Whether `row` satisfies every predicate, without a branch per
+  /// predicate.
   bool Passes(uint64_t row) const {
     bool ok = true;
-    for (const Bound& b : bounds_) {
-      double v = b.values[row];
-      ok &= !(v < b.lo) & !(v > b.hi);
-    }
+    for (const Bound& b : bounds_) ok &= InBounds(b.values[row], b.lo, b.hi);
     return ok;
-  }
-
-  /// The whole-relation verify kernel: walks the set bits of
-  /// words[word_begin, word_end) and writes each candidate's row id at the
-  /// cursor, advancing the cursor only when the row passes. `out` needs one
-  /// slot per set bit; returns the number of rows kept, in ascending order.
-  size_t CollectWords(const uint64_t* words, size_t word_begin,
-                      size_t word_end, uint64_t* out) const {
-    size_t kept = 0;
-    for (size_t w = word_begin; w < word_end; ++w) {
-      const uint64_t base = static_cast<uint64_t>(w) * 64;
-      for (uint64_t word = words[w]; word != 0; word &= word - 1) {
-        uint64_t row = base + util::simd::CountTrailingZeros64(word);
-        out[kept] = row;
-        kept += Passes(row);
-      }
-    }
-    return kept;
   }
 
  private:
@@ -273,27 +274,35 @@ class BoundCheck {
   std::vector<Bound> bounds_;
 };
 
-/// Runs `collect(begin, end, &part)` over the pool's contiguous chunks of
-/// [0, n) and appends the parts to `row_ids` in chunk order, which is row
-/// order; returns the total of the candidate counts `collect` returns.
-template <typename Collect>
-uint64_t CollectChunked(util::ThreadPool* pool, uint64_t n,
-                        const Collect& collect,
-                        std::vector<uint64_t>* row_ids) {
-  std::vector<std::vector<uint64_t>> parts(pool->num_threads());
-  std::vector<uint64_t> part_candidates(parts.size(), 0);
-  pool->ParallelFor(0, n, [&](uint64_t begin, uint64_t end, int chunk) {
-    part_candidates[chunk] = collect(begin, end, &parts[chunk]);
-  });
-  size_t kept = 0;
-  for (const std::vector<uint64_t>& part : parts) kept += part.size();
-  row_ids->reserve(row_ids->size() + kept);
+/// What one collection pass saw: candidates in, rows kept.
+struct Tally {
   uint64_t candidates = 0;
+  uint64_t kept = 0;
+};
+
+/// Runs `collect(begin, end, &part)` over the pool's contiguous chunks of
+/// [0, n), appends the parts to `row_ids` in chunk order, which is row
+/// order, and returns the sum of the tallies `collect` returns.
+template <typename Collect>
+Tally CollectChunked(util::ThreadPool* pool, uint64_t n,
+                     const Collect& collect, std::vector<uint64_t>* row_ids) {
+  std::vector<std::vector<uint64_t>> parts(pool->num_threads());
+  std::vector<Tally> tallies(parts.size());
+  pool->ParallelFor(0, n, [&](uint64_t begin, uint64_t end, int chunk) {
+    tallies[chunk] = collect(begin, end, &parts[chunk]);
+  });
+  Tally total;
+  size_t ids = 0;
   for (size_t c = 0; c < parts.size(); ++c) {
-    candidates += part_candidates[c];
-    row_ids->insert(row_ids->end(), parts[c].begin(), parts[c].end());
+    total.candidates += tallies[c].candidates;
+    total.kept += tallies[c].kept;
+    ids += parts[c].size();
   }
-  return candidates;
+  row_ids->reserve(row_ids->size() + ids);
+  for (const std::vector<uint64_t>& part : parts) {
+    row_ids->insert(row_ids->end(), part.begin(), part.end());
+  }
+  return total;
 }
 
 /// Maps evaluation bits back to row ids, optionally pruning. Candidate
@@ -315,59 +324,130 @@ EngineResult CollectResult(const HybridEngine& engine,
   result.approximate = !query.exact;
   // Prunes bin-boundary overshoot.
   const BoundCheck check(engine.table(), query);
-  // Returns the candidates in [begin, end) and appends the survivors.
+  // Appends the survivors in [begin, end) to `row_ids`.
   auto collect = [&](uint64_t begin, uint64_t end,
                      std::vector<uint64_t>* row_ids) {
-    uint64_t cand = 0;
+    Tally tally;
+    size_t before = row_ids->size();
     for (uint64_t i = begin; i < end; ++i) {
       if (!bits[i]) continue;
-      ++cand;
+      ++tally.candidates;
       uint64_t row = bin_query.rows.empty() ? i : bin_query.rows[i];
       if (check.Passes(row)) row_ids->push_back(row);
     }
-    return cand;
+    tally.kept = row_ids->size() - before;
+    return tally;
   };
   size_t n = bin_query.rows.empty() ? bits.size() : bin_query.rows.size();
-  uint64_t candidates =
-      pool != nullptr && n >= kParallelMinRows
-          ? CollectChunked(pool, n, collect, &result.row_ids)
-          : collect(0, n, &result.row_ids);
-  FinalizeVerification(query, candidates, &result);
+  Tally total = pool != nullptr && n >= kParallelMinRows
+                    ? CollectChunked(pool, n, collect, &result.row_ids)
+                    : collect(0, n, &result.row_ids);
+  FinalizeVerification(query, total.candidates, total.kept, &result);
   result.trace.verify_ns =
       static_cast<uint64_t>(verify_timer.ElapsedMicros() * 1000.0);
   return result;
 }
 
-/// Whole-relation variant over the packed query result, one word at a
-/// time: the row list is sized from the candidate popcount up front, and
-/// BoundCheck::CollectWords fills it without a branch per candidate. With
-/// a pool, chunks split the words, so the parts concatenate in row order.
-EngineResult CollectResultFromBits(const HybridEngine& engine,
-                                   const EngineQuery& query,
-                                   const util::BitVector& bits,
-                                   util::ThreadPool* pool) {
+/// The whole-relation verify kernel, on words. Bin i holds [B[i-1], B[i]),
+/// so a row in a predicate's interior bin passes it by construction; only
+/// the candidates in its edge bins can fail. Per predicate that has edge
+/// bins, the kernel reads the raw value of just those candidates and clears
+/// the bits of the rows that fail. An approximate query checks nothing.
+class EdgeVerify {
+ public:
+  /// `edge_bits[i]` holds predicate i's edge-bin rows, or is empty when the
+  /// predicate has no edge bin.
+  EdgeVerify(const Table& table, const EngineQuery& query,
+             const std::vector<util::BitVector>& edge_bits) {
+    if (!query.exact) return;
+    for (size_t i = 0; i < edge_bits.size(); ++i) {
+      if (edge_bits[i].empty()) continue;
+      const ValuePredicate& p = query.predicates[i];
+      checks_.push_back(Check{edge_bits[i].words().data(),
+                              table.column(p.attr).data(), p.lo, p.hi});
+    }
+  }
+
+  /// Verifies words [begin, end) in place; returns the popcounts before
+  /// and after.
+  Tally Run(uint64_t* words, size_t begin, size_t end) const {
+    Tally tally;
+    tally.candidates = util::simd::PopcountWords(words + begin, end - begin);
+    for (const Check& c : checks_) {
+      for (size_t w = begin; w < end; ++w) {
+        const double* row_base = c.values + w * 64;
+        uint64_t fail = 0;
+        for (uint64_t m = words[w] & c.edge[w]; m != 0; m &= m - 1) {
+          int bit = util::simd::CountTrailingZeros64(m);
+          fail |= uint64_t{!InBounds(row_base[bit], c.lo, c.hi)} << bit;
+        }
+        words[w] &= ~fail;
+      }
+    }
+    tally.kept = checks_.empty()
+                     ? tally.candidates
+                     : util::simd::PopcountWords(words + begin, end - begin);
+    return tally;
+  }
+
+ private:
+  struct Check {
+    const uint64_t* edge;
+    const double* values;
+    double lo;
+    double hi;
+  };
+  std::vector<Check> checks_;
+};
+
+/// Appends the set bits of words[begin, end), `count` of them, to
+/// `row_ids` in ascending order.
+void AppendSetRows(const uint64_t* words, size_t begin, size_t end,
+                   uint64_t count, std::vector<uint64_t>* row_ids) {
+  size_t at = row_ids->size();
+  row_ids->resize(at + count);
+  uint64_t* out = row_ids->data() + at;
+  for (size_t w = begin; w < end; ++w) {
+    const uint64_t base = static_cast<uint64_t>(w) * 64;
+    for (uint64_t word = words[w]; word != 0; word &= word - 1) {
+      *out++ = base + util::simd::CountTrailingZeros64(word);
+    }
+  }
+}
+
+/// Whole-relation collection over the packed bit-wise result: EdgeVerify
+/// clears the failing candidates in place, the count is the popcount of
+/// what remains, and row ids (unless count_only) are its set bits. With a
+/// pool, chunks split the words, so per-chunk counts sum and the id parts
+/// concatenate in row order.
+EngineResult CollectWholeRelation(const HybridEngine& engine,
+                                  const EngineQuery& query,
+                                  util::BitVector bits,
+                                  const std::vector<util::BitVector>& edge_bits,
+                                  util::ThreadPool* pool) {
   AB_SPAN("engine/verify");
   obs::ScopedLatencyTimer timer(obs::Histogram::kVerifyLatencyNs);
   util::Stopwatch verify_timer;
   EngineResult result;
   result.approximate = !query.exact;
-  const BoundCheck check(engine.table(), query);
+  const EdgeVerify verify(engine.table(), query, edge_bits);
   // Bits past size() in the last word are zero, so whole words are safe.
-  const uint64_t* words = bits.words().data();
+  uint64_t* words = bits.mutable_words();
   const size_t num_words = bits.words().size();
-  // Verifies words [begin, end) into `row_ids`; returns the candidates.
+  // Verifies words [begin, end) and appends their survivors to `row_ids`.
   auto collect = [&](size_t begin, size_t end,
                      std::vector<uint64_t>* row_ids) {
-    uint64_t cand = util::simd::PopcountWords(words + begin, end - begin);
-    row_ids->resize(cand);
-    row_ids->resize(check.CollectWords(words, begin, end, row_ids->data()));
-    return cand;
+    Tally tally = verify.Run(words, begin, end);
+    if (!query.count_only) {
+      AppendSetRows(words, begin, end, tally.kept, row_ids);
+    }
+    return tally;
   };
-  uint64_t candidates =
+  Tally total =
       pool != nullptr && bits.size() >= kParallelMinRows
           ? CollectChunked(pool, num_words, collect, &result.row_ids)
           : collect(0, num_words, &result.row_ids);
-  FinalizeVerification(query, candidates, &result);
+  FinalizeVerification(query, total.candidates, total.kept, &result);
   result.trace.verify_ns =
       static_cast<uint64_t>(verify_timer.ElapsedMicros() * 1000.0);
   return result;
@@ -384,14 +464,27 @@ EngineResult HybridEngine::ExecuteExactImpl(const EngineQuery& query,
   ToBinQuery(query, &bin_query);
   EngineResult result;
   if (bin_query.rows.empty()) {
-    // Whole relation: keep the bit-wise result packed and walk its set
-    // bits — the verification loop touches only candidate rows.
-    util::BitVector bits = exact_->ExecuteBitwiseBits(bin_query);
-    result = CollectResultFromBits(*this, query, bits, pool);
+    // Whole relation: the bit-wise result stays packed, and each
+    // predicate's edge-bin rows come back beside it for the verify.
+    std::vector<ExactIndex::EdgeBins> edges;
+    if (query.exact) {
+      edges.reserve(query.predicates.size());
+      for (size_t i = 0; i < query.predicates.size(); ++i) {
+        const bitmap::AttributeRange& range = bin_query.ranges[i];
+        edges.push_back(EdgeBinsOf(query.predicates[i], range,
+                                   discretized_.binners[range.attr]));
+      }
+    }
+    std::vector<util::BitVector> edge_bits;
+    util::BitVector bits =
+        exact_->ExecuteBitwiseBits(bin_query, edges, &edge_bits);
+    result = CollectWholeRelation(*this, query, std::move(bits), edge_bits,
+                                  pool);
   } else {
     // Direct access for an all-Roaring plan, whole-then-pick otherwise.
     std::vector<bool> bits = exact_->Evaluate(bin_query);
     result = CollectResult(*this, query, bin_query, bits, pool);
+    if (query.count_only) result.row_ids = {};
   }
   result.trace.rows_evaluated =
       bin_query.rows.empty() ? table_.num_rows() : bin_query.rows.size();
@@ -441,14 +534,19 @@ EngineResult HybridEngine::ExecuteMutable(const EngineQuery& query,
   EngineResult result;
   std::vector<uint64_t> delta_rows;
   const std::vector<uint64_t>* delta_subset = nullptr;
+  // With base tombstones, the base part of a count is the size of its id
+  // list once the tombstoned ids are dropped.
+  EngineQuery base_query = query;
+  base_query.count_only =
+      query.count_only &&
+      ingest_->base_deletes.load(std::memory_order_acquire) == 0;
   if (query.rows.empty()) {
-    result = ExecuteExactImpl(query, pool);
+    result = ExecuteExactImpl(base_query, pool);
   } else {
     // Split the row subset: base ids go to the base index, ingested ids
     // to the delta. Result ids come out base-part first (in query order),
     // then delta-part (in query order).
     uint64_t base_n = table_.num_rows();
-    EngineQuery base_query = query;
     base_query.rows.clear();
     for (uint64_t row : query.rows) {
       if (row < base_n) {
@@ -465,8 +563,12 @@ EngineResult HybridEngine::ExecuteMutable(const EngineQuery& query,
     }
     delta_subset = &delta_rows;
   }
-  DropDeletedBaseRows(&result.row_ids);
+  if (!base_query.count_only) {
+    DropDeletedBaseRows(&result.row_ids);
+    result.count = result.row_ids.size();
+  }
   AppendDeltaMatches(query, delta_subset, &result);
+  if (query.count_only) result.row_ids = {};
   return result;
 }
 
@@ -512,17 +614,14 @@ void HybridEngine::AppendDeltaMatches(const EngineQuery& query,
     if (query.exact) {
       bool match = true;
       for (const ValuePredicate& p : query.predicates) {
-        double v = raw_value(local, p.attr);
-        if (v < p.lo || v > p.hi) {
-          match = false;
-          break;
-        }
+        match &= InBounds(raw_value(local, p.attr), p.lo, p.hi);
       }
       if (!match) continue;
     }
-    result->row_ids.push_back(base_n + local);
+    if (!query.count_only) result->row_ids.push_back(base_n + local);
     ++appended;
   }
+  result->count += appended;
 
   result->trace.rows_evaluated += bits.size();
   result->trace.candidates += candidates;
@@ -548,14 +647,16 @@ void HybridEngine::AppendDeltaMatches(const EngineQuery& query,
 
 namespace {
 
-/// Canonical byte key of a query for batch deduplication: exact flag,
-/// predicate triples, row list. Two queries with equal keys are the same
-/// query (bit-exact doubles included), so sharing the result is safe —
-/// this is a value identity, never a hash that could alias.
+/// Canonical byte key of a query for batch deduplication: exact and
+/// count_only flags, predicate triples, row list. Two queries with equal
+/// keys are the same query (bit-exact doubles included), so sharing the
+/// result is safe — this is a value identity, never a hash that could
+/// alias.
 std::string QueryKey(const EngineQuery& query) {
   std::string key;
   key.reserve(2 + query.predicates.size() * 20 + query.rows.size() * 8);
-  key.push_back(query.exact ? '\1' : '\0');
+  key.push_back(static_cast<char>((query.exact ? 1 : 0) |
+                                  (query.count_only ? 2 : 0)));
   for (const ValuePredicate& p : query.predicates) {
     char buf[20];
     std::memcpy(buf, &p.attr, 4);

@@ -38,11 +38,14 @@ struct EngineQuery {
   /// so the result is exact. When false the bin-granular candidate set is
   /// returned as-is (the paper's approximate-answer mode).
   bool exact = true;
+  /// When true the result carries only `count`: no row ids are built.
+  bool count_only = false;
 };
 
 /// Result of a query: matching row ids, plus which index answered it.
 struct EngineResult {
-  std::vector<uint64_t> row_ids;
+  std::vector<uint64_t> row_ids;  ///< empty for a count_only query
+  uint64_t count = 0;             ///< matching rows, count_only or not
   bool approximate = false;  ///< true if candidates were not pruned
   /// "exact" when the base index answered; "delta" when every requested
   /// row was an ingested one.
@@ -61,8 +64,11 @@ struct EngineResult {
 /// bitmaps lose direct access ("executing a query that selects up to
 /// around 15% of the rows by using AB is still faster"). Roaring keeps
 /// direct access, so every query here runs on the exact index:
-///  * a whole-relation query evaluates the bit-wise plan and verifies its
-///    set bits;
+///  * a whole-relation query evaluates the bit-wise plan as words and
+///    verifies them in place, reading a raw value only for candidates in
+///    a predicate's edge bins (rows in its interior bins pass by
+///    construction); a count is a popcount, row ids come from the
+///    verified words;
 ///  * a row subset of a plan stored all as Roaring (kRoaring or kAb
 ///    columns) is answered by direct access: only the containers of the
 ///    chunks the subset touches are read, so the cost follows the subset;
@@ -102,10 +108,10 @@ class HybridEngine {
   /// unit. Executes every query, returning results aligned
   /// with the input order, each with its own QueryTrace. Two
   /// amortizations over per-query Execute calls:
-  ///   * identical queries (same predicates, rows, exact flag) are
-  ///     detected and executed once, the result shared — under a skewed
-  ///     (zipf) request mix a large batch collapses to its hot set
-  ///     (counted by engine_batch_dedup_hits);
+  ///   * identical queries (same predicates, rows, exact and count_only
+  ///     flags) are detected and executed once, the result shared — under
+  ///     a skewed (zipf) request mix a large batch collapses to its hot
+  ///     set (counted by engine_batch_dedup_hits);
   ///   * unique queries are scheduled across the engine pool one query
   ///     per worker claim (ParallelForDynamic), one pool wakeup per batch
   ///     instead of per query; per-query execution then runs

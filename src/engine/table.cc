@@ -1,5 +1,6 @@
 #include "engine/table.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <utility>
 
@@ -22,6 +23,11 @@ util::StatusOr<Table> Table::FromColumns(
   for (const std::vector<double>& c : columns) {
     if (c.size() != rows) {
       return util::Status::InvalidArgument("ragged columns");
+    }
+    // A NaN has no place in a bin order (and would break the sort behind
+    // equi-depth binning); ingest and the serve layer reject it too.
+    for (double v : c) {
+      if (std::isnan(v)) return util::Status::InvalidArgument("NaN value");
     }
   }
   return Table(std::move(name), std::move(column_names), std::move(columns));

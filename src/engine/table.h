@@ -27,7 +27,7 @@ struct BinningSpec {
 /// BinnedDataset that every index in the library consumes.
 class Table {
  public:
-  /// Builds from named columns of equal length.
+  /// Builds from named columns of equal length; rejects a NaN value.
   static util::StatusOr<Table> FromColumns(
       std::string name, std::vector<std::string> column_names,
       std::vector<std::vector<double>> columns);

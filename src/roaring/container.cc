@@ -374,28 +374,27 @@ void Container::Normalize() {
 }
 
 void Container::AppendTo(util::BitVector* out, uint64_t base) const {
+  AB_DCHECK(base % 64 == 0);
   switch (kind_) {
     case ContainerKind::kArray:
       for (uint16_t v : array_) out->Set(base + v);
       break;
-    case ContainerKind::kBitset: {
-      for (size_t w = 0; w < kBitsetWords; ++w) {
-        uint64_t word = words_[w];
-        while (word != 0) {
-          int bit = util::simd::CountTrailingZeros64(word);
-          out->Set(base + w * 64 + bit);
-          word &= word - 1;
-        }
-      }
+    case ContainerKind::kBitset:
+      out->OrWords(base / 64, words_.data(), kBitsetWords);
+      break;
+    case ContainerKind::kRun: {
+      if (array_.empty()) break;
+      // Only the words between the first and the last run are filled.
+      uint32_t first_word = array_[0] >> 6;
+      uint32_t last_word =
+          (uint32_t{array_[array_.size() - 2]} + array_.back()) >> 6;
+      uint32_t num_words = last_word - first_word + 1;
+      uint64_t words[kBitsetWords];
+      std::fill_n(words, num_words, uint64_t{0});
+      OrRangeInto(words, first_word, num_words);
+      out->OrWords(base / 64 + first_word, words, num_words);
       break;
     }
-    case ContainerKind::kRun:
-      for (size_t r = 0; r < array_.size(); r += 2) {
-        uint32_t start = array_[r];
-        uint32_t end = start + array_[r + 1];
-        for (uint32_t v = start; v <= end; ++v) out->Set(base + v);
-      }
-      break;
   }
 }
 

@@ -101,8 +101,10 @@ class Container {
   /// 4096 threshold. Idempotent; never changes the represented set.
   void Optimize();
 
-  /// ORs the container's values, offset by `base`, into `out` (which must
-  /// cover [base, base + 2^16)). The decompression primitive.
+  /// ORs the container's values, offset by `base` (a multiple of 64), into
+  /// `out`, whose last word clamps the copy: a bitset container lands as
+  /// its words, a run container as the words its runs span. The
+  /// decompression primitive.
   void AppendTo(util::BitVector* out, uint64_t base) const;
 
   /// ORs the container's values into `words` (kBitsetWords long) — the

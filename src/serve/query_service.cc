@@ -198,6 +198,7 @@ void QueryService::DispatchLoop() {
       q.predicates = std::move(p->request.predicates);
       q.rows = std::move(p->request.rows);
       q.exact = p->request.exact;
+      q.count_only = p->request.count_only;
       queries.push_back(std::move(q));
     }
 
@@ -214,8 +215,8 @@ void QueryService::DispatchLoop() {
       resp.id = p->request.id;
       resp.trace_id = p->request.trace_id;
       resp.status = StatusCode::kOk;
-      resp.count = r.row_ids.size();
-      if (!p->request.count_only) resp.row_ids = std::move(r.row_ids);
+      resp.count = r.count;
+      resp.row_ids = std::move(r.row_ids);
       resp.path = r.trace.path;
       resp.backend = r.trace.backend;
       resp.batch_size = static_cast<uint32_t>(live.size());

@@ -1,5 +1,6 @@
 #include "util/bitvector.h"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -161,6 +162,14 @@ void BitVector::OrRangeWith(const BitVector& other, size_t word_begin,
   if (word_begin >= word_end) return;
   simd::OrWords(words_.data() + word_begin, other.words_.data() + word_begin,
                 word_end - word_begin);
+}
+
+void BitVector::OrWords(size_t first_word, const uint64_t* src,
+                        size_t count) {
+  if (first_word >= words_.size()) return;
+  count = std::min(count, words_.size() - first_word);
+  simd::OrWords(words_.data() + first_word, src, count);
+  if (first_word + count == words_.size()) ClearPadding();
 }
 
 void BitVector::XorWith(const BitVector& other) {

@@ -130,6 +130,11 @@ class BitVector {
   /// from different threads with plain stores because no two ranges share a
   /// word. Sizes must match and word_end must not exceed words().size().
   void OrRangeWith(const BitVector& other, size_t word_begin, size_t word_end);
+  /// ORs `count` words from `src` into this vector's words from word
+  /// `first_word` on, clamped to the last word; bits past size() stay zero.
+  /// The word-copy primitive of Roaring decompression: a bitset container
+  /// lands as its 1,024 words at its chunk's offset.
+  void OrWords(size_t first_word, const uint64_t* src, size_t count);
   void XorWith(const BitVector& other);
   void AndNotWith(const BitVector& other);
   /// Flips every bit.
@@ -143,6 +148,9 @@ class BitVector {
 
   /// Underlying words; the bits beyond size() in the last word are zero.
   const std::vector<uint64_t>& words() const { return words_; }
+  /// Writable words, for in-place word kernels that only clear bits (so
+  /// the bits beyond size() stay zero).
+  uint64_t* mutable_words() { return words_.data(); }
 
   /// Size of the raw packed representation in bytes (excluding the object
   /// header), i.e. what an uncompressed on-disk bitmap would occupy.

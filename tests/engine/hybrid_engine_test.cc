@@ -175,6 +175,11 @@ TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
     double x = t.value(a, attr), y = t.value(b, attr);
     return ValuePredicate{attr, std::min(x, y), std::max(x, y)};
   };
+  // Bin i holds [B[i-1], B[i]): a bound on a boundary B[k] makes bin k + 1
+  // the range's first (lo) or last (hi) bin.
+  const std::vector<double>& price = bins.binners[0].boundaries();
+  const std::vector<double>& rating = bins.binners[2].boundaries();
+  auto inside = [](double a, double b, double f) { return a + (b - a) * f; };
   std::vector<std::vector<ValuePredicate>> cases = {
       {},
       {span(0, 17, 9001)},
@@ -183,6 +188,25 @@ TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
       {span(2, 5, 123), ValuePredicate{1, 0.0, 12.0}, span(0, 44, 19999)},
       {ValuePredicate{1, 10.25, 10.75}},  // between integers: empty
       {ValuePredicate{0, -1.0, 101.0}},   // the whole domain
+      // lo and hi each on a boundary, alone and with a second predicate.
+      {ValuePredicate{0, price[3], price[9]}},
+      {ValuePredicate{2, rating[1], rating[12]},
+       ValuePredicate{0, price[0], price[14]}},
+      // Inside one bin: no interior bin at all.
+      {ValuePredicate{0, inside(price[4], price[5], 0.25),
+                      inside(price[4], price[5], 0.75)}},
+      {ValuePredicate{2, inside(rating[7], rating[8], 0.1),
+                      inside(rating[7], rating[8], 0.9)},
+       ValuePredicate{0, inside(price[2], price[3], 0.2), price[6]}},
+      // Ranges covering bin 0 and the last bin, and ranges that end
+      // inside them.
+      {ValuePredicate{0, -1.0, price[1]}},
+      {ValuePredicate{0, inside(0.0, price[0], 0.5), price[2]}},
+      {ValuePredicate{0, price[13], inside(price.back(), 100.0, 0.5)}},
+      {ValuePredicate{2, rating.back(), 100.0}},
+      {ValuePredicate{2, -100.0, 100.0}, ValuePredicate{0, price[0], 101.0}},
+      {ValuePredicate{0, -1.0, inside(price[0], price[1], 0.5)},
+       ValuePredicate{2, inside(rating[13], rating[14], 0.5), 100.0}},
   };
   // Serial and pooled engines must both equal the brute force, so they
   // also equal each other.
@@ -202,12 +226,23 @@ TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
       EngineResult exact = engine->Execute(q);
       EXPECT_EQ(exact.path, "exact") << c;
       EXPECT_EQ(exact.row_ids, truth) << c;
+      EXPECT_EQ(exact.count, truth.size()) << c;
       EXPECT_EQ(exact.trace.candidates, candidates.size()) << c;
       EXPECT_EQ(exact.trace.verified_matches, truth.size()) << c;
+      // A count carries no ids, and the same candidate and verified counts.
+      q.count_only = true;
+      EngineResult count = engine->Execute(q);
+      EXPECT_EQ(count.count, truth.size()) << c;
+      EXPECT_TRUE(count.row_ids.empty()) << c;
+      EXPECT_EQ(count.trace.candidates, exact.trace.candidates) << c;
+      EXPECT_EQ(count.trace.verified_matches, exact.trace.verified_matches)
+          << c;
+      q.count_only = false;
       q.exact = false;
       EngineResult approx = engine->Execute(q);
       EXPECT_TRUE(approx.approximate) << c;
       EXPECT_EQ(approx.row_ids, candidates) << c;
+      EXPECT_EQ(approx.count, candidates.size()) << c;
       EXPECT_EQ(approx.trace.candidates, candidates.size()) << c;
     }
   }
@@ -228,8 +263,68 @@ TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
       EXPECT_EQ(exact.path, "exact") << c;
       EXPECT_EQ(exact.row_ids, truth) << c;
       EXPECT_EQ(exact.trace.verified_matches, truth.size()) << c;
+      q.count_only = true;
+      EngineResult count = pooled.Execute(q);
+      EXPECT_EQ(count.count, truth.size()) << c;
+      EXPECT_TRUE(count.row_ids.empty()) << c;
     }
   }
+  // With ingested rows and base tombstones, a count is the base count
+  // minus the tombstoned matches plus the delta's matches.
+  std::vector<std::vector<double>> rows;
+  for (uint64_t r = 0; r < kRows; ++r) {
+    rows.push_back({t.value(r, 0), t.value(r, 1), t.value(r, 2)});
+  }
+  std::vector<bool> dead(kRows, false);
+  std::mt19937_64 ingest_rng(23);
+  for (int i = 0; i < 700; ++i) {
+    rows.push_back(
+        {std::uniform_real_distribution<double>(-5, 105)(ingest_rng),
+         static_cast<double>(ingest_rng() % 50),
+         std::normal_distribution<double>(3.0, 1.0)(ingest_rng)});
+    dead.push_back(false);
+  }
+  // First with ingested rows only, then with base and delta tombstones.
+  auto check_mutated = [&](const char* stage) {
+    for (size_t c = 0; c < cases.size(); ++c) {
+      std::vector<uint64_t> truth;
+      for (uint64_t r = 0; r < rows.size(); ++r) {
+        bool match = !dead[r];
+        for (const ValuePredicate& p : cases[c]) {
+          match = match && rows[r][p.attr] >= p.lo && rows[r][p.attr] <= p.hi;
+        }
+        if (match) truth.push_back(r);
+      }
+      for (const HybridEngine* engine : {&serial, &pooled}) {
+        EngineQuery q;
+        q.predicates = cases[c];
+        EngineResult ids = engine->Execute(q);
+        EXPECT_EQ(ids.row_ids, truth) << stage << " " << c;
+        EXPECT_EQ(ids.count, truth.size()) << stage << " " << c;
+        q.count_only = true;
+        EngineResult count = engine->Execute(q);
+        EXPECT_EQ(count.count, truth.size()) << stage << " " << c;
+        EXPECT_TRUE(count.row_ids.empty()) << stage << " " << c;
+        EXPECT_EQ(count.trace.candidates, ids.trace.candidates)
+            << stage << " " << c;
+        EXPECT_EQ(count.trace.verified_matches, ids.trace.verified_matches)
+            << stage << " " << c;
+      }
+    }
+  };
+  for (HybridEngine* engine : {&serial, &pooled}) {
+    for (uint64_t r = kRows; r < rows.size(); ++r) {
+      ASSERT_EQ(engine->IngestRow(rows[r]), r);
+    }
+  }
+  check_mutated("ingested");
+  for (uint64_t r = 0; r < rows.size(); r += 7) dead[r] = true;
+  for (HybridEngine* engine : {&serial, &pooled}) {
+    for (uint64_t r = 0; r < rows.size(); r += 7) {
+      ASSERT_TRUE(engine->DeleteRow(r));
+    }
+  }
+  check_mutated("tombstoned");
 }
 
 TEST(HybridEngineTest, EmptyPredicateListSelectsRequestedRows) {
@@ -506,6 +601,25 @@ TEST(HybridEngineTest, ExecuteBatchDedupesIdenticalQueries) {
   EXPECT_EQ(results[1].row_ids, results[4].row_ids);
   EXPECT_EQ(results[0].row_ids, engine.Execute(hot).row_ids);
   EXPECT_EQ(results[1].row_ids, engine.Execute(cold).row_ids);
+}
+
+TEST(HybridEngineTest, ExecuteBatchKeepsCountOnlyApartFromIds) {
+  // The same predicates once as a count and once for ids in one batch:
+  // dedup must not hand the count's id-less result to the ids request.
+  HybridEngine engine = MakeEngine(3000, 12);
+  EngineQuery count;
+  count.predicates.push_back(ValuePredicate{0, 10.0, 70.0});
+  count.count_only = true;
+  EngineQuery ids = count;
+  ids.count_only = false;
+  std::vector<uint64_t> expected = BruteForce(engine.table(), ids);
+  ASSERT_FALSE(expected.empty());
+  std::vector<EngineResult> results = engine.ExecuteBatch({count, ids});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].row_ids.empty());
+  EXPECT_EQ(results[0].count, expected.size());
+  EXPECT_EQ(results[1].row_ids, expected);
+  EXPECT_EQ(results[1].count, expected.size());
 }
 
 TEST(HybridEngineTest, ExecuteBatchOnEmptyInputReturnsEmpty) {

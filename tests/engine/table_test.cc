@@ -1,5 +1,6 @@
 #include "engine/table.h"
 
+#include <cmath>
 #include <random>
 
 #include "gtest/gtest.h"
@@ -33,6 +34,18 @@ TEST(TableTest, RejectsRaggedColumns) {
 TEST(TableTest, RejectsEmpty) {
   EXPECT_FALSE(Table::FromColumns("t", {}, {}).ok());
   EXPECT_FALSE(Table::FromColumns("t", {"a"}, {{}}).ok());
+}
+
+TEST(TableTest, RejectsNaN) {
+  // A base NaN has no bin to sit in, so the engine's whole-relation verify
+  // never meets one: tables, ingest and the serve layer all reject it.
+  util::StatusOr<Table> t = Table::FromColumns(
+      "t", {"a", "b"}, {{1.0, 2.0}, {3.0, std::nan("")}});
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), util::StatusCode::kInvalidArgument);
+  CsvDocument doc;
+  ASSERT_TRUE(ParseCsv("x\n1\nnan\n", &doc).ok());
+  EXPECT_FALSE(Table::FromCsv("csv", doc).ok());
 }
 
 TEST(TableTest, FromCsv) {

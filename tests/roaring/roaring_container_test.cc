@@ -11,6 +11,7 @@
 
 #include "gtest/gtest.h"
 #include "roaring/container.h"
+#include "roaring/roaring_bitmap.h"
 #include "util/bitvector.h"
 #include "util/simd.h"
 
@@ -264,6 +265,75 @@ TEST(RoaringContainerTest, OrRangeIntoMatchesFullWordsOverEveryWindow) {
       }
     }
   }
+}
+
+TEST(RoaringContainerTest, AppendToMatchesPerBitReference) {
+  // AppendTo copies a bitset container as words and a run container by
+  // word ranges. Outputs end mid-chunk and mid-word (a multiple of neither
+  // 65,536 nor 64), so the last chunk's copy is clamped; a patterned
+  // background checks that the copy ORs rather than stores.
+  std::mt19937_64 rng(31);
+  std::vector<std::vector<uint16_t>> sets = FuzzSets(31);
+  sets.push_back(RunSet(&rng, 3, 20000));  // runs spanning many words
+  for (const auto& all_values : sets) {
+    for (uint64_t base : {uint64_t{0}, uint64_t{3} << 16}) {
+      for (uint32_t limit : {Container::kCapacity, 40013u, 129u}) {
+        std::vector<uint16_t> values;
+        for (uint16_t v : all_values) {
+          if (v < limit) values.push_back(v);
+        }
+        // Either a whole chunk and 77 bits more, or a clamped last chunk.
+        uint64_t size = base + (limit == Container::kCapacity ? limit + 77
+                                                              : limit);
+        for (Container c : {MakeFlat(values), MakeRunOptimized(values)}) {
+          for (bool background : {false, true}) {
+            BitVector out(size), want(size);
+            for (uint64_t i = 0; background && i < size; i += 3) {
+              out.Set(i);
+              want.Set(i);
+            }
+            for (uint16_t v : values) want.Set(base + v);
+            c.AppendTo(&out, base);
+            ASSERT_EQ(out, want)
+                << ContainerKindName(c.kind()) << " base " << base
+                << " limit " << limit << " values " << values.size()
+                << " background " << background;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RoaringContainerTest, ToBitVectorRoundTripsEveryContainerKind) {
+  // One chunk per container kind (array, bitset, run), then a partial
+  // last chunk: 3 * 65,536 + 1,037 bits, a multiple of neither 65,536
+  // nor 64.
+  constexpr uint64_t kBits = 3 * uint64_t{Container::kCapacity} + 1037;
+  std::mt19937_64 rng(37);
+  BitVector bits(kBits);
+  for (uint16_t v : UniformSet(&rng, 900)) bits.Set(v);
+  for (uint16_t v : UniformSet(&rng, 30000)) bits.Set(Container::kCapacity + v);
+  for (uint16_t v : RunSet(&rng, 20, 3000)) {
+    bits.Set(2 * uint64_t{Container::kCapacity} + v);
+  }
+  for (uint64_t i = 3 * uint64_t{Container::kCapacity}; i < kBits; i += 5) {
+    bits.Set(i);
+  }
+  bits.Set(kBits - 1);
+  RoaringBitmap roaring = RoaringBitmap::FromBitVector(bits);
+  roaring.Optimize();
+  ASSERT_EQ(roaring.num_containers(), 4u);
+  EXPECT_EQ(roaring.container(0).kind(), ContainerKind::kArray);
+  EXPECT_EQ(roaring.container(1).kind(), ContainerKind::kBitset);
+  EXPECT_EQ(roaring.container(2).kind(), ContainerKind::kRun);
+  EXPECT_EQ(roaring.ToBitVector(kBits), bits);
+  // ORed into a non-empty vector, the result is the union.
+  BitVector background(kBits);
+  for (uint64_t i = 0; i < kBits; i += 7) background.Set(i);
+  BitVector merged = background;
+  roaring.AppendTo(&merged);
+  EXPECT_EQ(merged, util::Or(bits, background));
 }
 
 TEST(RoaringContainerTest, CountRunsMatchesDefinitionEverywhere) {

@@ -94,6 +94,51 @@ TEST_F(QueryServiceTest, CountOnlySuppressesRowsButKeepsCount) {
   service.Stop();
 }
 
+TEST_F(QueryServiceTest, CountAndIdsOfOneQueryInOneBatchStayApart) {
+  // A batch of two holds the same predicates as a count and as an ids
+  // request; the ids request must get its row ids back.
+  QueryService::Options options;
+  options.queue.max_batch = 2;
+  options.queue.max_delay_us = 200000;  // hold the window for both
+  QueryService service(&engine_, options);
+  ASSERT_TRUE(service.Start().ok());
+
+  QueryRequest count;
+  count.predicates.push_back(engine::ValuePredicate{0, 10.0, 70.0});
+  count.count_only = true;
+  QueryRequest ids = count;
+  ids.count_only = false;
+
+  engine::EngineQuery direct;
+  direct.predicates = count.predicates;
+  std::vector<uint64_t> expected = engine_.Execute(direct).row_ids;
+  ASSERT_FALSE(expected.empty());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int pending = 2;
+  QueryResponse responses[2];
+  for (int i = 0; i < 2; ++i) {
+    service.Submit(i == 0 ? count : ids, [&, i](QueryResponse resp) {
+      std::lock_guard<std::mutex> lock(mu);
+      responses[i] = std::move(resp);
+      if (--pending == 0) cv.notify_one();
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&]() { return pending == 0; });
+  }
+  EXPECT_EQ(responses[0].status, StatusCode::kOk);
+  EXPECT_EQ(responses[0].count, expected.size());
+  EXPECT_TRUE(responses[0].row_ids.empty());
+  EXPECT_EQ(responses[1].status, StatusCode::kOk);
+  EXPECT_EQ(responses[1].batch_size, 2u);
+  EXPECT_EQ(responses[1].count, expected.size());
+  EXPECT_EQ(responses[1].row_ids, expected);
+  service.Stop();
+}
+
 TEST_F(QueryServiceTest, SchemaViolationsRejectSynchronouslyBeforeTheEngine) {
   QueryService service(&engine_, QueryService::Options{});
   ASSERT_TRUE(service.Start().ok());

@@ -62,9 +62,9 @@
 #
 # A perfbench smoke runs `python3 perfbench/run.py --self-test` (the
 # brute-force oracle must catch a corrupted expected answer) and one
-# 1-second exact_scan run, which must report "correct": true and
-# "failed": 0, so served exact answers are checked against the oracle on
-# the benchmark's 1M-row table. Advisory by default;
+# 1-second run each of exact_scan and ab_subset, which must report
+# "correct": true and "failed": 0, so served answers are checked against
+# the oracle on the benchmark's 1M-row table. Advisory by default;
 # AB_CHECK_PERFBENCH=strict makes a failure fatal, =0 skips.
 #
 # Usage: tools/check.sh [build-dir]   (default: build/check)
@@ -594,8 +594,8 @@ if [ "${AB_CHECK_PERFBENCH:-advisory}" != "0" ]; then
   echo "== perfbench smoke =="
   # The served benchmark's oracle, end to end at 1M rows: run.py's
   # self-test must catch a corrupted expected answer on every workload,
-  # then one 1-second exact_scan run must answer every served exact count
-  # correctly ("correct": true, "failed": 0). run.py builds into
+  # then one 1-second exact_scan run and one 1-second ab_subset run must
+  # answer every served query correctly ("correct": true, "failed": 0). run.py builds into
   # .bench_build/ and writes .bench_out/ at the repo root. Advisory by
   # default; AB_CHECK_PERFBENCH=strict makes a failure fatal, =0 skips.
   perf_log="$build_dir/perfbench_smoke.log"
@@ -605,20 +605,22 @@ if [ "${AB_CHECK_PERFBENCH:-advisory}" != "0" ]; then
     echo "perfbench smoke: self-test failed; see $perf_log" >&2
     perf_ok=0
   fi
-  perf_result=""
-  if [ "$perf_ok" = "1" ]; then
+  # ab_subset's row subsets verify through the same bound check as the
+  # whole-relation counts, so it gets the same gate.
+  for perf_workload in exact_scan ab_subset; do
+    [ "$perf_ok" = "1" ] || break
     perf_result="$(cd "$repo_root" && python3 perfbench/run.py \
-      --workload exact_scan --seed 1 --seconds 1 --trace 0 \
+      --workload "$perf_workload" --seed 1 --seconds 1 --trace 0 \
       2>>"$perf_log" | tail -n 1)" || true
     if ! printf '%s' "$perf_result" | python3 -c '
 import json, sys
 r = json.load(sys.stdin)
 sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
 ' 2>>"$perf_log"; then
-      echo "perfbench smoke: exact_scan run not correct; got: $perf_result" >&2
+      echo "perfbench smoke: $perf_workload run not correct; got: $perf_result" >&2
       perf_ok=0
     fi
-  fi
+  done
   if [ "$perf_ok" != "1" ]; then
     if [ "${AB_CHECK_PERFBENCH:-advisory}" = "strict" ]; then
       echo "error: AB_CHECK_PERFBENCH=strict and the smoke failed" >&2
@@ -626,7 +628,7 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
     fi
     echo "perfbench smoke: ADVISORY failure (AB_CHECK_PERFBENCH=strict to enforce)" >&2
   else
-    echo "perfbench smoke: oracle self-test + exact_scan correct, 0 failed"
+    echo "perfbench smoke: oracle self-test + exact_scan + ab_subset correct, 0 failed"
   fi
 fi
 

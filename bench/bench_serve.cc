@@ -1,14 +1,18 @@
-// End-to-end serving throughput/tail-latency sweep: an in-process
-// QueryServer over a seed dataset, driven by the closed-loop zipf load
-// generator at increasing connection counts, once with dynamic batch
-// admission enabled and once with batching forced off (max_batch = 1).
-// The ablation isolates what the admission queue buys: amortized
-// dispatch plus intra-batch deduplication of zipf-hot templates.
+// Multi-core serving sweep: an in-process QueryServer over the seed table,
+// driven by the closed-loop load generator, at every combination of
+// server workers {1, 2, 4} and engine threads {1, 4}. Serving is run to
+// completion, so workers are the inter-query parallelism (each executes
+// the queries it decodes) and engine threads the intra-query parallelism
+// (a whole-relation query's verify splits across the engine pool). Two
+// query mixes bracket the choice:
+//   * subset: 1,000-row subsets, uniform over 1,024 templates — the
+//     paper's direct-access regime, where a query costs tens of µs;
+//   * whole:  whole-relation exact counts, zipf 1.2 over 32 templates —
+//     milliseconds per query, the regime where the pool can help.
 //
-// Writes BENCH_serve.json (the serving mirror of BENCH_build.json /
-// BENCH_query.json). The human-readable table goes to stderr so stdout
-// stays clean. ABITMAP_BENCH_SCALE shrinks rows and per-point duration
-// for smoke runs.
+// Writes BENCH_serve.json. The human-readable table goes to stderr so
+// stdout stays clean. ABITMAP_BENCH_SCALE shrinks rows and per-point
+// duration for smoke runs.
 
 #include <cstdio>
 #include <string>
@@ -16,195 +20,161 @@
 
 #include "bench_util.h"
 #include "engine/hybrid_engine.h"
-#include "obs/stats.h"
 #include "serve/loadgen.h"
 #include "serve/server.h"
 #include "serve/workload.h"
+#include "util/thread_pool.h"
 
 namespace abitmap {
 namespace bench {
 namespace {
 
+struct Mix {
+  const char* name;
+  serve::TemplateOptions templates;
+  double zipf_theta;
+};
+
 struct SweepPoint {
-  bool batching = true;
-  int connections = 1;
+  const char* mix = "";
+  int workers = 1;
+  int engine_threads = 1;
   serve::LoadgenResult result;
-  double mean_batch = 0;     ///< served queries per dispatched batch
-  double dedup_fraction = 0; ///< fraction of queries answered via dedup
 };
 
-/// Counter deltas that explain the ablation (0s in stats-off builds).
-struct ServeCounters {
-  uint64_t batches = 0;
-  uint64_t queries = 0;
-  uint64_t dedup_hits = 0;
-};
-
-ServeCounters ReadServeCounters() {
-  ServeCounters c;
-  if (obs::kStatsEnabled) {
-    obs::StatsSnapshot snap = obs::SnapshotStats();
-    c.batches = snap.counter(obs::Counter::kServeBatches);
-    c.queries = snap.counter(obs::Counter::kServeBatchQueries);
-    c.dedup_hits = snap.counter(obs::Counter::kEngineBatchDedupHits);
+/// `git describe --always --dirty` of the working directory, so the JSON
+/// names the source it was measured on ("unknown" outside a checkout).
+std::string SourceId() {
+  std::string out;
+  if (FILE* p = popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[128];
+    while (fgets(buf, sizeof(buf), p) != nullptr) out += buf;
+    pclose(p);
   }
-  return c;
-}
-
-// The admission window is wider here than the server default (200 µs):
-// the closed-loop sweep is lockstep (every client waits for its answer
-// before sending again), so arrivals for the next batch spread across
-// the clients' wakeup jitter and a 1 ms window is what lets the batch
-// actually fill to the concurrency level.
-constexpr uint32_t kMaxDelayUs = 1000;
-constexpr uint32_t kMaxBatch = 64;
-
-serve::QueryServer::Options ServerOptions(bool batching) {
-  serve::QueryServer::Options options;
-  options.num_workers = 2;
-  options.max_connections = 256;
-  options.service.batching = batching;
-  options.service.queue.capacity = 4096;
-  options.service.queue.max_batch = kMaxBatch;
-  options.service.queue.max_delay_us = kMaxDelayUs;
-  return options;
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
 }
 
 int Main() {
   const uint64_t scale = DatasetScale();
-  const uint64_t rows = 200000 / scale;
-  const double duration_s = scale > 1 ? 0.4 : 3.0;
-  const std::vector<int> connection_sweep =
-      scale > 1 ? std::vector<int>{1, 4}
-                : std::vector<int>{1, 2, 4, 8, 16, 32};
+  const uint64_t rows = 1000000 / scale;
+  const double duration_s = scale > 1 ? 0.3 : 3.0;
+  const int connections = 8;
+  const std::vector<int> worker_sweep = {1, 2, 4};
+  const std::vector<int> thread_sweep = {1, 4};
+
+  std::vector<Mix> mixes(2);
+  mixes[0].name = "subset";
+  mixes[0].templates.num_templates = 1024;
+  mixes[0].templates.row_fraction = 1000.0 / static_cast<double>(rows);
+  mixes[0].templates.count_only = false;
+  mixes[0].zipf_theta = 0;
+  mixes[1].name = "whole";
+  mixes[1].templates.num_templates = 32;
+  mixes[1].templates.row_fraction = 0;
+  mixes[1].templates.count_only = true;
+  mixes[1].zipf_theta = 1.2;
 
   fprintf(stderr, "%s\n", SimdBannerLine().c_str());
-  fprintf(stderr, "bench_serve: rows=%llu duration=%.1fs per point\n",
-          (unsigned long long)rows, duration_s);
+  fprintf(stderr,
+          "bench_serve: rows=%llu connections=%d duration=%.1fs per point "
+          "host_threads=%d\n",
+          (unsigned long long)rows, connections, duration_s,
+          util::DefaultThreadCount());
 
-  engine::HybridEngine::Options engine_options;
-  engine_options.binning.bins = 16;
-  engine_options.ab.alpha = 16;
-  engine_options.ab.level = ab::Level::kPerAttribute;
-  engine_options.num_threads = 1;
-  engine::HybridEngine engine = engine::HybridEngine::Build(
-      serve::MakeSeedTable(rows, 42), engine_options);
-
-  // Execution-dominated workload: 5% row subsets keep each query in the
-  // hundreds of microseconds, so the ablation measures batch admission
-  // (dedup + amortized dispatch) rather than per-request socket overhead.
-  serve::TemplateOptions template_options;
-  template_options.num_templates = 32;
-  template_options.row_fraction = 0.05;
-  template_options.count_only = true;
-  template_options.seed = 7;
-  std::vector<serve::QueryRequest> templates =
-      serve::MakeQueryTemplates(rows, template_options);
-
-  const double zipf_theta = 1.2;
   std::vector<SweepPoint> points;
-  for (bool batching : {true, false}) {
-    serve::QueryServer server(&engine, ServerOptions(batching));
-    util::Status status = server.Start();
-    if (!status.ok()) {
-      fprintf(stderr, "bench_serve: server start failed: %s\n",
-              status.message().c_str());
-      return 1;
-    }
-    for (int connections : connection_sweep) {
-      serve::LoadgenOptions loadgen;
-      loadgen.port = server.port();
-      loadgen.connections = connections;
-      loadgen.duration_s = duration_s;
-      loadgen.zipf_theta = zipf_theta;
-      loadgen.seed = 1;
-      ServeCounters before = ReadServeCounters();
-      util::StatusOr<serve::LoadgenResult> result =
-          serve::RunLoadgen(templates, loadgen);
-      if (!result.ok()) {
-        fprintf(stderr, "bench_serve: loadgen failed: %s\n",
-                result.status().message().c_str());
-        server.Stop();
+  for (int threads : thread_sweep) {
+    engine::HybridEngine::Options engine_options;
+    engine_options.binning.bins = 16;
+    engine_options.ab.alpha = 16;
+    engine_options.ab.level = ab::Level::kPerAttribute;
+    engine_options.num_threads = threads;
+    engine::HybridEngine engine = engine::HybridEngine::Build(
+        serve::MakeSeedTable(rows, 42), engine_options);
+    for (int workers : worker_sweep) {
+      serve::QueryServer::Options options;
+      options.num_workers = workers;
+      serve::QueryServer server(&engine, options);
+      util::Status status = server.Start();
+      if (!status.ok()) {
+        fprintf(stderr, "bench_serve: server start failed: %s\n",
+                status.message().c_str());
         return 1;
       }
-      ServeCounters after = ReadServeCounters();
-      SweepPoint point;
-      point.batching = batching;
-      point.connections = connections;
-      point.result = result.value();
-      uint64_t batches = after.batches - before.batches;
-      uint64_t queries = after.queries - before.queries;
-      if (batches > 0) {
-        point.mean_batch =
-            static_cast<double>(queries) / static_cast<double>(batches);
+      for (const Mix& mix : mixes) {
+        serve::LoadgenOptions loadgen;
+        loadgen.port = server.port();
+        loadgen.connections = connections;
+        loadgen.duration_s = duration_s;
+        loadgen.zipf_theta = mix.zipf_theta;
+        loadgen.seed = 1;
+        util::StatusOr<serve::LoadgenResult> result = serve::RunLoadgen(
+            serve::MakeQueryTemplates(rows, mix.templates), loadgen);
+        if (!result.ok()) {
+          fprintf(stderr, "bench_serve: loadgen failed: %s\n",
+                  result.status().message().c_str());
+          return 1;
+        }
+        SweepPoint point;
+        point.mix = mix.name;
+        point.workers = workers;
+        point.engine_threads = threads;
+        point.result = result.value();
+        points.push_back(point);
+        fprintf(stderr,
+                "  %-6s workers=%d engine_threads=%d qps=%9.1f "
+                "p50=%8.1fus p99=%8.1fus errors=%llu rejected=%llu\n",
+                mix.name, workers, threads, point.result.qps,
+                point.result.p50_us, point.result.p99_us,
+                (unsigned long long)point.result.errors,
+                (unsigned long long)point.result.rejected);
       }
-      if (queries > 0) {
-        point.dedup_fraction =
-            static_cast<double>(after.dedup_hits - before.dedup_hits) /
-            static_cast<double>(queries);
-      }
-      points.push_back(point);
-      fprintf(stderr,
-              "  batching=%-3s conns=%-2d qps=%9.1f p50=%8.1fus "
-              "p99=%8.1fus p999=%8.1fus batch=%5.1f dedup=%4.1f%% "
-              "errors=%llu\n",
-              batching ? "on" : "off", connections, point.result.qps,
-              point.result.p50_us, point.result.p99_us,
-              point.result.p999_us, point.mean_batch,
-              100.0 * point.dedup_fraction,
-              (unsigned long long)point.result.errors);
+      server.Stop();
     }
-    server.Stop();
   }
-
-  // Saturation = the highest-connection point of each mode.
-  const SweepPoint* sat_on = nullptr;
-  const SweepPoint* sat_off = nullptr;
-  for (const SweepPoint& p : points) {
-    const SweepPoint*& slot = p.batching ? sat_on : sat_off;
-    if (slot == nullptr || p.connections > slot->connections) slot = &p;
-  }
-  double speedup = (sat_on != nullptr && sat_off != nullptr &&
-                    sat_off->result.qps > 0)
-                       ? sat_on->result.qps / sat_off->result.qps
-                       : 0;
-  fprintf(stderr,
-          "bench_serve: saturation (%d conns) batching=on %.1f qps vs "
-          "batching=off %.1f qps -> %.2fx\n",
-          sat_on != nullptr ? sat_on->connections : 0,
-          sat_on != nullptr ? sat_on->result.qps : 0,
-          sat_off != nullptr ? sat_off->result.qps : 0, speedup);
 
   JsonWriter w;
   w.BeginObject();
+  w.Key("source");
+  w.String(SourceId());
+  w.Key("host_threads");
+  w.Uint(static_cast<uint64_t>(util::DefaultThreadCount()));
   AppendSimdInfo(&w);
   w.Key("rows");
   w.Uint(rows);
+  w.Key("connections");
+  w.Uint(static_cast<uint64_t>(connections));
   w.Key("duration_s");
   w.Double(duration_s, 2);
-  w.Key("templates");
-  w.Uint(template_options.num_templates);
-  w.Key("zipf_theta");
-  w.Double(zipf_theta, 2);
-  w.Key("row_fraction");
-  w.Double(template_options.row_fraction, 3);
-  w.Key("server");
-  w.BeginObject();
-  w.Key("workers");
-  w.Uint(2);
-  w.Key("max_batch");
-  w.Uint(kMaxBatch);
-  w.Key("max_delay_us");
-  w.Uint(kMaxDelayUs);
-  w.EndObject();
+  w.Key("mixes");
+  w.BeginArray();
+  for (const Mix& mix : mixes) {
+    w.BeginObject();
+    w.Key("name");
+    w.String(mix.name);
+    w.Key("templates");
+    w.Uint(mix.templates.num_templates);
+    w.Key("row_fraction");
+    w.Double(mix.templates.row_fraction, 6);
+    w.Key("count_only");
+    w.Bool(mix.templates.count_only);
+    w.Key("zipf_theta");
+    w.Double(mix.zipf_theta, 2);
+    w.EndObject();
+  }
+  w.EndArray();
   w.Key("sweep");
   w.BeginArray();
   for (const SweepPoint& p : points) {
     w.BeginObject();
-    w.Key("batching");
-    w.Bool(p.batching);
-    w.Key("connections");
-    w.Uint(static_cast<uint64_t>(p.connections));
+    w.Key("mix");
+    w.String(p.mix);
+    w.Key("workers");
+    w.Uint(static_cast<uint64_t>(p.workers));
+    w.Key("engine_threads");
+    w.Uint(static_cast<uint64_t>(p.engine_threads));
     w.Key("requests");
     w.Uint(p.result.requests);
     w.Key("ok");
@@ -215,10 +185,6 @@ int Main() {
     w.Uint(p.result.errors);
     w.Key("qps");
     w.Double(p.result.qps, 1);
-    w.Key("mean_batch");
-    w.Double(p.mean_batch, 1);
-    w.Key("dedup_fraction");
-    w.Double(p.dedup_fraction, 3);
     w.Key("mean_us");
     w.Double(p.result.mean_us, 1);
     w.Key("p50_us");
@@ -227,24 +193,11 @@ int Main() {
     w.Double(p.result.p90_us, 1);
     w.Key("p99_us");
     w.Double(p.result.p99_us, 1);
-    w.Key("p999_us");
-    w.Double(p.result.p999_us, 1);
     w.Key("max_us");
     w.Double(p.result.max_us, 1);
     w.EndObject();
   }
   w.EndArray();
-  w.Key("saturation");
-  w.BeginObject();
-  w.Key("connections");
-  w.Uint(sat_on != nullptr ? static_cast<uint64_t>(sat_on->connections) : 0);
-  w.Key("batched_qps");
-  w.Double(sat_on != nullptr ? sat_on->result.qps : 0, 1);
-  w.Key("unbatched_qps");
-  w.Double(sat_off != nullptr ? sat_off->result.qps : 0, 1);
-  w.Key("batching_speedup");
-  w.Double(speedup, 2);
-  w.EndObject();
   w.EndObject();
   WriteJsonFile("BENCH_serve.json", w.str());
   return 0;

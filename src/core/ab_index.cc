@@ -808,15 +808,15 @@ void AbIndex::EvaluateRowsBatched(
       // attributes entirely — the batched form of the scalar outer break.
       if (pi + 1 < plan.size()) {
         rows_short_circuited += static_cast<uint64_t>(
-            __builtin_popcountll(alive) -
-            __builtin_popcountll(alive & or_mask));
+            util::simd::PopCount64(alive) -
+            util::simd::PopCount64(alive & or_mask));
       }
 #endif
       alive &= or_mask;
       if (alive == 0) break;
     }
 #if !defined(AB_DISABLE_STATS)
-    rows_matched += static_cast<uint64_t>(__builtin_popcountll(alive));
+    rows_matched += static_cast<uint64_t>(util::simd::PopCount64(alive));
 #endif
     for (size_t i = 0; i < w; ++i) {
       out[base + i] = static_cast<uint8_t>((alive >> i) & 1);

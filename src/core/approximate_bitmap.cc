@@ -514,7 +514,7 @@ uint64_t ApproximateBitmap::TestBatchMask(const uint64_t* keys,
       uint64_t pending = live;
 #if !defined(AB_DISABLE_STATS)
       // Every lane still live at round start issues exactly one Get.
-      probes_resolved += static_cast<uint64_t>(__builtin_popcountll(live));
+      probes_resolved += static_cast<uint64_t>(util::simd::PopCount64(live));
 #endif
       while (pending) {
         int j = __builtin_ctzll(pending);

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
-#include <unordered_map>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <utility>
 
 #include "bitmap/bitmap_table.h"
@@ -44,6 +45,15 @@ HybridEngine HybridEngine::Build(Table table, const Options& options) {
       bitmap::BitmapTable::Build(engine.discretized_.dataset);
   engine.exact_ = std::make_unique<ExactIndex>(ExactIndex::Build(
       bitmap_table, engine.pool_.get(), engine.options_.backend));
+  // Only the bitmap build reads the binned values: queries verify against
+  // the raw table, and ingest bins through the binners and attributes.
+  std::vector<std::vector<uint32_t>>().swap(engine.discretized_.dataset.values);
+#if defined(__GLIBC__)
+  // The build's transient buffers (binned values, the bitmap table, the
+  // binning sorts) were freed inside the heap, where glibc keeps their
+  // pages resident; return them, so a server's RSS is its live index.
+  malloc_trim(0);
+#endif
   engine.ingest_ = std::make_unique<IngestState>();
   return engine;
 }
@@ -455,8 +465,7 @@ EngineResult CollectWholeRelation(const HybridEngine& engine,
 
 }  // namespace
 
-EngineResult HybridEngine::ExecuteExactImpl(const EngineQuery& query,
-                                            util::ThreadPool* pool) const {
+EngineResult HybridEngine::ExecuteExactImpl(const EngineQuery& query) const {
   AB_SPAN("engine/exact");
   AB_STATS_INC(obs::Counter::kEngineExactRouted);
   util::Stopwatch query_timer;
@@ -479,11 +488,11 @@ EngineResult HybridEngine::ExecuteExactImpl(const EngineQuery& query,
     util::BitVector bits =
         exact_->ExecuteBitwiseBits(bin_query, edges, &edge_bits);
     result = CollectWholeRelation(*this, query, std::move(bits), edge_bits,
-                                  pool);
+                                  pool_.get());
   } else {
     // Direct access for an all-Roaring plan, whole-then-pick otherwise.
     std::vector<bool> bits = exact_->Evaluate(bin_query);
-    result = CollectResult(*this, query, bin_query, bits, pool);
+    result = CollectResult(*this, query, bin_query, bits, pool_.get());
     if (query.count_only) result.row_ids = {};
   }
   result.trace.rows_evaluated =
@@ -502,18 +511,13 @@ EngineResult HybridEngine::ExecuteExactImpl(const EngineQuery& query,
 }
 
 EngineResult HybridEngine::Execute(const EngineQuery& query) const {
-  return ExecuteImpl(query, pool_.get());
-}
-
-EngineResult HybridEngine::ExecuteImpl(const EngineQuery& query,
-                                       util::ThreadPool* pool) const {
   AB_SPAN("engine/execute");
   obs::ScopedLatencyTimer timer(obs::Histogram::kQueryLatencyNs);
   AB_STATS_INC(obs::Counter::kEngineQueries);
   if (HasMutations()) {
-    return ExecuteMutable(query, pool);
+    return ExecuteMutable(query);
   }
-  return ExecuteExactImpl(query, pool);
+  return ExecuteExactImpl(query);
 }
 
 void HybridEngine::DropDeletedBaseRows(std::vector<uint64_t>* row_ids) const {
@@ -529,8 +533,7 @@ void HybridEngine::DropDeletedBaseRows(std::vector<uint64_t>* row_ids) const {
                  row_ids->end());
 }
 
-EngineResult HybridEngine::ExecuteMutable(const EngineQuery& query,
-                                          util::ThreadPool* pool) const {
+EngineResult HybridEngine::ExecuteMutable(const EngineQuery& query) const {
   EngineResult result;
   std::vector<uint64_t> delta_rows;
   const std::vector<uint64_t>* delta_subset = nullptr;
@@ -541,7 +544,7 @@ EngineResult HybridEngine::ExecuteMutable(const EngineQuery& query,
       query.count_only &&
       ingest_->base_deletes.load(std::memory_order_acquire) == 0;
   if (query.rows.empty()) {
-    result = ExecuteExactImpl(base_query, pool);
+    result = ExecuteExactImpl(base_query);
   } else {
     // Split the row subset: base ids go to the base index, ingested ids
     // to the delta. Result ids come out base-part first (in query order),
@@ -556,7 +559,7 @@ EngineResult HybridEngine::ExecuteMutable(const EngineQuery& query,
       }
     }
     if (!base_query.rows.empty()) {
-      result = ExecuteExactImpl(base_query, pool);
+      result = ExecuteExactImpl(base_query);
     } else {
       result.path = "delta";
       result.approximate = !query.exact;
@@ -643,80 +646,6 @@ void HybridEngine::AppendDeltaMatches(const EngineQuery& query,
     b->Add(obs::Counter::kEngineFalsePositives, candidates - appended);
   }
 #endif
-}
-
-namespace {
-
-/// Canonical byte key of a query for batch deduplication: exact and
-/// count_only flags, predicate triples, row list. Two queries with equal
-/// keys are the same query (bit-exact doubles included), so sharing the
-/// result is safe — this is a value identity, never a hash that could
-/// alias.
-std::string QueryKey(const EngineQuery& query) {
-  std::string key;
-  key.reserve(2 + query.predicates.size() * 20 + query.rows.size() * 8);
-  key.push_back(static_cast<char>((query.exact ? 1 : 0) |
-                                  (query.count_only ? 2 : 0)));
-  for (const ValuePredicate& p : query.predicates) {
-    char buf[20];
-    std::memcpy(buf, &p.attr, 4);
-    std::memcpy(buf + 4, &p.lo, 8);
-    std::memcpy(buf + 12, &p.hi, 8);
-    key.append(buf, sizeof(buf));
-  }
-  key.push_back('|');
-  key.append(reinterpret_cast<const char*>(query.rows.data()),
-             query.rows.size() * sizeof(uint64_t));
-  return key;
-}
-
-}  // namespace
-
-std::vector<EngineResult> HybridEngine::ExecuteBatch(
-    const std::vector<EngineQuery>& queries) const {
-  AB_SPAN("engine/execute_batch");
-  std::vector<EngineResult> results(queries.size());
-  if (queries.empty()) return results;
-  if (queries.size() == 1) {
-    results[0] = ExecuteImpl(queries[0], pool_.get());
-    return results;
-  }
-  // Collapse identical queries: the first occurrence becomes the unique
-  // representative, later ones remember its position. Under a skewed
-  // request mix this is the batch's main amortization.
-  std::unordered_map<std::string, size_t> seen;
-  std::vector<size_t> unique;            // indices of representatives
-  std::vector<size_t> dup_of(queries.size(), SIZE_MAX);
-  unique.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto [it, inserted] = seen.emplace(QueryKey(queries[i]), i);
-    if (inserted) {
-      unique.push_back(i);
-    } else {
-      dup_of[i] = it->second;
-    }
-  }
-  AB_STATS_ADD(obs::Counter::kEngineBatchDedupHits,
-               queries.size() - unique.size());
-  if (pool_ != nullptr && unique.size() > 1) {
-    // One pool dispatch for the whole batch. Workers claim one query at a
-    // time (costs vary by orders of magnitude between a 100-row subset
-    // and a whole-relation scan); each query runs its single-threaded
-    // path — a worker coordinating a nested ParallelFor on the same pool
-    // could deadlock with every worker waiting.
-    pool_->ParallelForDynamic(0, unique.size(), [&](uint64_t u) {
-      size_t i = unique[u];
-      results[i] = ExecuteImpl(queries[i], nullptr);
-    });
-  } else {
-    for (size_t i : unique) {
-      results[i] = ExecuteImpl(queries[i], pool_.get());
-    }
-  }
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (dup_of[i] != SIZE_MAX) results[i] = results[dup_of[i]];
-  }
-  return results;
 }
 
 }  // namespace engine

@@ -104,31 +104,13 @@ class HybridEngine {
   /// Executes a query.
   EngineResult Execute(const EngineQuery& query) const;
 
-  /// Multi-query batch entry point — the serving frontend's dispatch
-  /// unit. Executes every query, returning results aligned
-  /// with the input order, each with its own QueryTrace. Two
-  /// amortizations over per-query Execute calls:
-  ///   * identical queries (same predicates, rows, exact and count_only
-  ///     flags) are detected and executed once, the result shared — under
-  ///     a skewed (zipf) request mix a large batch collapses to its hot
-  ///     set (counted by engine_batch_dedup_hits);
-  ///   * unique queries are scheduled across the engine pool one query
-  ///     per worker claim (ParallelForDynamic), one pool wakeup per batch
-  ///     instead of per query; per-query execution then runs
-  ///     single-threaded to keep one level of parallelism.
-  /// Must be called from one coordinating thread at a time (the pool's
-  /// Wait contract); the serve dispatcher is that thread.
-  std::vector<EngineResult> ExecuteBatch(
-      const std::vector<EngineQuery>& queries) const;
-
   // --- Streaming ingest -------------------------------------------------
   //
   // The base table and its index stay immutable; ingested rows live in
   // a side store — raw values in append-only chunks, cells in a
   // MutableAbIndex delta (lock-free readers, α-drift auto-rebuild) —
-  // and base-row deletes in an atomic tombstone bitmap. Execute and
-  // ExecuteBatch merge: base result minus tombstones, plus verified
-  // delta matches. Ingest/delete calls are internally synchronized and
+  // and base-row deletes in an atomic tombstone bitmap. Execute merges:
+  // base result minus tombstones, plus verified delta matches. Ingest/delete calls are internally synchronized and
   // may run concurrently with queries from other threads.
 
   /// Appends a row (one value per column); returns its engine row id
@@ -169,7 +151,6 @@ class HybridEngine {
   }
 
   const Table& table() const { return table_; }
-  const bitmap::BinnedDataset& dataset() const { return discretized_.dataset; }
   uint64_t ExactSizeBytes() const { return exact_->SizeInBytes(); }
   /// Always 0: the engine holds no base AB (the ingest delta is sized by
   /// its own index). Kept so index-size reports that add it stay valid.
@@ -180,20 +161,11 @@ class HybridEngine {
  private:
   HybridEngine(Table table, const Options& options);
 
-  /// Path bodies with an explicit pool: the public single-query methods
-  /// pass the engine pool, ExecuteBatch passes nullptr inside its
-  /// ParallelForDynamic workers (a pool worker must not coordinate a
-  /// nested ParallelFor on the same pool — with every worker waiting,
-  /// nobody would run the nested chunks).
-  EngineResult ExecuteImpl(const EngineQuery& query,
-                           util::ThreadPool* pool) const;
   /// The base index alone: ingested rows and tombstones are not consulted.
-  EngineResult ExecuteExactImpl(const EngineQuery& query,
-                                util::ThreadPool* pool) const;
+  EngineResult ExecuteExactImpl(const EngineQuery& query) const;
   /// Mutation-aware execution: base result minus tombstones, plus
   /// verified delta matches.
-  EngineResult ExecuteMutable(const EngineQuery& query,
-                              util::ThreadPool* pool) const;
+  EngineResult ExecuteMutable(const EngineQuery& query) const;
   /// Evaluates `query` over the ingested rows (all committed when
   /// `rows_global` is null, else the listed engine ids) and appends the
   /// matches to `result`, updating its trace and the engine counters.
@@ -209,6 +181,8 @@ class HybridEngine {
 
   Table table_;
   Options options_;
+  /// The binners and attribute schema; the binned values are freed once
+  /// the index is built.
   Table::Discretized discretized_;
   std::unique_ptr<ExactIndex> exact_;
   /// Shared by index construction and exact-answer verification; null

@@ -56,11 +56,10 @@ const char* const kCounterHelp[kNumCounters] = {
     "Connections accepted by the serve frontend",
     "Query requests parsed off the wire by the serve frontend",
     "Malformed requests rejected with 400/error frames",
-    "Requests rejected by batch-queue backpressure (503)",
-    "Requests whose deadline expired while queued",
-    "Admission batches dispatched to the engine",
-    "Queries executed through admission batches",
-    "ExecuteBatch queries answered by an identical query's result",
+    "Requests rejected by admission-backlog backpressure (503)",
+    "Requests whose deadline expired before execution",
+    "Query executions (run to completion, one query each)",
+    "Queries executed",
     "Rows inserted into mutable AB indexes",
     "Rows deleted from mutable AB indexes",
     "Mutable-index generation rebuilds (drift-triggered or explicit)",
@@ -83,8 +82,7 @@ const char* const kHistogramHelp[kNumHistograms] = {
     "Rows per AbIndex evaluation",
     "Cells per worker shard in partitioned builds",
     "Serve request wall time from admission to rendered response in nanoseconds",
-    "Time a serve request waited in the batch-admission queue in nanoseconds",
-    "Queries per dispatched admission batch",
+    "Serve request wait from admission to execution start in nanoseconds",
     "Mutable-index generation rebuild wall time in nanoseconds",
     "Serve request frame/JSON decode wall time in nanoseconds",
     "Serve response rendering wall time in nanoseconds",

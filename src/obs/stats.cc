@@ -52,7 +52,6 @@ const char* const kCounterNames[kNumCounters] = {
     "serve_deadline_expired",
     "serve_batches",
     "serve_batch_queries",
-    "engine_batch_dedup_hits",
     "mutable_inserts",
     "mutable_deletes",
     "mutable_rebuilds",
@@ -76,7 +75,6 @@ const char* const kHistogramNames[kNumHistograms] = {
     "build_shard_cells",
     "serve_request_latency_ns",
     "serve_queue_wait_ns",
-    "serve_batch_size",
     "mutable_rebuild_ns",
     "serve_decode_ns",
     "serve_serialize_ns",

@@ -88,11 +88,10 @@ enum class Counter : uint32_t {
   kServeConnsAccepted,     ///< connections accepted by the frontend
   kServeRequests,          ///< query requests parsed off the wire
   kServeBadRequests,       ///< malformed frames/JSON/predicates rejected
-  kServeOverloadRejected,  ///< requests bounced by queue backpressure
-  kServeDeadlineExpired,   ///< requests whose deadline lapsed in queue
-  kServeBatches,           ///< admission batches dispatched
-  kServeBatchQueries,      ///< queries executed through batches
-  kEngineBatchDedupHits,   ///< ExecuteBatch queries served by a duplicate
+  kServeOverloadRejected,  ///< requests bounced by backlog backpressure
+  kServeDeadlineExpired,   ///< requests whose deadline lapsed in backlog
+  kServeBatches,           ///< executions (each runs one query)
+  kServeBatchQueries,      ///< queries executed
   // --- mutable AB index (core/mutable_index) ---
   kMutableInserts,         ///< rows inserted into a mutable index
   kMutableDeletes,         ///< rows deleted from a mutable index
@@ -123,8 +122,7 @@ enum class Histogram : uint32_t {
   kEvalRowsPerQuery,     ///< rows per index evaluation
   kBuildShardCells,      ///< cells per worker shard (build imbalance)
   kServeRequestLatencyNs,///< serve: admission to response rendered
-  kServeQueueWaitNs,     ///< serve: time a request sat in the batch queue
-  kServeBatchSize,       ///< serve: queries per dispatched batch
+  kServeQueueWaitNs,     ///< serve: admission to execution start
   kMutableRebuildNs,     ///< mutable index: generation rebuild wall time
   kServeDecodeNs,        ///< serve: frame/JSON decode time on the worker
   kServeSerializeNs,     ///< serve: response rendering time

@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/batch_queue.h"  // MonotonicNowNs
 #include "serve/workload.h"
 #include "util/net.h"
 

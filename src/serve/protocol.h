@@ -1,6 +1,7 @@
 #ifndef ABITMAP_SERVE_PROTOCOL_H_
 #define ABITMAP_SERVE_PROTOCOL_H_
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -73,14 +74,24 @@ struct QueryRequest {
   uint64_t trace_id = 0;
 };
 
+/// Monotonic clock for stage, queue-wait and deadline accounting. Lives in
+/// the serve layer (not in obs) so it keeps working under
+/// AB_DISABLE_STATS.
+inline uint64_t MonotonicNowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 /// Per-request stage timing breakdown (DESIGN.md §11), echoed when the
-/// request set want_timings. queue_ns + batch_ns tile the server-side
-/// request window exactly (admission to results done); engine_ns and
-/// verify_ns are attributions inside the batch window; decode_ns and
-/// validate_ns happen before admission; serialize_ns and flush_ns are
-/// echoed as 0 (a response cannot carry the cost of its own rendering
-/// and flush — those land in the serve_serialize_ns/serve_flush_ns
-/// histograms and the slow-query log instead).
+/// request set want_timings. queue_ns (admission to execution start) and
+/// batch_ns (the execution) tile the server-side request window exactly;
+/// engine_ns and verify_ns are attributions inside the execution;
+/// decode_ns and validate_ns happen before admission; serialize_ns and
+/// flush_ns are echoed as 0 (a response cannot carry the cost of its own
+/// rendering and flush — those land in the serve_serialize_ns and
+/// serve_flush_ns histograms and the slow-query log instead).
 struct StageTimings {
   bool has = false;  ///< present on the wire (response flags bit 1)
   uint64_t decode_ns = 0;
@@ -106,7 +117,7 @@ struct QueryResponse {
   // Serving annotations (JSON only; diagnostics, not results).
   const char* path = "";        ///< "exact" (engine trace path)
   const char* backend = "";     ///< exact-arm backend label
-  uint32_t batch_size = 0;      ///< queries in the dispatch batch
+  uint32_t batch_size = 0;      ///< queries executed together: always 1
   double latency_us = 0.0;      ///< server-side queue + execution time
   /// Engine trace of the executed query (server-side only, never
   /// serialized): the slow-query log extracts path/verification detail

@@ -5,42 +5,11 @@
 #include <utility>
 #include <vector>
 
-#include "obs/span.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
 
 namespace abitmap {
 namespace serve {
-
-QueryService::QueryService(engine::HybridEngine* engine,
-                           const Options& options)
-    : engine_(engine),
-      options_(options),
-      queue_([&options]() {
-        BatchQueue::Options q = options.queue;
-        if (!options.batching) {
-          q.max_batch = 1;
-          q.max_delay_us = 0;
-        }
-        return q;
-      }()) {}
-
-QueryService::~QueryService() { Stop(); }
-
-util::Status QueryService::Start() {
-  if (started_.exchange(true)) {
-    return util::Status::InvalidArgument("QueryService already started");
-  }
-  dispatcher_ = std::thread([this]() { DispatchLoop(); });
-  return util::Status::Ok();
-}
-
-void QueryService::Stop() {
-  if (!started_.load()) return;
-  if (stopped_.exchange(true)) return;
-  queue_.Stop();
-  if (dispatcher_.joinable()) dispatcher_.join();
-}
 
 bool QueryService::Validate(const QueryRequest& request,
                             std::string* error) const {
@@ -77,58 +46,108 @@ bool QueryService::Validate(const QueryRequest& request,
   return true;
 }
 
-void QueryService::Submit(QueryRequest request,
-                          std::function<void(QueryResponse)> done,
-                          uint64_t decode_ns) {
+bool QueryService::Admit(QueryRequest request, uint64_t decode_ns,
+                         std::vector<PendingQuery>* backlog,
+                         QueryResponse* reject) const {
   // Identity first: every response (including rejections) echoes a
   // nonzero trace id, client-supplied or minted here. This is protocol,
   // not telemetry, so it works in an AB_DISABLE_STATS build too.
   if (request.trace_id == 0) request.trace_id = obs::NextTraceId();
-  QueryResponse reject;
-  reject.id = request.id;
-  reject.trace_id = request.trace_id;
-  if (stopped_.load(std::memory_order_acquire) || !started_.load()) {
-    reject.status = StatusCode::kShuttingDown;
-    reject.error = "server is shutting down";
-    done(std::move(reject));
-    return;
+  reject->id = request.id;
+  reject->trace_id = request.trace_id;
+  if (stopped_.load(std::memory_order_acquire)) {
+    reject->status = StatusCode::kShuttingDown;
+    reject->error = "server is shutting down";
+    return false;
   }
   uint64_t validate_start = MonotonicNowNs();
   std::string verr;
   if (!Validate(request, &verr)) {
     AB_STATS_INC(obs::Counter::kServeBadRequests);
-    reject.status = StatusCode::kBadRequest;
-    reject.error = std::move(verr);
-    done(std::move(reject));
-    return;
+    reject->status = StatusCode::kBadRequest;
+    reject->error = std::move(verr);
+    return false;
+  }
+  if (backlog->size() >= options_.queue.capacity) {
+    AB_STATS_INC(obs::Counter::kServeOverloadRejected);
+    reject->status = StatusCode::kOverloaded;
+    reject->error = "admission backlog full";
+    return false;
   }
 
-  PendingQuery pending;
-  pending.enqueue_ns = MonotonicNowNs();
+  PendingQuery& pending = backlog->emplace_back();
+  pending.admit_ns = MonotonicNowNs();
   pending.decode_ns = decode_ns;
-  pending.validate_ns = pending.enqueue_ns - validate_start;
+  pending.validate_ns = pending.admit_ns - validate_start;
   uint32_t deadline_ms = request.deadline_ms != 0
                              ? request.deadline_ms
                              : options_.default_deadline_ms;
   if (deadline_ms != 0) {
     pending.deadline_ns =
-        pending.enqueue_ns + static_cast<uint64_t>(deadline_ms) * 1000000;
+        pending.admit_ns + static_cast<uint64_t>(deadline_ms) * 1000000;
   }
   pending.request = std::move(request);
-  pending.done = std::move(done);
-  if (!queue_.TryEnqueue(&pending)) {
-    AB_STATS_INC(obs::Counter::kServeOverloadRejected);
-    reject.status = StatusCode::kOverloaded;
-    reject.error = "admission queue full";
-    pending.done(std::move(reject));
-    return;
-  }
   AB_STATS_INC(obs::Counter::kServeRequests);
+  return true;
+}
+
+QueryResponse QueryService::Run(PendingQuery* p) const {
+  uint64_t start = MonotonicNowNs();
+  QueryResponse resp;
+  resp.id = p->request.id;
+  resp.trace_id = p->request.trace_id;
+  // Stage breakdown: queue (admission to execution start) + batch (the
+  // execution) tile the server-side request window exactly; engine and
+  // verify are attributions inside the execution. The numeric fields are
+  // always filled — the transport's slow-query log reads them — but only
+  // ride the wire when the client asked (timings.has).
+  resp.timings.decode_ns = p->decode_ns;
+  resp.timings.validate_ns = p->validate_ns;
+  resp.timings.queue_ns = start - p->admit_ns;
+  resp.timings.has = p->request.want_timings;
+  AB_STATS_HIST(obs::Histogram::kServeQueueWaitNs, start - p->admit_ns);
+
+  // A query whose deadline lapsed while it waited behind its worker's
+  // earlier work is shed: executing it would spend engine time on an
+  // answer nobody is waiting for.
+  if (p->deadline_ns != 0 && p->deadline_ns <= start) {
+    AB_STATS_INC(obs::Counter::kServeDeadlineExpired);
+    resp.status = StatusCode::kDeadlineExceeded;
+    resp.error = "deadline expired before execution";
+    resp.latency_us = static_cast<double>(start - p->admit_ns) / 1000.0;
+    resp.timings.total_ns = start - p->admit_ns;
+    return resp;
+  }
+
+  engine::EngineQuery q;
+  q.predicates = std::move(p->request.predicates);
+  q.rows = std::move(p->request.rows);
+  q.exact = p->request.exact;
+  q.count_only = p->request.count_only;
+  engine::EngineResult r = engine_->Execute(q);
+  uint64_t done_ns = MonotonicNowNs();
+  AB_STATS_INC(obs::Counter::kServeBatches);
+  AB_STATS_INC(obs::Counter::kServeBatchQueries);
+
+  resp.status = StatusCode::kOk;
+  resp.count = r.count;
+  resp.row_ids = std::move(r.row_ids);
+  resp.path = r.trace.path;
+  resp.backend = r.trace.backend;
+  resp.batch_size = 1;
+  resp.latency_us = static_cast<double>(done_ns - p->admit_ns) / 1000.0;
+  resp.timings.batch_ns = done_ns - start;
+  resp.timings.engine_ns = static_cast<uint64_t>(r.trace.latency_ms * 1e6);
+  resp.timings.verify_ns = r.trace.verify_ns;
+  resp.timings.total_ns = done_ns - p->admit_ns;
+  resp.trace = r.trace;
+  AB_STATS_HIST(obs::Histogram::kServeRequestLatencyNs, done_ns - p->admit_ns);
+  return resp;
 }
 
 InsertResponse QueryService::HandleInsert(const InsertRequest& request) {
   InsertResponse response;
-  if (stopped_.load(std::memory_order_acquire) || !started_.load()) {
+  if (stopped_.load(std::memory_order_acquire)) {
     response.status = StatusCode::kShuttingDown;
     response.error = "server is shutting down";
     return response;
@@ -158,91 +177,6 @@ InsertResponse QueryService::HandleInsert(const InsertRequest& request) {
   AB_STATS_ADD(obs::Counter::kServeInserts, request.rows.size());
   response.total_rows = engine_->TotalRows();
   return response;
-}
-
-void QueryService::DispatchLoop() {
-  std::vector<PendingQuery> batch;
-  while (queue_.NextBatch(&batch)) {
-    AB_SPAN("serve/batch");
-    uint64_t now = MonotonicNowNs();
-
-    // Shed queries whose deadline lapsed while queued — executing them
-    // would spend engine time on answers nobody is waiting for.
-    std::vector<PendingQuery*> live;
-    live.reserve(batch.size());
-    for (PendingQuery& p : batch) {
-      if (p.deadline_ns != 0 && p.deadline_ns <= now) {
-        AB_STATS_INC(obs::Counter::kServeDeadlineExpired);
-        QueryResponse resp;
-        resp.id = p.request.id;
-        resp.trace_id = p.request.trace_id;
-        resp.status = StatusCode::kDeadlineExceeded;
-        resp.error = "deadline expired before execution";
-        resp.latency_us = static_cast<double>(now - p.enqueue_ns) / 1000.0;
-        resp.timings.decode_ns = p.decode_ns;
-        resp.timings.validate_ns = p.validate_ns;
-        resp.timings.queue_ns = now - p.enqueue_ns;
-        resp.timings.total_ns = now - p.enqueue_ns;
-        resp.timings.has = p.request.want_timings;
-        p.done(std::move(resp));
-      } else {
-        live.push_back(&p);
-      }
-    }
-    if (live.empty()) continue;
-
-    std::vector<engine::EngineQuery> queries;
-    queries.reserve(live.size());
-    for (PendingQuery* p : live) {
-      engine::EngineQuery q;
-      q.predicates = std::move(p->request.predicates);
-      q.rows = std::move(p->request.rows);
-      q.exact = p->request.exact;
-      q.count_only = p->request.count_only;
-      queries.push_back(std::move(q));
-    }
-
-    AB_STATS_INC(obs::Counter::kServeBatches);
-    AB_STATS_ADD(obs::Counter::kServeBatchQueries, live.size());
-    AB_STATS_HIST(obs::Histogram::kServeBatchSize, live.size());
-    std::vector<engine::EngineResult> results = engine_->ExecuteBatch(queries);
-
-    uint64_t done_ns = MonotonicNowNs();
-    for (size_t i = 0; i < live.size(); ++i) {
-      PendingQuery* p = live[i];
-      engine::EngineResult& r = results[i];
-      QueryResponse resp;
-      resp.id = p->request.id;
-      resp.trace_id = p->request.trace_id;
-      resp.status = StatusCode::kOk;
-      resp.count = r.count;
-      resp.row_ids = std::move(r.row_ids);
-      resp.path = r.trace.path;
-      resp.backend = r.trace.backend;
-      resp.batch_size = static_cast<uint32_t>(live.size());
-      resp.latency_us = static_cast<double>(done_ns - p->enqueue_ns) / 1000.0;
-      // Stage breakdown: queue + batch tile the server-side request
-      // window exactly; engine/verify are attributions inside the batch
-      // window (ExecuteBatch blocks for the whole batch, so a query's
-      // own engine time overlaps its batchmates'). The numeric fields
-      // are always filled — the transport's slow-query log reads them —
-      // but only ride the wire when the client asked (timings.has).
-      resp.timings.decode_ns = p->decode_ns;
-      resp.timings.validate_ns = p->validate_ns;
-      resp.timings.queue_ns = now - p->enqueue_ns;
-      resp.timings.batch_ns = done_ns - now;
-      resp.timings.engine_ns =
-          static_cast<uint64_t>(r.trace.latency_ms * 1e6);
-      resp.timings.verify_ns = r.trace.verify_ns;
-      resp.timings.total_ns = done_ns - p->enqueue_ns;
-      resp.timings.has = p->request.want_timings;
-      resp.trace = r.trace;
-      AB_STATS_HIST(obs::Histogram::kServeQueueWaitNs, now - p->enqueue_ns);
-      AB_STATS_HIST(obs::Histogram::kServeRequestLatencyNs,
-                    done_ns - p->enqueue_ns);
-      p->done(std::move(resp));
-    }
-  }
 }
 
 }  // namespace serve

@@ -120,7 +120,7 @@ void AppendGauge(std::string* out, const char* name, const char* help,
 /// both stats configurations — the ingest health surface must not go dark
 /// in a stats-off build.
 std::string IngestGaugesPrometheus(engine::HybridEngine* engine,
-                                   QueryService* service,
+                                   size_t backlog_depth,
                                    uint64_t slow_threshold_ns) {
   std::string out;
   engine::HybridEngine::IngestStats ing = engine->GetIngestStats();
@@ -148,8 +148,8 @@ std::string IngestGaugesPrometheus(engine::HybridEngine* engine,
               "1 while a background delta rebuild is in flight",
               delta != nullptr && delta->rebuild_running() ? 1.0 : 0.0);
   AppendGauge(&out, "abitmap_serve_queue_depth",
-              "Queries waiting in the batch-admission queue",
-              static_cast<double>(service->queue_depth()));
+              "Queries decoded and not yet executed, across workers",
+              static_cast<double>(backlog_depth));
   AppendGauge(&out, "abitmap_serve_slow_threshold_ns",
               "Slow-query log retention threshold in nanoseconds",
               static_cast<double>(slow_threshold_ns));
@@ -158,11 +158,12 @@ std::string IngestGaugesPrometheus(engine::HybridEngine* engine,
 
 }  // namespace
 
-/// One epoll event loop owning a disjoint set of connections. All
+/// One epoll event loop owning a disjoint set of connections, run to
+/// completion: the loop decodes a connection's requests, executes each on
+/// its own thread through the QueryService and writes the reply. All
 /// connection state is confined to the loop thread; the only cross-thread
-/// surfaces are the mailbox (new fds from the acceptor, completed
-/// responses from the service dispatcher) under a mutex, with an eventfd
-/// to wake the loop.
+/// surface is the inbox of new fds from the acceptor, under a mutex, with
+/// an eventfd to wake the loop.
 class QueryServer::Worker {
  public:
   explicit Worker(QueryServer* server) : server_(server) {}
@@ -209,15 +210,10 @@ class QueryServer::Worker {
     Wake();
   }
 
-  /// Response handoff from whichever thread ran the completion (the
-  /// dispatcher, or this very loop for synchronous rejections). Dead
-  /// tokens are dropped at delivery.
-  void PostCompletion(uint64_t token, std::string bytes, bool close_after) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      completions_.push_back(Completion{token, std::move(bytes), close_after});
-    }
-    Wake();
+  /// Queries this loop holds decoded and not yet executed (a relaxed
+  /// read for the /metrics gauge; it is nonzero only mid-burst).
+  size_t backlog_depth() const {
+    return backlog_depth_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -240,12 +236,6 @@ class QueryServer::Worker {
     bool failed = false;
   };
 
-  struct Completion {
-    uint64_t token;
-    std::string bytes;
-    bool close_after;
-  };
-
   void Wake() {
     uint64_t one = 1;
     ssize_t n = ::write(event_fd_, &one, sizeof(one));
@@ -257,16 +247,16 @@ class QueryServer::Worker {
     epoll_event events[kMaxEvents];
     for (;;) {
       int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, 100);
-      // Reset the wakeup eventfd before draining the mailbox: a post that
-      // lands after the drain re-arms it, so the next epoll_wait returns
-      // at once instead of waiting out its timeout.
+      // Reset the wakeup eventfd before draining the inbox: a handoff
+      // that lands after the drain re-arms it, so the next epoll_wait
+      // returns at once instead of waiting out its timeout.
       for (int i = 0; i < n; ++i) {
         if (events[i].data.u64 != 0) continue;
         uint64_t val;
         while (::read(event_fd_, &val, sizeof(val)) > 0) {
         }
       }
-      DrainMailbox();
+      DrainInbox();
       if (stop_.load(std::memory_order_acquire)) break;
       for (int i = 0; i < n; ++i) {
         uint64_t token = events[i].data.u64;
@@ -289,10 +279,10 @@ class QueryServer::Worker {
         }
       }
     }
-    // Shutdown: the service has already drained (Stop ordering), so the
-    // mailbox holds the last responses. Flush what can be flushed within
-    // a short grace period, then close everything.
-    DrainMailbox();
+    // Shutdown: every query this loop admitted has been answered. Flush
+    // what can be flushed within a short grace period, then close
+    // everything.
+    DrainInbox();
     for (auto& [token, conn] : conns_) {
       for (int attempt = 0; attempt < 10 && conn.out_off < conn.out.size();
            ++attempt) {
@@ -308,20 +298,13 @@ class QueryServer::Worker {
     conns_.clear();
   }
 
-  void DrainMailbox() {
+  void DrainInbox() {
     std::vector<int> fds;
-    std::vector<Completion> completions;
     {
       std::lock_guard<std::mutex> lock(mu_);
       fds.swap(inbox_);
-      completions.swap(completions_);
     }
     for (int fd : fds) RegisterConn(fd);
-    for (Completion& c : completions) {
-      auto it = conns_.find(c.token);
-      if (it == conns_.end()) continue;  // connection died first
-      QueueBytes(it->second, std::move(c.bytes), c.close_after);
-    }
   }
 
   void RegisterConn(int fd) {
@@ -376,9 +359,17 @@ class QueryServer::Worker {
     return conn.proto == Proto::kBinary ? ParseBinary(conn) : ParseHttp(conn);
   }
 
+  /// Decodes every complete frame buffered on the connection and admits
+  /// it to the backlog, then executes the backlog in arrival order and
+  /// answers each query. Rejections (schema, a full backlog) follow the
+  /// answers; clients match responses by id. A malformed frame is
+  /// answered last, with an error frame, and closes the connection.
   bool ParseBinary(Conn& conn) {
-    size_t off = 0;
+    const uint64_t token = conn.token;
     const uint8_t* data = reinterpret_cast<const uint8_t*>(conn.in.data());
+    size_t off = 0;
+    std::vector<QueryResponse> rejected;
+    std::string malformed;
     while (off < conn.in.size()) {
       QueryRequest request;
       size_t consumed = 0;
@@ -391,23 +382,34 @@ class QueryServer::Worker {
       if (st == DecodeStatus::kNeedMore) break;
       if (st == DecodeStatus::kMalformed) {
         AB_STATS_INC(obs::Counter::kServeBadRequests);
-        QueryResponse resp;
-        resp.status = StatusCode::kBadRequest;
-        resp.error = derr;
+        malformed = std::move(derr);
         conn.failed = true;
-        conn.in.clear();
-        // QueueBytes may close (and erase) the connection, so the token
-        // must outlive the `conn` reference.
-        uint64_t token = conn.token;
-        QueueBytes(conn, EncodeResponseFrame(resp), /*close_after=*/true);
-        return conns_.count(token) > 0;
+        off = conn.in.size();
+        break;
       }
       off += consumed;
       AB_STATS_HIST(obs::Histogram::kServeDecodeNs, decode_ns);
-      SubmitQuery(conn.token, std::move(request), Proto::kBinary, decode_ns);
+      QueryResponse reject;
+      if (!server_->service_->Admit(std::move(request), decode_ns, &backlog_,
+                                    &reject)) {
+        rejected.push_back(std::move(reject));
+      }
+      backlog_depth_.store(backlog_.size(), std::memory_order_relaxed);
     }
     conn.in.erase(0, off);
-    return true;
+    // Every Reply may close (and erase) the connection, so from here on
+    // it is addressed by token only.
+    bool alive = RunBacklog(token, Proto::kBinary);
+    for (size_t i = 0; alive && i < rejected.size(); ++i) {
+      alive = Reply(token, Proto::kBinary, rejected[i]);
+    }
+    if (alive && conn.failed) {
+      QueryResponse resp;
+      resp.status = StatusCode::kBadRequest;
+      resp.error = std::move(malformed);
+      alive = Reply(token, Proto::kBinary, resp, /*close_after=*/true);
+    }
+    return alive;
   }
 
   bool ParseHttp(Conn& conn) {
@@ -449,13 +451,17 @@ class QueryServer::Worker {
         return conns_.count(token) > 0;
       }
       AB_STATS_HIST(obs::Histogram::kServeDecodeNs, decode_ns);
-      SubmitQuery(conn.token, std::move(query), Proto::kHttp, decode_ns);
-      return true;
+      QueryResponse reject;
+      if (!server_->service_->Admit(std::move(query), decode_ns, &backlog_,
+                                    &reject)) {
+        return Reply(conn.token, Proto::kHttp, reject);
+      }
+      return RunBacklog(conn.token, Proto::kHttp);
     }
     if (request.method == "POST" && request.path == "/insert") {
-      // Ingest runs inline on this worker thread: IngestRow is internally
-      // synchronized and concurrent with the dispatcher's queries by
-      // design, so there is nothing to queue behind.
+      // Ingest runs inline on this worker thread, like queries:
+      // IngestRow is internally synchronized and safe against the other
+      // workers' concurrent queries.
       InsertRequest insert;
       std::string perr;
       InsertResponse resp;
@@ -476,9 +482,10 @@ class QueryServer::Worker {
     if (request.method == "GET" || request.method == "HEAD") {
       obs::HttpResponse response = obs::HandleObsGet(request.path);
       if (request.path == "/metrics") {
+        size_t backlog = 0;
+        for (const auto& w : server_->workers_) backlog += w->backlog_depth();
         response.body += IngestGaugesPrometheus(
-            server_->engine_, server_->service_.get(),
-            server_->options_.slow_threshold_ns);
+            server_->engine_, backlog, server_->options_.slow_threshold_ns);
       }
       uint64_t token = conn.token;
       QueueBytes(conn,
@@ -493,49 +500,60 @@ class QueryServer::Worker {
     return conns_.count(token) > 0;
   }
 
-  void SubmitQuery(uint64_t token, QueryRequest request, Proto proto,
-                   uint64_t decode_ns = 0) {
-    // The completion may run synchronously (rejections) on this thread or
-    // later on the dispatcher; both go through the mailbox, keeping all
-    // connection state loop-confined.
-    server_->service_->Submit(
-        std::move(request),
-        [this, token, proto](QueryResponse resp) {
-          uint64_t serialize_start = MonotonicNowNs();
-          std::string bytes = proto == Proto::kHttp
-                                  ? RenderHttpQueryResponse(resp)
-                                  : EncodeResponseFrame(resp);
-          uint64_t serialize_ns = MonotonicNowNs() - serialize_start;
-          AB_STATS_HIST(obs::Histogram::kServeSerializeNs, serialize_ns);
-          // Slow-query retention: the dispatcher always fills the numeric
-          // timing fields, so the threshold check works whether or not
-          // the client asked for a wire echo. serialize_ns lands only
-          // here — a response cannot carry its own rendering cost.
-          if (obs::kStatsEnabled &&
-              resp.timings.total_ns >= obs::SlowLogThresholdNs()) {
-            obs::SlowQueryRecord rec;
-            rec.trace_id = resp.trace_id;
-            rec.request_id = resp.id;
-            rec.status = static_cast<uint32_t>(resp.status);
-            rec.batch_size = resp.batch_size;
-            rec.mono_ns = serialize_start + serialize_ns;
-            rec.total_ns = resp.timings.total_ns;
-            rec.decode_ns = resp.timings.decode_ns;
-            rec.queue_ns = resp.timings.queue_ns;
-            rec.batch_ns = resp.timings.batch_ns;
-            rec.engine_ns = resp.timings.engine_ns;
-            rec.verify_ns = resp.timings.verify_ns;
-            rec.serialize_ns = serialize_ns;
-            rec.path = resp.trace.path;
-            rec.backend = resp.trace.backend;
-            rec.candidates = resp.trace.candidates;
-            rec.verified_matches = resp.trace.verified_matches;
-            rec.observed_precision = resp.trace.observed_precision;
-            obs::RecordSlowQuery(rec);
-          }
-          PostCompletion(token, std::move(bytes), proto == Proto::kHttp);
-        },
-        decode_ns);
+  /// Executes the backlog in order on this thread and answers each
+  /// query on `token`. Returns false once the connection is gone; the
+  /// queries left are dropped with it.
+  bool RunBacklog(uint64_t token, Proto proto) {
+    bool alive = true;
+    for (size_t i = 0; alive && i < backlog_.size(); ++i) {
+      alive = Reply(token, proto, server_->service_->Run(&backlog_[i]));
+    }
+    backlog_.clear();
+    backlog_depth_.store(0, std::memory_order_relaxed);
+    return alive;
+  }
+
+  /// Serializes one response and writes it on `token`'s connection, which
+  /// closes after it when `close_after` or for HTTP. Returns false when
+  /// the connection is gone.
+  bool Reply(uint64_t token, Proto proto, const QueryResponse& resp,
+             bool close_after = false) {
+    uint64_t serialize_start = MonotonicNowNs();
+    std::string bytes = proto == Proto::kHttp ? RenderHttpQueryResponse(resp)
+                                              : EncodeResponseFrame(resp);
+    uint64_t serialize_ns = MonotonicNowNs() - serialize_start;
+    AB_STATS_HIST(obs::Histogram::kServeSerializeNs, serialize_ns);
+    // Slow-query retention: Run always fills the numeric timing fields,
+    // so the threshold check works whether or not the client asked for a
+    // wire echo. serialize_ns lands only here — a response cannot carry
+    // its own rendering cost.
+    if (obs::kStatsEnabled &&
+        resp.timings.total_ns >= obs::SlowLogThresholdNs()) {
+      obs::SlowQueryRecord rec;
+      rec.trace_id = resp.trace_id;
+      rec.request_id = resp.id;
+      rec.status = static_cast<uint32_t>(resp.status);
+      rec.batch_size = resp.batch_size;
+      rec.mono_ns = serialize_start + serialize_ns;
+      rec.total_ns = resp.timings.total_ns;
+      rec.decode_ns = resp.timings.decode_ns;
+      rec.queue_ns = resp.timings.queue_ns;
+      rec.batch_ns = resp.timings.batch_ns;
+      rec.engine_ns = resp.timings.engine_ns;
+      rec.verify_ns = resp.timings.verify_ns;
+      rec.serialize_ns = serialize_ns;
+      rec.path = resp.trace.path;
+      rec.backend = resp.trace.backend;
+      rec.candidates = resp.trace.candidates;
+      rec.verified_matches = resp.trace.verified_matches;
+      rec.observed_precision = resp.trace.observed_precision;
+      obs::RecordSlowQuery(rec);
+    }
+    auto it = conns_.find(token);
+    if (it == conns_.end()) return false;
+    QueueBytes(it->second, std::move(bytes),
+               close_after || proto == Proto::kHttp);
+    return conns_.count(token) > 0;
   }
 
   /// Appends bytes and attempts an immediate non-blocking flush; closes
@@ -598,9 +616,10 @@ class QueryServer::Worker {
   std::atomic<bool> stop_{false};
   std::mutex mu_;
   std::vector<int> inbox_;
-  std::vector<Completion> completions_;
   /// Loop-thread only.
   std::unordered_map<uint64_t, Conn> conns_;
+  std::vector<PendingQuery> backlog_;  ///< decoded, not yet executed
+  std::atomic<size_t> backlog_depth_{0};
   uint64_t next_token_ = 1;
 };
 
@@ -622,16 +641,10 @@ util::Status QueryServer::Start() {
   obs::SetSlowLogThresholdNs(options_.slow_threshold_ns);
 
   service_ = std::make_unique<QueryService>(engine_, options_.service);
-  util::Status st = service_->Start();
-  if (!st.ok()) {
-    running_.store(false, std::memory_order_release);
-    return st;
-  }
 
   util::StatusOr<int> fd =
       util::net::ListenLoopback(options_.port, options_.backlog, &port_);
   if (!fd.ok()) {
-    service_->Stop();
     service_.reset();
     running_.store(false, std::memory_order_release);
     return fd.status();
@@ -641,14 +654,13 @@ util::Status QueryServer::Start() {
   workers_.clear();
   for (int i = 0; i < options_.num_workers; ++i) {
     auto worker = std::make_unique<Worker>(this);
-    st = worker->Start();
+    util::Status st = worker->Start();
     if (!st.ok()) {
       for (auto& w : workers_) w->RequestStop();
       for (auto& w : workers_) w->Join();
       workers_.clear();
       ::close(listen_fd_);
       listen_fd_ = -1;
-      service_->Stop();
       service_.reset();
       running_.store(false, std::memory_order_release);
       return st;
@@ -674,8 +686,8 @@ void QueryServer::Stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  // Order matters: the dispatcher drains first so every admitted query's
-  // completion lands in a worker mailbox, then workers flush and close.
+  // Queries decoded from here on are answered kShuttingDown; each worker
+  // finishes the queries it already admitted, flushes and closes.
   if (service_) service_->Stop();
   for (auto& w : workers_) w->RequestStop();
   for (auto& w : workers_) w->Join();

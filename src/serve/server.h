@@ -17,22 +17,24 @@ namespace serve {
 /// The network frontend of the concurrent query service: a loopback
 /// listener with an acceptor thread and N epoll event-loop workers, all
 /// non-blocking. Both wire protocols (see serve/protocol.h) share the
-/// port; the first bytes of each connection select the decoder. Decoded
-/// queries flow into the QueryService's batch-admission queue; responses
-/// come back to the owning worker through a completion inbox + eventfd
-/// wakeup and are written without blocking the event loop.
+/// port; the first bytes of each connection select the decoder. Serving
+/// is run to completion: the worker that decodes a query admits it
+/// through the QueryService, executes it on its own thread and writes the
+/// reply. Workers execute in parallel with each other; a worker's queries
+/// run in the order it decoded them.
 ///
 /// Bounded everywhere: connection count (`max_connections`, excess
 /// accepts are closed immediately), per-request bytes
-/// (`max_request_bytes`, enforced before buffering), and queue depth
-/// (QueryService backpressure -> 503/kOverloaded). Shutdown is graceful:
-/// the acceptor stops, admitted queries drain through the dispatcher,
-/// workers flush pending responses, then every connection closes.
+/// (`max_request_bytes`, enforced before buffering), and each worker's
+/// decoded-but-not-executed queries (`service.queue.capacity`, excess
+/// answered 503/kOverloaded). Shutdown is graceful: the acceptor stops,
+/// later queries are answered kShuttingDown, each worker finishes what it
+/// admitted, flushes pending responses, then closes every connection.
 ///
 /// Connections are identified inside a worker by monotonically increasing
-/// tokens (the epoll user-data), never by fd: a completion that arrives
-/// after its connection died resolves to a dead token and is dropped,
-/// rather than writing into an fd number the kernel may have reused.
+/// tokens (the epoll user-data), never by fd, so a reply whose connection
+/// closed mid-backlog is dropped rather than written into an fd number
+/// the kernel may have reused.
 class QueryServer {
  public:
   struct Options {
@@ -41,7 +43,7 @@ class QueryServer {
     int num_workers = 2;          ///< epoll event-loop threads
     size_t max_connections = 256;  ///< across all workers
     size_t max_request_bytes = 1 << 20;
-    /// Requests whose end-to-end latency (admission to results) reaches
+    /// Requests whose server-side latency (admission to results) reaches
     /// this land in the slow-query log at /slow.json. 0 retains every
     /// request (tests, smoke checks). Installed into the obs layer at
     /// Start.
@@ -62,8 +64,8 @@ class QueryServer {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  /// Binds, spawns the service dispatcher, workers, and acceptor.
-  /// Restartable: Start after Stop builds a fresh listener and service.
+  /// Binds, spawns the workers and the acceptor. Restartable: Start after
+  /// Stop builds a fresh listener and service.
   util::Status Start();
 
   /// Graceful shutdown; idempotent. Safe to call from a signal-driven

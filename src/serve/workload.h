@@ -11,9 +11,7 @@
 /// (the serving analogue of the engine tests' orders table, sized for
 /// benchmarks) and a pool of query templates that a zipf-skewed request
 /// stream picks from. Skew is the realistic regime for a query service —
-/// a handful of hot dashboard/report queries dominate — and it is also
-/// what dynamic batch admission exploits (duplicates inside a batch are
-/// executed once; see HybridEngine::ExecuteBatch).
+/// a handful of hot dashboard/report queries dominate.
 
 namespace abitmap {
 namespace serve {

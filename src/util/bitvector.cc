@@ -1,7 +1,6 @@
 #include "util/bitvector.h"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "util/simd.h"
@@ -104,16 +103,16 @@ size_t BitVector::CountRange(size_t begin, size_t end) const {
     w >>= (begin & 63);
     size_t width = end - begin;
     if (width < 64) w &= (uint64_t{1} << width) - 1;
-    return std::popcount(w);
+    return simd::PopCount64(w);
   }
-  size_t total = std::popcount(words_[first_word] >> (begin & 63));
+  size_t total = simd::PopCount64(words_[first_word] >> (begin & 63));
   total +=
       simd::PopcountWords(words_.data() + first_word + 1,
                           last_word - first_word - 1);
   uint64_t last = words_[last_word];
   size_t tail_bits = ((end - 1) & 63) + 1;
   if (tail_bits < 64) last &= (uint64_t{1} << tail_bits) - 1;
-  total += std::popcount(last);
+  total += simd::PopCount64(last);
   return total;
 }
 

@@ -67,7 +67,19 @@ bool ParseSimdLevel(const char* name, SimdLevel* out);
 
 /// Builtins rather than <bit> so this header has no C++20 dependency of
 /// its own. CountTrailingZeros64 keeps std::countr_zero's x == 0 result.
-inline int PopCount64(uint64_t x) { return __builtin_popcountll(x); }
+/// Without a hardware popcount in the target (x86 built without -mpopcnt)
+/// the builtin is an out-of-line libgcc call per word, so PopCount64 is
+/// the branch-free SWAR count there (Hacker's Delight, fig. 5-2).
+inline int PopCount64(uint64_t x) {
+#if defined(__POPCNT__) || defined(__aarch64__)
+  return __builtin_popcountll(x);
+#else
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return static_cast<int>((x * 0x0101010101010101ull) >> 56);
+#endif
+}
 inline int CountTrailingZeros64(uint64_t x) {
   return x == 0 ? 64 : __builtin_ctzll(x);
 }

@@ -98,40 +98,23 @@ void ThreadPool::ParallelFor(
   uint64_t total = end - begin;
   uint64_t chunks = std::min<uint64_t>(num_threads(), total);
   uint64_t chunk_size = (total + chunks - 1) / chunks;
+  // A latch of this call's own chunks rather than Wait(): a concurrent
+  // coordinator's chunks are not this call's to wait for.
+  std::mutex mu;
+  std::condition_variable done;
+  uint64_t left = (total + chunk_size - 1) / chunk_size;
   for (uint64_t c = 0; c < chunks; ++c) {
     uint64_t b = begin + c * chunk_size;
     uint64_t e = std::min(end, b + chunk_size);
     if (b >= e) break;
-    Submit([&body, b, e, c]() { body(b, e, static_cast<int>(c)); });
-  }
-  Wait();
-}
-
-void ThreadPool::ParallelForDynamic(
-    uint64_t begin, uint64_t end, const std::function<void(uint64_t)>& body) {
-  if (begin >= end) return;
-  uint64_t total = end - begin;
-  if (total == 1) {
-    // One item: run it here instead of paying a submit + wakeup.
-    body(begin);
-    return;
-  }
-  // One claiming loop per worker (capped by the item count); each loop
-  // drains indices until the cursor passes `end`. The cursor is shared
-  // state on one cache line, but a claim is a single fetch_add against
-  // work that is at least a query evaluation — contention is noise.
-  auto next = std::make_shared<std::atomic<uint64_t>>(begin);
-  uint64_t loops = std::min<uint64_t>(num_threads(), total);
-  for (uint64_t i = 0; i < loops; ++i) {
-    Submit([&body, next, end]() {
-      for (;;) {
-        uint64_t idx = next->fetch_add(1, std::memory_order_relaxed);
-        if (idx >= end) return;
-        body(idx);
-      }
+    Submit([&body, &mu, &done, &left, b, e, c]() {
+      body(b, e, static_cast<int>(c));
+      std::lock_guard<std::mutex> lock(mu);
+      if (--left == 0) done.notify_one();
     });
   }
-  Wait();
+  std::unique_lock<std::mutex> lock(mu);
+  done.wait(lock, [&left]() { return left == 0; });
 }
 
 int ThreadPool::NumChunksFor(int num_threads, uint64_t total) {

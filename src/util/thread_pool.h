@@ -18,9 +18,13 @@ namespace util {
 /// fixed contiguous chunking — the workloads sharded through it are
 /// uniform row ranges, so work stealing would buy nothing.
 ///
-/// Thread-safety: Submit may be called from any thread; Wait assumes a
-/// single coordinating thread (it blocks until *all* submitted tasks have
-/// finished, so concurrent coordinators would wait on each other's work).
+/// Thread-safety: Submit may be called from any thread. Wait blocks until
+/// *all* submitted tasks have finished, whoever submitted them.
+/// ParallelFor waits only for its own chunks, so several threads may run
+/// ParallelFor on one pool at once (the serve workers do: each executes
+/// its queries on the engine's pool). A task must not itself call
+/// ParallelFor on its pool: with every worker waiting, nobody would run
+/// the nested chunks.
 ///
 /// Observability: unless built with -DAB_DISABLE_STATS=ON, Submit records
 /// the observed queue depth (obs::Histogram::kPoolQueueDepth) and workers
@@ -54,7 +58,8 @@ class ThreadPool {
   /// workers, blocking until all chunks are done. Chunk boundaries are
   /// deterministic: chunk i covers [begin + i*size, ...), so callers can
   /// pre-allocate per-chunk output slots by index. Empty ranges return
-  /// immediately.
+  /// immediately. Concurrent calls from different threads are safe; each
+  /// returns when its own chunks are done.
   void ParallelFor(
       uint64_t begin, uint64_t end,
       const std::function<void(uint64_t, uint64_t, int)>& body);
@@ -64,17 +69,6 @@ class ThreadPool {
   /// size per-chunk state (private shards, spill queues) with this so every
   /// chunk index handed to `body` has a slot and no slot goes unused.
   static int NumChunksFor(int num_threads, uint64_t total);
-
-  /// Dynamically scheduled variant for heterogeneous items: runs
-  /// body(index) for every index in [begin, end), with workers claiming
-  /// one index at a time off a shared atomic cursor. Where ParallelFor's
-  /// fixed contiguous chunks suit uniform row ranges, this suits mixed
-  /// workloads — a batch of concurrent queries whose individual costs
-  /// differ by orders of magnitude would leave most of a fixed chunking
-  /// idle behind the one expensive chunk. Blocks until all items are done;
-  /// same single-coordinator contract as Wait().
-  void ParallelForDynamic(uint64_t begin, uint64_t end,
-                          const std::function<void(uint64_t)>& body);
 
  private:
   void WorkerLoop();

@@ -524,109 +524,6 @@ TEST(HybridEngineTest, ChoiceSummaryCoversEveryColumn) {
   }
 }
 
-TEST(HybridEngineTest, ExecuteBatchMatchesPerQueryExecuteInOrder) {
-  HybridEngine engine = MakeEngine(3000, 9);
-  std::mt19937_64 rng(3);
-  std::vector<EngineQuery> batch;
-  for (int i = 0; i < 12; ++i) {
-    EngineQuery q;
-    double lo = std::uniform_real_distribution<double>(0, 80)(rng);
-    q.predicates.push_back(ValuePredicate{0, lo, lo + 20});
-    if (i % 3 == 1) {
-      // Row-subset query: exercises direct access inside a batch.
-      uint64_t start = rng() % 2900;
-      for (uint64_t r = start; r < start + 100; ++r) q.rows.push_back(r);
-    }
-    if (i % 4 == 3) q.exact = false;  // approximate-answer mode
-    batch.push_back(q);
-  }
-  std::vector<EngineResult> results = engine.ExecuteBatch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EngineResult direct = engine.Execute(batch[i]);
-    EXPECT_EQ(results[i].row_ids, direct.row_ids) << "query " << i;
-    EXPECT_EQ(results[i].path, direct.path) << "query " << i;
-    EXPECT_EQ(results[i].approximate, direct.approximate) << "query " << i;
-  }
-}
-
-TEST(HybridEngineTest, ExecuteBatchParityWithEnginePool) {
-  HybridEngine::Options options;
-  options.binning.bins = 16;
-  options.ab.alpha = 16;
-  options.ab.level = ab::Level::kPerAttribute;
-  options.num_threads = 2;
-  HybridEngine pooled =
-      HybridEngine::Build(MakeRandomTable(3000, 10), options);
-  HybridEngine serial = MakeEngine(3000, 10);
-
-  std::vector<EngineQuery> batch;
-  for (int i = 0; i < 8; ++i) {
-    EngineQuery q;
-    q.predicates.push_back(ValuePredicate{1, double(i), double(i + 10)});
-    batch.push_back(q);
-  }
-  std::vector<EngineResult> a = pooled.ExecuteBatch(batch);
-  std::vector<EngineResult> b = serial.ExecuteBatch(batch);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].row_ids, b[i].row_ids) << "query " << i;
-  }
-}
-
-TEST(HybridEngineTest, ExecuteBatchDedupesIdenticalQueries) {
-  HybridEngine engine = MakeEngine(3000, 11);
-  EngineQuery hot;
-  hot.predicates.push_back(ValuePredicate{0, 10.0, 90.0});
-  EngineQuery cold;
-  cold.predicates.push_back(ValuePredicate{1, 0.0, 5.0});
-  std::vector<EngineQuery> batch = {hot, cold, hot, hot, cold, hot};
-
-  uint64_t before = 0, after = 0;
-  if (obs::kStatsEnabled) {
-    before = obs::SnapshotStats().counter(
-        obs::Counter::kEngineBatchDedupHits);
-  }
-  std::vector<EngineResult> results = engine.ExecuteBatch(batch);
-  if (obs::kStatsEnabled) {
-    after = obs::SnapshotStats().counter(
-        obs::Counter::kEngineBatchDedupHits);
-    // 6 queries, 2 distinct: 4 answered from the in-batch duplicates.
-    EXPECT_EQ(after - before, 4u);
-  }
-  ASSERT_EQ(results.size(), 6u);
-  EXPECT_EQ(results[0].row_ids, results[2].row_ids);
-  EXPECT_EQ(results[0].row_ids, results[3].row_ids);
-  EXPECT_EQ(results[0].row_ids, results[5].row_ids);
-  EXPECT_EQ(results[1].row_ids, results[4].row_ids);
-  EXPECT_EQ(results[0].row_ids, engine.Execute(hot).row_ids);
-  EXPECT_EQ(results[1].row_ids, engine.Execute(cold).row_ids);
-}
-
-TEST(HybridEngineTest, ExecuteBatchKeepsCountOnlyApartFromIds) {
-  // The same predicates once as a count and once for ids in one batch:
-  // dedup must not hand the count's id-less result to the ids request.
-  HybridEngine engine = MakeEngine(3000, 12);
-  EngineQuery count;
-  count.predicates.push_back(ValuePredicate{0, 10.0, 70.0});
-  count.count_only = true;
-  EngineQuery ids = count;
-  ids.count_only = false;
-  std::vector<uint64_t> expected = BruteForce(engine.table(), ids);
-  ASSERT_FALSE(expected.empty());
-  std::vector<EngineResult> results = engine.ExecuteBatch({count, ids});
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].row_ids.empty());
-  EXPECT_EQ(results[0].count, expected.size());
-  EXPECT_EQ(results[1].row_ids, expected);
-  EXPECT_EQ(results[1].count, expected.size());
-}
-
-TEST(HybridEngineTest, ExecuteBatchOnEmptyInputReturnsEmpty) {
-  HybridEngine engine = MakeEngine(1000, 12);
-  EXPECT_TRUE(engine.ExecuteBatch({}).empty());
-}
-
 // Ground truth for a mutated engine: raw values of every committed row
 // (base then ingested) plus a liveness mask, evaluated the same way
 // BruteForce evaluates the immutable table.
@@ -790,7 +687,6 @@ TEST(HybridEngineTest, DirectAccessBaseSubsetsUnderInsertsAndDeletes) {
   ASSERT_FALSE(expected.empty());
   ASSERT_GE(expected.back(), base_n);
   EXPECT_EQ(engine.Execute(q).row_ids, expected);
-  EXPECT_EQ(engine.ExecuteBatch({q, q})[1].row_ids, expected);
 }
 
 TEST(HybridEngineTest, IngestStatsTrackChurnAndMergeSignal) {
@@ -845,7 +741,7 @@ TEST(HybridEngineTest, FirstIngestRacesLockFreeReaders) {
   EXPECT_EQ(engine.GetIngestStats().delta_live, 1u);
 }
 
-TEST(HybridEngineTest, ExecuteBatchSeesMutations) {
+TEST(HybridEngineTest, WholeAndSubsetQueriesSeeMutations) {
   HybridEngine engine = MakeEngine(1000, 27);
   const uint64_t base_n = engine.base_rows();
   std::vector<std::vector<double>> rows;
@@ -868,12 +764,10 @@ TEST(HybridEngineTest, ExecuteBatchSeesMutations) {
   whole.predicates.push_back(ValuePredicate{0, 20.0, 60.0});
   EngineQuery subset = whole;
   subset.rows = bitmap::RowRange(0, base_n + 49);
-  std::vector<EngineResult> results = engine.ExecuteBatch({whole, subset});
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].row_ids, BruteForceMutable(rows, live, whole));
-  EXPECT_EQ(results[1].row_ids, BruteForceMutable(rows, live, subset));
-  // Batch and single-query paths agree on the mutated engine.
-  EXPECT_EQ(results[0].row_ids, engine.Execute(whole).row_ids);
+  EXPECT_EQ(engine.Execute(whole).row_ids,
+            BruteForceMutable(rows, live, whole));
+  EXPECT_EQ(engine.Execute(subset).row_ids,
+            BruteForceMutable(rows, live, subset));
 }
 
 }  // namespace

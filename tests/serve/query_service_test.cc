@@ -1,9 +1,8 @@
 #include "serve/query_service.h"
 
-#include <atomic>
+#include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -24,21 +23,14 @@ engine::HybridEngine MakeEngine(uint64_t rows) {
   return engine::HybridEngine::Build(MakeSeedTable(rows, 11), options);
 }
 
-/// Blocks until the service delivers the response.
-QueryResponse SubmitAndWait(QueryService* service, QueryRequest request) {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool ready = false;
-  QueryResponse out;
-  service->Submit(std::move(request), [&](QueryResponse resp) {
-    std::lock_guard<std::mutex> lock(mu);
-    out = std::move(resp);
-    ready = true;
-    cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&]() { return ready; });
-  return out;
+/// Admits one request into a fresh backlog and runs it, as a worker
+/// does; a rejected request returns its rejection.
+QueryResponse AdmitAndRun(const QueryService& service, QueryRequest request) {
+  std::vector<PendingQuery> backlog;
+  QueryResponse reject;
+  if (!service.Admit(std::move(request), 0, &backlog, &reject)) return reject;
+  EXPECT_EQ(backlog.size(), 1u);
+  return service.Run(&backlog[0]);
 }
 
 class QueryServiceTest : public ::testing::Test {
@@ -49,10 +41,7 @@ class QueryServiceTest : public ::testing::Test {
 };
 
 TEST_F(QueryServiceTest, AnswersMatchDirectEngineExecution) {
-  QueryService::Options options;
-  options.queue.max_delay_us = 100;
-  QueryService service(&engine_, options);
-  ASSERT_TRUE(service.Start().ok());
+  QueryService service(&engine_, QueryService::Options{});
 
   QueryRequest request;
   request.id = 5;
@@ -63,21 +52,18 @@ TEST_F(QueryServiceTest, AnswersMatchDirectEngineExecution) {
   direct.predicates = request.predicates;
   std::vector<uint64_t> expected = engine_.Execute(direct).row_ids;
 
-  QueryResponse response = SubmitAndWait(&service, request);
+  QueryResponse response = AdmitAndRun(service, request);
   EXPECT_EQ(response.status, StatusCode::kOk);
   EXPECT_EQ(response.id, 5u);
   EXPECT_EQ(response.count, expected.size());
   EXPECT_EQ(response.row_ids, expected);
   EXPECT_STREQ(response.path, "exact");  // whole-relation query
-  EXPECT_GE(response.batch_size, 1u);
-  service.Stop();
+  EXPECT_EQ(response.batch_size, 1u);
+  EXPECT_NE(response.trace_id, 0u);
 }
 
 TEST_F(QueryServiceTest, CountOnlySuppressesRowsButKeepsCount) {
-  QueryService::Options options;
-  options.queue.max_delay_us = 100;
-  QueryService service(&engine_, options);
-  ASSERT_TRUE(service.Start().ok());
+  QueryService service(&engine_, QueryService::Options{});
 
   QueryRequest request;
   request.predicates.push_back(engine::ValuePredicate{0, 0.0, 50.0});
@@ -87,21 +73,16 @@ TEST_F(QueryServiceTest, CountOnlySuppressesRowsButKeepsCount) {
   direct.predicates = request.predicates;
   size_t expected = engine_.Execute(direct).row_ids.size();
 
-  QueryResponse response = SubmitAndWait(&service, request);
+  QueryResponse response = AdmitAndRun(service, request);
   EXPECT_EQ(response.status, StatusCode::kOk);
   EXPECT_EQ(response.count, expected);
   EXPECT_TRUE(response.row_ids.empty());
-  service.Stop();
 }
 
 TEST_F(QueryServiceTest, CountAndIdsOfOneQueryInOneBatchStayApart) {
-  // A batch of two holds the same predicates as a count and as an ids
-  // request; the ids request must get its row ids back.
-  QueryService::Options options;
-  options.queue.max_batch = 2;
-  options.queue.max_delay_us = 200000;  // hold the window for both
-  QueryService service(&engine_, options);
-  ASSERT_TRUE(service.Start().ok());
+  // One burst (a worker's backlog) holds the same predicates as a count
+  // and as an ids request; the ids request must get its row ids back.
+  QueryService service(&engine_, QueryService::Options{});
 
   QueryRequest count;
   count.predicates.push_back(engine::ValuePredicate{0, 10.0, 70.0});
@@ -114,34 +95,23 @@ TEST_F(QueryServiceTest, CountAndIdsOfOneQueryInOneBatchStayApart) {
   std::vector<uint64_t> expected = engine_.Execute(direct).row_ids;
   ASSERT_FALSE(expected.empty());
 
-  std::mutex mu;
-  std::condition_variable cv;
-  int pending = 2;
-  QueryResponse responses[2];
-  for (int i = 0; i < 2; ++i) {
-    service.Submit(i == 0 ? count : ids, [&, i](QueryResponse resp) {
-      std::lock_guard<std::mutex> lock(mu);
-      responses[i] = std::move(resp);
-      if (--pending == 0) cv.notify_one();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&]() { return pending == 0; });
-  }
+  std::vector<PendingQuery> backlog;
+  QueryResponse reject;
+  ASSERT_TRUE(service.Admit(count, 0, &backlog, &reject));
+  ASSERT_TRUE(service.Admit(ids, 0, &backlog, &reject));
+  ASSERT_EQ(backlog.size(), 2u);
+  QueryResponse responses[2] = {service.Run(&backlog[0]),
+                                service.Run(&backlog[1])};
   EXPECT_EQ(responses[0].status, StatusCode::kOk);
   EXPECT_EQ(responses[0].count, expected.size());
   EXPECT_TRUE(responses[0].row_ids.empty());
   EXPECT_EQ(responses[1].status, StatusCode::kOk);
-  EXPECT_EQ(responses[1].batch_size, 2u);
   EXPECT_EQ(responses[1].count, expected.size());
   EXPECT_EQ(responses[1].row_ids, expected);
-  service.Stop();
 }
 
 TEST_F(QueryServiceTest, SchemaViolationsRejectSynchronouslyBeforeTheEngine) {
   QueryService service(&engine_, QueryService::Options{});
-  ASSERT_TRUE(service.Start().ok());
 
   struct Case {
     QueryRequest request;
@@ -171,126 +141,76 @@ TEST_F(QueryServiceTest, SchemaViolationsRejectSynchronouslyBeforeTheEngine) {
     cases.push_back({r, "row out of range"});
   }
   for (Case& c : cases) {
-    bool called = false;
-    service.Submit(c.request, [&](QueryResponse resp) {
-      called = true;
-      EXPECT_EQ(resp.status, StatusCode::kBadRequest) << c.what;
-      EXPECT_FALSE(resp.error.empty()) << c.what;
-    });
-    // Rejections are synchronous — no dispatcher round trip.
-    EXPECT_TRUE(called) << c.what;
+    std::vector<PendingQuery> backlog;
+    QueryResponse resp;
+    // Rejected at admission: the query never reaches the backlog, so the
+    // engine never sees it.
+    EXPECT_FALSE(service.Admit(c.request, 0, &backlog, &resp)) << c.what;
+    EXPECT_TRUE(backlog.empty()) << c.what;
+    EXPECT_EQ(resp.status, StatusCode::kBadRequest) << c.what;
+    EXPECT_FALSE(resp.error.empty()) << c.what;
   }
-  service.Stop();
 }
 
 TEST_F(QueryServiceTest, SubmitAfterStopSaysShuttingDown) {
   QueryService service(&engine_, QueryService::Options{});
-  ASSERT_TRUE(service.Start().ok());
   service.Stop();
   QueryRequest request;
   request.predicates.push_back(engine::ValuePredicate{0, 0.0, 1.0});
-  bool called = false;
-  service.Submit(request, [&](QueryResponse resp) {
-    called = true;
-    EXPECT_EQ(resp.status, StatusCode::kShuttingDown);
-  });
-  EXPECT_TRUE(called);
+  EXPECT_EQ(AdmitAndRun(service, request).status, StatusCode::kShuttingDown);
 }
 
 TEST_F(QueryServiceTest, ExpiredDeadlineIsShedNotExecuted) {
-  QueryService::Options options;
-  // A long admission window guarantees the 1 ms deadline lapses while
-  // the query waits for the window to close.
-  options.queue.max_batch = 64;
-  options.queue.max_delay_us = 50000;  // 50 ms
-  QueryService service(&engine_, options);
-  ASSERT_TRUE(service.Start().ok());
+  QueryService service(&engine_, QueryService::Options{});
+  if (obs::kStatsEnabled) obs::ResetStats();
 
   QueryRequest request;
   request.predicates.push_back(engine::ValuePredicate{0, 0.0, 100.0});
   request.deadline_ms = 1;
-  QueryResponse response = SubmitAndWait(&service, request);
+  std::vector<PendingQuery> backlog;
+  QueryResponse reject;
+  ASSERT_TRUE(service.Admit(request, 0, &backlog, &reject));
+  // The query waits in the backlog past its deadline, as it would behind
+  // a pipelined burst or a long query on its worker.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  QueryResponse response = service.Run(&backlog[0]);
   EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
-  service.Stop();
+  EXPECT_EQ(response.timings.queue_ns, response.timings.total_ns);
+  EXPECT_GE(response.timings.queue_ns, 1000000u);
+  if (obs::kStatsEnabled) {
+    // Shed, not executed: the engine ran no query.
+    obs::StatsSnapshot stats = obs::SnapshotStats();
+    EXPECT_EQ(stats.counter(obs::Counter::kServeDeadlineExpired), 1u);
+    EXPECT_EQ(stats.counter(obs::Counter::kEngineQueries), 0u);
+  }
 }
 
 TEST_F(QueryServiceTest, BackpressureRejectsWhenTheQueueIsFull) {
   QueryService::Options options;
   options.queue.capacity = 2;
-  options.queue.max_batch = 64;
-  options.queue.max_delay_us = 200000;  // hold the window open
   QueryService service(&engine_, options);
-  ASSERT_TRUE(service.Start().ok());
 
   QueryRequest request;
   request.predicates.push_back(engine::ValuePredicate{0, 0.0, 100.0});
   request.count_only = true;
 
-  std::atomic<int> ok{0}, overloaded{0}, pending{0};
-  std::mutex mu;
-  std::condition_variable cv;
+  // A flood decoded in one pass: the backlog holds `capacity` queries and
+  // the rest are answered kOverloaded at once; the admitted ones run.
+  int ok = 0, overloaded = 0;
   constexpr int kFlood = 10;
-  pending = kFlood;
+  std::vector<PendingQuery> backlog;
   for (int i = 0; i < kFlood; ++i) {
-    service.Submit(request, [&](QueryResponse resp) {
-      if (resp.status == StatusCode::kOk) ++ok;
-      if (resp.status == StatusCode::kOverloaded) ++overloaded;
-      std::lock_guard<std::mutex> lock(mu);
-      if (--pending == 0) cv.notify_one();
-    });
+    QueryResponse reject;
+    if (!service.Admit(request, 0, &backlog, &reject)) {
+      if (reject.status == StatusCode::kOverloaded) ++overloaded;
+    }
   }
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&]() { return pending == 0; });
+  for (PendingQuery& p : backlog) {
+    if (service.Run(&p).status == StatusCode::kOk) ++ok;
   }
-  // The first queries fill the capacity-2 queue (possibly with the
-  // dispatcher already consuming); the bulk of the flood must shed.
-  EXPECT_GE(overloaded.load(), kFlood - 4);
-  EXPECT_GE(ok.load(), 2);
-  EXPECT_EQ(ok.load() + overloaded.load(), kFlood);
-  service.Stop();
-}
-
-TEST_F(QueryServiceTest, DuplicateQueriesInABatchAreDedupedByTheEngine) {
-  if (!obs::kStatsEnabled) GTEST_SKIP() << "stats compiled out";
-  QueryService::Options options;
-  options.queue.max_batch = 16;
-  options.queue.max_delay_us = 50000;  // accumulate the flood in one batch
-  QueryService service(&engine_, options);
-  ASSERT_TRUE(service.Start().ok());
-
-  uint64_t dedup_before =
-      obs::SnapshotStats().counter(obs::Counter::kEngineBatchDedupHits);
-
-  QueryRequest request;
-  request.predicates.push_back(engine::ValuePredicate{0, 10.0, 90.0});
-  request.count_only = true;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  int pending = 8;
-  uint64_t counts[8] = {0};
-  for (int i = 0; i < 8; ++i) {
-    QueryRequest r = request;
-    r.id = static_cast<uint32_t>(i);
-    service.Submit(r, [&, i](QueryResponse resp) {
-      EXPECT_EQ(resp.status, StatusCode::kOk);
-      counts[i] = resp.count;
-      std::lock_guard<std::mutex> lock(mu);
-      if (--pending == 0) cv.notify_one();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&]() { return pending == 0; });
-  }
-  for (int i = 1; i < 8; ++i) EXPECT_EQ(counts[i], counts[0]);
-  uint64_t dedup_after =
-      obs::SnapshotStats().counter(obs::Counter::kEngineBatchDedupHits);
-  // All eight queries are identical; whatever batches they landed in,
-  // at least some duplicates must have been collapsed.
-  EXPECT_GT(dedup_after, dedup_before);
-  service.Stop();
+  EXPECT_GE(overloaded, kFlood - 4);
+  EXPECT_GE(ok, 2);
+  EXPECT_EQ(ok + overloaded, kFlood);
 }
 
 }  // namespace

@@ -112,8 +112,6 @@ class QueryServerTest : public ::testing::Test {
   QueryServer::Options DefaultOptions() {
     QueryServer::Options options;
     options.num_workers = 2;
-    options.service.queue.max_batch = 16;
-    options.service.queue.max_delay_us = 200;
     return options;
   }
 
@@ -381,9 +379,9 @@ TEST_F(QueryServerTest, TruncatedFrameThenDisconnectDoesNotWedgeTheServer) {
 
 TEST_F(QueryServerTest, BackpressureSheds503UnderFlood) {
   QueryServer::Options options = DefaultOptions();
+  // The flood arrives as one pipelined burst, so the worker decodes it in
+  // one pass: 2 queries fit its backlog, the rest are shed.
   options.service.queue.capacity = 2;
-  options.service.queue.max_batch = 64;
-  options.service.queue.max_delay_us = 200000;  // hold the window open
   QueryServer server(&engine_, options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -414,19 +412,114 @@ TEST_F(QueryServerTest, BackpressureSheds503UnderFlood) {
 }
 
 TEST_F(QueryServerTest, DeadlineExpiryAnsweredAs504Equivalent) {
+  // One worker, one pipelined burst: the worker admits every frame of the
+  // burst before it executes any, so the last query's 1 ms deadline lapses
+  // while the long queries ahead of it run.
+  constexpr uint64_t kLongRows = 100000;
+  engine::HybridEngine::Options engine_options;
+  engine_options.binning.bins = 16;
+  engine_options.num_threads = 1;
+  engine::HybridEngine engine = engine::HybridEngine::Build(
+      MakeSeedTable(kLongRows, 11), engine_options);
   QueryServer::Options options = DefaultOptions();
-  options.service.queue.max_batch = 64;
-  options.service.queue.max_delay_us = 50000;  // 50 ms window
-  QueryServer server(&engine_, options);
+  options.num_workers = 1;
+  QueryServer server(&engine, options);
   ASSERT_TRUE(server.Start().ok());
 
-  Client client = Client::Connect(server.port());
+  // Each query ahead returns every row id: collecting and encoding 100k
+  // ids costs well over 1 ms for the burst.
+  constexpr int kAhead = 16;
   QueryRequest request;
   request.predicates.push_back(engine::ValuePredicate{0, 0.0, 100.0});
+  std::string burst;
+  for (int i = 0; i < kAhead; ++i) {
+    request.id = static_cast<uint32_t>(i + 1);
+    burst += EncodeQueryFrame(request);
+  }
+  request.id = kAhead + 1;
+  request.count_only = true;
   request.deadline_ms = 1;
+  burst += EncodeQueryFrame(request);
+
+  Client client = Client::Connect(server.port());
+  ASSERT_TRUE(client.SendRaw(burst));
   QueryResponse response;
-  ASSERT_TRUE(client.RoundTrip(request, &response));
+  do {
+    ASSERT_TRUE(client.Receive(&response));
+  } while (response.id != request.id);
   EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
+  server.Stop();
+}
+
+TEST_F(QueryServerTest, ConcurrentPoolCoordinatorsMatchSerialExecute) {
+  // Run to completion makes every worker a coordinator of the engine's
+  // pool: 4 workers execute at once on a 4-thread engine, each splitting
+  // its large verifies across the same pool. Every answer must equal a
+  // serial (1-thread) engine's, bit for bit.
+  constexpr uint64_t kPoolRows = 40000;  // above the pooled-verify cutoff
+  engine::HybridEngine::Options engine_options;
+  engine_options.binning.bins = 16;
+  engine_options.num_threads = 4;
+  engine::HybridEngine pooled = engine::HybridEngine::Build(
+      MakeSeedTable(kPoolRows, 11), engine_options);
+  engine_options.num_threads = 1;
+  engine::HybridEngine serial = engine::HybridEngine::Build(
+      MakeSeedTable(kPoolRows, 11), engine_options);
+
+  // Whole-relation queries, small subsets and half-relation subsets (the
+  // latter two below and above the pooled cutoff), as ids and as counts,
+  // exact and approximate.
+  std::vector<QueryRequest> mix;
+  for (double fraction : {0.0, 0.0025, 0.5}) {
+    TemplateOptions template_options;
+    template_options.num_templates = 8;
+    template_options.row_fraction = fraction;
+    template_options.count_only = false;
+    for (QueryRequest& r : MakeQueryTemplates(kPoolRows, template_options)) {
+      mix.push_back(std::move(r));
+    }
+  }
+  std::vector<engine::EngineResult> expected;
+  for (size_t i = 0; i < mix.size(); ++i) {
+    mix[i].count_only = i % 3 == 1;
+    mix[i].exact = i % 5 != 2;
+    engine::EngineQuery q;
+    q.predicates = mix[i].predicates;
+    q.rows = mix[i].rows;
+    q.exact = mix[i].exact;
+    q.count_only = mix[i].count_only;
+    expected.push_back(serial.Execute(q));
+  }
+
+  QueryServer::Options options = DefaultOptions();
+  options.num_workers = 4;
+  QueryServer server(&pooled, options);
+  ASSERT_TRUE(server.Start().ok());
+  constexpr int kClients = 8;
+  constexpr int kQueriesPerClient = 24;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c]() {
+      Client client = Client::Connect(server.port());
+      for (int i = 0; i < kQueriesPerClient; ++i) {
+        size_t pick = static_cast<size_t>(c * 7 + i * 5) % mix.size();
+        QueryRequest request = mix[pick];
+        request.id = static_cast<uint32_t>(i + 1);
+        QueryResponse response;
+        if (!client.RoundTrip(request, &response) ||
+            response.status != StatusCode::kOk ||
+            response.id != request.id ||
+            response.count != expected[pick].count ||
+            response.row_ids != expected[pick].row_ids) {
+          ++failures;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(failures.load(), 0);
   server.Stop();
 }
 
@@ -457,18 +550,18 @@ TEST_F(QueryServerTest, ConnectionLimitShedsExcessAccepts) {
 
 TEST_F(QueryServerTest, FreshConnectionInsertsBesideQueriesAnswerPromptly) {
   // Every /insert arrives on a new connection (Connection: close), which
-  // the acceptor hands to the worker through its mailbox, while query
-  // completions reach the same mailbox from the dispatcher. A handoff
-  // whose wakeup is lost waits out the worker's 100 ms epoll timeout.
+  // the acceptor hands to the worker through its inbox while the worker
+  // is answering queries. A handoff whose wakeup is lost waits out the
+  // worker's 100 ms epoll timeout.
   QueryServer::Options options = DefaultOptions();
-  options.num_workers = 1;  // all handoffs share one mailbox
+  options.num_workers = 1;  // all handoffs share one inbox
   options.telemetry_interval_ms = 0;
   QueryServer server(&engine_, options);
   ASSERT_TRUE(server.Start().ok());
 
-  // One query on each of several connections: their completions land in
-  // the mailbox together, so the worker is still draining (sending
-  // responses) when the first answer prompts the next insert.
+  // One query on each of several connections: the worker answers them in
+  // one sweep, so it is still answering when the first answer prompts the
+  // next insert.
   constexpr int kQueryConns = 16;
   std::vector<Client> clients;
   for (int c = 0; c < kQueryConns; ++c) {
@@ -496,8 +589,8 @@ TEST_F(QueryServerTest, FreshConnectionInsertsBesideQueriesAnswerPromptly) {
       ASSERT_TRUE(clients[c].Receive(&response));
       EXPECT_EQ(response.status, StatusCode::kOk);
     }
-    // A lost wakeup, of the insert's handoff or of a completion, stalls
-    // the round for the worker's 100 ms timeout.
+    // A lost wakeup of the insert's handoff stalls the round for the
+    // worker's 100 ms timeout.
     slowest_ns = std::max(slowest_ns, MonotonicNowNs() - start);
   }
   EXPECT_LT(slowest_ns, 50u * 1000 * 1000);

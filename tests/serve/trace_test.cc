@@ -109,8 +109,6 @@ class TraceTest : public ::testing::Test {
   QueryServer::Options DefaultOptions() {
     QueryServer::Options options;
     options.num_workers = 2;
-    options.service.queue.max_batch = 16;
-    options.service.queue.max_delay_us = 200;
     options.telemetry_interval_ms = 0;  // no ticker noise in unit tests
     return options;
   }

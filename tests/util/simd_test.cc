@@ -86,6 +86,24 @@ TEST(SimdDispatchTest, ParseAndName) {
   }
 }
 
+TEST(SimdWordTest, PopCount64MatchesPerBitCount) {
+  // Dense random words, sparse ones, every single bit, 0 and ~0: the
+  // SWAR fallback and the builtin must both count exactly.
+  std::vector<uint64_t> words = RandomWords(512, 29);
+  std::vector<uint64_t> sparse = RandomWords(512, 30);
+  for (size_t i = 0; i < sparse.size(); ++i) {
+    words.push_back(sparse[i] & words[i] & (words[i] >> 7));
+  }
+  for (int b = 0; b < 64; ++b) words.push_back(uint64_t{1} << b);
+  words.push_back(0);
+  words.push_back(~uint64_t{0});
+  for (uint64_t w : words) {
+    int expected = 0;
+    for (int b = 0; b < 64; ++b) expected += static_cast<int>((w >> b) & 1);
+    EXPECT_EQ(PopCount64(w), expected) << std::hex << w;
+  }
+}
+
 TEST(SimdWordTest, PopcountWordsMatchesNaive) {
   for (size_t count : {0u, 1u, 3u, 4u, 7u, 64u, 129u}) {
     std::vector<uint64_t> words = RandomWords(count, 42 + count);

@@ -5,8 +5,11 @@
 //
 //   ./ab_serve                          # ephemeral port, announced on stderr
 //   ./ab_serve --port=9200 --rows=200000
-//   ./ab_serve --no-batching            # ablation: dispatch queries alone
-//   ./ab_serve --max-batch=64 --max-delay-us=200 --queue-cap=1024
+//   ./ab_serve --workers=4 --engine-threads=1 --queue-cap=1024
+//
+// Each worker runs its queries to completion: it decodes, executes on its
+// own thread and replies, so --workers is the inter-query parallelism and
+// --engine-threads the intra-query parallelism.
 //
 // Try it with curl (JSON over HTTP):
 //   curl -s http://127.0.0.1:PORT/healthz
@@ -45,10 +48,12 @@ void Usage(const char* prog) {
   std::fprintf(
       stderr,
       "usage: %s [--port=N] [--rows=N] [--seed=N] [--workers=N]\n"
-      "          [--engine-threads=N] [--max-batch=N] [--max-delay-us=N]\n"
-      "          [--queue-cap=N] [--no-batching] [--deadline-ms=N]\n"
+      "          [--engine-threads=N] [--queue-cap=N] [--deadline-ms=N]\n"
       "          [--max-connections=N] [--slow-ms=N] [--telemetry-ms=N]\n"
       "\n"
+      "  --queue-cap=N     most queries a worker holds decoded and not yet\n"
+      "                    executed; the excess is answered 503 (default\n"
+      "                    1024)\n"
       "  --slow-ms=N       slow-query log threshold (/slow.json); 0 retains\n"
       "                    every request (default 100)\n"
       "  --telemetry-ms=N  /timeseries.json sample cadence; 0 disables\n"
@@ -81,11 +86,6 @@ int main(int argc, char** argv) {
       options.num_workers = std::atoi(v);
     } else if (FlagValue(argv[i], "--engine-threads", &v)) {
       engine_threads = std::atoi(v);
-    } else if (FlagValue(argv[i], "--max-batch", &v)) {
-      options.service.queue.max_batch = std::strtoull(v, nullptr, 10);
-    } else if (FlagValue(argv[i], "--max-delay-us", &v)) {
-      options.service.queue.max_delay_us =
-          static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
     } else if (FlagValue(argv[i], "--queue-cap", &v)) {
       options.service.queue.capacity = std::strtoull(v, nullptr, 10);
     } else if (FlagValue(argv[i], "--deadline-ms", &v)) {
@@ -99,8 +99,6 @@ int main(int argc, char** argv) {
     } else if (FlagValue(argv[i], "--telemetry-ms", &v)) {
       options.telemetry_interval_ms =
           static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--no-batching") == 0) {
-      options.service.batching = false;
     } else {
       Usage(argv[0]);
       return 2;
@@ -133,13 +131,9 @@ int main(int argc, char** argv) {
   // find the port; same shape as ab_stats.
   std::fprintf(stderr, "ab_serve: listening on http://127.0.0.1:%u\n",
                static_cast<unsigned>(server.port()));
-  std::fprintf(stderr,
-               "ab_serve: batching=%s max_batch=%zu max_delay_us=%u "
-               "queue_cap=%zu workers=%d\n",
-               options.service.batching ? "on" : "off",
-               options.service.queue.max_batch,
-               options.service.queue.max_delay_us,
-               options.service.queue.capacity, options.num_workers);
+  std::fprintf(stderr, "ab_serve: workers=%d engine_threads=%d queue_cap=%zu\n",
+               options.num_workers, engine_threads,
+               options.service.queue.capacity);
 
   std::signal(SIGINT, StopHandler);
   std::signal(SIGTERM, StopHandler);

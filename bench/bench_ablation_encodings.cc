@@ -40,8 +40,8 @@ void Run() {
   for (const wah::WahVector& c : equality) equality_bytes += c.SizeInBytes();
 
   // The same equality columns as Roaring containers (array/bitset/run
-  // chosen per chunk by Optimize) — the backend the adaptive selector
-  // plays off against WAH.
+  // chosen per chunk by Optimize) — the engine's exact index, played off
+  // against WAH.
   std::vector<roaring::RoaringBitmap> roaring_eq;
   {
     std::vector<util::BitVector> cols(kCardinality,

@@ -14,7 +14,6 @@
 // google-benchmark output when piped as JSON.
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -28,14 +27,15 @@
 #include "bitmap/bitmap_table.h"
 #include "core/ab_index.h"
 #include "engine/exact_index.h"
-#include "roaring/roaring_index.h"
 #include "wah/wah_query.h"
 #include "core/approximate_bitmap.h"
+#include "bbc/bbc_vector.h"
 #include "core/blocked_bitmap.h"
 #include "data/generators.h"
 #include "data/query_gen.h"
 #include "hash/hash_family.h"
 #include "obs/stats.h"
+#include "roaring/roaring_bitmap.h"
 #include "util/simd.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -286,19 +286,16 @@ std::vector<KernelTiming> MeasureKernels() {
   return out;
 }
 
-/// Per-backend compressed size and selector outcome on one seed dataset,
-/// plus the headline sparse-intersection race. The size rows back the
-/// selector's claims (Roaring <= WAH where it picks Roaring); the
-/// intersect row is the galloping-kernel target: an asymmetric AND of two
-/// sub-1%-density columns, where array containers gallop instead of
-/// walking fills.
+/// Per-backend compressed size on one seed dataset (the engine's Roaring
+/// index against the paper's WAH and BBC baselines), plus the headline
+/// sparse-intersection race: an asymmetric AND of two sub-1%-density
+/// columns, where array containers gallop instead of walking fills.
 struct BackendSizes {
   std::string name;
   uint64_t rows = 0;
   uint64_t wah_bytes = 0;
   uint64_t bbc_bytes = 0;
   uint64_t roaring_bytes = 0;
-  std::array<uint64_t, engine::kNumBackendChoices> selector = {};
 };
 
 struct SparseIntersect {
@@ -317,12 +314,9 @@ std::vector<BackendSizes> MeasureBackendSizes() {
     s.name = e.data.name;
     s.rows = table.num_rows();
     s.wah_bytes = wah::WahIndex::Build(table).SizeInBytes();
-    s.roaring_bytes = roaring::RoaringIndex::Build(table).SizeInBytes();
+    s.roaring_bytes = engine::ExactIndex::Build(table, nullptr).SizeInBytes();
     for (uint32_t j = 0; j < table.num_columns(); ++j) {
       s.bbc_bytes += bbc::BbcVector::Compress(table.column(j)).SizeInBytes();
-      engine::BackendChoice c =
-          engine::ChooseBackend(engine::ProfileColumn(table.column(j)));
-      s.selector[static_cast<size_t>(c)]++;
     }
     out.push_back(std::move(s));
   }
@@ -430,8 +424,8 @@ void WriteQueryJson(const PipelineTiming& pipeline,
     w.EndObject();
   }
   w.EndArray();
-  // Exact-backend comparison: per-dataset compressed sizes, what the
-  // density-adaptive selector picked, and the sparse galloping-AND race.
+  // Exact-backend comparison: per-dataset compressed sizes and the sparse
+  // galloping-AND race.
   w.Key("backends");
   w.BeginObject();
   w.Key("datasets");
@@ -443,14 +437,6 @@ void WriteQueryJson(const PipelineTiming& pipeline,
     w.Key("wah_bytes"), w.Uint(s.wah_bytes);
     w.Key("bbc_bytes"), w.Uint(s.bbc_bytes);
     w.Key("roaring_bytes"), w.Uint(s.roaring_bytes);
-    w.Key("selector");
-    w.BeginObject();
-    for (size_t c = 0; c < engine::kNumBackendChoices; ++c) {
-      w.Key(engine::BackendChoiceName(
-          static_cast<engine::BackendChoice>(c)));
-      w.Uint(s.selector[c]);
-    }
-    w.EndObject();
     w.EndObject();
   }
   w.EndArray();
@@ -484,20 +470,13 @@ void RunKernelComparison() {
   }
   std::vector<BackendSizes> backends = MeasureBackendSizes();
   std::fprintf(stderr, "\nexact backends per dataset\n");
-  std::fprintf(stderr, "%-10s %12s %12s %12s  %s\n", "dataset", "wah(B)",
-               "bbc(B)", "roaring(B)", "selector");
+  std::fprintf(stderr, "%-10s %12s %12s %12s\n", "dataset", "wah(B)",
+               "bbc(B)", "roaring(B)");
   for (const BackendSizes& s : backends) {
-    std::fprintf(
-        stderr,
-        "%-10s %12llu %12llu %12llu  wah=%llu bbc=%llu roaring=%llu "
-        "ab=%llu\n",
-        s.name.c_str(), static_cast<unsigned long long>(s.wah_bytes),
-        static_cast<unsigned long long>(s.bbc_bytes),
-        static_cast<unsigned long long>(s.roaring_bytes),
-        static_cast<unsigned long long>(s.selector[0]),
-        static_cast<unsigned long long>(s.selector[1]),
-        static_cast<unsigned long long>(s.selector[2]),
-        static_cast<unsigned long long>(s.selector[3]));
+    std::fprintf(stderr, "%-10s %12llu %12llu %12llu\n", s.name.c_str(),
+                 static_cast<unsigned long long>(s.wah_bytes),
+                 static_cast<unsigned long long>(s.bbc_bytes),
+                 static_cast<unsigned long long>(s.roaring_bytes));
   }
   SparseIntersect intersect = MeasureSparseIntersect();
   std::fprintf(stderr,

@@ -8,13 +8,15 @@
 // the WAH+filter column adds the row-extraction scan. AB time is linear in
 // the rows queried.
 //
-// The "Roaring direct" column answers the same row subsets by Roaring's
-// direct access (RoaringIndex::Evaluate: only the containers of the
-// chunks a subset touches). A last section sweeps it against the AB over
-// contiguous and uniformly scattered subsets, on the uniform dataset and
-// on a dense build whose columns the selector marks AB-preferred — the
-// evidence behind HybridEngine's rule that only plans touching WAH or BBC
-// route subsets to the AB.
+// The "Roaring" column times the engine's whole-relation bit-wise phase
+// (ExactIndex::ExecuteBitwiseBits: each attribute's bins ORed as words,
+// attributes ANDed as words). The "Roaring direct" column answers the same
+// row subsets by Roaring's direct access (ExactIndex::Evaluate: only the
+// containers of the chunks a subset touches). A last section sweeps it
+// against the AB over contiguous and uniformly scattered subsets, on the
+// uniform dataset and on a dense 3-bin dataset of incompressible columns
+// (the AB's best case) — the evidence behind HybridEngine answering every
+// subset on Roaring and building no base AB.
 //
 // A final section times large subsets (10/30/50% of the rows) of
 // all-Roaring plans end to end, candidate pick and raw-value verify
@@ -28,24 +30,23 @@
 
 #include "bench/bench_util.h"
 #include "engine/exact_index.h"
-#include "roaring/roaring_index.h"
 #include "util/stopwatch.h"
 
 namespace abitmap {
 namespace bench {
 namespace {
 
-/// Average per-query wall time (ms) of the Roaring bit-wise phase — the
-/// Roaring mirror of TimeWah's bitwise column.
-double TimeRoaringBitwise(const roaring::RoaringIndex& index,
+/// Average per-query wall time (ms) of the engine's Roaring bit-wise
+/// phase — the Roaring mirror of TimeWah's bitwise column.
+double TimeRoaringBitwise(const engine::ExactIndex& index,
                           const std::vector<bitmap::BitmapQuery>& queries) {
   uint64_t sink = 0;
   for (const bitmap::BitmapQuery& q : queries) {
-    sink += index.ExecuteBitwise(q).Count();
+    sink += index.ExecuteBitwiseBits(q).Count();
   }
   util::Stopwatch timer;
   for (const bitmap::BitmapQuery& q : queries) {
-    sink += index.ExecuteBitwise(q).Count();
+    sink += index.ExecuteBitwiseBits(q).Count();
   }
   double ms = timer.ElapsedMillis() / queries.size();
   if (sink == 0xFFFFFFFF) std::printf(" ");
@@ -92,21 +93,16 @@ std::vector<bitmap::BitmapQuery> Scattered(
 /// WAH's whole-relation-then-pick, over contiguous and scattered subsets,
 /// counting the cells where an AB kernel beat direct access.
 void DirectVsAbSweep(const bitmap::BinnedDataset& data, double alpha,
-                    const char* backend, uint32_t bins_per_attr) {
+                     uint32_t bins_per_attr) {
   bitmap::BitmapTable table = bitmap::BitmapTable::Build(data);
   wah::WahIndex wah_index = wah::WahIndex::Build(table);
-  engine::ExactIndex exact = engine::ExactIndex::Build(table, nullptr, backend);
+  engine::ExactIndex exact = engine::ExactIndex::Build(table, nullptr);
   ab::AbConfig cfg;
   cfg.level = ab::Level::kPerAttribute;
   cfg.alpha = alpha;
   ab::AbIndex ab_index = ab::AbIndex::Build(data, cfg);
-  PrintHeader("Roaring direct vs AB: " + data.name + " (" + backend +
-              " build, alpha=" + std::to_string(static_cast<int>(alpha)) +
-              "), msec per query");
-  std::printf("selector on this data: %s\n",
-              engine::ExactIndex::Build(table, nullptr, "auto")
-                  .ChoiceSummary()
-                  .c_str());
+  PrintHeader("Roaring direct vs AB: " + data.name + " (alpha=" +
+              std::to_string(static_cast<int>(alpha)) + "), msec per query");
   std::printf("%-9s %8s %-10s %12s %10s %12s %14s %9s\n", "fraction",
               "rows", "shape", "WAH(+filter)", "AB", "AB(batched)",
               "Roaring direct", "AB/direct");
@@ -169,8 +165,7 @@ std::vector<std::vector<double>> RawValues(const bitmap::BinnedDataset& data,
 /// bins prune), as the engine's candidate verify does.
 void DirectVsWholeThenPick(const EvalDataset& e) {
   bitmap::BitmapTable table = bitmap::BitmapTable::Build(e.data);
-  engine::ExactIndex exact =
-      engine::ExactIndex::Build(table, nullptr, "roaring");
+  engine::ExactIndex exact = engine::ExactIndex::Build(table, nullptr);
   std::vector<std::vector<double>> raw = RawValues(e.data, 17);
   PrintHeader("Roaring direct vs whole-then-pick, pick + verify included: " +
               e.data.name + ", msec per query");
@@ -233,7 +228,7 @@ void Run() {
   for (EvalDataset& e : AllDatasets()) {
     bitmap::BitmapTable table = bitmap::BitmapTable::Build(e.data);
     wah::WahIndex wah_index = wah::WahIndex::Build(table);
-    roaring::RoaringIndex roaring_index = roaring::RoaringIndex::Build(table);
+    engine::ExactIndex roaring_index = engine::ExactIndex::Build(table, nullptr);
     ab::AbConfig cfg;
     cfg.level = ab::Level::kPerAttribute;
     cfg.alpha = e.paper_alpha;
@@ -305,15 +300,14 @@ void Run() {
     }
   }
   EvalDataset uniform = MakeUniform();
-  DirectVsAbSweep(uniform.data, uniform.paper_alpha, "auto", 4);
+  DirectVsAbSweep(uniform.data, uniform.paper_alpha, 4);
   // Dense, incompressible columns: the uniform dataset's shape with 3 bins
   // per attribute, so every bitmap column holds ~33% of the rows in runs
-  // of ~1.5 — the selector's AB-preferred (kAb) regime, stored as Roaring
-  // bitset containers.
+  // of ~1.5 (Roaring bitset containers) — the paper's case for the AB.
   DirectVsAbSweep(
       data::MakeSynthetic("dense", uniform.data.num_rows(), 2, 3,
                           data::Distribution::kUniform, 13),
-      uniform.paper_alpha, "ab", 1);
+      uniform.paper_alpha, 1);
   std::printf(
       "\nShapes to check (paper): WAH bitwise time constant per dataset; AB\n"
       "linear in rows; AB faster by 1-3 orders of magnitude at 100-1000\n"

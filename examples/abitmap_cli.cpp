@@ -243,10 +243,9 @@ int CmdDemo() {
   options.binning.bins = 20;
   engine::HybridEngine engine =
       engine::HybridEngine::Build(std::move(table).value(), options);
-  std::printf("exact index: %llu bytes\n",
-              static_cast<unsigned long long>(engine.ExactSizeBytes()));
-  std::printf("exact backends: %s\n",
-              engine.exact_index().ChoiceSummary().c_str());
+  std::printf("exact index: %llu bytes over %u Roaring columns\n",
+              static_cast<unsigned long long>(engine.ExactSizeBytes()),
+              engine.exact_index().num_columns());
 
   engine::EngineQuery q;
   q.predicates.push_back(engine::ValuePredicate{0, 25.0, 50.0});

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
@@ -25,12 +24,6 @@ HybridEngine::HybridEngine(Table table, const Options& options)
 
 HybridEngine HybridEngine::Build(Table table, const Options& options) {
   HybridEngine engine(std::move(table), options);
-  // The AB_BACKEND environment variable wins over Options::backend: it
-  // lets a deployed binary force "wah"/"bbc"/"roaring"/"ab" (or restore
-  // "auto") without a rebuild, mirroring AB_DISABLE_SIMD.
-  if (const char* env = std::getenv("AB_BACKEND")) {
-    if (env[0] != '\0') engine.options_.backend = env;
-  }
   // The pool is created before the index so construction itself runs
   // through it: exact-column compression fans out over the same workers
   // that later serve queries. The parallel build is bit-identical to the
@@ -44,7 +37,7 @@ HybridEngine HybridEngine::Build(Table table, const Options& options) {
   bitmap::BitmapTable bitmap_table =
       bitmap::BitmapTable::Build(engine.discretized_.dataset);
   engine.exact_ = std::make_unique<ExactIndex>(ExactIndex::Build(
-      bitmap_table, engine.pool_.get(), engine.options_.backend));
+      bitmap_table, engine.pool_.get(), options.backend));
   // Only the bitmap build reads the binned values: queries verify against
   // the raw table, and ingest bins through the binners and attributes.
   std::vector<std::vector<uint32_t>>().swap(engine.discretized_.dataset.values);
@@ -490,7 +483,7 @@ EngineResult HybridEngine::ExecuteExactImpl(const EngineQuery& query) const {
     result = CollectWholeRelation(*this, query, std::move(bits), edge_bits,
                                   pool_.get());
   } else {
-    // Direct access for an all-Roaring plan, whole-then-pick otherwise.
+    // Direct access: only the containers of the chunks the subset touches.
     std::vector<bool> bits = exact_->Evaluate(bin_query);
     result = CollectResult(*this, query, bin_query, bits, pool_.get());
     if (query.count_only) result.row_ids = {};
@@ -498,14 +491,12 @@ EngineResult HybridEngine::ExecuteExactImpl(const EngineQuery& query) const {
   result.trace.rows_evaluated =
       bin_query.rows.empty() ? table_.num_rows() : bin_query.rows.size();
   result.trace.attrs_in_plan = bin_query.ranges.size();
-  // The exact arm is exact at bin granularity whatever its backend: the
-  // predicted precision of 1.0 is the model's statement, and pruning only
-  // removes bin overshoot.
+  // The exact arm is exact at bin granularity: the predicted precision of
+  // 1.0 is the model's statement, and pruning only removes bin overshoot.
   result.trace.simd_level =
       util::simd::SimdLevelName(util::simd::ActiveSimdLevel());
   result.path = "exact";
   result.trace.path = "exact";
-  result.trace.backend = exact_->PlanBackendLabel(bin_query);
   result.trace.latency_ms = query_timer.ElapsedMillis();
   return result;
 }

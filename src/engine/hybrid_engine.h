@@ -57,28 +57,25 @@ struct EngineResult {
   obs::QueryTrace trace;
 };
 
-/// The query engine over one table: a density-adaptive ExactIndex, whose
-/// per-column backend (WAH / BBC / Roaring) the selector picks at build
-/// time, plus a verify of the candidates against the raw values. The paper
+/// The query engine over one table: an ExactIndex of Roaring columns,
+/// plus a verify of the candidates against the raw values. The paper
 /// routes small row subsets to the Approximate Bitmap because run-length
-/// bitmaps lose direct access ("executing a query that selects up to
-/// around 15% of the rows by using AB is still faster"). Roaring keeps
-/// direct access, so every query here runs on the exact index:
+/// bitmaps (WAH, BBC) lose direct access ("executing a query that selects
+/// up to around 15% of the rows by using AB is still faster"). Roaring
+/// keeps direct access, so every query here runs on the exact index:
 ///  * a whole-relation query evaluates the bit-wise plan as words and
 ///    verifies them in place, reading a raw value only for candidates in
 ///    a predicate's edge bins (rows in its interior bins pass by
 ///    construction); a count is a popcount, row ids come from the
 ///    verified words;
-///  * a row subset of a plan stored all as Roaring (kRoaring or kAb
-///    columns) is answered by direct access: only the containers of the
-///    chunks the subset touches are read, so the cost follows the subset;
-///  * a row subset of a plan that touches a WAH or BBC column is evaluated
-///    over the whole relation, then picked.
-/// No base AB is built: the selector picks WAH or BBC on no seed dataset,
-/// and the AB-vs-WAH crossover measured on this implementation is about 1%
-/// of the rows (EXPERIMENTS.md, Figure 14). The AB serves only as the
-/// ingest delta (MutableAbIndex); src/core keeps the paper's AB for the
-/// figure benches.
+///  * a row subset is answered by direct access: only the containers of
+///    the chunks the subset touches are read, so the cost follows the
+///    subset.
+/// No base AB is built: the AB-vs-WAH crossover measured on this
+/// implementation is about 1% of the rows (EXPERIMENTS.md, Figure 14), and
+/// Roaring direct access beat the AB in every cell of that sweep. The AB
+/// serves only as the ingest delta (MutableAbIndex); src/core keeps the
+/// paper's AB for the figure benches.
 class HybridEngine {
  public:
   struct Options {
@@ -86,10 +83,9 @@ class HybridEngine {
     BinningSpec binning;
     /// AB configuration (level, alpha, k, scheme) of the ingest delta.
     ab::AbConfig ab;
-    /// Exact-backend selection: "auto" (per-column density-adaptive
-    /// selector) or a forced BackendChoiceName ("wah", "bbc", "roaring",
-    /// "ab"). The AB_BACKEND environment variable, when set, wins over
-    /// this field.
+    /// Kept only for source compatibility: "auto", "" and "roaring" all
+    /// build the same Roaring index, and Build fails an AB_CHECK on any
+    /// other value. No client byte or server flag reaches it.
     std::string backend = "auto";
     /// Worker threads for index construction and candidate verification.
     /// 0 picks util::DefaultThreadCount(); 1 disables the pool (every
@@ -97,8 +93,9 @@ class HybridEngine {
     int num_threads = 0;
   };
 
-  /// Builds the exact index. The table is retained for exact-answer
-  /// pruning.
+  /// Builds the exact index, one Roaring bitmap per bin; `options.backend`
+  /// must be "auto", "" or "roaring" (see Options::backend). The table is
+  /// retained for exact-answer pruning.
   static HybridEngine Build(Table table, const Options& options);
 
   /// Executes a query.

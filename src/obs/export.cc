@@ -43,14 +43,10 @@ const char* const kCounterHelp[kNumCounters] = {
     "Shard-merge words actually ORed",
     "Shard-merge words skipped as untouched",
     "HybridEngine queries executed",
-    "Queries the engine ran on the exact index (any backend)",
+    "Queries the engine ran on the exact index",
     "Candidate rows the chosen index reported",
     "Candidates surviving raw-value verification",
     "Candidates pruned as false positives (exact mode)",
-    "Columns the adaptive selector stored as WAH",
-    "Columns the adaptive selector stored as BBC",
-    "Columns the adaptive selector stored as Roaring",
-    "Columns marked AB-first by the selector (stored as Roaring)",
     "Tasks submitted to util::ThreadPool",
     "Tasks completed by util::ThreadPool workers",
     "Connections accepted by the serve frontend",

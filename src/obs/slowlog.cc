@@ -74,7 +74,6 @@ std::vector<SlowQueryRecord> SnapshotSlowLog() {
   std::vector<SlowQueryRecord> records = SlowLogRing::Instance().Snapshot();
   for (SlowQueryRecord& rec : records) {
     if (rec.path == nullptr) rec.path = "";
-    if (rec.backend == nullptr) rec.backend = "";
   }
   return records;
 }
@@ -103,10 +102,10 @@ std::string SlowLogToJson() {
             r.batch_size, r.mono_ns, r.total_ns, r.decode_ns, r.queue_ns,
             r.batch_ns, r.engine_ns, r.verify_ns, r.serialize_ns);
     Appendf(&out,
-            ", \"path\": \"%s\", \"backend\": \"%s\", \"candidates\": %" PRIu64
+            ", \"path\": \"%s\", \"candidates\": %" PRIu64
             ", \"verified_matches\": %" PRIu64
             ", \"observed_precision\": %.6f}",
-            r.path, r.backend, r.candidates, r.verified_matches,
+            r.path, r.candidates, r.verified_matches,
             r.observed_precision);
   }
   out += records.empty() ? "]\n}\n" : "\n  ]\n}\n";

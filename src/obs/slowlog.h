@@ -32,8 +32,8 @@ namespace obs {
 
 /// One retained slow request. Plain trivially-copyable value struct:
 /// the ring stores it as whole 64-bit words.
-/// `path`/`backend` point at static storage (the engine fills them with
-/// string literals).
+/// `path` points at static storage (the engine fills it with a string
+/// literal).
 struct SlowQueryRecord {
   uint64_t trace_id = 0;       ///< request trace id (client or minted)
   uint64_t request_id = 0;     ///< client-assigned request id
@@ -50,7 +50,6 @@ struct SlowQueryRecord {
   uint64_t serialize_ns = 0;   ///< response rendering (frame or JSON)
   // --- engine trace extract ---
   const char* path = "";       ///< "exact" (engine trace path)
-  const char* backend = "";    ///< "wah"/"bbc"/"roaring"/"ab"/"mixed"
   uint64_t candidates = 0;
   uint64_t verified_matches = 0;
   double observed_precision = -1.0;

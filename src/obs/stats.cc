@@ -39,10 +39,6 @@ const char* const kCounterNames[kNumCounters] = {
     "engine_candidates",
     "engine_verified",
     "engine_false_positives",
-    "engine_backend_cols_wah",
-    "engine_backend_cols_bbc",
-    "engine_backend_cols_roaring",
-    "engine_backend_cols_ab_preferred",
     "pool_tasks_submitted",
     "pool_tasks_completed",
     "serve_conns_accepted",

@@ -72,15 +72,10 @@ enum class Counter : uint32_t {
   kBuildMergeWordsSkipped, ///< shard-merge words skipped as untouched
   // --- HybridEngine execution / verification ---
   kEngineQueries,
-  kEngineExactRouted,      ///< base-index executions (any backend)
+  kEngineExactRouted,      ///< base-index executions
   kEngineCandidates,       ///< rows the chosen index reported 1
   kEngineVerified,         ///< candidates surviving raw-value pruning
   kEngineFalsePositives,   ///< candidates - verified (exact mode only)
-  // --- ExactIndex backend selection (counted once per build) ---
-  kEngineColsWah,          ///< columns the selector stored as WAH
-  kEngineColsBbc,          ///< columns the selector stored as BBC
-  kEngineColsRoaring,      ///< columns the selector stored as Roaring
-  kEngineColsAbPreferred,  ///< columns marked AB-first (stored Roaring)
   // --- util::ThreadPool ---
   kPoolTasksSubmitted,
   kPoolTasksCompleted,

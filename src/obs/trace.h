@@ -46,10 +46,6 @@ struct QueryTrace {
   // --- environment ---
   const char* simd_level = "";      ///< active dispatch level name
   const char* path = "";            ///< "exact" for engine queries
-  /// Exact-index backend serving the plan's columns: "wah", "bbc",
-  /// "roaring", "ab" (AB-preferring columns), or "mixed". Empty outside
-  /// the engine.
-  const char* backend = "";
   double latency_ms = 0.0;
   /// Wall time spent verifying candidates against raw values, in
   /// nanoseconds. Filled by the engine's collect path in both stats
@@ -61,7 +57,7 @@ struct QueryTrace {
     char buf[512];
     std::snprintf(
         buf, sizeof(buf),
-        "{\"path\": \"%s\", \"backend\": \"%s\", \"simd\": \"%s\", "
+        "{\"path\": \"%s\", \"simd\": \"%s\", "
         "\"latency_ms\": %.4f, "
         "\"rows_evaluated\": %llu, \"cells_probed\": %llu, "
         "\"probe_windows\": %llu, \"rows_matched\": %llu, "
@@ -69,7 +65,7 @@ struct QueryTrace {
         "\"candidates\": %llu, \"verified_matches\": %llu, "
         "\"verify_ns\": %llu, "
         "\"predicted_precision\": %.6f, \"observed_precision\": %.6f}",
-        path, backend, simd_level, latency_ms,
+        path, simd_level, latency_ms,
         static_cast<unsigned long long>(rows_evaluated),
         static_cast<unsigned long long>(cells_probed),
         static_cast<unsigned long long>(probe_windows),

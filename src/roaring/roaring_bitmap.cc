@@ -101,16 +101,6 @@ void RoaringBitmap::AppendTo(util::BitVector* out) const {
   }
 }
 
-std::vector<uint64_t> RoaringBitmap::ToRows() const {
-  std::vector<uint64_t> rows;
-  rows.reserve(Count());
-  for (size_t i = 0; i < keys_.size(); ++i) {
-    uint64_t base = uint64_t{keys_[i]} << kChunkBits;
-    for (uint16_t v : containers_[i].ToArray()) rows.push_back(base | v);
-  }
-  return rows;
-}
-
 size_t RoaringBitmap::SizeInBytes() const {
   size_t total = keys_.size() * (sizeof(uint32_t) + sizeof(Container));
   for (const Container& c : containers_) total += c.SizeInBytes();

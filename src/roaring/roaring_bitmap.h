@@ -54,9 +54,6 @@ class RoaringBitmap {
   /// ORs all set rows into `out` (which must be large enough).
   void AppendTo(util::BitVector* out) const;
 
-  /// Sorted list of all set rows.
-  std::vector<uint64_t> ToRows() const;
-
   /// Heap bytes of keys + container payloads — the "Roaring size" the
   /// benchmarks report next to WAH/BBC sizes.
   size_t SizeInBytes() const;

@@ -703,8 +703,6 @@ std::string ResponseToJson(const QueryResponse& response) {
   if (response.path[0] != '\0') {
     out.append(",\"path\":\"");
     out.append(response.path);
-    out.append("\",\"backend\":\"");
-    AppendJsonEscaped(response.backend, &out);
     out.push_back('"');
   }
   if (response.batch_size > 0) {

@@ -116,7 +116,6 @@ struct QueryResponse {
   StageTimings timings;         ///< filled when the request asked for it
   // Serving annotations (JSON only; diagnostics, not results).
   const char* path = "";        ///< "exact" (engine trace path)
-  const char* backend = "";     ///< exact-arm backend label
   uint32_t batch_size = 0;      ///< queries executed together: always 1
   double latency_us = 0.0;      ///< server-side queue + execution time
   /// Engine trace of the executed query (server-side only, never

@@ -133,7 +133,6 @@ QueryResponse QueryService::Run(PendingQuery* p) const {
   resp.count = r.count;
   resp.row_ids = std::move(r.row_ids);
   resp.path = r.trace.path;
-  resp.backend = r.trace.backend;
   resp.batch_size = 1;
   resp.latency_us = static_cast<double>(done_ns - p->admit_ns) / 1000.0;
   resp.timings.batch_ns = done_ns - start;

@@ -543,7 +543,6 @@ class QueryServer::Worker {
       rec.verify_ns = resp.timings.verify_ns;
       rec.serialize_ns = serialize_ns;
       rec.path = resp.trace.path;
-      rec.backend = resp.trace.backend;
       rec.candidates = resp.trace.candidates;
       rec.verified_matches = resp.trace.verified_matches;
       rec.observed_precision = resp.trace.observed_precision;

@@ -6,87 +6,13 @@
 #include "bitmap/bitmap_table.h"
 #include "data/generators.h"
 #include "gtest/gtest.h"
-#include "roaring/roaring_index.h"
+#include "roaring/roaring_bitmap.h"
 #include "util/bitvector.h"
 #include "wah/wah_query.h"
 
 namespace abitmap {
 namespace engine {
 namespace {
-
-/// A column with `runs` runs of `run_len` set bits, evenly spaced over
-/// `rows` rows — lets a test dial density and run structure separately.
-util::BitVector MakeRunColumn(uint64_t rows, uint64_t runs,
-                              uint64_t run_len) {
-  util::BitVector bits(rows);
-  uint64_t stride = rows / runs;
-  for (uint64_t r = 0; r < runs; ++r) {
-    uint64_t start = r * stride;
-    for (uint64_t i = 0; i < run_len && start + i < rows; ++i) {
-      bits.Set(start + i);
-    }
-  }
-  return bits;
-}
-
-TEST(ColumnProfileTest, CountsBitsAndRuns) {
-  util::BitVector bits(1000);
-  // Three runs: [10,12], {100}, [500,539].
-  for (uint64_t i : {10, 11, 12, 100}) bits.Set(i);
-  for (uint64_t i = 500; i < 540; ++i) bits.Set(i);
-  ColumnProfile p = ProfileColumn(bits);
-  EXPECT_EQ(p.rows, 1000u);
-  EXPECT_EQ(p.set_bits, 44u);
-  EXPECT_EQ(p.runs, 3u);
-  EXPECT_NEAR(p.density(), 0.044, 1e-9);
-  EXPECT_NEAR(p.avg_run_length(), 44.0 / 3.0, 1e-9);
-}
-
-TEST(ColumnProfileTest, RunsAcrossWordBoundaries) {
-  // One run straddling the bit-63/64 boundary must count once, not twice.
-  util::BitVector bits(256);
-  for (uint64_t i = 60; i < 70; ++i) bits.Set(i);
-  EXPECT_EQ(ProfileColumn(bits).runs, 1u);
-  // A run starting exactly at a word boundary.
-  util::BitVector at_boundary(256);
-  for (uint64_t i = 128; i < 130; ++i) at_boundary.Set(i);
-  EXPECT_EQ(ProfileColumn(at_boundary).runs, 1u);
-}
-
-TEST(ChooseBackendTest, ThresholdTable) {
-  auto profile = [](uint64_t rows, uint64_t set_bits, uint64_t runs) {
-    ColumnProfile p;
-    p.rows = rows;
-    p.set_bits = set_bits;
-    p.runs = runs;
-    return p;
-  };
-  // Sparse (<1%) -> Roaring, regardless of run structure.
-  EXPECT_EQ(ChooseBackend(profile(100000, 500, 500)), BackendChoice::kRoaring);
-  EXPECT_EQ(ChooseBackend(profile(100000, 900, 10)), BackendChoice::kRoaring);
-  // Long runs (>= 31 set bits per run) -> WAH.
-  EXPECT_EQ(ChooseBackend(profile(100000, 40000, 1000)), BackendChoice::kWah);
-  // Dense and fragmented -> AB-preferred.
-  EXPECT_EQ(ChooseBackend(profile(100000, 30000, 15000)), BackendChoice::kAb);
-  // Low density with mid-length runs -> BBC.
-  EXPECT_EQ(ChooseBackend(profile(100000, 3000, 300)), BackendChoice::kBbc);
-  // Mid-density fragmented -> Roaring.
-  EXPECT_EQ(ChooseBackend(profile(100000, 10000, 9000)),
-            BackendChoice::kRoaring);
-}
-
-TEST(BackendChoiceTest, NamesRoundTrip) {
-  for (size_t i = 0; i < kNumBackendChoices; ++i) {
-    BackendChoice c = static_cast<BackendChoice>(i);
-    BackendChoice parsed;
-    ASSERT_TRUE(ParseBackendChoice(BackendChoiceName(c), &parsed));
-    EXPECT_EQ(parsed, c);
-  }
-  BackendChoice unused;
-  EXPECT_FALSE(ParseBackendChoice("auto", &unused));
-  EXPECT_FALSE(ParseBackendChoice("", &unused));
-  EXPECT_FALSE(ParseBackendChoice("WAH", &unused));
-}
 
 bitmap::BinnedDataset SmallDataset(uint64_t rows, uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -109,8 +35,12 @@ TEST(ExactIndexTest, MatchesWahIndexOnEveryBackend) {
   bitmap::BitmapTable table = bitmap::BitmapTable::Build(dataset);
   wah::WahIndex reference = wah::WahIndex::Build(table);
   std::mt19937_64 rng(22);
-  for (const char* backend : {"auto", "wah", "bbc", "roaring", "ab"}) {
+  // "auto", "" and "roaring" are spellings of one index: equal sizes, and
+  // every column equal to the table's.
+  const uint64_t size = ExactIndex::Build(table, nullptr).SizeInBytes();
+  for (const char* backend : {"auto", "", "roaring"}) {
     ExactIndex index = ExactIndex::Build(table, nullptr, backend);
+    EXPECT_EQ(index.SizeInBytes(), size) << '"' << backend << '"';
     ASSERT_EQ(index.num_columns(), table.num_columns());
     for (uint32_t j = 0; j < index.num_columns(); ++j) {
       ASSERT_EQ(index.DecompressColumn(j), table.column(j))
@@ -139,6 +69,8 @@ TEST(ExactIndexTest, MatchesWahIndexOnEveryBackend) {
           << backend << " trial " << trial;
     }
   }
+  // Any other value is a programming error.
+  EXPECT_DEATH(ExactIndex::Build(table, nullptr, "wah"), "AB_CHECK");
 }
 
 TEST(ExactIndexTest, PooledBuildIdenticalToSerial) {
@@ -150,87 +82,9 @@ TEST(ExactIndexTest, PooledBuildIdenticalToSerial) {
     ExactIndex parallel = ExactIndex::Build(table, &pool);
     ASSERT_EQ(parallel.num_columns(), serial.num_columns());
     for (uint32_t j = 0; j < serial.num_columns(); ++j) {
-      EXPECT_EQ(parallel.column_choice(j), serial.column_choice(j));
       EXPECT_EQ(parallel.DecompressColumn(j), serial.DecompressColumn(j));
     }
     EXPECT_EQ(parallel.SizeInBytes(), serial.SizeInBytes());
-  }
-}
-
-TEST(ExactIndexTest, PlanLabelsAndDirectAccess) {
-  bitmap::BinnedDataset dataset = SmallDataset(1200, 24);
-  bitmap::BitmapTable table = bitmap::BitmapTable::Build(dataset);
-
-  ExactIndex roaring_only = ExactIndex::Build(table, nullptr, "roaring");
-  bitmap::BitmapQuery q;
-  q.ranges.push_back(bitmap::AttributeRange{0, 0, 3});
-  EXPECT_STREQ(roaring_only.PlanBackendLabel(q), "roaring");
-  EXPECT_TRUE(roaring_only.PlanHasDirectAccess(q));
-
-  // kAb columns are stored as Roaring, so they keep direct access.
-  ExactIndex ab_only = ExactIndex::Build(table, nullptr, "ab");
-  EXPECT_STREQ(ab_only.PlanBackendLabel(q), "ab");
-  EXPECT_TRUE(ab_only.PlanHasDirectAccess(q));
-  bitmap::BitmapQuery empty;
-  EXPECT_STREQ(ab_only.PlanBackendLabel(empty), "none");
-  EXPECT_TRUE(ab_only.PlanHasDirectAccess(empty));
-
-  for (const char* backend : {"wah", "bbc"}) {
-    ExactIndex rle = ExactIndex::Build(table, nullptr, backend);
-    EXPECT_STREQ(rle.PlanBackendLabel(q), backend);
-    EXPECT_FALSE(rle.PlanHasDirectAccess(q)) << backend;
-  }
-}
-
-TEST(ExactIndexTest, SelectorPicksExpectedBackendsOnShapedColumns) {
-  // Columns engineered to each selector regime, round-tripped through a
-  // one-attribute table per shape so Build sees exactly that bitmap.
-  const uint64_t rows = 200000;
-  struct Shape {
-    util::BitVector bits;
-    BackendChoice want;
-  };
-  std::vector<Shape> shapes;
-  {
-    // 0.1% density, scattered singletons -> Roaring.
-    util::BitVector sparse(rows);
-    for (uint64_t i = 0; i < rows; i += 1000) sparse.Set(i);
-    shapes.push_back({std::move(sparse), BackendChoice::kRoaring});
-  }
-  {
-    // 20% density in runs of 100 -> WAH (avg run >= 31).
-    shapes.push_back(
-        {MakeRunColumn(rows, rows / 500, 100), BackendChoice::kWah});
-  }
-  {
-    // 50% density alternating bits -> AB-preferred (dense, run length 1).
-    util::BitVector dense(rows);
-    for (uint64_t i = 0; i < rows; i += 2) dense.Set(i);
-    shapes.push_back({std::move(dense), BackendChoice::kAb});
-  }
-  {
-    // 2% density in runs of 10 -> BBC.
-    shapes.push_back(
-        {MakeRunColumn(rows, rows / 500, 10), BackendChoice::kBbc});
-  }
-  for (size_t s = 0; s < shapes.size(); ++s) {
-    EXPECT_EQ(ChooseBackend(ProfileColumn(shapes[s].bits)), shapes[s].want)
-        << "shape " << s;
-  }
-}
-
-TEST(ExactIndexTest, SeedDatasetsRoundTripUnderSelector) {
-  for (const bitmap::BinnedDataset& dataset :
-       {data::MakeUniformDataset(31, 20), data::MakeLandsatDataset(32, 30),
-        data::MakeHepDataset(33, 60)}) {
-    bitmap::BitmapTable table = bitmap::BitmapTable::Build(dataset);
-    ExactIndex index = ExactIndex::Build(table, nullptr);
-    uint64_t total = 0;
-    for (uint64_t c : index.choice_counts()) total += c;
-    ASSERT_EQ(total, index.num_columns());
-    for (uint32_t j = 0; j < index.num_columns(); ++j) {
-      ASSERT_EQ(index.DecompressColumn(j), table.column(j)) << "column " << j;
-    }
   }
 }
 
@@ -300,9 +154,16 @@ TEST(ExactIndexTest, DirectAccessSubsetsMatchWholeRelationThenPick) {
   const uint64_t rows = 140000;  // chunks 0, 1 full; chunk 2 partial
   bitmap::BinnedDataset dataset = ChunkedDataset(rows, 41);
   bitmap::BitmapTable table = bitmap::BitmapTable::Build(dataset);
-  // The dataset reaches every container kind.
-  std::vector<uint64_t> census =
-      roaring::RoaringIndex::Build(table).ContainerCensus();
+  // The dataset reaches every container kind of the run-optimized columns.
+  std::vector<uint64_t> census(3, 0);
+  for (uint32_t j = 0; j < table.num_columns(); ++j) {
+    roaring::RoaringBitmap column =
+        roaring::RoaringBitmap::FromBitVector(table.column(j));
+    column.Optimize();
+    for (size_t c = 0; c < column.num_containers(); ++c) {
+      census[static_cast<size_t>(column.container(c).kind())]++;
+    }
+  }
   for (roaring::ContainerKind kind :
        {roaring::ContainerKind::kArray, roaring::ContainerKind::kBitset,
         roaring::ContainerKind::kRun}) {
@@ -320,45 +181,32 @@ TEST(ExactIndexTest, DirectAccessSubsetsMatchWholeRelationThenPick) {
       {{0, 5, 45}, {1, 0, 0}, {2, 0, 1}},
       {{3, 0, 1}, {2, 0, 3}, {0, 0, 49}},
   };
-  for (const char* backend : {"roaring", "ab", "auto", "wah", "bbc"}) {
-    ExactIndex index = ExactIndex::Build(table, nullptr, backend);
-    if (std::string(backend) == "auto") {
-      // The selector mixes backends: R's long stripes land on WAH, so a
-      // plan touching R falls back to whole-relation-then-pick.
-      bitmap::BitmapQuery mixed;
-      mixed.ranges = plans[2];
-      EXPECT_STREQ(index.PlanBackendLabel(mixed), "mixed");
-      EXPECT_FALSE(index.PlanHasDirectAccess(mixed));
-      bitmap::BitmapQuery direct;
-      direct.ranges = plans[0];
-      EXPECT_TRUE(index.PlanHasDirectAccess(direct));
-    }
-    for (size_t p = 0; p < plans.size(); ++p) {
-      bitmap::BitmapQuery q;
-      q.ranges = plans[p];
-      util::BitVector whole = index.ExecuteBitwiseBits(q);
-      for (const auto& [name, subset] : shapes) {
-        q.rows = subset;
-        std::vector<bool> got = index.Evaluate(q);
-        ASSERT_EQ(got.size(), subset.size());
-        for (size_t i = 0; i < subset.size(); ++i) {
-          ASSERT_EQ(got[i], whole.Get(subset[i]))
-              << backend << " plan " << p << " " << name << " row "
-              << subset[i];
-          ASSERT_EQ(got[i], BinOracle(dataset, q, subset[i]))
-              << backend << " plan " << p << " " << name << " row "
-              << subset[i];
-        }
+  ExactIndex index = ExactIndex::Build(table, nullptr);
+  for (size_t p = 0; p < plans.size(); ++p) {
+    bitmap::BitmapQuery q;
+    q.ranges = plans[p];
+    util::BitVector whole = index.ExecuteBitwiseBits(q);
+    for (const auto& [name, subset] : shapes) {
+      q.rows = subset;
+      std::vector<bool> got = index.Evaluate(q);
+      ASSERT_EQ(got.size(), subset.size());
+      for (size_t i = 0; i < subset.size(); ++i) {
+        ASSERT_EQ(got[i], whole.Get(subset[i]))
+            << "plan " << p << " " << name << " row " << subset[i];
+        ASSERT_EQ(got[i], BinOracle(dataset, q, subset[i]))
+            << "plan " << p << " " << name << " row " << subset[i];
       }
     }
   }
 }
 
 TEST(ExactIndexTest, RoaringIndexSubsetsMatchWholeRelationThenPick) {
+  // A second chunked dataset and plan through the same Roaring columns,
+  // plus the no-predicate request.
   const uint64_t rows = 140000;
   bitmap::BinnedDataset dataset = ChunkedDataset(rows, 43);
   bitmap::BitmapTable table = bitmap::BitmapTable::Build(dataset);
-  roaring::RoaringIndex index = roaring::RoaringIndex::Build(table);
+  ExactIndex index = ExactIndex::Build(table, nullptr);
   std::mt19937_64 rng(44);
   bitmap::BitmapQuery q;
   q.ranges = {{0, 3, 40}, {3, 0, 3}};
@@ -369,12 +217,80 @@ TEST(ExactIndexTest, RoaringIndexSubsetsMatchWholeRelationThenPick) {
     ASSERT_EQ(got.size(), subset.size());
     for (size_t i = 0; i < subset.size(); ++i) {
       ASSERT_EQ(got[i], whole.Get(subset[i])) << name << " row " << subset[i];
+      ASSERT_EQ(got[i], BinOracle(dataset, q, subset[i]))
+          << name << " row " << subset[i];
     }
   }
   // No predicates: every requested row qualifies.
   q.ranges.clear();
   q.rows = {139999, 0, 65536};
   EXPECT_EQ(index.Evaluate(q), std::vector<bool>(3, true));
+}
+
+TEST(ExactIndexTest, EdgeBitsHoldTheFlaggedEndBins) {
+  // Random plans under every EdgeBins combination, on a table that spans
+  // the 2^16-row chunk boundary: the edge split leaves the plan's bits
+  // unchanged, and each edge vector is the OR of the flagged end bins.
+  const uint64_t rows = 70000;
+  bitmap::BinnedDataset dataset = ChunkedDataset(rows, 45);
+  bitmap::BitmapTable table = bitmap::BitmapTable::Build(dataset);
+  ExactIndex index = ExactIndex::Build(table, nullptr);
+  wah::WahIndex reference = wah::WahIndex::Build(table);
+  const bitmap::ColumnMapping& mapping = table.mapping();
+  const std::vector<ExactIndex::EdgeBins> kCombos = {
+      {false, false}, {true, false}, {false, true}, {true, true}};
+  std::mt19937_64 rng(46);
+  for (int trial = 0; trial < 40; ++trial) {
+    bitmap::BitmapQuery q;
+    size_t num_ranges = 1 + rng() % 3;
+    for (size_t i = 0; i < num_ranges; ++i) {
+      uint32_t attr = static_cast<uint32_t>(rng() % dataset.attributes.size());
+      uint32_t card = mapping.cardinality(attr);
+      uint32_t lo = static_cast<uint32_t>(rng() % card);
+      // Every fourth range is a single bin: lo_bin == hi_bin.
+      uint32_t hi =
+          trial % 4 == 0 ? lo : lo + static_cast<uint32_t>(rng() % (card - lo));
+      q.ranges.push_back(bitmap::AttributeRange{attr, lo, hi});
+    }
+    util::BitVector plain = index.ExecuteBitwiseBits(q);
+    ASSERT_EQ(plain, reference.ExecuteBitwiseBits(q)) << "trial " << trial;
+    // Each range in turn takes every combination; the others draw one.
+    for (size_t r = 0; r < num_ranges; ++r) {
+      for (const ExactIndex::EdgeBins& combo : kCombos) {
+        std::vector<ExactIndex::EdgeBins> edges;
+        for (size_t i = 0; i < num_ranges; ++i) {
+          edges.push_back(i == r ? combo : kCombos[rng() % kCombos.size()]);
+        }
+        std::vector<util::BitVector> edge_bits;
+        util::BitVector bits = index.ExecuteBitwiseBits(q, edges, &edge_bits);
+        ASSERT_EQ(bits, plain) << "trial " << trial << " range " << r;
+        ASSERT_EQ(edge_bits.size(), num_ranges);
+        for (size_t i = 0; i < num_ranges; ++i) {
+          const bitmap::AttributeRange& range = q.ranges[i];
+          util::BitVector want(rows);
+          bool flagged = false;
+          if (edges[i].lo) {
+            want.OrWith(table.column(mapping.GlobalColumn(range.attr,
+                                                          range.lo_bin)));
+            flagged = true;
+          }
+          if (edges[i].hi) {
+            want.OrWith(table.column(mapping.GlobalColumn(range.attr,
+                                                          range.hi_bin)));
+            flagged = true;
+          }
+          if (flagged) {
+            EXPECT_EQ(edge_bits[i], want)
+                << "trial " << trial << " range " << i << " lo "
+                << edges[i].lo << " hi " << edges[i].hi;
+          } else {
+            EXPECT_TRUE(edge_bits[i].empty())
+                << "trial " << trial << " range " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -26,22 +26,17 @@ Table MakeRandomTable(uint64_t rows, uint64_t seed) {
   return std::move(t).value();
 }
 
-HybridEngine MakeEngine(uint64_t rows, uint64_t seed) {
+HybridEngine::Options EngineOptions(uint32_t bins) {
   HybridEngine::Options options;
-  options.binning.bins = 16;
+  options.binning.bins = bins;
   options.ab.alpha = 16;
   options.ab.level = ab::Level::kPerAttribute;
-  return HybridEngine::Build(MakeRandomTable(rows, seed), options);
+  return options;
 }
 
-HybridEngine MakeForcedEngine(uint64_t rows, uint64_t seed,
-                              const char* backend) {
-  HybridEngine::Options options;
-  options.binning.bins = 16;
-  options.ab.alpha = 16;
-  options.ab.level = ab::Level::kPerAttribute;
-  options.backend = backend;
-  return HybridEngine::Build(MakeRandomTable(rows, seed), options);
+HybridEngine MakeEngine(uint64_t rows, uint64_t seed, uint32_t bins = 16) {
+  return HybridEngine::Build(MakeRandomTable(rows, seed),
+                             EngineOptions(bins));
 }
 
 std::vector<uint64_t> BruteForce(const Table& t, const EngineQuery& q) {
@@ -64,11 +59,32 @@ std::vector<uint64_t> BruteForce(const Table& t, const EngineQuery& q) {
   return out;
 }
 
+/// The bin-level truth (the approximate answer): the rows, in request
+/// order, whose bin under `binners` lies within each predicate's bins.
+std::vector<uint64_t> BinBruteForce(const Table& t,
+                                    const std::vector<bitmap::Binner>& binners,
+                                    const EngineQuery& q) {
+  std::vector<uint64_t> rows = q.rows;
+  if (rows.empty()) {
+    for (uint64_t r = 0; r < t.num_rows(); ++r) rows.push_back(r);
+  }
+  std::vector<uint64_t> out;
+  for (uint64_t r : rows) {
+    bool match = true;
+    for (const ValuePredicate& p : q.predicates) {
+      const bitmap::Binner& binner = binners[p.attr];
+      uint32_t bin = binner.BinOf(t.value(r, p.attr));
+      match &= bin >= binner.BinOf(p.lo) && bin <= binner.BinOf(p.hi);
+    }
+    if (match) out.push_back(r);
+  }
+  return out;
+}
+
 TEST(HybridEngineTest, ExactResultsMatchBruteForceBothPaths) {
-  // Subsets take direct access on the selector's all-Roaring plans and
-  // whole-then-pick on a WAH engine; both must equal the brute force.
+  // Whole relations run the word-level verify, subsets direct access;
+  // both must equal the brute force.
   HybridEngine engine = MakeEngine(3000, 1);
-  HybridEngine scan = MakeForcedEngine(3000, 1, "wah");
   std::mt19937_64 rng(2);
   for (int trial = 0; trial < 20; ++trial) {
     EngineQuery q;
@@ -78,31 +94,25 @@ TEST(HybridEngineTest, ExactResultsMatchBruteForceBothPaths) {
       uint64_t lo = rng() % 2000;
       q.rows = bitmap::RowRange(lo, lo + 500);
     }
-    std::vector<uint64_t> expected = BruteForce(engine.table(), q);
-    EXPECT_EQ(engine.Execute(q).row_ids, expected) << trial;
-    EXPECT_EQ(scan.Execute(q).row_ids, expected) << trial;
+    EXPECT_EQ(engine.Execute(q).row_ids, BruteForce(engine.table(), q))
+        << trial;
   }
 }
 
 TEST(HybridEngineTest, EverySubsetRunsOnTheExactArm) {
   // No base AB: whole relations and row subsets of every size run on the
-  // exact index, whether the plan has direct access (Roaring) or is
-  // evaluated whole then picked (WAH, BBC).
-  for (const char* backend : {"wah", "bbc", "roaring"}) {
-    HybridEngine engine = MakeForcedEngine(5000, 3, backend);
-    EngineQuery q;
-    q.predicates.push_back(ValuePredicate{0, 0.0, 50.0});
-    // The whole relation, 41 of 5000 rows (0.8%) and 2500 (50%).
-    for (const std::vector<uint64_t>& rows :
-         {std::vector<uint64_t>{}, bitmap::RowRange(100, 140),
-          bitmap::RowRange(0, 2499)}) {
-      q.rows = rows;
-      EngineResult result = engine.Execute(q);
-      EXPECT_EQ(result.path, "exact") << backend << " " << rows.size();
-      EXPECT_STREQ(result.trace.backend, backend) << rows.size();
-      EXPECT_EQ(result.row_ids, BruteForce(engine.table(), q))
-          << backend << " " << rows.size();
-    }
+  // exact index.
+  HybridEngine engine = MakeEngine(5000, 3);
+  EngineQuery q;
+  q.predicates.push_back(ValuePredicate{0, 0.0, 50.0});
+  // The whole relation, 41 of 5000 rows (0.8%) and 2500 (50%).
+  for (const std::vector<uint64_t>& rows :
+       {std::vector<uint64_t>{}, bitmap::RowRange(100, 140),
+        bitmap::RowRange(0, 2499)}) {
+    q.rows = rows;
+    EngineResult result = engine.Execute(q);
+    EXPECT_EQ(result.path, "exact") << rows.size();
+    EXPECT_EQ(result.row_ids, BruteForce(engine.table(), q)) << rows.size();
   }
 }
 
@@ -356,9 +366,6 @@ TEST(HybridEngineTest, ParallelBuildYieldsIdenticalIndexes) {
   ASSERT_EQ(serial.exact_index().num_columns(),
             parallel.exact_index().num_columns());
   for (uint32_t j = 0; j < serial.exact_index().num_columns(); ++j) {
-    ASSERT_EQ(serial.exact_index().column_choice(j),
-              parallel.exact_index().column_choice(j))
-        << "backend choice, column " << j;
     ASSERT_EQ(serial.exact_index().DecompressColumn(j),
               parallel.exact_index().DecompressColumn(j))
         << "exact column " << j;
@@ -367,85 +374,6 @@ TEST(HybridEngineTest, ParallelBuildYieldsIdenticalIndexes) {
   q.predicates.push_back(ValuePredicate{0, 10.0, 70.0});
   q.rows = bitmap::RowRange(100, 1600);
   EXPECT_EQ(serial.Execute(q).row_ids, parallel.Execute(q).row_ids);
-}
-
-TEST(HybridEngineTest, BackendOptionForcesEveryColumn) {
-  for (const char* backend : {"wah", "bbc", "roaring"}) {
-    HybridEngine::Options options;
-    options.binning.bins = 16;
-    options.ab.alpha = 8;
-    options.backend = backend;
-    HybridEngine engine =
-        HybridEngine::Build(MakeRandomTable(1500, 10), options);
-    const ExactIndex& exact = engine.exact_index();
-    BackendChoice want;
-    ASSERT_TRUE(ParseBackendChoice(backend, &want));
-    for (uint32_t j = 0; j < exact.num_columns(); ++j) {
-      EXPECT_EQ(exact.column_choice(j), want) << backend << " column " << j;
-    }
-    EngineQuery q;
-    q.predicates.push_back(ValuePredicate{0, 20.0, 60.0});
-    EXPECT_EQ(engine.Execute(q).row_ids, BruteForce(engine.table(), q))
-        << backend;
-    EXPECT_STREQ(engine.Execute(q).trace.backend, backend);
-  }
-}
-
-TEST(HybridEngineTest, AbBackendEnvOverridesOption) {
-  ::setenv("AB_BACKEND", "wah", 1);
-  HybridEngine::Options options;
-  options.binning.bins = 8;
-  options.backend = "roaring";  // should lose to the environment
-  HybridEngine engine = HybridEngine::Build(MakeRandomTable(600, 11), options);
-  ::unsetenv("AB_BACKEND");
-  const ExactIndex& exact = engine.exact_index();
-  for (uint32_t j = 0; j < exact.num_columns(); ++j) {
-    EXPECT_EQ(exact.column_choice(j), BackendChoice::kWah) << "column " << j;
-  }
-}
-
-TEST(HybridEngineTest, ForcedBackendsAgreeOnEveryQuery) {
-  // The same table under every forced backend (and the selector) must
-  // answer every query identically: backends differ in cost, never in
-  // bits.
-  std::vector<HybridEngine> engines;
-  for (const char* backend : {"auto", "wah", "bbc", "roaring", "ab"}) {
-    HybridEngine::Options options;
-    options.binning.bins = 16;
-    options.ab.alpha = 8;
-    options.backend = backend;
-    engines.push_back(HybridEngine::Build(MakeRandomTable(2000, 12), options));
-  }
-  std::mt19937_64 rng(13);
-  for (int trial = 0; trial < 10; ++trial) {
-    EngineQuery q;
-    q.predicates.push_back(
-        ValuePredicate{static_cast<uint32_t>(trial % 3), 10.0, 70.0});
-    if (trial % 2 == 1) {
-      uint64_t lo = rng() % 1000;
-      q.rows = bitmap::RowRange(lo, lo + 700);
-    }
-    std::vector<uint64_t> expected = engines[0].Execute(q).row_ids;
-    for (size_t e = 1; e < engines.size(); ++e) {
-      EXPECT_EQ(engines[e].Execute(q).row_ids, expected)
-          << "engine " << e << " trial " << trial;
-    }
-  }
-}
-
-TEST(HybridEngineTest, AbPreferredPlansUseDirectAccess) {
-  // kAb-preferring columns are stored as Roaring, so their subsets take
-  // direct access at every fraction.
-  HybridEngine engine = MakeForcedEngine(5000, 14, "ab");
-  EngineQuery q;
-  q.predicates.push_back(ValuePredicate{0, 20.0, 60.0});
-  for (uint64_t last : {40u, 499u, 999u}) {  // 0.8%, 10%, 20%
-    q.rows = bitmap::RowRange(0, last);
-    EngineResult result = engine.Execute(q);
-    EXPECT_EQ(result.path, "exact") << last;
-    EXPECT_STREQ(result.trace.backend, "ab");
-    EXPECT_EQ(result.row_ids, BruteForce(engine.table(), q)) << last;
-  }
 }
 
 /// Row subsets in every order the engine accepts, over a table that
@@ -469,10 +397,36 @@ std::vector<std::vector<uint64_t>> EngineRowShapes(uint64_t rows,
   return shapes;
 }
 
+TEST(HybridEngineTest, AbPreferredPlansUseDirectAccess) {
+  // Dense columns (3 bins: about a third of the rows each, Roaring bitset
+  // containers), the paper's case for the AB, take direct access at every
+  // subset fraction, exact and approximate.
+  const uint32_t bins = 3;
+  HybridEngine engine = MakeEngine(5000, 14, bins);
+  std::vector<bitmap::Binner> binners =
+      engine.table().Discretize(EngineOptions(bins).binning).binners;
+  EngineQuery q;
+  q.predicates.push_back(ValuePredicate{0, 20.0, 60.0});
+  for (uint64_t last : {40u, 499u, 999u}) {  // 0.8%, 10%, 20%
+    q.rows = bitmap::RowRange(0, last);
+    q.exact = true;
+    EngineResult result = engine.Execute(q);
+    EXPECT_EQ(result.path, "exact") << last;
+    EXPECT_EQ(result.row_ids, BruteForce(engine.table(), q)) << last;
+    q.exact = false;
+    EngineResult approx = engine.Execute(q);
+    EXPECT_TRUE(approx.approximate) << last;
+    EXPECT_EQ(approx.row_ids, BinBruteForce(engine.table(), binners, q))
+        << last;
+  }
+}
+
 TEST(HybridEngineTest, DirectAccessSubsetsMatchOracleInAnyRowOrder) {
   const uint64_t rows = 70000;
-  HybridEngine direct = MakeForcedEngine(rows, 16, "roaring");
-  HybridEngine scan = MakeForcedEngine(rows, 16, "wah");  // whole-then-pick
+  const uint32_t bins = 16;
+  HybridEngine engine = MakeEngine(rows, 16, bins);
+  std::vector<bitmap::Binner> binners =
+      engine.table().Discretize(EngineOptions(bins).binning).binners;
   std::mt19937_64 rng(17);
   std::vector<std::vector<ValuePredicate>> plans = {
       {{0, 20.0, 45.0}},
@@ -484,43 +438,17 @@ TEST(HybridEngineTest, DirectAccessSubsetsMatchOracleInAnyRowOrder) {
       EngineQuery q;
       q.predicates = plans[p];
       q.rows = subset;
-      std::vector<uint64_t> truth = BruteForce(direct.table(), q);
-      EngineResult exact = direct.Execute(q);
+      EngineResult exact = engine.Execute(q);
       EXPECT_EQ(exact.path, "exact");
-      EXPECT_EQ(exact.row_ids, truth) << "plan " << p;
-      EXPECT_EQ(scan.Execute(q).row_ids, truth) << "plan " << p;
+      EXPECT_EQ(exact.row_ids, BruteForce(engine.table(), q)) << "plan " << p;
 
-      // Approximate: bin-level candidates, identical across backends, a
-      // superset of the truth inside the request.
+      // Approximate: the bin-level candidates, in request order.
       q.exact = false;
-      EngineResult approx = direct.Execute(q);
-      EXPECT_EQ(approx.row_ids, scan.Execute(q).row_ids)
-          << "plan " << p;
-      std::vector<uint64_t> got = approx.row_ids;
-      std::vector<uint64_t> want = truth;
-      std::vector<uint64_t> request = subset;
-      std::sort(got.begin(), got.end());
-      std::sort(want.begin(), want.end());
-      std::sort(request.begin(), request.end());
-      EXPECT_TRUE(std::includes(got.begin(), got.end(), want.begin(),
-                                want.end()))
-          << "plan " << p;
-      EXPECT_TRUE(std::includes(request.begin(), request.end(), got.begin(),
-                                got.end()))
+      EngineResult approx = engine.Execute(q);
+      EXPECT_TRUE(approx.approximate);
+      EXPECT_EQ(approx.row_ids, BinBruteForce(engine.table(), binners, q))
           << "plan " << p;
     }
-  }
-}
-
-TEST(HybridEngineTest, ChoiceSummaryCoversEveryColumn) {
-  HybridEngine engine = MakeEngine(2000, 15);
-  const ExactIndex& exact = engine.exact_index();
-  uint64_t total = 0;
-  for (uint64_t c : exact.choice_counts()) total += c;
-  EXPECT_EQ(total, exact.num_columns());
-  std::string summary = exact.ChoiceSummary();
-  for (const char* name : {"wah=", "bbc=", "roaring=", "ab="}) {
-    EXPECT_NE(summary.find(name), std::string::npos) << summary;
   }
 }
 
@@ -643,7 +571,7 @@ TEST(HybridEngineTest, DeleteRowTombstonesBaseAndDeltaRows) {
 TEST(HybridEngineTest, DirectAccessBaseSubsetsUnderInsertsAndDeletes) {
   // The base part of a subset is answered by direct access, tombstones
   // mask it afterwards, and the delta part is evaluated as before.
-  HybridEngine engine = MakeForcedEngine(70000, 25, "roaring");
+  HybridEngine engine = MakeEngine(70000, 25);
   const uint64_t base_n = engine.base_rows();
   std::vector<std::vector<double>> rows;
   for (uint64_t r = 0; r < base_n; ++r) {

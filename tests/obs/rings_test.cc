@@ -116,7 +116,6 @@ SlowQueryRecord MakeRecord(uint64_t trace_id) {
   r.verify_ns = 300000;
   r.serialize_ns = 2000;
   r.path = "ab";
-  r.backend = "ab";
   r.candidates = 100;
   r.verified_matches = 97;
   r.observed_precision = 0.97;
@@ -154,7 +153,6 @@ TEST(SlowLogTest, RecordRoundTripsThroughTheRing) {
   EXPECT_EQ(records[0].verify_ns, 300000u);
   EXPECT_EQ(records[0].serialize_ns, 2000u);
   EXPECT_STREQ(records[0].path, "ab");
-  EXPECT_STREQ(records[0].backend, "ab");
   EXPECT_EQ(records[0].candidates, 100u);
   EXPECT_EQ(records[0].verified_matches, 97u);
   EXPECT_DOUBLE_EQ(records[0].observed_precision, 0.97);

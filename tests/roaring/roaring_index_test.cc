@@ -1,14 +1,16 @@
-// RoaringIndex bit-identity against WahIndex and the uncompressed
-// BitmapTable across the seed datasets (scaled), random query shapes,
-// forced SIMD dispatch levels, and pool-vs-serial builds.
+// The engine's Roaring index (engine::ExactIndex) bit-identical to
+// WahIndex and the uncompressed BitmapTable across the seed datasets
+// (scaled), random query shapes, forced SIMD dispatch levels, and
+// pool-vs-serial builds.
 
 #include <memory>
 #include <random>
 #include <vector>
 
 #include "data/generators.h"
+#include "engine/exact_index.h"
 #include "gtest/gtest.h"
-#include "roaring/roaring_index.h"
+#include "roaring/roaring_bitmap.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
 #include "wah/wah_query.h"
@@ -16,6 +18,8 @@
 namespace abitmap {
 namespace roaring {
 namespace {
+
+using engine::ExactIndex;
 
 using util::simd::ActiveSimdLevel;
 using util::simd::SetSimdLevelForTesting;
@@ -74,19 +78,39 @@ std::vector<bitmap::BitmapQuery> RandomQueries(
   return queries;
 }
 
+/// The plan evaluated in the compressed domain over `columns`: MultiOr of
+/// each range's bins, And across ranges (at least one range).
+RoaringBitmap CompressedPlan(const std::vector<RoaringBitmap>& columns,
+                             const bitmap::ColumnMapping& mapping,
+                             const bitmap::BitmapQuery& q) {
+  RoaringBitmap result;
+  for (size_t i = 0; i < q.ranges.size(); ++i) {
+    const bitmap::AttributeRange& range = q.ranges[i];
+    std::vector<const RoaringBitmap*> bins;
+    for (uint32_t b = range.lo_bin; b <= range.hi_bin; ++b) {
+      bins.push_back(&columns[mapping.GlobalColumn(range.attr, b)]);
+    }
+    RoaringBitmap attr = RoaringBitmap::MultiOr(bins);
+    result = i == 0 ? std::move(attr) : And(result, attr);
+  }
+  return result;
+}
+
 void ExpectIdenticalToWah(const bitmap::BinnedDataset& d, uint64_t seed) {
   bitmap::BitmapTable table = bitmap::BitmapTable::Build(d);
   wah::WahIndex wah_index = wah::WahIndex::Build(table);
-  RoaringIndex roaring_index = RoaringIndex::Build(table);
+  ExactIndex roaring_index = ExactIndex::Build(table, nullptr);
   EXPECT_EQ(roaring_index.num_rows(), table.num_rows());
   EXPECT_EQ(roaring_index.num_columns(), table.num_columns());
 
   // Column-level round trip: every Roaring column expands to the verbatim
   // column WAH compresses.
+  std::vector<RoaringBitmap> columns;
   for (uint32_t j = 0; j < roaring_index.num_columns(); ++j) {
-    EXPECT_EQ(roaring_index.column(j).ToBitVector(table.num_rows()),
-              table.column(j))
+    EXPECT_EQ(roaring_index.DecompressColumn(j), table.column(j))
         << "column " << j;
+    columns.push_back(RoaringBitmap::FromBitVector(table.column(j)));
+    columns.back().Optimize();
   }
 
   for (const bitmap::BitmapQuery& q : RandomQueries(d, 25, seed)) {
@@ -94,8 +118,10 @@ void ExpectIdenticalToWah(const bitmap::BinnedDataset& d, uint64_t seed) {
     util::BitVector wah_bits = wah_index.ExecuteBitwiseBits(q);
     EXPECT_EQ(roaring_bits, wah_bits);
     EXPECT_EQ(roaring_index.Evaluate(q), wah_index.Evaluate(q));
-    // FindNextSet walks the compressed result identically to the bits.
-    const RoaringBitmap compressed = roaring_index.ExecuteBitwise(q);
+    // The same plan in the compressed domain: FindNextSet walks its result
+    // identically to the bits.
+    const RoaringBitmap compressed =
+        CompressedPlan(columns, table.mapping(), q);
     uint64_t pos = compressed.FindNextSet(0);
     size_t expect_pos = wah_bits.FindNextSet(0);
     while (expect_pos < wah_bits.size()) {
@@ -128,13 +154,14 @@ TEST(RoaringIndexTest, MatchesWahUnderForcedSimdLevels) {
 TEST(RoaringIndexTest, PooledBuildIdenticalToSerial) {
   bitmap::BinnedDataset d = data::MakeLandsatDataset(43, 60);
   bitmap::BitmapTable table = bitmap::BitmapTable::Build(d);
-  RoaringIndex serial = RoaringIndex::Build(table);
+  ExactIndex serial = ExactIndex::Build(table, nullptr);
   for (int threads : {2, 8}) {
     util::ThreadPool pool(threads);
-    RoaringIndex pooled = RoaringIndex::Build(table, &pool);
+    ExactIndex pooled = ExactIndex::Build(table, &pool);
     ASSERT_EQ(pooled.num_columns(), serial.num_columns());
     for (uint32_t j = 0; j < serial.num_columns(); ++j) {
-      EXPECT_EQ(pooled.column(j), serial.column(j)) << "column " << j;
+      EXPECT_EQ(pooled.DecompressColumn(j), serial.DecompressColumn(j))
+          << "column " << j;
     }
     EXPECT_EQ(pooled.SizeInBytes(), serial.SizeInBytes());
   }
@@ -143,34 +170,25 @@ TEST(RoaringIndexTest, PooledBuildIdenticalToSerial) {
 TEST(RoaringIndexTest, EmptyAndAllRowQueries) {
   bitmap::BinnedDataset d = SmallDataset(2000, 7);
   bitmap::BitmapTable table = bitmap::BitmapTable::Build(d);
-  RoaringIndex index = RoaringIndex::Build(table);
+  ExactIndex index = ExactIndex::Build(table, nullptr);
 
-  // No predicates: every row qualifies.
+  // No predicates: every row qualifies, over the whole relation and over
+  // a subset.
   bitmap::BitmapQuery all;
   util::BitVector bits = index.ExecuteBitwiseBits(all);
   EXPECT_EQ(bits.Count(), 2000u);
+  EXPECT_EQ(index.Evaluate(all), std::vector<bool>(2000, true));
+  all.rows = {1999, 0, 7, 7};
+  EXPECT_EQ(index.Evaluate(all), std::vector<bool>(4, true));
 
   // Disjoint single-bin predicates can produce an empty result.
   bitmap::BitmapQuery q;
   q.ranges = {{0, 0, 0}, {0, 1, 1}};
   // Rows in bin 0 of A are not in bin 1 of A (equality encoding).
   EXPECT_EQ(index.ExecuteBitwiseBits(q).Count(), 0u);
-  EXPECT_EQ(index.ExecuteBitwise(q).FindNextSet(0), RoaringBitmap::kNoBit);
-}
-
-TEST(RoaringIndexTest, CensusCountsEveryContainer) {
-  bitmap::BinnedDataset d = data::MakeHepDataset(44, 200);
-  bitmap::BitmapTable table = bitmap::BitmapTable::Build(d);
-  RoaringIndex index = RoaringIndex::Build(table);
-  std::vector<uint64_t> census = index.ContainerCensus();
-  ASSERT_EQ(census.size(), 3u);
-  uint64_t total = census[0] + census[1] + census[2];
-  uint64_t expect = 0;
-  for (uint32_t j = 0; j < index.num_columns(); ++j) {
-    expect += index.column(j).num_containers();
-  }
-  EXPECT_EQ(total, expect);
-  EXPECT_GT(total, 0u);
+  EXPECT_EQ(index.Evaluate(q), std::vector<bool>(2000, false));
+  q.rows = bitmap::RowRange(100, 199);
+  EXPECT_EQ(index.Evaluate(q), std::vector<bool>(100, false));
 }
 
 }  // namespace

@@ -289,14 +289,15 @@ TEST(ProtocolJsonTest, ResponseRendering) {
   resp.status = StatusCode::kOk;
   resp.count = 2;
   resp.row_ids = {10, 20};
-  resp.path = "ab";
-  resp.backend = "ab";
+  resp.path = "exact";
   resp.batch_size = 4;
   resp.latency_us = 123.4;
   std::string json = ResponseToJson(resp);
   EXPECT_NE(json.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_NE(json.find("\"rows\":[10,20]"), std::string::npos);
   EXPECT_NE(json.find("\"batch_size\":4"), std::string::npos);
+  EXPECT_NE(json.find("\"path\":\"exact\""), std::string::npos);
+  EXPECT_EQ(json.find("\"backend\""), std::string::npos);
 
   QueryResponse err;
   err.status = StatusCode::kOverloaded;

@@ -286,29 +286,6 @@ if [ "${AB_CHECK_SCALING:-advisory}" != "0" ]; then
   fi
 fi
 
-if [ "${AB_CHECK_BACKEND:-advisory}" != "0" ]; then
-  echo "== backend-selector smoke =="
-  # Advisory check of the density-adaptive exact-backend selector: the
-  # shaped-column test asserts Roaring on sparse scatter, WAH on dense
-  # run-heavy, BBC/AB on their regimes, and the forced-override test
-  # proves AB_BACKEND plumbing. Advisory by default (the tier-1 suite
-  # already ran these); AB_CHECK_BACKEND=strict makes a failure fatal.
-  backend_filter='ExactIndexTest.SelectorPicksExpectedBackendsOnShapedColumns'
-  backend_filter="$backend_filter:HybridEngineTest.BackendOptionForcesEveryColumn"
-  backend_filter="$backend_filter:HybridEngineTest.AbBackendEnvOverridesOption"
-  if "$build_dir/tests/engine_test" --gtest_filter="$backend_filter" \
-    --gtest_brief=1 >"$build_dir/backend_smoke.log" 2>&1; then
-    echo "backend-selector smoke: selector and AB_BACKEND override ok"
-  else
-    echo "backend-selector smoke: FAILED; see $build_dir/backend_smoke.log" >&2
-    if [ "${AB_CHECK_BACKEND:-advisory}" = "strict" ]; then
-      echo "error: AB_CHECK_BACKEND=strict and the smoke failed" >&2
-      exit 1
-    fi
-    echo "backend-selector smoke: ADVISORY failure" >&2
-  fi
-fi
-
 if [ "${AB_CHECK_SERVE:-advisory}" != "0" ]; then
   echo "== serve smoke (ab_serve + ab_loadgen) =="
   # Boot the query server on an ephemeral port, drive it with a short

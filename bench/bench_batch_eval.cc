@@ -6,8 +6,8 @@
 // --benchmark_format=json for machine-readable output.
 //
 // After the google-benchmark pass, main() times the individual query-side
-// kernels (probe hashing, batched membership, blocked-block probe, and the
-// word-wise verification ops) at the forced-scalar dispatch level and at
+// kernels (probe hashing, batched membership, and the word-wise
+// verification ops) at the forced-scalar dispatch level and at
 // the detected SIMD level, and writes both the pipeline and kernel numbers
 // to BENCH_query.json (the query-side mirror of BENCH_build.json). The
 // comparison table and the SIMD banner go to stderr so stdout stays pure
@@ -30,7 +30,6 @@
 #include "wah/wah_query.h"
 #include "core/approximate_bitmap.h"
 #include "bbc/bbc_vector.h"
-#include "core/blocked_bitmap.h"
 #include "data/generators.h"
 #include "data/query_gen.h"
 #include "hash/hash_family.h"
@@ -258,17 +257,6 @@ std::vector<KernelTiming> MeasureKernels() {
     benchmark::DoNotOptimize(hits.data());
   }));
 
-  // Single-load 512-bit block probe of the cache-local variant.
-  ab::AbParams blocked_params;
-  blocked_params.n_bits = n;
-  blocked_params.k = k;
-  ab::BlockedApproximateBitmap blocked(blocked_params);
-  blocked.InsertBatch(keys.data(), num_keys / 2);
-  out.push_back(MeasureKernel("blocked_test", num_keys, [&] {
-    blocked.TestBatch(keys.data(), num_keys, hits.data());
-    benchmark::DoNotOptimize(hits.data());
-  }));
-
   // Word kernels behind WAH/BBC candidate verification and FillRatio.
   std::vector<uint64_t> a(num_words), b(num_words);
   for (uint64_t i = 0; i < num_words; ++i) {
@@ -397,13 +385,6 @@ void WriteQueryJson(const PipelineTiming& pipeline,
   w.BeginObject();
   AppendSimdInfo(&w);
   w.Key("stats_enabled"), w.Bool(obs::kStatsEnabled);
-  // The probes_independent kernel choice: whether the lockstep StringHash4
-  // path is engaged, and what the one-time runtime calibration measured.
-  w.Key("hash");
-  w.BeginObject();
-  w.Key("string_hash4"), w.Bool(hash::StringHash4Enabled());
-  w.Key("decision"), w.String(hash::StringHash4Decision());
-  w.EndObject();
   w.Key("pipeline");
   w.BeginObject();
   w.Key("rows"), w.Uint(pipeline.rows);
@@ -459,8 +440,6 @@ void RunKernelComparison() {
   std::vector<KernelTiming> kernels = MeasureKernels();
   std::fprintf(stderr, "\nkernels: forced-scalar vs %s dispatch\n",
                util::simd::SimdLevelName(util::simd::DetectedSimdLevel()));
-  std::fprintf(stderr, "string_hash4: %s\n",
-               hash::StringHash4Decision().c_str());
   std::fprintf(stderr, "%-20s %12s %12s %12s %9s\n", "kernel", "items",
                "scalar(s)", "simd(s)", "speedup");
   for (const KernelTiming& t : kernels) {

@@ -1,8 +1,9 @@
 // Construction-cost benchmark (not a paper figure — operational data a
 // deployment needs): time to build each index representation over the
-// evaluation datasets, the parallel build's thread scaling (1/2/4/8), and
-// the batch-hashed insert kernel against the scalar insert path. Emits
-// machine-readable results to BENCH_build.json alongside the table.
+// evaluation datasets, the parallel AB build's thread scaling (1/2/4/8) at
+// each of the three levels, and the batch-hashed insert kernel against the
+// scalar insert path. Emits machine-readable results to BENCH_build.json
+// alongside the table.
 
 #include <algorithm>
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include "bbc/bbc_vector.h"
 #include "bench/bench_util.h"
 #include "core/approximate_bitmap.h"
+#include "core/ab_index.h"
 #include "hash/hash_family.h"
 #include "util/simd.h"
 #include "util/stopwatch.h"
@@ -25,12 +27,19 @@ namespace {
 
 constexpr int kThreadSweep[] = {1, 2, 4, 8};
 
+/// The levels the AB build sweep covers. BuildParallel splits the work
+/// differently per level (attribute ownership or private shards), so the
+/// sweep times every one of them.
+constexpr ab::Level kLevels[] = {ab::Level::kPerDataset,
+                                 ab::Level::kPerAttribute,
+                                 ab::Level::kPerColumn};
+constexpr size_t kNumLevels = sizeof(kLevels) / sizeof(kLevels[0]);
+
 /// Tolerance of the scaling gate: the slowest parallel point may not
 /// exceed serial by more than 5% (t_max <= t1 * 1.05) plus a small
 /// absolute slack for sub-100ms datasets where one timer tick swamps
 /// the relative bound. On single-core hosts the sweep cannot *win*,
-/// but a contention-free build must not *lose* either — the old
-/// shared-atomic path lost 1.2-1.4x.
+/// but a contention-free build must not *lose* either.
 constexpr double kScalingTolerance = 1.05;
 constexpr double kScalingSlackSeconds = 0.05;
 
@@ -56,9 +65,10 @@ struct DatasetResult {
   double wah_par_s = 0;  // 4-thread pool
   double bbc_s = 0;
   double bbc_par_s = 0;  // 4-thread pool
-  double ab_threads_s[4] = {0, 0, 0, 0};
-  const char* ab_strategy[4] = {"", "", "", ""};
-  bool scaling_ok = false;
+  /// [level][thread sweep point], seconds (min over reps).
+  double ab_threads_s[kNumLevels][4] = {};
+  /// Every level's slowest parallel point within tolerance of serial.
+  bool scaling_ok = true;
 };
 
 struct InsertKernelResult {
@@ -101,35 +111,31 @@ DatasetResult MeasureDataset(EvalDataset& e) {
   r.bbc_par_s = bbc_par_timer.ElapsedMillis() / 1000;
 
   ab::AbConfig cfg;
-  cfg.level = ab::Level::kPerAttribute;
   cfg.alpha = e.paper_alpha;
   uint64_t keep = 0;
-  for (size_t t = 0; t < 4; ++t) {
-    // Report what BuildParallel will actually do: the num_threads
-    // overload clamps the worker count to the hardware concurrency.
-    int effective =
-        ab::AbIndex::ClampBuildThreads(kThreadSweep[t], e.data.num_rows());
-    r.ab_strategy[t] = ab::BuildStrategyName(
-        ab::AbIndex::ChooseBuildStrategy(e.data, cfg, effective));
-  }
   // Reps are interleaved across the sweep (rep-outer, thread-inner) so
   // slow host drift — allocator state, frequency scaling, noisy
   // neighbours on shared machines — lands on every thread count alike
   // instead of biasing whichever point ran last; the min per point is
   // then comparable across the sweep.
   for (int rep = 0; rep < BuildReps(); ++rep) {
-    for (size_t t = 0; t < 4; ++t) {
-      util::Stopwatch ab_timer;
-      ab::AbIndex index =
-          ab::AbIndex::BuildParallel(e.data, cfg, kThreadSweep[t]);
-      double s = ab_timer.ElapsedMillis() / 1000;
-      if (rep == 0 || s < r.ab_threads_s[t]) r.ab_threads_s[t] = s;
-      keep += index.SizeInBytes();
+    for (size_t l = 0; l < kNumLevels; ++l) {
+      cfg.level = kLevels[l];
+      for (size_t t = 0; t < 4; ++t) {
+        util::Stopwatch ab_timer;
+        ab::AbIndex index =
+            ab::AbIndex::BuildParallel(e.data, cfg, kThreadSweep[t]);
+        double s = ab_timer.ElapsedMillis() / 1000;
+        if (rep == 0 || s < r.ab_threads_s[l][t]) r.ab_threads_s[l][t] = s;
+        keep += index.SizeInBytes();
+      }
     }
   }
-  r.scaling_ok =
-      *std::max_element(r.ab_threads_s + 1, r.ab_threads_s + 4) <=
-      r.ab_threads_s[0] * kScalingTolerance + kScalingSlackSeconds;
+  for (const double* sweep : r.ab_threads_s) {
+    r.scaling_ok = r.scaling_ok &&
+                   *std::max_element(sweep + 1, sweep + 4) <=
+                       sweep[0] * kScalingTolerance + kScalingSlackSeconds;
+  }
   // Keep the results alive so builds aren't optimized away.
   if (wah_index.SizeInBytes() + wah_par.SizeInBytes() + bbc_serial.size() +
           bbc_par.size() + keep ==
@@ -199,31 +205,33 @@ void WriteJson(const std::vector<DatasetResult>& datasets,
     w.Key("wah_pool4_s"), w.Double(r.wah_par_s);
     w.Key("bbc_s"), w.Double(r.bbc_s);
     w.Key("bbc_pool4_s"), w.Double(r.bbc_par_s);
+    // Per level: the sweep's times, then serial-relative speedups (>1
+    // means the sweep point beat t1). The scaling gate below covers
+    // every level: a contention-free build may tie serial on a single
+    // core but must never lose beyond tolerance.
+    const char* labels[] = {"t1", "t2", "t4", "t8"};
     w.Key("ab_build_s");
     w.BeginObject();
-    const char* labels[] = {"t1", "t2", "t4", "t8"};
-    for (size_t t = 0; t < 4; ++t) {
-      w.Key(labels[t]), w.Double(r.ab_threads_s[t]);
+    for (size_t l = 0; l < kNumLevels; ++l) {
+      w.Key(ab::LevelName(kLevels[l]));
+      w.BeginObject();
+      for (size_t t = 0; t < 4; ++t) {
+        w.Key(labels[t]), w.Double(r.ab_threads_s[l][t]);
+      }
+      w.EndObject();
     }
     w.EndObject();
-    // Serial-relative speedups (>1 means the sweep point beat t1) plus
-    // the scaling gate: a contention-free build may tie serial on a
-    // single core but must never lose beyond tolerance.
     w.Key("ab_build_speedup");
     w.BeginObject();
-    const char* slabels[] = {"t2_speedup", "t4_speedup", "t8_speedup"};
-    for (size_t t = 1; t < 4; ++t) {
-      w.Key(slabels[t - 1]);
-      w.Double(r.ab_threads_s[t] > 0
-                   ? r.ab_threads_s[0] / r.ab_threads_s[t]
-                   : 0.0,
-               2);
-    }
-    w.EndObject();
-    w.Key("ab_build_strategy");
-    w.BeginObject();
-    for (size_t t = 0; t < 4; ++t) {
-      w.Key(labels[t]), w.String(r.ab_strategy[t]);
+    for (size_t l = 0; l < kNumLevels; ++l) {
+      const double* sweep = r.ab_threads_s[l];
+      w.Key(ab::LevelName(kLevels[l]));
+      w.BeginObject();
+      for (size_t t = 1; t < 4; ++t) {
+        w.Key(labels[t]);
+        w.Double(sweep[t] > 0 ? sweep[0] / sweep[t] : 0.0, 2);
+      }
+      w.EndObject();
     }
     w.EndObject();
     w.Key("scaling_ok"), w.Bool(r.scaling_ok);
@@ -235,10 +243,6 @@ void WriteJson(const std::vector<DatasetResult>& datasets,
   // the serial path and the sweep can only measure "does not regress".
   w.Key("host_threads"), w.Uint(util::DefaultThreadCount());
   AppendSimdInfo(&w);
-  w.Key("hash");
-  w.BeginObject();
-  w.Key("string_hash4"), w.String(hash::StringHash4Decision());
-  w.EndObject();
   w.Key("insert_kernel");
   w.BeginObject();
   w.Key("cells"), w.Uint(kernel.cells);
@@ -256,25 +260,24 @@ void WriteJson(const std::vector<DatasetResult>& datasets,
 }
 
 void Run() {
-  std::printf("hash: string_hash4=%s\n", hash::StringHash4Decision().c_str());
   std::printf("host: %d hardware thread(s); sweep thread counts clamp here\n",
               util::DefaultThreadCount());
   PrintHeader("Index construction time (seconds)");
-  std::printf("%-10s %12s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s\n",
-              "Dataset", "rows", "table", "WAH", "WAH(4)", "BBC", "BBC(4)",
-              "AB(1)", "AB(2)", "AB(4)", "AB(8)", "scaling");
+  std::printf("%-10s %12s %8s %8s %8s %8s %8s %8s\n", "Dataset", "rows",
+              "table", "WAH", "WAH(4)", "BBC", "BBC(4)", "scaling");
   std::vector<DatasetResult> results;
   for (EvalDataset& e : AllDatasets()) {
     DatasetResult r = MeasureDataset(e);
-    std::printf(
-        "%-10s %12s %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f "
-        "%8s\n",
-        r.name.c_str(), FormatBytes(r.rows).c_str(), r.table_s, r.wah_s,
-        r.wah_par_s, r.bbc_s, r.bbc_par_s, r.ab_threads_s[0],
-        r.ab_threads_s[1], r.ab_threads_s[2], r.ab_threads_s[3],
-        r.scaling_ok ? "ok" : "FAIL");
-    std::printf("  strategies: t1=%s t2=%s t4=%s t8=%s\n", r.ab_strategy[0],
-                r.ab_strategy[1], r.ab_strategy[2], r.ab_strategy[3]);
+    std::printf("%-10s %12s %8.2f %8.2f %8.2f %8.2f %8.2f %8s\n",
+                r.name.c_str(), FormatBytes(r.rows).c_str(), r.table_s,
+                r.wah_s, r.wah_par_s, r.bbc_s, r.bbc_par_s,
+                r.scaling_ok ? "ok" : "FAIL");
+    for (size_t l = 0; l < kNumLevels; ++l) {
+      const double* sweep = r.ab_threads_s[l];
+      std::printf("  AB %-13s  t1 %8.3f  t2 %8.3f  t4 %8.3f  t8 %8.3f\n",
+                  ab::LevelName(kLevels[l]), sweep[0], sweep[1], sweep[2],
+                  sweep[3]);
+    }
     std::fflush(stdout);
     results.push_back(r);
   }
@@ -291,11 +294,12 @@ void Run() {
   WriteJson(results, kernel);
   std::printf(
       "\nResults written to BENCH_build.json.\n"
-      "Note: single-vCPU machines show no parallel speedup; the parallel\n"
-      "build's value is on multi-core hosts, where it is bit-identical to\n"
-      "the serial result (tested). The batch-vs-scalar insert comparison\n"
-      "is meaningful on any machine (it removes per-cell virtual dispatch\n"
-      "and overlaps the filter's cache misses via write prefetch).\n");
+      "Note: sweep points clamp to the host's hardware threads, so a\n"
+      "single-vCPU machine shows no parallel speedup; the parallel build\n"
+      "is bit-identical to the serial result (tested). The batch-vs-scalar\n"
+      "insert comparison is meaningful on any machine (it removes per-cell\n"
+      "virtual dispatch and overlaps the filter's cache misses via write\n"
+      "prefetch).\n");
 }
 
 }  // namespace

@@ -76,24 +76,6 @@ const char* LevelName(Level level) {
   return "?";
 }
 
-const char* BuildStrategyName(BuildStrategy strategy) {
-  switch (strategy) {
-    case BuildStrategy::kAuto:
-      return "auto";
-    case BuildStrategy::kSerial:
-      return "serial";
-    case BuildStrategy::kAtomicShared:
-      return "atomic-shared";
-    case BuildStrategy::kPrivateShards:
-      return "private-shards";
-    case BuildStrategy::kPartitionOwner:
-      return "partition-owner";
-    case BuildStrategy::kAttributeOwner:
-      return "attribute-owner";
-  }
-  return "?";
-}
-
 const char* HashSchemeName(HashScheme scheme) {
   switch (scheme) {
     case HashScheme::kIndependent:
@@ -197,7 +179,7 @@ AbIndex AbIndex::Build(const bitmap::BinnedDataset& dataset,
   // Figure 3: insert every set bit of the bitmap table. Iterating the
   // dataset column-by-column visits exactly the set cells (one per
   // attribute per row) without materializing the table.
-  index.InsertRowRange(dataset, 0, dataset.num_rows(), 0, /*atomic=*/false);
+  index.InsertRowRange(dataset, 0, dataset.num_rows(), 0);
   index.built_fp_ = index.WorstExpectedFp();
   AB_STATS_INC(obs::Counter::kIndexBuilds);
   AB_STATS_ADD(obs::Counter::kIndexRowsIndexed, dataset.num_rows());
@@ -248,97 +230,35 @@ AbIndex AbIndex::BuildParallel(const bitmap::BinnedDataset& dataset,
 
 namespace {
 
-/// kAuto thresholds. Below the cell floor a parallel pass costs more in
-/// thread fan-out than the inserts themselves; above the bit threshold a
-/// filter is too large to clone per worker (and large enough that the
-/// partition spans beat the shard-merge traffic).
+/// Below this many cells a parallel pass costs more in thread fan-out
+/// than the inserts themselves.
 constexpr uint64_t kSerialCellFloor = 8192;
-constexpr uint64_t kPartitionMinBits = uint64_t{1} << 22;  // 512 KiB
-
-/// Bits one filter will get at this level (mirrors MakeSkeleton's sizing
-/// closely enough for strategy selection; exact n_bits rounding does not
-/// move a filter across the partition threshold meaningfully).
-uint64_t EstimatedFilterBits(const AbConfig& config, uint64_t set_bits) {
-  if (config.n_bits_override != 0) return config.n_bits_override;
-  return AbSizeBits(std::max<uint64_t>(set_bits, 1), config.alpha);
-}
 
 }  // namespace
-
-BuildStrategy AbIndex::ChooseBuildStrategy(
-    const bitmap::BinnedDataset& dataset, const AbConfig& config,
-    int num_threads) {
-  uint64_t n_rows = dataset.num_rows();
-  uint32_t d = dataset.num_attributes();
-  if (num_threads <= 1 || n_rows == 0) return BuildStrategy::kSerial;
-  BuildStrategy forced = config.build_strategy;
-  if (forced != BuildStrategy::kAuto) {
-    // Downgrade shapes a forced strategy cannot express: the single
-    // per-dataset filter has no per-attribute ownership, and per-column
-    // routing is per-cell (no single-filter batch windows to partition).
-    if (forced == BuildStrategy::kAttributeOwner &&
-        config.level == Level::kPerDataset) {
-      return BuildStrategy::kPrivateShards;
-    }
-    if ((forced == BuildStrategy::kPartitionOwner ||
-         forced == BuildStrategy::kPrivateShards) &&
-        config.level == Level::kPerColumn) {
-      return d > 1 ? BuildStrategy::kAttributeOwner
-                   : BuildStrategy::kAtomicShared;
-    }
-    return forced;
-  }
-  if (n_rows * d < kSerialCellFloor) return BuildStrategy::kSerial;
-  switch (config.level) {
-    case Level::kPerColumn:
-      // Attribute ownership is the only contention-free option (filters
-      // route per cell); with one attribute fall back to shared atomics.
-      return d > 1 ? BuildStrategy::kAttributeOwner
-                   : BuildStrategy::kAtomicShared;
-    case Level::kPerAttribute:
-      // Enough attributes: one owner per filter, no merge, no spill.
-      if (d >= static_cast<uint32_t>(num_threads)) {
-        return BuildStrategy::kAttributeOwner;
-      }
-      return EstimatedFilterBits(config, n_rows) >= kPartitionMinBits
-                 ? BuildStrategy::kPartitionOwner
-                 : BuildStrategy::kPrivateShards;
-    case Level::kPerDataset:
-      return EstimatedFilterBits(config, n_rows * d) >= kPartitionMinBits
-                 ? BuildStrategy::kPartitionOwner
-                 : BuildStrategy::kPrivateShards;
-  }
-  AB_CHECK(false);
-  return BuildStrategy::kSerial;
-}
 
 AbIndex AbIndex::BuildParallel(const bitmap::BinnedDataset& dataset,
                                const AbConfig& config,
                                const FamilyFactory& factory,
                                util::ThreadPool* pool) {
   int threads = pool == nullptr ? 1 : pool->num_threads();
-  BuildStrategy strategy = ChooseBuildStrategy(dataset, config, threads);
-  if (strategy == BuildStrategy::kSerial) {
+  uint64_t d = dataset.num_attributes();
+  if (threads <= 1 || dataset.num_rows() * d < kSerialCellFloor ||
+      (config.level == Level::kPerColumn && d == 1)) {
     return Build(dataset, config, factory);
   }
   AB_SPAN("ab/build/parallel");
   obs::ScopedLatencyTimer timer(obs::Histogram::kBuildLatencyNs);
   AbIndex index = MakeSkeleton(dataset, config, factory);
-  switch (strategy) {
-    case BuildStrategy::kAtomicShared:
-      index.BuildAtomicShared(dataset, pool);
-      break;
-    case BuildStrategy::kAttributeOwner:
-      index.BuildAttributeOwner(dataset, pool);
-      break;
-    case BuildStrategy::kPrivateShards:
-      index.BuildPrivateShards(dataset, pool);
-      break;
-    case BuildStrategy::kPartitionOwner:
-      index.BuildPartitionOwner(dataset, pool);
-      break;
-    default:
-      AB_CHECK(false);
+  // Attribute ownership needs an attribute's cells to reach filters no
+  // other attribute touches (true at the per-column and per-attribute
+  // levels) and enough attributes to keep every worker busy; otherwise
+  // row chunks fill private shards that merge afterwards.
+  if (config.level == Level::kPerColumn ||
+      (config.level == Level::kPerAttribute &&
+       d >= static_cast<uint64_t>(threads))) {
+    index.BuildAttributeOwner(dataset, pool);
+  } else {
+    index.BuildPrivateShards(dataset, pool);
   }
   index.built_fp_ = index.WorstExpectedFp();
   AB_STATS_INC(obs::Counter::kIndexBuildsParallel);
@@ -446,65 +366,37 @@ void AbIndex::ForEachAttributeCellBatch(const bitmap::BinnedDataset& dataset,
 
 void AbIndex::InsertAttributeCells(const bitmap::BinnedDataset& dataset,
                                    uint32_t a, uint64_t row_begin,
-                                   uint64_t row_end, uint64_t id_offset,
-                                   ApproximateBitmap* filter, bool atomic) {
-  ForEachAttributeCellBatch(
-      dataset, a, row_begin, row_end, id_offset,
-      [filter, atomic](const uint64_t* keys, const hash::CellRef* cells,
-                       size_t m) {
-        if (atomic) {
-          filter->InsertBatchAtomic(keys, cells, m);
-        } else {
-          filter->InsertBatch(keys, cells, m);
-        }
-      });
-}
-
-void AbIndex::InsertRowRange(const bitmap::BinnedDataset& dataset,
-                             uint64_t row_begin, uint64_t row_end,
-                             uint64_t id_offset, bool atomic) {
-  AB_CHECK_LE(row_begin, row_end);
-  AB_CHECK_LE(id_offset + row_end, num_rows_);
+                                   uint64_t row_end, uint64_t id_offset) {
   if (config_.level == Level::kPerColumn) {
     // Routing is per-cell here (one filter per bitmap column), so a
     // column scan has no single-filter window to batch-hash; the filters
     // are also tiny, so the scalar path loses nothing to memory stalls.
-    for (uint32_t a = 0; a < dataset.num_attributes(); ++a) {
-      const std::vector<uint32_t>& column_values = dataset.values[a];
-      for (uint64_t i = row_begin; i < row_end; ++i) {
-        uint32_t gcol = mapping_.GlobalColumn(a, column_values[i]);
-        uint64_t row = id_offset + i;
-        ApproximateBitmap& f = filters_[gcol];
-        if (atomic) {
-          f.InsertAtomic(mapper_.Key(row, gcol), hash::CellRef{row, gcol});
-        } else {
-          f.Insert(mapper_.Key(row, gcol), hash::CellRef{row, gcol});
-        }
-      }
+    const std::vector<uint32_t>& column_values = dataset.values[a];
+    for (uint64_t i = row_begin; i < row_end; ++i) {
+      uint32_t gcol = mapping_.GlobalColumn(a, column_values[i]);
+      uint64_t row = id_offset + i;
+      filters_[gcol].Insert(mapper_.Key(row, gcol), hash::CellRef{row, gcol});
     }
     return;
   }
   // Per-dataset / per-attribute: one attribute's cells all route to one
   // filter, so the column scan feeds the batched kernel directly.
-  for (uint32_t a = 0; a < dataset.num_attributes(); ++a) {
-    uint32_t first_col = mapping_.GlobalColumn(a, 0);
-    ApproximateBitmap* filter = &filters_[Route(a, first_col)];
-    InsertAttributeCells(dataset, a, row_begin, row_end, id_offset, filter,
-                         atomic);
-  }
+  ApproximateBitmap* filter = &filters_[Route(a, mapping_.GlobalColumn(a, 0))];
+  ForEachAttributeCellBatch(
+      dataset, a, row_begin, row_end, id_offset,
+      [filter](const uint64_t* keys, const hash::CellRef* cells, size_t m) {
+        filter->InsertBatch(keys, cells, m);
+      });
 }
 
-void AbIndex::BuildAtomicShared(const bitmap::BinnedDataset& dataset,
-                                util::ThreadPool* pool) {
-  // Every worker inserts its row chunk into the shared filters through
-  // the atomic commit path. The bits are identical for ANY partition,
-  // because fetch_or commutes.
-  pool->ParallelFor(0, dataset.num_rows(),
-                    [&](uint64_t begin, uint64_t end, int /*chunk*/) {
-                      AB_SPAN("ab/build/chunk");
-                      InsertRowRange(dataset, begin, end, 0,
-                                     /*atomic=*/true);
-                    });
+void AbIndex::InsertRowRange(const bitmap::BinnedDataset& dataset,
+                             uint64_t row_begin, uint64_t row_end,
+                             uint64_t id_offset) {
+  AB_CHECK_LE(row_begin, row_end);
+  AB_CHECK_LE(id_offset + row_end, num_rows_);
+  for (uint32_t a = 0; a < dataset.num_attributes(); ++a) {
+    InsertAttributeCells(dataset, a, row_begin, row_end, id_offset);
+  }
 }
 
 void AbIndex::BuildAttributeOwner(const bitmap::BinnedDataset& dataset,
@@ -517,21 +409,9 @@ void AbIndex::BuildAttributeOwner(const bitmap::BinnedDataset& dataset,
   pool->ParallelFor(
       0, dataset.num_attributes(), [&](uint64_t ab, uint64_t ae, int) {
         AB_SPAN("ab/build/attr-owner");
-        for (uint64_t attr64 = ab; attr64 < ae; ++attr64) {
-          uint32_t a = static_cast<uint32_t>(attr64);
-          if (config_.level == Level::kPerColumn) {
-            const std::vector<uint32_t>& column_values = dataset.values[a];
-            for (uint64_t i = 0; i < n_rows; ++i) {
-              uint32_t gcol = mapping_.GlobalColumn(a, column_values[i]);
-              filters_[gcol].Insert(mapper_.Key(i, gcol),
-                                    hash::CellRef{i, gcol});
-            }
-          } else {
-            uint32_t first_col = mapping_.GlobalColumn(a, 0);
-            InsertAttributeCells(dataset, a, 0, n_rows, 0,
-                                 &filters_[Route(a, first_col)],
-                                 /*atomic=*/false);
-          }
+        for (uint64_t a = ab; a < ae; ++a) {
+          InsertAttributeCells(dataset, static_cast<uint32_t>(a), 0, n_rows,
+                               0);
         }
       });
 }
@@ -579,48 +459,6 @@ void AbIndex::BuildPrivateShards(const bitmap::BinnedDataset& dataset,
     for (const ApproximateBitmap::BuildShard& shard : worker_shards) {
       target->AbsorbShardCount(shard);
     }
-  };
-  uint32_t d = dataset.num_attributes();
-  if (config_.level == Level::kPerDataset) {
-    build_filter(0, d, &filters_[0]);
-  } else {
-    for (uint32_t a = 0; a < d; ++a) {
-      build_filter(a, a + 1, &filters_[a]);
-    }
-  }
-}
-
-void AbIndex::BuildPartitionOwner(const bitmap::BinnedDataset& dataset,
-                                  util::ThreadPool* pool) {
-  uint64_t n_rows = dataset.num_rows();
-  int shards = util::ThreadPool::NumChunksFor(pool->num_threads(), n_rows);
-  // Worker `chunk` hashes its own rows; in-range probes commit with plain
-  // stores, the rest spill to their owners (see PartitionedInserter). The
-  // drain pass after the insert barrier flushes what the owners had not
-  // yet consumed inline.
-  auto build_filter = [&](uint32_t attr_begin, uint32_t attr_end,
-                          ApproximateBitmap* target) {
-    ApproximateBitmap::PartitionedInserter inserter(target, shards);
-    pool->ParallelFor(
-        0, n_rows, [&](uint64_t begin, uint64_t end, int chunk) {
-          AB_SPAN("ab/build/partition");
-          for (uint32_t a = attr_begin; a < attr_end; ++a) {
-            ForEachAttributeCellBatch(
-                dataset, a, begin, end, 0,
-                [&inserter, chunk](const uint64_t* keys,
-                                   const hash::CellRef* cells, size_t m) {
-                  inserter.InsertBatch(chunk, keys, cells, m);
-                });
-          }
-        });
-    pool->ParallelFor(0, static_cast<uint64_t>(shards),
-                      [&](uint64_t sb, uint64_t se, int) {
-                        AB_SPAN("ab/build/partition-drain");
-                        for (uint64_t s = sb; s < se; ++s) {
-                          inserter.Drain(static_cast<int>(s));
-                        }
-                      });
-    inserter.Finish();
   };
   uint32_t d = dataset.num_attributes();
   if (config_.level == Level::kPerDataset) {
@@ -976,7 +814,7 @@ void AbIndex::AppendRows(const bitmap::BinnedDataset& delta) {
     }
   }
   // Delta rows are local ids 0..added-1; they hash as rows base+i.
-  InsertRowRange(delta, 0, added, base, /*atomic=*/false);
+  InsertRowRange(delta, 0, added, base);
   AB_STATS_ADD(obs::Counter::kIndexRowsAppended, added);
 }
 

@@ -43,42 +43,6 @@ enum class HashScheme {
 
 const char* HashSchemeName(HashScheme scheme);
 
-/// How BuildParallel distributes insert work across pool workers. The
-/// result is bit-identical to the serial build under every strategy (a
-/// filter is a pure union of per-cell bit sets and OR commutes); the
-/// strategies differ only in how writes avoid cache-coherence traffic.
-enum class BuildStrategy {
-  /// Pick per filter from the level, filter size, and thread count
-  /// (AbIndex::ChooseBuildStrategy). The default.
-  kAuto = 0,
-  /// Single-threaded Build — tiny inputs where thread fan-out costs more
-  /// than it saves.
-  kSerial,
-  /// All workers write the shared filters via striped atomic fetch_or.
-  /// Simple and memory-free, but every probe is a lock-prefixed RMW and
-  /// hot cache lines ping-pong between cores; kept as the fallback for
-  /// shapes the ownership strategies cannot cover.
-  kAtomicShared,
-  /// Each worker fills a private same-shape shard with plain stores, then
-  /// the shards merge into the real filter by disjoint word ranges,
-  /// skipping ranges a shard never touched (BuildShard + MergeShardRange).
-  /// Peak memory: num_threads x filter size — the mid-size strategy.
-  kPrivateShards,
-  /// The filter's word array is partitioned into cache-line-aligned
-  /// ranges, each owned by exactly one worker; out-of-range probes travel
-  /// through bounded spill rings to their owner
-  /// (ApproximateBitmap::PartitionedInserter). No extra filter memory —
-  /// the large-filter strategy.
-  kPartitionOwner,
-  /// One worker per attribute: at the per-attribute/per-column levels an
-  /// attribute's cells route to filters no other attribute touches, so
-  /// ownership is free and there is no merge at all. Parallelism is
-  /// capped at the attribute count.
-  kAttributeOwner,
-};
-
-const char* BuildStrategyName(BuildStrategy strategy);
-
 /// Build-time configuration of an AbIndex.
 struct AbConfig {
   Level level = Level::kPerAttribute;
@@ -100,10 +64,6 @@ struct AbConfig {
   /// When true, Evaluate probes attributes in the order the query lists
   /// them instead of most-selective-first (the ordering ablation).
   bool preserve_query_order = false;
-  /// BuildParallel work distribution; kAuto picks per filter (see
-  /// ChooseBuildStrategy). A build-time knob only — not serialized, and
-  /// irrelevant to the built index (all strategies are bit-identical).
-  BuildStrategy build_strategy = BuildStrategy::kAuto;
 };
 
 /// Per-level size accounting for a dataset at a given alpha, computed from
@@ -145,13 +105,20 @@ class AbIndex {
   static AbIndex Build(const bitmap::BinnedDataset& dataset,
                        const AbConfig& config, const FamilyFactory& factory);
 
-  /// Multi-threaded build: rows are sharded into contiguous chunks, one
-  /// per pool worker, and every chunk's cells are inserted through the
-  /// batch-hashed insert kernel. The work distribution is chosen by
-  /// ChooseBuildStrategy (override via config.build_strategy); every
-  /// strategy is bit-identical to the serial build — a filter is a pure
-  /// union of per-cell bit sets, and OR commutes, so neither chunk
-  /// boundaries nor interleaving can change the result.
+  /// Multi-threaded build, bit-identical to the serial Build: a filter is
+  /// a pure union of per-cell bit sets, and OR commutes, so neither the
+  /// work split nor interleaving can change the result. The split follows
+  /// from the level, the attribute count d and the worker count, with no
+  /// option to override it:
+  ///  * serial Build below kSerialCellFloor cells, at one worker, and at
+  ///    the per-column level with d == 1;
+  ///  * attribute ownership (one worker per attribute, plain stores, no
+  ///    merge) at the per-column level with d >= 2 and at the
+  ///    per-attribute level with d >= workers;
+  ///  * private shards (each worker fills a private copy of the filter
+  ///    from a row chunk, then the copies merge by disjoint word ranges)
+  ///    at the per-dataset level and at the per-attribute level with
+  ///    d < workers. Peak memory: workers x filter size.
   /// num_threads <= 1 falls back to the serial Build.
   static AbIndex BuildParallel(const bitmap::BinnedDataset& dataset,
                                const AbConfig& config, int num_threads);
@@ -172,18 +139,6 @@ class AbIndex {
   /// Pool variant with the default config.scheme hash families.
   static AbIndex BuildParallel(const bitmap::BinnedDataset& dataset,
                                const AbConfig& config, util::ThreadPool* pool);
-
-  /// The strategy BuildParallel will use for this dataset/config at
-  /// `num_threads` workers. Resolves kAuto from the selection heuristic
-  /// (small work: kSerial; enough attributes: kAttributeOwner; large
-  /// filters: kPartitionOwner; otherwise kPrivateShards) and downgrades a
-  /// forced strategy the level cannot support (kAttributeOwner with a
-  /// single per-dataset filter, the ownership modes at the per-column
-  /// level's per-cell routing). Exposed so benchmarks and tests can
-  /// report/verify the decision.
-  static BuildStrategy ChooseBuildStrategy(
-      const bitmap::BinnedDataset& dataset, const AbConfig& config,
-      int num_threads);
 
   /// Worker count the num_threads BuildParallel overload will actually
   /// use: clamped to the row count and to the hardware concurrency. An
@@ -326,47 +281,41 @@ class AbIndex {
                               const AbConfig& config,
                               const FamilyFactory& factory);
 
-  /// Inserts attribute `a`'s cells of rows [row_begin, row_end) into
-  /// `filter`, batch-hashed in fixed-size windows (one ProbesBatch
-  /// dispatch + one write-prefetch pass per window). Row ids are shifted
-  /// by `id_offset` (AppendRows inserts a delta whose local row 0 is the
-  /// index's row num_rows()). With `atomic`, bits commit via striped
-  /// atomic fetch_or so concurrent callers may share the filter.
+  /// Inserts attribute `a`'s cells of rows [row_begin, row_end) into the
+  /// index's own filters. Row ids are shifted by `id_offset` (AppendRows
+  /// inserts a delta whose local row 0 is the index's row num_rows()).
+  /// Per-dataset/per-attribute cells all route to one filter and go
+  /// through the batched kernel (one ProbesBatch dispatch + one
+  /// write-prefetch pass per window); per-column routing is per-cell, so
+  /// those filters take the scalar path (they are small and
+  /// cache-resident). Writes only filters attribute `a` can reach at the
+  /// per-attribute and per-column levels.
   void InsertAttributeCells(const bitmap::BinnedDataset& dataset, uint32_t a,
                             uint64_t row_begin, uint64_t row_end,
-                            uint64_t id_offset, ApproximateBitmap* filter,
-                            bool atomic);
+                            uint64_t id_offset);
 
-  /// The staging loop shared by every build strategy's insert path: maps
-  /// attribute `a`'s cells of rows [row_begin, row_end) to (key, cell)
-  /// pairs in fixed-size windows and hands each window to
-  /// `sink(keys, cells, count)`. Sinks are the strategy-specific commit
-  /// paths (shared filter, private shard, partitioned inserter).
+  /// The staging loop shared by the batched insert paths: maps attribute
+  /// `a`'s cells of rows [row_begin, row_end) to (key, cell) pairs in
+  /// fixed-size windows and hands each window to `sink(keys, cells,
+  /// count)` (the index's own filter, or a private build shard).
   template <typename Sink>
   void ForEachAttributeCellBatch(const bitmap::BinnedDataset& dataset,
                                  uint32_t a, uint64_t row_begin,
                                  uint64_t row_end, uint64_t id_offset,
                                  Sink&& sink) const;
 
-  /// Strategy bodies behind BuildParallel (see BuildStrategy). Each
-  /// populates this index's filters from the whole dataset using `pool`.
-  void BuildAtomicShared(const bitmap::BinnedDataset& dataset,
-                         util::ThreadPool* pool);
+  /// The two parallel bodies behind BuildParallel. Each populates this
+  /// index's filters from the whole dataset using `pool`.
   void BuildAttributeOwner(const bitmap::BinnedDataset& dataset,
                            util::ThreadPool* pool);
   void BuildPrivateShards(const bitmap::BinnedDataset& dataset,
                           util::ThreadPool* pool);
-  void BuildPartitionOwner(const bitmap::BinnedDataset& dataset,
-                           util::ThreadPool* pool);
 
   /// Inserts the set bits of rows [row_begin, row_end) into the index's
-  /// own filters. Per-dataset/per-attribute cells go through the batched
-  /// kernel above; per-column routing is per-cell, so those filters take
-  /// the scalar path (they are small and cache-resident). Thread-safe
-  /// over any row partition when `atomic` is set.
+  /// own filters, attribute by attribute (Figure 3's column-major order).
   void InsertRowRange(const bitmap::BinnedDataset& dataset,
                       uint64_t row_begin, uint64_t row_end,
-                      uint64_t id_offset, bool atomic);
+                      uint64_t id_offset);
 
   /// Index of the filter responsible for a global column.
   size_t Route(uint32_t attr, uint32_t global_col) const;

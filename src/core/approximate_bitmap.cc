@@ -1,7 +1,6 @@
 #include "core/approximate_bitmap.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "obs/stats.h"
@@ -56,18 +55,6 @@ void ApproximateBitmap::Insert(uint64_t key, const hash::CellRef& cell) {
   AB_STATS_INC(obs::Counter::kAbCellsInserted);
 }
 
-void ApproximateBitmap::InsertAtomic(uint64_t key,
-                                     const hash::CellRef& cell) {
-  uint64_t probes[kMaxHashFunctions];
-  family_->Probes(key, cell, k_, bits_.size(), probes);
-  for (int t = 0; t < k_; ++t) {
-    bits_.SetAtomic(probes[t]);
-  }
-  std::atomic_ref<uint64_t>(insertions_)
-      .fetch_add(1, std::memory_order_relaxed);
-  AB_STATS_INC(obs::Counter::kAbCellsInserted);
-}
-
 void ApproximateBitmap::InsertBatch(const uint64_t* keys,
                                     const hash::CellRef* cells,
                                     size_t count) {
@@ -92,38 +79,6 @@ void ApproximateBitmap::InsertBatch(const uint64_t* keys,
   }
   insertions_ += count;
   AB_STATS_ADD(obs::Counter::kAbCellsInserted, count);
-}
-
-void ApproximateBitmap::InsertBatchAtomic(const uint64_t* keys,
-                                          const hash::CellRef* cells,
-                                          size_t count) {
-  size_t k = static_cast<size_t>(k_);
-  uint64_t n = bits_.size();
-  const bool want_prefetch = n >= kPrefetchMinFilterBits;
-  uint64_t probes[kBatchWindow * kMaxHashFunctions];
-  for (size_t base = 0; base < count; base += kBatchWindow) {
-    size_t w = std::min(kBatchWindow, count - base);
-    family_->ProbesBatch(keys + base, cells + base, w, k, n, probes);
-    if (want_prefetch) {
-      for (size_t j = 0; j < w * k; ++j) {
-        bits_.PrefetchBitWrite(probes[j]);
-      }
-    }
-    for (size_t j = 0; j < w * k; ++j) {
-      bits_.SetAtomic(probes[j]);
-    }
-  }
-  std::atomic_ref<uint64_t>(insertions_)
-      .fetch_add(count, std::memory_order_relaxed);
-  AB_STATS_ADD(obs::Counter::kAbCellsInserted, count);
-}
-
-void ApproximateBitmap::UnionWith(const ApproximateBitmap& other) {
-  AB_CHECK_EQ(bits_.size(), other.bits_.size());
-  AB_CHECK_EQ(k_, other.k_);
-  AB_CHECK(family_->name() == other.family_->name());
-  bits_.OrWith(other.bits_);
-  insertions_ += other.insertions_;
 }
 
 ApproximateBitmap ApproximateBitmap::EmptyClone() const {
@@ -197,166 +152,6 @@ void ApproximateBitmap::AbsorbShardCount(const BuildShard& shard) {
   insertions_ += shard.insertions_;
   AB_STATS_ADD(obs::Counter::kAbCellsInserted, shard.insertions_);
   AB_STATS_HIST(obs::Histogram::kBuildShardCells, shard.insertions_);
-}
-
-/// Bounded single-producer single-consumer probe-position ring. One ring
-/// exists per (producer, owner) pair, so only the designated producer
-/// pushes and only the owner pops: tail is producer-owned, head is
-/// owner-owned, and the release/acquire pair on each publishes the slot
-/// contents. Padded so two rings never share the hot atomics' cache line.
-struct ApproximateBitmap::PartitionedInserter::SpillRing {
-  std::unique_ptr<uint64_t[]> slots;
-  size_t mask = 0;
-  alignas(64) std::atomic<uint64_t> tail{0};  ///< next write (producer)
-  alignas(64) std::atomic<uint64_t> head{0};  ///< next read (owner)
-
-  bool Push(uint64_t value) {
-    uint64_t t = tail.load(std::memory_order_relaxed);
-    if (t - head.load(std::memory_order_acquire) > mask) return false;
-    slots[t & mask] = value;
-    tail.store(t + 1, std::memory_order_release);
-    return true;
-  }
-
-  bool Pop(uint64_t* value) {
-    uint64_t h = head.load(std::memory_order_relaxed);
-    if (h == tail.load(std::memory_order_acquire)) return false;
-    *value = slots[h & mask];
-    head.store(h + 1, std::memory_order_release);
-    return true;
-  }
-};
-
-/// Per-producer routing counters, cache-line padded against false
-/// sharing between workers.
-struct alignas(64) ApproximateBitmap::PartitionedInserter::ShardLocal {
-  uint64_t cells = 0;
-  uint64_t local = 0;
-  uint64_t spilled = 0;
-  uint64_t overflow = 0;
-};
-
-ApproximateBitmap::PartitionedInserter::PartitionedInserter(
-    ApproximateBitmap* target, int num_shards, size_t spill_capacity)
-    : target_(target), num_shards_(num_shards) {
-  AB_CHECK(target != nullptr);
-  AB_CHECK_GE(num_shards, 1);
-  size_t num_words = target_->bits_.words().size();
-  // Each owned range is a multiple of 8 words (one cache line), so two
-  // shards never share a line and plain stores cannot conflict.
-  span_words_ = util::CeilDiv(num_words, static_cast<size_t>(num_shards));
-  span_words_ = util::CeilDiv(span_words_, 8) * 8;
-  if (span_words_ == 0) span_words_ = 8;
-  size_t cap = 2;
-  while (cap < spill_capacity) cap <<= 1;
-  size_t pairs = static_cast<size_t>(num_shards) *
-                 static_cast<size_t>(num_shards);
-  rings_ = std::make_unique<SpillRing[]>(pairs);
-  for (size_t i = 0; i < pairs; ++i) {
-    rings_[i].slots = std::make_unique<uint64_t[]>(cap);
-    rings_[i].mask = cap - 1;
-  }
-  overflow_.resize(pairs);
-  locals_ = std::make_unique<ShardLocal[]>(
-      static_cast<size_t>(num_shards));
-}
-
-ApproximateBitmap::PartitionedInserter::~PartitionedInserter() = default;
-
-int ApproximateBitmap::PartitionedInserter::OwnerOfWord(size_t word) const {
-  size_t owner = word / span_words_;
-  size_t last = static_cast<size_t>(num_shards_) - 1;
-  return static_cast<int>(owner < last ? owner : last);
-}
-
-void ApproximateBitmap::PartitionedInserter::DrainInbox(int shard) {
-  uint64_t pos;
-  for (int p = 0; p < num_shards_; ++p) {
-    if (p == shard) continue;  // a producer never spills to itself
-    SpillRing& ring = rings_[static_cast<size_t>(p) * num_shards_ + shard];
-    while (ring.Pop(&pos)) {
-      target_->bits_.Set(pos);
-    }
-  }
-}
-
-void ApproximateBitmap::PartitionedInserter::InsertBatch(
-    int shard, const uint64_t* keys, const hash::CellRef* cells,
-    size_t count) {
-  AB_DCHECK(shard >= 0 && shard < num_shards_);
-  size_t k = static_cast<size_t>(target_->k_);
-  uint64_t n = target_->bits_.size();
-  const bool want_prefetch = n >= kPrefetchMinFilterBits;
-  uint64_t probes[kBatchWindow * kMaxHashFunctions];
-  uint64_t local_buf[kBatchWindow * kMaxHashFunctions];
-  ShardLocal& sl = locals_[shard];
-  for (size_t base = 0; base < count; base += kBatchWindow) {
-    size_t w = std::min(kBatchWindow, count - base);
-    target_->family_->ProbesBatch(keys + base, cells + base, w, k, n,
-                                  probes);
-    size_t nlocal = 0;
-    for (size_t j = 0; j < w * k; ++j) {
-      uint64_t pos = probes[j];
-      int owner = OwnerOfWord(pos >> 6);
-      if (owner == shard) {
-        // Prefetch only lines this thread will store to: a write-intent
-        // prefetch of a remote shard's line would trigger exactly the
-        // ownership ping-pong this mode exists to avoid.
-        if (want_prefetch) target_->bits_.PrefetchBitWrite(pos);
-        local_buf[nlocal++] = pos;
-      } else {
-        SpillRing& ring =
-            rings_[static_cast<size_t>(shard) * num_shards_ + owner];
-        if (!ring.Push(pos)) {
-          overflow_[static_cast<size_t>(shard) * num_shards_ + owner]
-              .push_back(pos);
-          ++sl.overflow;
-        }
-        ++sl.spilled;
-      }
-    }
-    for (size_t j = 0; j < nlocal; ++j) {
-      target_->bits_.Set(local_buf[j]);
-    }
-    sl.local += nlocal;
-    // Consume what other workers routed here while the rings are warm;
-    // keeps ring occupancy low so overflow stays the exception.
-    DrainInbox(shard);
-  }
-  sl.cells += count;
-}
-
-void ApproximateBitmap::PartitionedInserter::Drain(int shard) {
-  AB_DCHECK(shard >= 0 && shard < num_shards_);
-  DrainInbox(shard);
-  // Overflow vectors are plain (producer-written) memory; the barrier
-  // between the insert phase and Drain provides the happens-before.
-  for (int p = 0; p < num_shards_; ++p) {
-    std::vector<uint64_t>& extra =
-        overflow_[static_cast<size_t>(p) * num_shards_ + shard];
-    for (uint64_t pos : extra) {
-      target_->bits_.Set(pos);
-    }
-  }
-}
-
-void ApproximateBitmap::PartitionedInserter::Finish() {
-  AB_CHECK(!finished_);
-  finished_ = true;
-  uint64_t cells = 0;
-  for (int s = 0; s < num_shards_; ++s) {
-    const ShardLocal& sl = locals_[s];
-    cells += sl.cells;
-    total_local_ += sl.local;
-    total_spilled_ += sl.spilled;
-    total_overflow_ += sl.overflow;
-    AB_STATS_HIST(obs::Histogram::kBuildShardCells, sl.cells);
-  }
-  target_->insertions_ += cells;
-  AB_STATS_ADD(obs::Counter::kAbCellsInserted, cells);
-  AB_STATS_ADD(obs::Counter::kBuildProbesLocal, total_local_);
-  AB_STATS_ADD(obs::Counter::kBuildProbesSpilled, total_spilled_);
-  AB_STATS_ADD(obs::Counter::kBuildSpillOverflow, total_overflow_);
 }
 
 bool ApproximateBitmap::Test(uint64_t key, const hash::CellRef& cell) const {

@@ -49,13 +49,6 @@ class ApproximateBitmap {
   /// Inserts the cell with hash string `key` (Figure 3, inner loop).
   void Insert(uint64_t key, const hash::CellRef& cell);
 
-  /// Thread-safe scalar insert: commits the k probe bits with atomic
-  /// fetch_or (util::BitVector::SetAtomic), so concurrent workers may
-  /// populate one filter. Bit-identical to Insert — OR is commutative, so
-  /// the final bit array is independent of interleaving. Callers must
-  /// join all writers before probing the filter.
-  void InsertAtomic(uint64_t key, const hash::CellRef& cell);
-
   /// Batched insert: equivalent to count scalar Insert calls, but the
   /// window's probe positions are hashed with one ProbesBatch virtual
   /// dispatch and every target cache line gets a write-intent prefetch
@@ -65,32 +58,8 @@ class ApproximateBitmap {
   void InsertBatch(const uint64_t* keys, const hash::CellRef* cells,
                    size_t count);
 
-  /// Thread-safe InsertBatch: same batched hashing and prefetching, but
-  /// bits commit via striped atomic fetch_or and the insertion counter
-  /// updates atomically. Multiple workers may call this concurrently on
-  /// one filter; the result is bit-identical to any serial insertion
-  /// order of the same cells.
-  void InsertBatchAtomic(const uint64_t* keys, const hash::CellRef* cells,
-                         size_t count);
-
-  /// ORs another filter's bits into this one. Because the AB is a pure
-  /// union of per-cell bit sets, the union of two filters built over
-  /// disjoint row shards equals the filter built over all rows serially —
-  /// bit for bit, which is the basis of the shard-and-merge parallel
-  /// build. The false positive rate is likewise invariant: FP depends
-  /// only on (n, k, total insertions), and the union preserves all three
-  /// (insertion counts add). Both filters must share size, k, and hash
-  /// family; duplicate cells across shards are benign (they OR the same
-  /// positions) but inflate the insertion-count-based FP estimate exactly
-  /// as re-inserting them serially would.
-  void UnionWith(const ApproximateBitmap& other);
-
-  /// Deprecated alias for UnionWith (the original shard-merge entry).
-  void MergeFrom(const ApproximateBitmap& other) { UnionWith(other); }
-
   /// An empty filter with this filter's exact shape (size, k, shared hash
-  /// family) — the per-worker private filter of the shard-and-merge
-  /// build, without re-deriving parameters from the dataset.
+  /// family), without re-deriving parameters from the dataset.
   ApproximateBitmap EmptyClone() const;
 
   /// Words per dirty-tracking granule of a BuildShard (64 words = 512
@@ -147,84 +116,6 @@ class ApproximateBitmap {
   /// Adds the shard's insertion count (and publishes its per-shard load to
   /// the stats layer). Call exactly once per shard, after merging.
   void AbsorbShardCount(const BuildShard& shard);
-
-  /// The partition-owner parallel build mode: the filter's word array is
-  /// split into num_shards contiguous cache-line-aligned ranges, and
-  /// worker `s` is the only thread that ever stores to range `s` — so all
-  /// bit commits are plain (non-atomic) stores and no cache line is ever
-  /// written by two threads. Each worker hashes its own rows; probe
-  /// positions landing in its own range commit immediately, the rest are
-  /// routed to the owning shard through bounded single-producer
-  /// single-consumer spill rings (drained by the owner between its own
-  /// windows). Ring overflow falls back to per-producer overflow vectors
-  /// applied by the owner after the insert barrier, never to a remote
-  /// store. Usage:
-  ///   1. every worker s calls InsertBatch(s, ...) for its rows;
-  ///   2. barrier (e.g. ParallelFor join);
-  ///   3. every shard s calls Drain(s) (may run in parallel);
-  ///   4. one thread calls Finish().
-  /// The result is bit-identical to serial insertion of the same cells.
-  class PartitionedInserter {
-   public:
-    /// Spill-ring slots per (producer, owner) pair. 1024 slots = 8 KiB a
-    /// ring; at 8 shards that is 512 KiB of rings, amortized across the
-    /// multi-megabyte filters this mode is selected for.
-    static constexpr size_t kDefaultSpillCapacity = 1024;
-
-    /// Partitions `target` into `num_shards` owned word ranges.
-    /// `spill_capacity` (rounded up to a power of two, minimum 2) bounds
-    /// each ring; tests shrink it to force the overflow path. `target`
-    /// must outlive the inserter and not be moved while building.
-    explicit PartitionedInserter(
-        ApproximateBitmap* target, int num_shards,
-        size_t spill_capacity = kDefaultSpillCapacity);
-    ~PartitionedInserter();
-
-    PartitionedInserter(const PartitionedInserter&) = delete;
-    PartitionedInserter& operator=(const PartitionedInserter&) = delete;
-
-    int num_shards() const { return num_shards_; }
-
-    /// Worker `shard`'s batched insert: hashes the cells, commits in-range
-    /// probes with plain stores, spills out-of-range probes to their
-    /// owners, and drains this shard's own inbox. Only one thread may use
-    /// a given `shard` value.
-    void InsertBatch(int shard, const uint64_t* keys,
-                     const hash::CellRef* cells, size_t count);
-
-    /// Owner-side drain of everything still queued for `shard` (rings and
-    /// overflow vectors). Call after all InsertBatch calls have been
-    /// joined; distinct shards may drain concurrently.
-    void Drain(int shard);
-
-    /// Commits the insertion count to the target and publishes spill /
-    /// imbalance stats. Call once, after every shard drained.
-    void Finish();
-
-    /// Probe-routing totals (valid after Finish; exposed for tests and
-    /// diagnostics).
-    uint64_t local_probes() const { return total_local_; }
-    uint64_t spilled_probes() const { return total_spilled_; }
-    uint64_t overflow_probes() const { return total_overflow_; }
-
-   private:
-    struct SpillRing;
-    struct ShardLocal;
-
-    int OwnerOfWord(size_t word) const;
-    void DrainInbox(int shard);
-
-    ApproximateBitmap* target_;
-    int num_shards_;
-    size_t span_words_;  ///< words per owned range (multiple of 8)
-    std::unique_ptr<SpillRing[]> rings_;  ///< [producer * S + owner]
-    std::vector<std::vector<uint64_t>> overflow_;  ///< [producer * S + owner]
-    std::unique_ptr<ShardLocal[]> locals_;  ///< per-producer counters
-    uint64_t total_local_ = 0;
-    uint64_t total_spilled_ = 0;
-    uint64_t total_overflow_ = 0;
-    bool finished_ = false;
-  };
 
   /// Tests the cell with hash string `key` (Figure 5, inner loop). True
   /// means "present with high probability"; false is exact.

@@ -80,8 +80,8 @@ class CountingApproximateBitmap {
   CountingApproximateBitmap EmptyClone() const;
 
   /// Adds `other`'s counters into this filter, saturating at 15. This is
-  /// the counting analogue of ApproximateBitmap::UnionWith and is *exact*
-  /// with respect to serial insertion despite the clamp: for shard counts
+  /// the counting analogue of ORing two bit filters and is *exact* with
+  /// respect to serial insertion despite the clamp: for shard counts
   /// a, b the identity min(15, min(15,a) + min(15,b)) == min(15, a+b)
   /// holds (if either side clamps, both sides are 15), so shard-and-merge
   /// produces byte-identical counters to inserting every cell serially.

@@ -1,10 +1,6 @@
 #include "hash/hash_family.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -55,193 +51,6 @@ void HashFamily::ProbesBatchRange(const uint64_t* keys, const CellRef* cells,
 
 namespace {
 
-/// The ten classic pool functions have lockstep vector kernels; the modern
-/// block hashes (Murmur3/XX64) do not and hash scalar.
-bool ToSimdKind(HashKind kind, util::simd::StringHashKind* out) {
-  switch (kind) {
-    case HashKind::kRS:
-      *out = util::simd::StringHashKind::kRs;
-      return true;
-    case HashKind::kJS:
-      *out = util::simd::StringHashKind::kJs;
-      return true;
-    case HashKind::kPJW:
-      *out = util::simd::StringHashKind::kPjw;
-      return true;
-    case HashKind::kELF:
-      *out = util::simd::StringHashKind::kElf;
-      return true;
-    case HashKind::kBKDR:
-      *out = util::simd::StringHashKind::kBkdr;
-      return true;
-    case HashKind::kSDBM:
-      *out = util::simd::StringHashKind::kSdbm;
-      return true;
-    case HashKind::kDJB:
-      *out = util::simd::StringHashKind::kDjb;
-      return true;
-    case HashKind::kDEK:
-      *out = util::simd::StringHashKind::kDek;
-      return true;
-    case HashKind::kAP:
-      *out = util::simd::StringHashKind::kAp;
-      return true;
-    case HashKind::kFNV:
-      *out = util::simd::StringHashKind::kFnv;
-      return true;
-    default:
-      return false;
-  }
-}
-
-struct StringHash4State {
-  bool enabled = false;
-  std::string decision;
-};
-
-/// Decides once per process whether the lockstep kernel is worth using.
-/// Whichever way it goes, the probe positions are identical — only the
-/// cost differs — so the calibration can never change results.
-StringHash4State CalibrateStringHash4() {
-  StringHash4State state;
-  if (const char* env = std::getenv("AB_STRING_HASH4")) {
-    std::string v(env);
-    if (v == "on" || v == "ON" || v == "1") {
-      state.enabled = true;
-      state.decision = "on (env)";
-      return state;
-    }
-    if (v == "off" || v == "OFF" || v == "0") {
-      state.enabled = false;
-      state.decision = "off (env)";
-      return state;
-    }
-  }
-  if (util::simd::ActiveSimdLevel() != util::simd::SimdLevel::kAvx2) {
-    state.decision = "off (no avx2 kernel)";
-    return state;
-  }
-  // Race the two kernels in the exact shape ProbesBatchRange runs them:
-  // the default six-kind pool plus salted rounds out to k = 8, the
-  // power-of-two mask reduction, and the row-major out scatter. The
-  // previous harness raced bare HashBytes accumulation — no salted
-  // rounds, no mask, no stores — and on hosts where the transpose +
-  // per-lane bookkeeping only breaks even on that stripped loop it
-  // declared the lockstep path a winner the real kernel then lost with
-  // (the 0.94x probes_independent regression). Whichever way it goes,
-  // the probe positions are identical — only the cost differs.
-  constexpr HashKind kPool[] = {HashKind::kRS,  HashKind::kJS,
-                                HashKind::kBKDR, HashKind::kDJB,
-                                HashKind::kFNV, HashKind::kAP};
-  constexpr size_t kPoolSize = sizeof(kPool) / sizeof(kPool[0]);
-  constexpr size_t kKeys = 4096;
-  constexpr size_t kRounds = 8;  // the AB default: two salted rounds
-  constexpr uint64_t kMask = (uint64_t{1} << 22) - 1;
-  static uint64_t keys[kKeys];
-  uint64_t x = 0x9e3779b97f4a7c15ull;
-  for (size_t i = 0; i < kKeys; ++i) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    keys[i] = x;
-  }
-  static uint64_t out[kKeys * kRounds];
-  auto time_once_ns = [](auto&& body) {
-    auto t0 = std::chrono::steady_clock::now();
-    body();
-    auto t1 = std::chrono::steady_clock::now();
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-  };
-  auto scalar_body = [&] {
-    char buf[20];
-    for (size_t i = 0; i < kKeys; ++i) {
-      size_t len = RenderKeyDecimal(keys[i], buf);
-      uint64_t* row = out + i * kRounds;
-      for (size_t t = 0; t < kRounds; ++t) {
-        HashKind kind = kPool[t % kPoolSize];
-        uint64_t h = (t < kPoolSize)
-                         ? HashBytes(kind, buf, len)
-                         : HashRenderedSalted(kind, buf, len, t);
-        row[t] = h & kMask;
-      }
-    }
-  };
-  auto lockstep_body = [&] {
-    char bufs[4][20];
-    size_t lens[4];
-    uint8_t transposed[20 * 4];
-    for (size_t i = 0; i + 4 <= kKeys; i += 4) {
-      size_t max_len = 0;
-      for (int l = 0; l < 4; ++l) {
-        lens[l] = RenderKeyDecimal(keys[i + l], bufs[l]);
-        if (lens[l] > max_len) max_len = lens[l];
-      }
-      for (size_t pos = 0; pos < max_len; ++pos) {
-        for (int l = 0; l < 4; ++l) {
-          transposed[pos * 4 + l] =
-              pos < lens[l] ? static_cast<uint8_t>(bufs[l][pos]) : 0;
-        }
-      }
-      for (size_t t = 0; t < kRounds; ++t) {
-        HashKind kind = kPool[t % kPoolSize];
-        util::simd::StringHashKind sk;
-        uint64_t h4[4];
-        if (t < kPoolSize && ToSimdKind(kind, &sk) &&
-            util::simd::StringHash4(sk, transposed, lens, h4)) {
-          for (int l = 0; l < 4; ++l) {
-            out[(i + l) * kRounds + t] = h4[l] & kMask;
-          }
-        } else {
-          for (int l = 0; l < 4; ++l) {
-            uint64_t h = (t < kPoolSize)
-                             ? HashBytes(kind, bufs[l], lens[l])
-                             : HashRenderedSalted(kind, bufs[l], lens[l], t);
-            out[(i + l) * kRounds + t] = h & kMask;
-          }
-        }
-      }
-    }
-  };
-  // Interleaved best-of-5 pairs: alternating the bodies inside each rep
-  // cancels frequency drift and scheduler noise that a measure-A-then-
-  // measure-B race folds straight into the ratio (observed: back-to-back
-  // runs of the old harness flipped across 1.0 while the production
-  // kernel consistently lost by ~10%). One untimed warmup each primes
-  // caches and branch predictors.
-  scalar_body();
-  lockstep_body();
-  uint64_t scalar_ns = ~uint64_t{0};
-  uint64_t lockstep_ns = ~uint64_t{0};
-  for (int rep = 0; rep < 5; ++rep) {
-    scalar_ns = std::min(scalar_ns, time_once_ns(scalar_body));
-    lockstep_ns = std::min(lockstep_ns, time_once_ns(lockstep_body));
-  }
-  // Every store above is observable here, so neither body's scatter can
-  // be dead-store-eliminated out of the race.
-  uint64_t sink = 0;
-  for (uint64_t v : out) sink += v;
-  static volatile uint64_t g_calibration_sink;
-  g_calibration_sink = g_calibration_sink + sink;
-  double ratio = lockstep_ns == 0
-                     ? 1.0
-                     : static_cast<double>(scalar_ns) /
-                           static_cast<double>(lockstep_ns);
-  // Require a real margin before switching kernels: a wash — or a win
-  // inside measurement noise — should keep the simpler scalar path.
-  state.enabled = ratio >= 1.10;
-  char label[64];
-  std::snprintf(label, sizeof(label), "%s (calibrated %.2fx)",
-                state.enabled ? "on" : "off", ratio);
-  state.decision = label;
-  return state;
-}
-
-const StringHash4State& StringHash4Config() {
-  static const StringHash4State state = CalibrateStringHash4();
-  return state;
-}
-
-std::atomic<int> g_string_hash4_force{-1};
-
 class IndependentFamily : public HashFamily {
  public:
   explicit IndependentFamily(std::vector<HashKind> pool)
@@ -279,55 +88,10 @@ class IndependentFamily : public HashFamily {
     size_t width = end - begin;
     const bool pow2 = util::IsPowerOfTwo(n);
     const uint64_t mask = n - 1;
-    size_t i = 0;
-    // Four keys in lockstep through the classic recurrences when a vector
-    // string-hash kernel is available AND it has been measured to beat the
-    // scalar loop on this host (see StringHash4Enabled). Salted rounds
-    // (t past the pool) and non-classic pool members hash scalar per lane;
-    // tails of fewer than four keys fall through to the scalar loop below.
-    if (util::simd::ActiveSimdLevel() == util::simd::SimdLevel::kAvx2 &&
-        StringHash4Enabled()) {
-      char bufs[4][20];
-      size_t lens[4];
-      uint8_t transposed[20 * 4];
-      for (; i + 4 <= count; i += 4) {
-        size_t max_len = 0;
-        for (int l = 0; l < 4; ++l) {
-          lens[l] = RenderKeyDecimal(keys[i + l], bufs[l]);
-          if (lens[l] > max_len) max_len = lens[l];
-        }
-        for (size_t pos = 0; pos < max_len; ++pos) {
-          for (int l = 0; l < 4; ++l) {
-            transposed[pos * 4 + l] =
-                pos < lens[l] ? static_cast<uint8_t>(bufs[l][pos]) : 0;
-          }
-        }
-        for (size_t t = begin; t < end; ++t) {
-          HashKind kind = pool_[t % pool_.size()];
-          util::simd::StringHashKind sk;
-          uint64_t h4[4];
-          if (t < pool_.size() && ToSimdKind(kind, &sk) &&
-              util::simd::StringHash4(sk, transposed, lens, h4)) {
-            for (int l = 0; l < 4; ++l) {
-              out[(i + l) * width + (t - begin)] =
-                  pow2 ? (h4[l] & mask) : h4[l] % n;
-            }
-          } else {
-            for (int l = 0; l < 4; ++l) {
-              uint64_t h =
-                  (t < pool_.size())
-                      ? HashBytes(kind, bufs[l], lens[l])
-                      : HashRenderedSalted(kind, bufs[l], lens[l], t);
-              out[(i + l) * width + (t - begin)] = pow2 ? (h & mask) : h % n;
-            }
-          }
-        }
-      }
-    }
     // Render each key's decimal hash string once and feed it to every pool
     // member directly — no per-probe virtual dispatch, no memo lookups.
     char buf[20];
-    for (; i < count; ++i) {
+    for (size_t i = 0; i < count; ++i) {
       size_t len = RenderKeyDecimal(keys[i], buf);
       uint64_t* row = out + i * width;
       for (size_t t = begin; t < end; ++t) {
@@ -618,23 +382,6 @@ class SingleKindFamily : public HashFamily {
 };
 
 }  // namespace
-
-bool StringHash4Enabled() {
-  int force = g_string_hash4_force.load(std::memory_order_relaxed);
-  if (force >= 0) return force != 0;
-  return StringHash4Config().enabled;
-}
-
-std::string StringHash4Decision() {
-  int force = g_string_hash4_force.load(std::memory_order_relaxed);
-  if (force >= 0) return force != 0 ? "on (forced)" : "off (forced)";
-  return StringHash4Config().decision;
-}
-
-void SetStringHash4ForTesting(int force) {
-  g_string_hash4_force.store(force < 0 ? -1 : (force != 0 ? 1 : 0),
-                             std::memory_order_relaxed);
-}
 
 std::unique_ptr<HashFamily> MakeIndependentFamily() {
   // The default pool is the subset of the general-purpose library whose

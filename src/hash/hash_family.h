@@ -134,29 +134,6 @@ std::unique_ptr<HashFamily> MakeColumnGroupFamily(uint32_t num_groups);
 /// library (k is capped at 1 by construction of the study that uses it).
 std::unique_ptr<HashFamily> MakeSingleKindFamily(HashKind kind);
 
-/// Whether the independent family's batch kernels use the 4-key lockstep
-/// SIMD string-hash path. The decision is made once per process: the
-/// AB_STRING_HASH4 environment variable (on/off) wins outright; otherwise,
-/// on AVX2 hosts, a short self-calibration races the lockstep kernel
-/// against the scalar renderer-plus-HashBytes loop over the default pool
-/// and keeps the vector path only if it actually wins. Scatter-heavy
-/// builds on narrow hosts can lose with the lockstep path (the transpose
-/// and lane bookkeeping outweigh four-wide multiplies), which is why this
-/// is measured rather than assumed. Both paths produce identical probes.
-bool StringHash4Enabled();
-
-/// Human-readable record of the dispatch decision, e.g.
-/// "on (calibrated 1.41x)", "off (calibrated 0.93x)", "off (no avx2
-/// kernel)", "on (env)". Benchmarks print this in their banner so a
-/// regression in the vector kernel shows up as a decision flip, not as a
-/// silent slowdown.
-std::string StringHash4Decision();
-
-/// Test hook: 1 forces the lockstep path on, 0 forces it off, -1 restores
-/// the env/calibrated decision. Thread-safe but intended for tests that
-/// need to exercise both kernels deterministically.
-void SetStringHash4ForTesting(int force);
-
 }  // namespace hash
 }  // namespace abitmap
 

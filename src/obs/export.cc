@@ -24,8 +24,6 @@ const char* const kCounterHelp[kNumCounters] = {
     "Probe positions hashed and read by membership tests",
     "Probes skipped by per-cell early exit",
     "TestBatchMask windows processed",
-    "Membership tests issued to blocked filters",
-    "Cells inserted into blocked filters",
     "AbIndex query evaluations",
     "Rows pushed through AbIndex evaluations",
     "Rows an AbIndex evaluation reported as candidates",
@@ -37,9 +35,6 @@ const char* const kCounterHelp[kNumCounters] = {
     "Pool-parallel AbIndex builds completed",
     "Rows inserted by AbIndex builds",
     "Rows added by AbIndex::AppendRows",
-    "Partition-owner build probes landing in the owner's range",
-    "Partition-owner build probes routed to another shard's queue",
-    "Spilled build probes overflowing a bounded ring",
     "Shard-merge words actually ORed",
     "Shard-merge words skipped as untouched",
     "HybridEngine queries executed",
@@ -76,7 +71,7 @@ const char* const kHistogramHelp[kNumHistograms] = {
     "Per-task execution time on a pool worker in nanoseconds",
     "Thread-pool queue length observed at Submit",
     "Rows per AbIndex evaluation",
-    "Cells per worker shard in partitioned builds",
+    "Cells per worker shard in private-shard builds",
     "Serve request wall time from admission to rendered response in nanoseconds",
     "Serve request wait from admission to execution start in nanoseconds",
     "Mutable-index generation rebuild wall time in nanoseconds",

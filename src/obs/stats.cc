@@ -16,8 +16,6 @@ const char* const kCounterNames[kNumCounters] = {
     "ab_probes_resolved",
     "ab_probes_short_circuited",
     "ab_batch_windows",
-    "blocked_cells_tested",
-    "blocked_cells_inserted",
     "index_queries",
     "index_rows_evaluated",
     "index_rows_matched",
@@ -29,9 +27,6 @@ const char* const kCounterNames[kNumCounters] = {
     "index_builds_parallel",
     "index_rows_indexed",
     "index_rows_appended",
-    "build_probes_local",
-    "build_probes_spilled",
-    "build_spill_overflow",
     "build_merge_words_ored",
     "build_merge_words_skipped",
     "engine_queries",

@@ -45,13 +45,10 @@ inline constexpr bool kStatsEnabled = true;
 enum class Counter : uint32_t {
   // --- ApproximateBitmap probe/insert kernels ---
   kAbCellsTested = 0,      ///< membership tests (scalar + batched)
-  kAbCellsInserted,        ///< cells inserted (scalar + batched + atomic)
+  kAbCellsInserted,        ///< cells inserted (scalar + batched + shards)
   kAbProbesResolved,       ///< probe positions hashed/read by tests
   kAbProbesShortCircuited, ///< k*cells - resolved: early-exit savings
   kAbBatchWindows,         ///< TestBatchMask windows processed
-  // --- BlockedApproximateBitmap ---
-  kBlockedCellsTested,
-  kBlockedCellsInserted,
   // --- AbIndex query evaluation ---
   kIndexQueries,           ///< Evaluate/EvaluateBatched/Parallel calls
   kIndexRowsEvaluated,     ///< rows pushed through an evaluation
@@ -65,9 +62,6 @@ enum class Counter : uint32_t {
   kIndexBuildsParallel,    ///< pool builds completed
   kIndexRowsIndexed,       ///< rows inserted by builds
   kIndexRowsAppended,      ///< rows added by AppendRows
-  kBuildProbesLocal,       ///< partition-owner probes landing in-range
-  kBuildProbesSpilled,     ///< probes routed to another shard's queue
-  kBuildSpillOverflow,     ///< spilled probes that overflowed a ring
   kBuildMergeWordsOred,    ///< shard-merge words actually ORed
   kBuildMergeWordsSkipped, ///< shard-merge words skipped as untouched
   // --- HybridEngine execution / verification ---

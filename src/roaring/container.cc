@@ -722,53 +722,6 @@ void Container::OrRangeInto(uint64_t* words, uint32_t first_word,
   }
 }
 
-std::vector<uint64_t> Container::MaterializedWords(const Container& c) {
-  if (c.kind_ == ContainerKind::kBitset) return c.words_;
-  std::vector<uint64_t> words(kBitsetWords, 0);
-  if (c.kind_ == ContainerKind::kRun) {
-    RunsToWords(c.array_, words.data());
-  } else {
-    for (uint16_t v : c.array_) {
-      words[v >> 6] |= uint64_t{1} << (v & 63);
-    }
-  }
-  return words;
-}
-
-Container Xor(const Container& a, const Container& b) {
-  if (a.kind_ != ContainerKind::kBitset &&
-      b.kind_ != ContainerKind::kBitset) {
-    std::vector<uint16_t> va = a.ToArray();
-    std::vector<uint16_t> vb = b.ToArray();
-    std::vector<uint16_t> out;
-    out.reserve(va.size() + vb.size());
-    std::set_symmetric_difference(va.begin(), va.end(), vb.begin(), vb.end(),
-                                  std::back_inserter(out));
-    return Container::FromSortedValues(out.data(), out.size());
-  }
-  std::vector<uint64_t> wa = Container::MaterializedWords(a);
-  std::vector<uint64_t> wb = Container::MaterializedWords(b);
-  util::simd::XorWords(wa.data(), wb.data(), wa.size());
-  return Container::FromBitsetVector(std::move(wa));
-}
-
-Container AndNot(const Container& a, const Container& b) {
-  if (a.kind_ != ContainerKind::kBitset &&
-      b.kind_ != ContainerKind::kBitset) {
-    std::vector<uint16_t> va = a.ToArray();
-    std::vector<uint16_t> vb = b.ToArray();
-    std::vector<uint16_t> out;
-    out.reserve(va.size());
-    std::set_difference(va.begin(), va.end(), vb.begin(), vb.end(),
-                        std::back_inserter(out));
-    return Container::FromSortedValues(out.data(), out.size());
-  }
-  std::vector<uint64_t> wa = Container::MaterializedWords(a);
-  std::vector<uint64_t> wb = Container::MaterializedWords(b);
-  util::simd::AndNotWords(wa.data(), wb.data(), wa.size());
-  return Container::FromBitsetVector(std::move(wa));
-}
-
 uint32_t AndCardinality(const Container& a, const Container& b) {
   if (a.empty() || b.empty()) return 0;
   if (a.kind_ == ContainerKind::kArray && b.kind_ == ContainerKind::kArray) {

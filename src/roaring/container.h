@@ -128,8 +128,6 @@ class Container {
   /// Binary operations. Results are normalized to array/bitset form.
   friend Container And(const Container& a, const Container& b);
   friend Container Or(const Container& a, const Container& b);
-  friend Container Xor(const Container& a, const Container& b);
-  friend Container AndNot(const Container& a, const Container& b);
 
   /// popcount(a AND b) without materializing the result.
   friend uint32_t AndCardinality(const Container& a, const Container& b);
@@ -157,10 +155,6 @@ class Container {
   /// cardinality into normalized array/bitset form.
   static Container FromRunList(const std::vector<uint16_t>& runs,
                                uint32_t cardinality);
-  /// The container's values as a full kBitsetWords bitset (copying for
-  /// bitsets, scattering for arrays/runs) — the mixed-kind Xor/AndNot
-  /// materialization step.
-  static std::vector<uint64_t> MaterializedWords(const Container& c);
 
   const uint64_t* bitset_words() const { return words_.data(); }
 
@@ -175,8 +169,6 @@ class Container {
 
 Container And(const Container& a, const Container& b);
 Container Or(const Container& a, const Container& b);
-Container Xor(const Container& a, const Container& b);
-Container AndNot(const Container& a, const Container& b);
 uint32_t AndCardinality(const Container& a, const Container& b);
 
 }  // namespace roaring

@@ -36,17 +36,6 @@ RoaringBitmap RoaringBitmap::FromBitVector(const util::BitVector& bits) {
   return out;
 }
 
-void RoaringBitmap::AddOrdered(uint64_t row) {
-  uint32_t key = static_cast<uint32_t>(row >> kChunkBits);
-  uint16_t low = static_cast<uint16_t>(row & kChunkMask);
-  if (keys_.empty() || keys_.back() != key) {
-    AB_DCHECK(keys_.empty() || keys_.back() < key);
-    keys_.push_back(key);
-    containers_.emplace_back();
-  }
-  containers_.back().AppendOrdered(low);
-}
-
 void RoaringBitmap::AppendContainer(uint32_t key, Container container) {
   if (container.empty()) return;
   AB_DCHECK(keys_.empty() || keys_.back() < key);
@@ -150,63 +139,6 @@ RoaringBitmap Or(const RoaringBitmap& a, const RoaringBitmap& b) {
     }
   }
   return out;
-}
-
-RoaringBitmap Xor(const RoaringBitmap& a, const RoaringBitmap& b) {
-  RoaringBitmap out;
-  size_t i = 0, j = 0;
-  while (i < a.keys_.size() || j < b.keys_.size()) {
-    bool take_a = j >= b.keys_.size() ||
-                  (i < a.keys_.size() && a.keys_[i] <= b.keys_[j]);
-    bool take_b = i >= a.keys_.size() ||
-                  (j < b.keys_.size() && b.keys_[j] <= a.keys_[i]);
-    if (take_a && take_b) {
-      out.AppendContainer(a.keys_[i], Xor(a.containers_[i], b.containers_[j]));
-      ++i;
-      ++j;
-    } else if (take_a) {
-      out.AppendContainer(a.keys_[i], a.containers_[i]);
-      ++i;
-    } else {
-      out.AppendContainer(b.keys_[j], b.containers_[j]);
-      ++j;
-    }
-  }
-  return out;
-}
-
-RoaringBitmap AndNot(const RoaringBitmap& a, const RoaringBitmap& b) {
-  RoaringBitmap out;
-  size_t i = 0, j = 0;
-  while (i < a.keys_.size()) {
-    while (j < b.keys_.size() && b.keys_[j] < a.keys_[i]) ++j;
-    if (j < b.keys_.size() && b.keys_[j] == a.keys_[i]) {
-      out.AppendContainer(a.keys_[i],
-                          AndNot(a.containers_[i], b.containers_[j]));
-    } else {
-      out.AppendContainer(a.keys_[i], a.containers_[i]);
-    }
-    ++i;
-  }
-  return out;
-}
-
-uint64_t AndCount(const RoaringBitmap& a, const RoaringBitmap& b) {
-  uint64_t total = 0;
-  size_t i = 0, j = 0;
-  while (i < a.keys_.size() && j < b.keys_.size()) {
-    uint32_t ka = a.keys_[i], kb = b.keys_[j];
-    if (ka == kb) {
-      total += AndCardinality(a.containers_[i], b.containers_[j]);
-      ++i;
-      ++j;
-    } else if (ka < kb) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return total;
 }
 
 RoaringBitmap RoaringBitmap::MultiOr(

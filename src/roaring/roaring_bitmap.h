@@ -27,10 +27,6 @@ class RoaringBitmap {
   /// run-optimized; call Optimize() for the compact form.
   static RoaringBitmap FromBitVector(const util::BitVector& bits);
 
-  /// Appends a row id strictly greater than every id already present (the
-  /// ascending column-build path).
-  void AddOrdered(uint64_t row);
-
   /// Appends a pre-built container for `key`, which must exceed every key
   /// already present. Empty containers are skipped.
   void AppendContainer(uint32_t key, Container container);
@@ -71,12 +67,6 @@ class RoaringBitmap {
   /// per matching chunk. Empty result chunks are dropped.
   friend RoaringBitmap And(const RoaringBitmap& a, const RoaringBitmap& b);
   friend RoaringBitmap Or(const RoaringBitmap& a, const RoaringBitmap& b);
-  friend RoaringBitmap Xor(const RoaringBitmap& a, const RoaringBitmap& b);
-  friend RoaringBitmap AndNot(const RoaringBitmap& a, const RoaringBitmap& b);
-
-  /// Count(a AND b) without materializing the intersection — per-chunk
-  /// AndCardinality over the matching keys.
-  friend uint64_t AndCount(const RoaringBitmap& a, const RoaringBitmap& b);
 
   /// K-way union: one pass over all inputs' key lists; chunks present in
   /// several inputs are accumulated through an 8 KiB word buffer (each
@@ -106,9 +96,6 @@ std::vector<bool> EvaluateRows(
 
 RoaringBitmap And(const RoaringBitmap& a, const RoaringBitmap& b);
 RoaringBitmap Or(const RoaringBitmap& a, const RoaringBitmap& b);
-RoaringBitmap Xor(const RoaringBitmap& a, const RoaringBitmap& b);
-RoaringBitmap AndNot(const RoaringBitmap& a, const RoaringBitmap& b);
-uint64_t AndCount(const RoaringBitmap& a, const RoaringBitmap& b);
 
 }  // namespace roaring
 }  // namespace abitmap

@@ -1,7 +1,6 @@
 #ifndef ABITMAP_UTIL_BITVECTOR_H_
 #define ABITMAP_UTIL_BITVECTOR_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -52,20 +51,6 @@ class BitVector {
     } else {
       words_[pos >> 6] &= ~mask;
     }
-  }
-
-  /// Sets bit `pos` with an atomic fetch_or on its backing word, so
-  /// concurrent writers populating one vector never lose each other's
-  /// bits. This is the striped-atomic commit path of the parallel filter
-  /// build: each 64-bit word is an independent stripe, writers contend
-  /// only when two probes land in the same word, and relaxed ordering
-  /// suffices because the build joins (synchronizes) before any reader
-  /// probes the bits. Mixing SetAtomic with the non-atomic mutators on a
-  /// live vector is the caller's race to avoid.
-  void SetAtomic(size_t pos) {
-    AB_DCHECK(pos < num_bits_);
-    std::atomic_ref<uint64_t> word(words_[pos >> 6]);
-    word.fetch_or(uint64_t{1} << (pos & 63), std::memory_order_relaxed);
   }
 
   /// Returns `n` bits (1 <= n <= 64) starting at `pos`, with bit `pos` in

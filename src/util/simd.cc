@@ -76,12 +76,6 @@ void GatherBitsScalar(const uint64_t* words, const uint64_t* positions,
   }
 }
 
-bool Block512CoversScalar(const uint64_t* block8, const uint64_t* mask8) {
-  uint64_t missing = 0;
-  for (int i = 0; i < 8; ++i) missing |= mask8[i] & ~block8[i];
-  return missing == 0;
-}
-
 void DoubleHashRoundsScalar(const uint64_t* h1, const uint64_t* h2,
                             size_t count, size_t begin, size_t end,
                             uint64_t pos_mask, uint64_t* out) {
@@ -252,31 +246,6 @@ AB_TARGET_AVX2 void GatherBitsAvx2(const uint64_t* words,
   GatherBitsScalar(words, positions + i, count - i, out + i);
 }
 
-AB_TARGET_AVX2 bool Block512CoversAvx2(const uint64_t* block8,
-                                       const uint64_t* mask8) {
-  __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block8));
-  __m256i b1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block8 + 4));
-  __m256i m0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask8));
-  __m256i m1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask8 + 4));
-  // testc(b, m) == 1  <=>  (~b & m) == 0  <=>  b covers m.
-  return _mm256_testc_si256(b0, m0) != 0 && _mm256_testc_si256(b1, m1) != 0;
-}
-
-AB_TARGET_AVX2 void Block512OrAvx2(uint64_t* block8, const uint64_t* mask8) {
-  __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block8));
-  __m256i b1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block8 + 4));
-  __m256i m0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask8));
-  __m256i m1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask8 + 4));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(block8),
-                      _mm256_or_si256(b0, m0));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(block8 + 4),
-                      _mm256_or_si256(b1, m1));
-}
-
 void Mix64BatchSse2(const uint64_t* keys, size_t count, uint64_t xor_salt,
                     uint64_t or_mask, uint64_t* out) {
   const __m128i salt = Set1U64Sse2(xor_salt);
@@ -359,133 +328,6 @@ AB_TARGET_AVX2 void DoubleHashRoundsAvx2(const uint64_t* h1,
   }
   DoubleHashRoundsScalar(h1 + i, h2 + i, count - i, begin, end, pos_mask,
                          out + i * width);
-}
-
-/// Byte `pos` of all four lanes (transposed layout) widened to u64 lanes.
-AB_TARGET_AVX2 inline __m256i LoadLane4(const uint8_t* transposed,
-                                        size_t pos) {
-  uint32_t packed;
-  std::memcpy(&packed, transposed + pos * 4, 4);
-  return _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(packed)));
-}
-
-/// Lockstep four-lane classic string hashes. Each case mirrors the
-/// scalar recurrence in hash/general_hashes.cc byte for byte; lanes past
-/// their length keep their previous accumulator via the active-lane
-/// blend, which is exactly "stop hashing at len".
-AB_TARGET_AVX2 void StringHash4Avx2(StringHashKind kind,
-                                    const uint8_t* transposed,
-                                    const size_t lens[4], uint64_t out[4]) {
-  const __m256i lens_v = _mm256_setr_epi64x(
-      static_cast<long long>(lens[0]), static_cast<long long>(lens[1]),
-      static_cast<long long>(lens[2]), static_cast<long long>(lens[3]));
-  size_t max_len = lens[0];
-  for (int l = 1; l < 4; ++l) max_len = lens[l] > max_len ? lens[l] : max_len;
-
-  __m256i h = _mm256_setzero_si256();
-  switch (kind) {
-    case StringHashKind::kJs:
-      h = Set1U64Avx2(1315423911u);
-      break;
-    case StringHashKind::kDjb:
-      h = Set1U64Avx2(5381);
-      break;
-    case StringHashKind::kDek:
-      h = lens_v;
-      break;
-    case StringHashKind::kAp:
-      h = Set1U64Avx2(0xAAAAAAAAAAAAAAAAull);
-      break;
-    case StringHashKind::kFnv:
-      h = Set1U64Avx2(14695981039346656037ull);
-      break;
-    default:
-      break;  // kRs, kPjw, kElf, kBkdr, kSdbm start at 0
-  }
-
-  uint64_t rs_a = 63689;  // RS's evolving multiplier, position-dependent
-  const __m256i all_ones = _mm256_set1_epi64x(-1);
-  for (size_t pos = 0; pos < max_len; ++pos) {
-    __m256i byte = LoadLane4(transposed, pos);
-    __m256i nh;
-    switch (kind) {
-      case StringHashKind::kRs:
-        nh = _mm256_add_epi64(Mul64Avx2(h, Set1U64Avx2(rs_a)), byte);
-        rs_a *= 378551;
-        break;
-      case StringHashKind::kJs:
-        nh = _mm256_xor_si256(
-            h, _mm256_add_epi64(
-                   _mm256_add_epi64(_mm256_slli_epi64(h, 5), byte),
-                   _mm256_srli_epi64(h, 2)));
-        break;
-      case StringHashKind::kPjw: {
-        const __m256i high = Set1U64Avx2(0xFF00000000000000ull);
-        __m256i t1 = _mm256_add_epi64(_mm256_slli_epi64(h, 8), byte);
-        __m256i test = _mm256_and_si256(t1, high);
-        // Branch-free form of the scalar conditional: when test == 0 the
-        // xor is a no-op and t1 has no high bits for andnot to clear.
-        nh = _mm256_andnot_si256(
-            high, _mm256_xor_si256(t1, _mm256_srli_epi64(test, 48)));
-        break;
-      }
-      case StringHashKind::kElf: {
-        const __m256i high = Set1U64Avx2(0xF000000000000000ull);
-        __m256i t1 = _mm256_add_epi64(_mm256_slli_epi64(h, 4), byte);
-        __m256i x = _mm256_and_si256(t1, high);
-        nh = _mm256_andnot_si256(
-            x, _mm256_xor_si256(t1, _mm256_srli_epi64(x, 56)));
-        break;
-      }
-      case StringHashKind::kBkdr:
-        nh = _mm256_add_epi64(Mul64Avx2(h, Set1U64Avx2(131)), byte);
-        break;
-      case StringHashKind::kSdbm:
-        nh = _mm256_sub_epi64(
-            _mm256_add_epi64(
-                byte, _mm256_add_epi64(_mm256_slli_epi64(h, 6),
-                                       _mm256_slli_epi64(h, 16))),
-            h);
-        break;
-      case StringHashKind::kDjb:
-        nh = _mm256_add_epi64(
-            _mm256_add_epi64(_mm256_slli_epi64(h, 5), h), byte);
-        break;
-      case StringHashKind::kDek:
-        nh = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_slli_epi64(h, 5),
-                             _mm256_srli_epi64(h, 59)),
-            byte);
-        break;
-      case StringHashKind::kAp:
-        if ((pos & 1) == 0) {
-          nh = _mm256_xor_si256(
-              h, _mm256_xor_si256(_mm256_slli_epi64(h, 7),
-                                  Mul64Avx2(byte, _mm256_srli_epi64(h, 3))));
-        } else {
-          __m256i inner = _mm256_add_epi64(
-              _mm256_slli_epi64(h, 11),
-              _mm256_xor_si256(byte, _mm256_srli_epi64(h, 5)));
-          nh = _mm256_xor_si256(h, _mm256_xor_si256(inner, all_ones));
-        }
-        break;
-      case StringHashKind::kFnv:
-        nh = Mul64Avx2(_mm256_xor_si256(h, byte),
-                       Set1U64Avx2(1099511628211ull));
-        break;
-      default:
-        nh = h;
-        break;
-    }
-    __m256i active = _mm256_cmpgt_epi64(lens_v, Set1U64Avx2(pos));
-    h = _mm256_blendv_epi8(h, nh, active);
-  }
-  alignas(32) uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), h);
-  out[0] = lanes[0];
-  out[1] = lanes[1];
-  out[2] = lanes[2];
-  out[3] = lanes[3];
 }
 
 }  // namespace
@@ -737,30 +579,6 @@ void GatherBits(const uint64_t* words, const uint64_t* positions,
   }
 }
 
-bool Block512Covers(const uint64_t* block8, const uint64_t* mask8) {
-  switch (ActiveSimdLevel()) {
-#if defined(AB_SIMD_X86)
-    case SimdLevel::kAvx2:
-      return Block512CoversAvx2(block8, mask8);
-#endif
-    default:
-      return Block512CoversScalar(block8, mask8);
-  }
-}
-
-void Block512Or(uint64_t* block8, const uint64_t* mask8) {
-  switch (ActiveSimdLevel()) {
-#if defined(AB_SIMD_X86)
-    case SimdLevel::kAvx2:
-      Block512OrAvx2(block8, mask8);
-      return;
-#endif
-    default:
-      for (int i = 0; i < 8; ++i) block8[i] |= mask8[i];
-      return;
-  }
-}
-
 void Mix64Batch(const uint64_t* keys, size_t count, uint64_t xor_salt,
                 uint64_t or_mask, uint64_t* out) {
   switch (ActiveSimdLevel()) {
@@ -796,23 +614,6 @@ void DoubleHashRounds(const uint64_t* h1, const uint64_t* h2, size_t count,
     default:
       DoubleHashRoundsScalar(h1, h2, count, begin, end, pos_mask, out);
       return;
-  }
-}
-
-bool StringHash4(StringHashKind kind, const uint8_t* transposed,
-                 const size_t lens[4], uint64_t out[4]) {
-  switch (ActiveSimdLevel()) {
-#if defined(AB_SIMD_X86)
-    case SimdLevel::kAvx2:
-      StringHash4Avx2(kind, transposed, lens, out);
-      return true;
-#endif
-    default:
-      (void)kind;
-      (void)transposed;
-      (void)lens;
-      (void)out;
-      return false;
   }
 }
 

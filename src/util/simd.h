@@ -119,13 +119,6 @@ void NotWords(uint64_t* dst, size_t count);
 void GatherBits(const uint64_t* words, const uint64_t* positions,
                 size_t count, uint8_t* out);
 
-/// True when every set bit of mask8[0..8) is also set in block8[0..8) —
-/// the single-load 512-bit block membership probe of the blocked AB.
-bool Block512Covers(const uint64_t* block8, const uint64_t* mask8);
-
-/// block8[i] |= mask8[i] for one 512-bit block — the insert-side mirror.
-void Block512Or(uint64_t* block8, const uint64_t* mask8);
-
 /// --- Hash kernels --------------------------------------------------------
 
 /// out[i] = Mix64(keys[i] ^ xor_salt) | or_mask. The two double-hash
@@ -141,34 +134,6 @@ void Mix64Batch(const uint64_t* keys, size_t count, uint64_t xor_salt,
 void DoubleHashRounds(const uint64_t* h1, const uint64_t* h2, size_t count,
                       size_t begin, size_t end, uint64_t pos_mask,
                       uint64_t* out);
-
-/// The classic byte-string hash recurrences of the General Purpose Hash
-/// Function library, as lockstep four-lane kernels. Mirrors
-/// hash::HashKind for the ten classic functions (the modern block hashes
-/// Murmur3/XX64 have length-dependent structure and stay scalar).
-enum class StringHashKind {
-  kRs = 0,
-  kJs,
-  kPjw,
-  kElf,
-  kBkdr,
-  kSdbm,
-  kDjb,
-  kDek,
-  kAp,
-  kFnv,
-};
-
-/// Hashes four byte strings in lockstep: lane l's string is
-/// bytes[pos * 4 + l] for pos in [0, lens[l]) — a transposed layout so
-/// one 32-bit load feeds all four lanes per byte position. Lanes shorter
-/// than the longest stop updating (masked), which keeps every lane
-/// bit-identical to the scalar recurrence in hash/general_hashes.cc.
-/// Unused lanes pass lens[l] = 0. Returns false when no vector kernel is
-/// available at the active level (caller hashes scalar); never partially
-/// writes `out` in that case.
-bool StringHash4(StringHashKind kind, const uint8_t* transposed,
-                 const size_t lens[4], uint64_t out[4]);
 
 }  // namespace simd
 }  // namespace util

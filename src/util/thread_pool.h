@@ -66,7 +66,7 @@ class ThreadPool {
 
   /// Exact number of (non-empty) chunks ParallelFor will create for a range
   /// of `total` elements under `num_threads` workers. Build coordinators
-  /// size per-chunk state (private shards, spill queues) with this so every
+  /// size per-chunk state (private build shards) with this so every
   /// chunk index handed to `body` has a slot and no slot goes unused.
   static int NumChunksFor(int num_threads, uint64_t total);
 

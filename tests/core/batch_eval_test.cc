@@ -13,7 +13,6 @@
 
 #include "core/ab_index.h"
 #include "core/approximate_bitmap.h"
-#include "core/blocked_bitmap.h"
 #include "data/generators.h"
 #include "data/query_gen.h"
 #include "hash/hash_family.h"
@@ -133,25 +132,6 @@ TEST(TestBatchTest, MaskVariantAndOddWindowSizes) {
     }
     // No bits beyond the window.
     if (count < 64) ASSERT_EQ(mask >> count, 0u);
-  }
-}
-
-TEST(TestBatchTest, BlockedFilterMatchesScalar) {
-  AbParams params;
-  params.n_bits = 1 << 14;
-  params.k = 5;
-  BlockedApproximateBitmap filter(params);
-  std::mt19937_64 rng(5);
-  std::vector<uint64_t> keys;
-  for (int i = 0; i < 400; ++i) {
-    uint64_t key = rng();
-    if (i % 2 == 0) filter.Insert(key);
-    keys.push_back(key);
-  }
-  std::vector<uint8_t> batch(keys.size());
-  filter.TestBatch(keys.data(), keys.size(), batch.data());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_EQ(batch[i] != 0, filter.Test(keys[i])) << "key " << i;
   }
 }
 

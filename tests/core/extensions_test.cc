@@ -1,12 +1,10 @@
-// Tests for the extension filters: the counting (deletable) AB and the
-// cache-blocked AB.
+// Tests for the extension filter: the counting (deletable) AB.
 
 #include <random>
 #include <set>
 
 #include "gtest/gtest.h"
 
-#include "core/blocked_bitmap.h"
 #include "core/counting_bitmap.h"
 
 namespace abitmap {
@@ -123,66 +121,6 @@ TEST(CountingBitmapTest, FillRatioTracksLoad) {
     filter.Remove(key, hash::CellRef{});
   }
   EXPECT_EQ(filter.FillRatio(), 0.0);  // all counters back to zero
-}
-
-// ---------------------------------------------------------------- blocked
-
-TEST(BlockedBitmapTest, NoFalseNegatives) {
-  BlockedApproximateBitmap filter(Params(1 << 16, 6));
-  for (uint64_t key = 0; key < 5000; ++key) {
-    filter.Insert(key * 977 + 13);
-  }
-  for (uint64_t key = 0; key < 5000; ++key) {
-    ASSERT_TRUE(filter.Test(key * 977 + 13)) << key;
-  }
-}
-
-TEST(BlockedBitmapTest, RoundsUpToWholeBlocks) {
-  BlockedApproximateBitmap filter(Params(1000, 4));
-  EXPECT_EQ(filter.size_bits(), 1024u);  // 2 blocks of 512
-  EXPECT_EQ(filter.num_blocks(), 2u);
-}
-
-TEST(BlockedBitmapTest, FalsePositiveRateNearTheory) {
-  // alpha = 8, k = 4: blocked FP is somewhat above the unblocked closed
-  // form because of block-occupancy variance, but must stay in its
-  // vicinity (within ~2x at 512-bit blocks and this load).
-  const uint64_t n = 1 << 20;
-  const uint64_t s = n / 8;
-  BlockedApproximateBitmap filter(Params(n, 4));
-  for (uint64_t key = 0; key < s; ++key) {
-    filter.Insert(key);
-  }
-  uint64_t fp = 0;
-  const uint64_t trials = 50000;
-  for (uint64_t i = 0; i < trials; ++i) {
-    fp += filter.Test((uint64_t{1} << 40) + i);
-  }
-  double measured = static_cast<double>(fp) / trials;
-  double theory = FalsePositiveRate(8.0, 4);
-  EXPECT_GT(measured, theory * 0.7);
-  EXPECT_LT(measured, theory * 2.5);
-}
-
-TEST(BlockedBitmapTest, FillRatioMatchesExpectation) {
-  const uint64_t n = 1 << 18;
-  BlockedApproximateBitmap filter(Params(n, 4));
-  for (uint64_t key = 0; key < n / 16; ++key) {
-    filter.Insert(key);
-  }
-  // ks/n = 4/16 = 0.25 set operations per bit -> fill ~ 1 - e^-0.25 ~ 0.22.
-  EXPECT_NEAR(filter.FillRatio(), 0.221, 0.02);
-}
-
-TEST(BlockedBitmapTest, DistinctKeysUseDistinctBlocks) {
-  BlockedApproximateBitmap filter(Params(1 << 15, 3));
-  // Insert one key; an unrelated key should almost surely miss.
-  filter.Insert(123456789);
-  int hits = 0;
-  for (uint64_t key = 1; key <= 1000; ++key) {
-    hits += filter.Test(key);
-  }
-  EXPECT_LE(hits, 2);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Correctness contract of the parallel, batch-hashed build pipeline: every
-// insert-side kernel (InsertBatch, InsertBatchAtomic, UnionWith over
-// shards, pool-parallel index builds, pool-parallel WAH/BBC column
+// insert-side kernel (InsertBatch, private build shards and their ranged
+// merge, pool-parallel index builds, pool-parallel WAH/BBC column
 // compression) must produce results bit-identical to the serial scalar
 // path. Parallel construction is a wall-clock change, never a semantic
 // one — the filters are pure unions of per-cell bit sets and OR commutes.
@@ -15,7 +15,6 @@
 #include "bitmap/bitmap_table.h"
 #include "core/ab_index.h"
 #include "core/approximate_bitmap.h"
-#include "core/blocked_bitmap.h"
 #include "core/counting_index.h"
 #include "data/generators.h"
 #include "hash/hash_family.h"
@@ -70,67 +69,7 @@ TEST(InsertBatchTest, MatchesScalarInsertBitForBit) {
   }
 }
 
-TEST(InsertBatchTest, AtomicVariantMatchesScalarSerially) {
-  CellBatch batch = RandomCells(700, 7);
-  ApproximateBitmap scalar = MakeFilter(1 << 13, 4);
-  ApproximateBitmap atomic = scalar.EmptyClone();
-  for (size_t i = 0; i < batch.keys.size(); ++i) {
-    scalar.Insert(batch.keys[i], batch.cells[i]);
-  }
-  atomic.InsertBatchAtomic(batch.keys.data(), batch.cells.data(),
-                           batch.keys.size());
-  EXPECT_EQ(scalar.bits(), atomic.bits());
-  EXPECT_EQ(scalar.insertions(), atomic.insertions());
-}
-
-TEST(InsertBatchTest, ConcurrentAtomicInsertsEqualSerialInsert) {
-  // Many workers hammer one shared filter through the atomic batch path;
-  // after joining, the bits must equal a serial build over the same cells
-  // regardless of interleaving. Run twice to expose nondeterminism.
-  CellBatch batch = RandomCells(4096, 11);
-  ApproximateBitmap serial = MakeFilter(1 << 15, 6);
-  for (size_t i = 0; i < batch.keys.size(); ++i) {
-    serial.Insert(batch.keys[i], batch.cells[i]);
-  }
-  util::ThreadPool pool(8);
-  for (int run = 0; run < 2; ++run) {
-    ApproximateBitmap shared = serial.EmptyClone();
-    pool.ParallelFor(0, batch.keys.size(),
-                     [&](uint64_t begin, uint64_t end, int /*chunk*/) {
-                       shared.InsertBatchAtomic(batch.keys.data() + begin,
-                                                batch.cells.data() + begin,
-                                                end - begin);
-                     });
-    ASSERT_EQ(serial.bits(), shared.bits()) << "run " << run;
-    ASSERT_EQ(serial.insertions(), shared.insertions());
-  }
-}
-
-TEST(UnionWithTest, ShardUnionEqualsSerialInsert) {
-  CellBatch batch = RandomCells(1500, 23);
-  ApproximateBitmap serial = MakeFilter(1 << 14, 5);
-  for (size_t i = 0; i < batch.keys.size(); ++i) {
-    serial.Insert(batch.keys[i], batch.cells[i]);
-  }
-  // Three uneven shards built independently, then merged.
-  ApproximateBitmap merged = serial.EmptyClone();
-  size_t bounds[] = {0, 100, 900, batch.keys.size()};
-  for (int s = 0; s < 3; ++s) {
-    ApproximateBitmap shard = serial.EmptyClone();
-    shard.InsertBatch(batch.keys.data() + bounds[s],
-                      batch.cells.data() + bounds[s],
-                      bounds[s + 1] - bounds[s]);
-    merged.UnionWith(shard);
-  }
-  EXPECT_EQ(serial.bits(), merged.bits());
-  // Insertion counts add across the union, so the FP estimate — which
-  // depends only on (n, k, insertions) — is invariant under sharding.
-  EXPECT_EQ(serial.insertions(), merged.insertions());
-  EXPECT_DOUBLE_EQ(serial.ExpectedFalsePositiveRate(),
-                   merged.ExpectedFalsePositiveRate());
-}
-
-TEST(UnionWithTest, EmptyCloneSharesShapeAndFamily) {
+TEST(EmptyCloneTest, SharesShapeAndFamily) {
   ApproximateBitmap filter = MakeFilter(1 << 10, 7);
   filter.Insert(123, hash::CellRef{1, 2});
   ApproximateBitmap clone = filter.EmptyClone();
@@ -139,58 +78,6 @@ TEST(UnionWithTest, EmptyCloneSharesShapeAndFamily) {
   EXPECT_EQ(&clone.family(), &filter.family());
   EXPECT_EQ(clone.insertions(), 0u);
   EXPECT_EQ(clone.FillRatio(), 0.0);
-}
-
-TEST(BlockedInsertBatchTest, MatchesScalarInsert) {
-  AbParams params;
-  params.n_bits = 1 << 13;
-  params.k = 5;
-  std::mt19937_64 rng(3);
-  std::vector<uint64_t> keys(777);
-  for (uint64_t& k : keys) k = rng();
-  BlockedApproximateBitmap scalar(params);
-  BlockedApproximateBitmap batched(params);
-  for (uint64_t k : keys) scalar.Insert(k);
-  batched.InsertBatch(keys.data(), keys.size());
-  ASSERT_EQ(scalar.insertions(), batched.insertions());
-  // The classes expose no raw words; equality of every key's membership
-  // plus equal fill ratio pins the bit arrays for practical purposes.
-  EXPECT_DOUBLE_EQ(scalar.FillRatio(), batched.FillRatio());
-  std::mt19937_64 probe_rng(4);
-  for (int i = 0; i < 4000; ++i) {
-    uint64_t k = probe_rng();
-    ASSERT_EQ(scalar.Test(k), batched.Test(k)) << "probe " << i;
-  }
-  for (uint64_t k : keys) {
-    ASSERT_TRUE(batched.Test(k));  // no false negatives
-  }
-}
-
-TEST(BlockedBitmapTest, EffectiveAlphaReflectsBlockRounding) {
-  // 1000 requested bits round up to 1024 (two 512-bit blocks): the
-  // realized alpha grows by the same factor and FP predictions must be
-  // computed over size_bits(), not the requested n_bits.
-  AbParams params;
-  params.n_bits = 1000;
-  params.alpha = 8.0;
-  params.k = 5;
-  BlockedApproximateBitmap filter(params);
-  EXPECT_EQ(filter.size_bits(), 1024u);
-  EXPECT_EQ(filter.size_bits() % BlockedApproximateBitmap::kBlockBits, 0u);
-  EXPECT_DOUBLE_EQ(filter.effective_alpha(), 8.0 * 1024.0 / 1000.0);
-  EXPECT_GE(filter.effective_alpha(), params.alpha);
-  // The measured-state FP estimate uses the rounded size.
-  for (uint64_t key = 0; key < 125; ++key) filter.Insert(key * 2654435761u);
-  EXPECT_DOUBLE_EQ(
-      filter.ExpectedFalsePositiveRate(),
-      FalsePositiveRateExact(filter.size_bits(), filter.insertions(),
-                             filter.k()));
-  // Already-aligned sizes keep their requested alpha exactly; ForAlpha
-  // produces power-of-two sizes, block-aligned whenever >= one block.
-  AbParams aligned = AbParams::ForAlpha(8.0, 5, 128);  // n_bits = 1024
-  ASSERT_EQ(aligned.n_bits, 1024u);
-  BlockedApproximateBitmap exact(aligned);
-  EXPECT_DOUBLE_EQ(exact.effective_alpha(), aligned.alpha);
 }
 
 TEST(ParallelBuildTest, StableAcrossThreadCountsAndRepeatedRuns) {
@@ -288,8 +175,8 @@ TEST(ParallelBuildTest, BbcParallelColumnsMatchSerialCompress) {
 }
 
 // ---------------------------------------------------------------------
-// Contention-free build strategies (partition-owner, private-shard
-// ranged merge, attribute-owner) and the strategy selector.
+// The two parallel paths (attribute ownership, private shards with a
+// ranged merge) and the serial fallback, as BuildParallel picks them.
 // ---------------------------------------------------------------------
 
 class ScopedSimdLevel {
@@ -304,137 +191,54 @@ class ScopedSimdLevel {
   util::simd::SimdLevel prev_;
 };
 
-const util::simd::SimdLevel kForcedLevels[] = {
-    util::simd::SimdLevel::kScalar, util::simd::SimdLevel::kSse2,
-    util::simd::SimdLevel::kAvx2, util::simd::SimdLevel::kNeon};
-
-TEST(BuildStrategyTest, SelectorRespectsSizeLevelAndThreads) {
-  bitmap::BinnedDataset big = data::MakeSynthetic(
-      "big", 20000, 4, 8, data::Distribution::kUniform, 3);
-  bitmap::BinnedDataset tiny = data::MakeSynthetic(
-      "tiny", 100, 2, 4, data::Distribution::kUniform, 5);
-  AbConfig cfg;
-  cfg.alpha = 8;
-
-  // One thread (or no work) is always serial, whatever is forced.
-  cfg.build_strategy = BuildStrategy::kPartitionOwner;
-  EXPECT_EQ(AbIndex::ChooseBuildStrategy(big, cfg, 1),
-            BuildStrategy::kSerial);
-  cfg.build_strategy = BuildStrategy::kAuto;
-  // Below the cell floor the fan-out costs more than the inserts.
-  EXPECT_EQ(AbIndex::ChooseBuildStrategy(tiny, cfg, 8),
-            BuildStrategy::kSerial);
-
-  // Per-attribute with d >= threads: one owner per filter, no merge.
-  cfg.level = Level::kPerAttribute;
-  EXPECT_EQ(AbIndex::ChooseBuildStrategy(big, cfg, 4),
-            BuildStrategy::kAttributeOwner);
-  // More threads than attributes: filter size decides. A forced override
-  // keeps the filters small/large deterministically.
-  cfg.n_bits_override = uint64_t{1} << 16;
-  EXPECT_EQ(AbIndex::ChooseBuildStrategy(big, cfg, 8),
-            BuildStrategy::kPrivateShards);
-  cfg.n_bits_override = uint64_t{1} << 23;
-  EXPECT_EQ(AbIndex::ChooseBuildStrategy(big, cfg, 8),
-            BuildStrategy::kPartitionOwner);
-  cfg.n_bits_override = 0;
-
-  // Per-column routes per cell, so ownership must be per attribute.
-  cfg.level = Level::kPerColumn;
-  EXPECT_EQ(AbIndex::ChooseBuildStrategy(big, cfg, 4),
-            BuildStrategy::kAttributeOwner);
-
-  // Forced strategies a level cannot express downgrade predictably.
-  cfg.level = Level::kPerDataset;
-  cfg.build_strategy = BuildStrategy::kAttributeOwner;
-  EXPECT_EQ(AbIndex::ChooseBuildStrategy(big, cfg, 4),
-            BuildStrategy::kPrivateShards);
-  cfg.level = Level::kPerColumn;
-  cfg.build_strategy = BuildStrategy::kPartitionOwner;
-  EXPECT_EQ(AbIndex::ChooseBuildStrategy(big, cfg, 4),
-            BuildStrategy::kAttributeOwner);
-  bitmap::BinnedDataset one_attr = data::MakeSynthetic(
-      "one", 20000, 1, 8, data::Distribution::kUniform, 9);
-  EXPECT_EQ(AbIndex::ChooseBuildStrategy(one_attr, cfg, 4),
-            BuildStrategy::kAtomicShared);
-}
-
-TEST(ParallelBuildTest, ForcedStrategiesBitIdenticalAcrossLevelsAndSimd) {
-  // Every strategy x index level x thread count x forced SIMD dispatch
-  // level must reproduce the serial build bit for bit. The reference is
-  // built once per level at the default dispatch level; SIMD parity
-  // makes the comparison meaningful across the forced levels.
-  bitmap::BinnedDataset d = data::MakeSynthetic(
-      "strat", 3000, 3, 8, data::Distribution::kZipf, 77);
-  for (Level level :
-       {Level::kPerDataset, Level::kPerAttribute, Level::kPerColumn}) {
-    AbConfig cfg;
-    cfg.level = level;
-    cfg.alpha = 8;
-    AbIndex reference = AbIndex::Build(d, cfg);
-    for (BuildStrategy strategy :
-         {BuildStrategy::kAtomicShared, BuildStrategy::kPrivateShards,
-          BuildStrategy::kPartitionOwner, BuildStrategy::kAttributeOwner}) {
-      cfg.build_strategy = strategy;
-      for (int threads : {2, 8}) {
-        util::ThreadPool tpool(threads);
-        for (util::simd::SimdLevel forced : kForcedLevels) {
-          ScopedSimdLevel scoped(forced);
-          AbIndex parallel = AbIndex::BuildParallel(d, cfg, &tpool);
+TEST(ParallelBuildTest, PathsBitIdenticalAcrossLevelsWidthsPoolsSimd) {
+  // Every level x attribute count x pool size x SIMD level the CPU
+  // supports must reproduce the serial build: each filter's bits and
+  // insertion count, and the index's as-built FP. 9,000 rows clear the
+  // serial cell floor even at d == 1, so the grid reaches all three
+  // paths:
+  //  * serial: per-column with d == 1;
+  //  * attribute ownership: per-column with d >= 2, per-attribute with
+  //    d >= pool size (d == 2 at pool 2, d == 6 at pools 2-4);
+  //  * private shards: per-dataset, per-attribute with d < pool size.
+  // The reference is built once per (level, d) at the default dispatch
+  // level; SIMD parity makes the comparison meaningful across levels.
+  const util::simd::SimdLevel kLevels[] = {
+      util::simd::SimdLevel::kScalar, util::simd::SimdLevel::kSse2,
+      util::simd::SimdLevel::kAvx2, util::simd::SimdLevel::kNeon};
+  for (uint32_t d : {1u, 2u, 6u}) {
+    bitmap::BinnedDataset data = data::MakeSynthetic(
+        "paths", 9000, d, 8, data::Distribution::kZipf, 77 + d);
+    for (Level level :
+         {Level::kPerDataset, Level::kPerAttribute, Level::kPerColumn}) {
+      AbConfig cfg;
+      cfg.level = level;
+      cfg.alpha = 8;
+      AbIndex reference = AbIndex::Build(data, cfg);
+      for (int threads : {2, 3, 4, 8}) {
+        util::ThreadPool pool(threads);
+        for (util::simd::SimdLevel simd : kLevels) {
+          ScopedSimdLevel scoped(simd);
+          // A level the CPU lacks clamps to one already in the sweep.
+          if (util::simd::ActiveSimdLevel() != simd) continue;
+          AbIndex parallel = AbIndex::BuildParallel(data, cfg, &pool);
           ASSERT_EQ(reference.num_filters(), parallel.num_filters());
           for (size_t f = 0; f < reference.num_filters(); ++f) {
-            ASSERT_EQ(reference.filter(f).bits(), parallel.filter(f).bits())
-                << LevelName(level) << " strategy "
-                << BuildStrategyName(strategy) << " threads=" << threads
-                << " simd=" << util::simd::SimdLevelName(forced)
+            EXPECT_TRUE(reference.filter(f).bits() ==
+                        parallel.filter(f).bits())
+                << LevelName(level) << " d=" << d << " threads=" << threads
+                << " simd=" << util::simd::SimdLevelName(simd) << " filter "
+                << f;
+            EXPECT_EQ(reference.filter(f).insertions(),
+                      parallel.filter(f).insertions())
+                << LevelName(level) << " d=" << d << " threads=" << threads
                 << " filter " << f;
-            ASSERT_EQ(reference.filter(f).insertions(),
-                      parallel.filter(f).insertions());
           }
+          EXPECT_EQ(reference.built_fp(), parallel.built_fp())
+              << LevelName(level) << " d=" << d << " threads=" << threads;
         }
       }
     }
-  }
-}
-
-TEST(ParallelBuildTest, PartitionOwnerSpillRingHammer) {
-  // TSan target: a 2-slot spill capacity forces constant ring traffic
-  // *and* the overflow fallback while 8 workers hammer the inserter.
-  // The result must still equal serial insertion of the same cells, and
-  // the probe-routing accounting must add up exactly.
-  constexpr size_t kCount = 50000;
-  CellBatch batch = RandomCells(kCount, 99);
-  ApproximateBitmap serial = MakeFilter(uint64_t{1} << 20, 6);
-  for (size_t i = 0; i < kCount; ++i) {
-    serial.Insert(batch.keys[i], batch.cells[i]);
-  }
-  util::ThreadPool pool(8);
-  int shards = util::ThreadPool::NumChunksFor(8, kCount);
-  for (int run = 0; run < 2; ++run) {
-    ApproximateBitmap target = serial.EmptyClone();
-    ApproximateBitmap::PartitionedInserter inserter(&target, shards,
-                                                    /*spill_capacity=*/2);
-    pool.ParallelFor(0, kCount, [&](uint64_t begin, uint64_t end, int chunk) {
-      inserter.InsertBatch(chunk, batch.keys.data() + begin,
-                           batch.cells.data() + begin, end - begin);
-    });
-    pool.ParallelFor(0, static_cast<uint64_t>(shards),
-                     [&](uint64_t sb, uint64_t se, int) {
-                       for (uint64_t s = sb; s < se; ++s) {
-                         inserter.Drain(static_cast<int>(s));
-                       }
-                     });
-    inserter.Finish();
-    ASSERT_EQ(serial.bits(), target.bits()) << "run " << run;
-    ASSERT_EQ(serial.insertions(), target.insertions());
-    // Every probe was either committed locally or spilled; overflow is a
-    // subset of spills. With 8 owners, ~7/8 of probes spill; with 2-slot
-    // rings, overflow must actually trigger for the test to mean much.
-    EXPECT_EQ(inserter.local_probes() + inserter.spilled_probes(),
-              kCount * static_cast<uint64_t>(serial.k()));
-    EXPECT_GT(inserter.spilled_probes(), 0u);
-    EXPECT_GT(inserter.overflow_probes(), 0u);
-    EXPECT_LE(inserter.overflow_probes(), inserter.spilled_probes());
   }
 }
 
@@ -481,39 +285,6 @@ TEST(BuildShardTest, RangedMergeEqualsSerialAndSkipsCleanGranules) {
   EXPECT_EQ(empty_target.MergeShardRange(clean, 0, num_words), 0u);
 }
 
-TEST(BlockedInsertBatchPartitionedTest, MatchesSerialAcrossSimdLevels) {
-  AbParams params;
-  params.n_bits = uint64_t{1} << 15;
-  params.k = 5;
-  std::mt19937_64 rng(31);
-  std::vector<uint64_t> keys(20000);
-  for (uint64_t& k : keys) k = rng();
-  BlockedApproximateBitmap serial(params);
-  serial.InsertBatch(keys.data(), keys.size());
-  util::ThreadPool pool(4);
-  for (util::simd::SimdLevel forced : kForcedLevels) {
-    ScopedSimdLevel scoped(forced);
-    BlockedApproximateBitmap partitioned(params);
-    partitioned.InsertBatchPartitioned(keys.data(), keys.size(), &pool);
-    ASSERT_EQ(serial.insertions(), partitioned.insertions());
-    ASSERT_DOUBLE_EQ(serial.FillRatio(), partitioned.FillRatio());
-    std::mt19937_64 probe_rng(32);
-    for (int i = 0; i < 4000; ++i) {
-      uint64_t k = probe_rng();
-      ASSERT_EQ(serial.Test(k), partitioned.Test(k))
-          << "probe " << i << " simd " << util::simd::SimdLevelName(forced);
-    }
-    for (uint64_t k : keys) ASSERT_TRUE(partitioned.Test(k));
-  }
-  // Tiny batches and null pools fall back to the serial batch.
-  BlockedApproximateBitmap tiny_a(params);
-  BlockedApproximateBitmap tiny_b(params);
-  tiny_a.InsertBatch(keys.data(), 10);
-  tiny_b.InsertBatchPartitioned(keys.data(), 10, nullptr);
-  EXPECT_EQ(tiny_a.insertions(), tiny_b.insertions());
-  EXPECT_DOUBLE_EQ(tiny_a.FillRatio(), tiny_b.FillRatio());
-}
-
 TEST(CountingMergeTest, SaturatingMergeIsExactUnderSaturation) {
   // min(15, min(15,a) + min(15,b)) == min(15, a+b): repeat one cell 20
   // times split 12/8 across two shards — both the merged and the serial
@@ -541,25 +312,6 @@ TEST(CountingMergeTest, SaturatingMergeIsExactUnderSaturation) {
   merged.MergeSaturating(shard_b);
   EXPECT_EQ(serial.raw_counters(), merged.raw_counters());
   EXPECT_EQ(serial.live(), merged.live());
-}
-
-TEST(StringHash4DispatchTest, ForcedKernelsProduceIdenticalFilters) {
-  // The lockstep string-hash path is a cost decision, never a semantic
-  // one: filters built with it forced on and forced off must be
-  // bit-identical (on non-AVX2 hosts both runs take the scalar path and
-  // the assertion is trivially true — the same fallback contract as the
-  // SIMD parity suite).
-  CellBatch batch = RandomCells(2000, 123);
-  ApproximateBitmap on = MakeFilter(1 << 14, 5);
-  ApproximateBitmap off = on.EmptyClone();
-  hash::SetStringHash4ForTesting(1);
-  on.InsertBatch(batch.keys.data(), batch.cells.data(), batch.keys.size());
-  hash::SetStringHash4ForTesting(0);
-  off.InsertBatch(batch.keys.data(), batch.cells.data(), batch.keys.size());
-  hash::SetStringHash4ForTesting(-1);
-  EXPECT_EQ(on.bits(), off.bits());
-  // The decision string is always well-formed and non-empty.
-  EXPECT_FALSE(hash::StringHash4Decision().empty());
 }
 
 }  // namespace

@@ -2,10 +2,9 @@
 // For every hash family, k, and filter size in the sweep, results computed
 // at each forced dispatch level must be bit-identical to the forced-scalar
 // baseline: ProbesBatch/ProbesBatchRange outputs, TestBatch/TestBatchMask
-// verdicts, InsertBatch filter contents, the blocked filter's block probes,
-// and BitVector word ops. In a -DAB_DISABLE_SIMD=ON build every level
-// clamps to scalar and the sweep still runs (trivially passing), which is
-// exactly the fallback contract.
+// verdicts, InsertBatch filter contents, and BitVector word ops. In a
+// -DAB_DISABLE_SIMD=ON build every level clamps to scalar and the sweep
+// still runs (trivially passing), which is exactly the fallback contract.
 
 #include <cstring>
 #include <memory>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "core/approximate_bitmap.h"
-#include "core/blocked_bitmap.h"
 #include "gtest/gtest.h"
 #include "hash/hash_family.h"
 #include "util/bitvector.h"
@@ -226,52 +224,6 @@ TEST(SimdParityTest, TestBatchAndInsertBatchMatchScalarLevel) {
           }
         }
       }
-    }
-  }
-}
-
-TEST(SimdParityTest, BlockedBitmapMatchesScalarLevel) {
-  std::mt19937_64 rng(31);
-  for (int k : {1, 4, 9, 16}) {
-    AbParams params;
-    params.n_bits = uint64_t{1} << 16;
-    params.k = k;
-    const size_t kInserts = 800;
-    std::vector<uint64_t> ins_keys = RandomKeys(kInserts, 41 + k);
-    std::vector<uint64_t> q_keys = ins_keys;
-    for (size_t i = 0; i < kInserts; i += 2) q_keys[i] = rng();
-
-    BlockedApproximateBitmap scalar_filter(params);
-    std::vector<uint8_t> base_bits(kInserts);
-    {
-      ScopedSimdLevel guard(SimdLevel::kScalar);
-      // Half through Insert, half through InsertBatch.
-      for (size_t i = 0; i < kInserts / 2; ++i) {
-        scalar_filter.Insert(ins_keys[i]);
-      }
-      scalar_filter.InsertBatch(ins_keys.data() + kInserts / 2,
-                                kInserts - kInserts / 2);
-      scalar_filter.TestBatch(q_keys.data(), kInserts, base_bits.data());
-    }
-
-    for (SimdLevel level : kForcedLevels) {
-      ScopedSimdLevel guard(level);
-      BlockedApproximateBitmap filter(params);
-      for (size_t i = 0; i < kInserts / 2; ++i) {
-        filter.Insert(ins_keys[i]);
-      }
-      filter.InsertBatch(ins_keys.data() + kInserts / 2,
-                         kInserts - kInserts / 2);
-      std::vector<uint8_t> bits(kInserts, 0xCC);
-      filter.TestBatch(q_keys.data(), kInserts, bits.data());
-      ASSERT_EQ(bits, base_bits)
-          << "k=" << k << " level=" << SimdLevelName(ActiveSimdLevel());
-      for (size_t i = 0; i < kInserts; ++i) {
-        ASSERT_EQ(filter.Test(q_keys[i]), base_bits[i] != 0)
-            << "k=" << k << " i=" << i
-            << " level=" << SimdLevelName(ActiveSimdLevel());
-      }
-      EXPECT_DOUBLE_EQ(filter.FillRatio(), scalar_filter.FillRatio());
     }
   }
 }

@@ -6,8 +6,8 @@
 //    or produce a different-but-valid structure); the contract under
 //    test is memory safety plus structural invariants of whatever is
 //    accepted.
-//  * randomized insert/probe sweeps across the three encoding levels,
-//    the blocked filter, and every SIMD dispatch level the CPU supports:
+//  * randomized insert/probe sweeps across the three encoding levels and
+//    every SIMD dispatch level the CPU supports:
 //    the AB's no-false-negative guarantee and the kernels' bit-identity
 //    contract must hold for arbitrary seeded inputs, not just the
 //    hand-picked cases of the unit tests.
@@ -20,7 +20,6 @@
 #include "bbc/bbc_vector.h"
 #include "bitmap/bitmap_table.h"
 #include "core/ab_index.h"
-#include "core/blocked_bitmap.h"
 #include "core/mutable_index.h"
 #include "data/generators.h"
 #include "util/byte_io.h"
@@ -298,42 +297,6 @@ TEST(FuzzRobustnessTest, RandomMutationOpsNeverFalseNegativeAtAnyLevel) {
       }
     });
   }
-}
-
-TEST(FuzzRobustnessTest, BlockedFilterRandomInsertProbeAtEverySimdLevel) {
-  // The blocked AB has its own probe kernel (Block512Covers) with SIMD
-  // variants: random keys inserted through the scalar and batched paths
-  // must all test positive at every dispatch level, and TestBatchMask
-  // must agree with scalar Test on arbitrary probe mixes.
-  std::mt19937_64 rng(7);
-  std::vector<uint64_t> keys(3000);
-  for (uint64_t& k : keys) k = rng();
-
-  ab::BlockedApproximateBitmap filter(
-      ab::AbParams::ForAlpha(/*alpha=*/8, /*k=*/4, keys.size()));
-  // Half scalar inserts, half batched — both commit identically.
-  size_t half = keys.size() / 2;
-  for (size_t i = 0; i < half; ++i) filter.Insert(keys[i]);
-  filter.InsertBatch(keys.data() + half, keys.size() - half);
-  EXPECT_EQ(filter.insertions(), keys.size());
-
-  ForEachSupportedSimdLevel([&](util::simd::SimdLevel) {
-    for (uint64_t k : keys) {
-      ASSERT_TRUE(filter.Test(k)) << "false negative for inserted key";
-    }
-    // Random probe windows mixing present and absent keys.
-    for (int trial = 0; trial < 50; ++trial) {
-      uint64_t window[ab::BlockedApproximateBitmap::kBatchWindow];
-      size_t count = 1 + rng() % ab::BlockedApproximateBitmap::kBatchWindow;
-      for (size_t i = 0; i < count; ++i) {
-        window[i] = (rng() % 2 == 0) ? keys[rng() % keys.size()] : rng();
-      }
-      uint64_t mask = filter.TestBatchMask(window, count);
-      for (size_t i = 0; i < count; ++i) {
-        EXPECT_EQ((mask >> i) & 1, filter.Test(window[i]) ? 1u : 0u);
-      }
-    }
-  });
 }
 
 }  // namespace

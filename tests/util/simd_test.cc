@@ -7,7 +7,6 @@
 
 #include "util/simd.h"
 
-#include <cstring>
 #include <random>
 #include <vector>
 
@@ -180,35 +179,6 @@ TEST(SimdGatherTest, GatherBitsMatchesNaive) {
   }
 }
 
-TEST(SimdBlockTest, Block512CoversAndOrMatchNaive) {
-  std::mt19937_64 rng(123);
-  for (int trial = 0; trial < 200; ++trial) {
-    uint64_t block[8];
-    uint64_t mask[8];
-    for (int i = 0; i < 8; ++i) {
-      block[i] = rng();
-      // Mostly-subset masks so both verdicts occur often.
-      mask[i] = (trial % 2 == 0) ? (block[i] & rng()) : rng();
-    }
-    uint64_t missing = 0;
-    for (int i = 0; i < 8; ++i) missing |= mask[i] & ~block[i];
-    bool expected = missing == 0;
-    for (SimdLevel level : kAllLevels) {
-      ScopedSimdLevel guard(level);
-      EXPECT_EQ(Block512Covers(block, mask), expected)
-          << "level=" << SimdLevelName(ActiveSimdLevel());
-      uint64_t merged[8];
-      std::memcpy(merged, block, sizeof(merged));
-      Block512Or(merged, mask);
-      for (int i = 0; i < 8; ++i) {
-        EXPECT_EQ(merged[i], block[i] | mask[i]);
-      }
-      // After the OR, the block must cover the mask at every level.
-      EXPECT_TRUE(Block512Covers(merged, mask));
-    }
-  }
-}
-
 TEST(SimdHashTest, Mix64MatchesHashLibrary) {
   std::mt19937_64 rng(2024);
   for (int i = 0; i < 1000; ++i) {
@@ -265,70 +235,6 @@ TEST(SimdHashTest, DoubleHashRoundsMatchesFormula) {
         EXPECT_EQ(out, expected)
             << "level=" << SimdLevelName(ActiveSimdLevel())
             << " count=" << count << " begin=" << begin << " end=" << end;
-      }
-    }
-  }
-}
-
-/// StringHash4 against the scalar recurrences in hash/general_hashes.cc,
-/// over random decimal-ish strings of mixed lengths (the exact shape the
-/// probe kernels feed it).
-TEST(SimdHashTest, StringHash4MatchesScalarHashes) {
-  struct KindPair {
-    StringHashKind simd_kind;
-    hash::HashKind hash_kind;
-  };
-  const KindPair kKinds[] = {
-      {StringHashKind::kRs, hash::HashKind::kRS},
-      {StringHashKind::kJs, hash::HashKind::kJS},
-      {StringHashKind::kPjw, hash::HashKind::kPJW},
-      {StringHashKind::kElf, hash::HashKind::kELF},
-      {StringHashKind::kBkdr, hash::HashKind::kBKDR},
-      {StringHashKind::kSdbm, hash::HashKind::kSDBM},
-      {StringHashKind::kDjb, hash::HashKind::kDJB},
-      {StringHashKind::kDek, hash::HashKind::kDEK},
-      {StringHashKind::kAp, hash::HashKind::kAP},
-      {StringHashKind::kFnv, hash::HashKind::kFNV},
-  };
-  std::mt19937_64 rng(31337);
-  for (int trial = 0; trial < 50; ++trial) {
-    // Four lanes of random length (1..20), transposed layout.
-    char lanes[4][20];
-    size_t lens[4];
-    uint8_t transposed[20 * 4];
-    std::memset(transposed, 0, sizeof(transposed));
-    size_t max_len = 0;
-    for (int l = 0; l < 4; ++l) {
-      lens[l] = 1 + rng() % 20;
-      max_len = std::max(max_len, lens[l]);
-      for (size_t pos = 0; pos < lens[l]; ++pos) {
-        lanes[l][pos] = static_cast<char>('0' + rng() % 10);
-      }
-    }
-    for (size_t pos = 0; pos < max_len; ++pos) {
-      for (int l = 0; l < 4; ++l) {
-        transposed[pos * 4 + l] =
-            pos < lens[l] ? static_cast<uint8_t>(lanes[l][pos]) : 0;
-      }
-    }
-    for (const KindPair& kp : kKinds) {
-      uint64_t expected[4];
-      for (int l = 0; l < 4; ++l) {
-        expected[l] = hash::HashBytes(kp.hash_kind, lanes[l], lens[l]);
-      }
-      for (SimdLevel level : kAllLevels) {
-        ScopedSimdLevel guard(level);
-        uint64_t out[4];
-        if (StringHash4(kp.simd_kind, transposed, lens, out)) {
-          for (int l = 0; l < 4; ++l) {
-            EXPECT_EQ(out[l], expected[l])
-                << "level=" << SimdLevelName(ActiveSimdLevel())
-                << " kind=" << hash::HashKindName(kp.hash_kind)
-                << " lane=" << l << " len=" << lens[l];
-          }
-        }
-        // A false return (no vector kernel at this level) is a valid
-        // outcome; the caller hashes scalar.
       }
     }
   }

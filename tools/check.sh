@@ -31,9 +31,11 @@
 # PATH.
 #
 # A build-scaling smoke runs a downsized bench_build_time thread sweep
-# and checks the per-dataset "scaling_ok" flag (the slowest parallel
-# point must stay within 5% of serial — the contention-free build may
-# only tie serial on small hosts, never lose). Advisory by default
+# at all three AB levels, so it covers both parallel paths (attribute
+# ownership and private shards), and checks the per-dataset
+# "scaling_ok" flag (at every level the slowest parallel point must stay
+# within 5% of serial — the contention-free build may only tie serial
+# on small hosts, never lose). Advisory by default
 # because CI hosts are noisy and often single-core; set
 # AB_CHECK_SCALING=strict to make a failed sweep fatal (recommended
 # locally on multi-core machines) or AB_CHECK_SCALING=0 to skip.

@@ -12,6 +12,12 @@
 // to BENCH_query.json (the query-side mirror of BENCH_build.json). The
 // comparison table and the SIMD banner go to stderr so stdout stays pure
 // google-benchmark output when piped as JSON.
+//
+// Its last section times the served engine in process, on one thread, over
+// serve::MakeSeedTable(1M rows, seed 1) (scaled by ABITMAP_BENCH_SCALE) with
+// the served benchmark's templates: 32 whole-relation counts and 1,024
+// subsets of 0.1% of the rows, 1 in 4 approximate. It reports the index's
+// bytes per row and the raw values the verify read (QueryTrace::raw_reads).
 
 #include <algorithm>
 #include <cstdio>
@@ -27,6 +33,7 @@
 #include "bitmap/bitmap_table.h"
 #include "core/ab_index.h"
 #include "engine/exact_index.h"
+#include "engine/hybrid_engine.h"
 #include "wah/wah_query.h"
 #include "core/approximate_bitmap.h"
 #include "bbc/bbc_vector.h"
@@ -35,6 +42,7 @@
 #include "hash/hash_family.h"
 #include "obs/stats.h"
 #include "roaring/roaring_bitmap.h"
+#include "serve/workload.h"
 #include "util/simd.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -374,10 +382,86 @@ PipelineTiming MeasurePipeline() {
   return t;
 }
 
+/// The served engine on the served benchmark's templates (medians over
+/// kEngineReps passes): the whole-relation counts' summed time, the mean
+/// subset query time, and the deterministic work of one pass.
+struct EngineTiming {
+  uint64_t rows = 0;
+  double index_bytes_per_row = 0;
+  double count_templates_ms = 0;   // all 32 count templates
+  double subset_query_us = 0;      // per subset template
+  uint64_t count_raw_reads = 0;    // summed over the count templates
+  uint64_t subset_raw_reads = 0;   // summed over the subset templates
+  uint64_t count_candidates = 0;   // bin-level candidates of the counts
+  uint64_t count_matches = 0;      // exact count total
+};
+
+EngineTiming MeasureEngine() {
+  constexpr int kEngineReps = 5;
+  EngineTiming t;
+  engine::Table table = serve::MakeSeedTable(ScaledRows(1000000), 1);
+  t.rows = table.num_rows();
+  engine::HybridEngine::Options options;
+  options.binning.bins = 16;
+  options.num_threads = 1;
+  engine::HybridEngine eng = engine::HybridEngine::Build(table, options);
+  t.index_bytes_per_row =
+      static_cast<double>(eng.ExactSizeBytes()) / static_cast<double>(t.rows);
+  serve::TemplateOptions to;
+  to.seed = 7;
+  to.num_templates = 32;
+  to.row_fraction = 0;
+  to.count_only = true;
+  std::vector<serve::QueryRequest> counts =
+      serve::MakeQueryTemplates(t.rows, to);
+  to.num_templates = 1024;
+  to.row_fraction = 0.001;
+  to.count_only = false;
+  std::vector<serve::QueryRequest> subsets =
+      serve::MakeQueryTemplates(t.rows, to);
+  std::mt19937_64 rng(7);
+  for (serve::QueryRequest& q : subsets) q.exact = rng() % 4 != 0;
+  auto run = [&eng](const serve::QueryRequest& r) {
+    engine::EngineQuery q;
+    q.predicates = r.predicates;
+    q.rows = r.rows;
+    q.exact = r.exact;
+    q.count_only = r.count_only;
+    return eng.Execute(q);
+  };
+  for (const serve::QueryRequest& r : counts) {
+    engine::EngineResult res = run(r);
+    t.count_raw_reads += res.trace.raw_reads;
+    t.count_candidates += res.trace.candidates;
+    t.count_matches += res.count;
+  }
+  for (const serve::QueryRequest& r : subsets) {
+    t.subset_raw_reads += run(r).trace.raw_reads;
+  }
+  std::vector<double> count_ms, subset_us;
+  uint64_t sink = 0;
+  for (int rep = 0; rep < kEngineReps; ++rep) {
+    util::Stopwatch count_timer;
+    for (const serve::QueryRequest& r : counts) sink += run(r).count;
+    count_ms.push_back(count_timer.ElapsedMillis());
+    util::Stopwatch subset_timer;
+    for (const serve::QueryRequest& r : subsets) sink += run(r).count;
+    subset_us.push_back(subset_timer.ElapsedMicros() /
+                        static_cast<double>(subsets.size()));
+  }
+  benchmark::DoNotOptimize(sink);
+  std::sort(count_ms.begin(), count_ms.end());
+  std::sort(subset_us.begin(), subset_us.end());
+  t.count_templates_ms = count_ms[kEngineReps / 2];
+  t.subset_query_us = subset_us[kEngineReps / 2];
+  return t;
+}
+
 void WriteQueryJson(const PipelineTiming& pipeline,
                     const std::vector<KernelTiming>& kernels,
                     const std::vector<BackendSizes>& backends,
-                    const SparseIntersect& intersect) {
+                    const SparseIntersect& intersect,
+                    const EngineTiming& eng) {
   // stats_enabled distinguishes the two tier-1 configurations: the
   // metrics-on overhead is the eval_batched_ms delta between a default
   // build's JSON and an -DAB_DISABLE_STATS=ON build's (EXPERIMENTS.md).
@@ -431,6 +515,20 @@ void WriteQueryJson(const PipelineTiming& pipeline,
   w.Key("roaring_speedup"), w.Double(intersect.Speedup(), 2);
   w.EndObject();
   w.EndObject();
+  // The served engine (sliced index plus edge verify), one thread.
+  w.Key("engine");
+  w.BeginObject();
+  w.Key("rows"), w.Uint(eng.rows);
+  w.Key("index_bytes_per_row"), w.Double(eng.index_bytes_per_row, 3);
+  w.Key("count_templates"), w.Uint(32);
+  w.Key("count_templates_ms"), w.Double(eng.count_templates_ms);
+  w.Key("count_raw_reads"), w.Uint(eng.count_raw_reads);
+  w.Key("count_candidates"), w.Uint(eng.count_candidates);
+  w.Key("count_matches"), w.Uint(eng.count_matches);
+  w.Key("subset_templates"), w.Uint(1024);
+  w.Key("subset_query_us"), w.Double(eng.subset_query_us);
+  w.Key("subset_raw_reads"), w.Uint(eng.subset_raw_reads);
+  w.EndObject();
   w.EndObject();
   WriteJsonFile("BENCH_query.json", w.str());
 }
@@ -464,7 +562,17 @@ void RunKernelComparison() {
                100 * intersect.density_a, 100 * intersect.density_b,
                static_cast<unsigned long long>(intersect.rows),
                intersect.wah_ms, intersect.roaring_ms, intersect.Speedup());
-  WriteQueryJson(pipeline, kernels, backends, intersect);
+  EngineTiming eng = MeasureEngine();
+  std::fprintf(stderr,
+               "\nengine over %llu seed rows: %.3f B/row; 32 counts %.3f ms "
+               "(%llu raw reads); 1,024 subsets %.2f us/query (%llu raw "
+               "reads)\n",
+               static_cast<unsigned long long>(eng.rows),
+               eng.index_bytes_per_row, eng.count_templates_ms,
+               static_cast<unsigned long long>(eng.count_raw_reads),
+               eng.subset_query_us,
+               static_cast<unsigned long long>(eng.subset_raw_reads));
+  WriteQueryJson(pipeline, kernels, backends, intersect, eng);
   std::fprintf(stderr, "wrote BENCH_query.json\n");
 }
 

@@ -243,9 +243,14 @@ int CmdDemo() {
   options.binning.bins = 20;
   engine::HybridEngine engine =
       engine::HybridEngine::Build(std::move(table).value(), options);
-  std::printf("exact index: %llu bytes over %u Roaring columns\n",
-              static_cast<unsigned long long>(engine.ExactSizeBytes()),
-              engine.exact_index().num_columns());
+  const engine::SlicedIndex& index = engine.sliced_index();
+  uint32_t slices = 0;
+  for (uint32_t a = 0; a < index.num_attributes(); ++a) {
+    slices += index.num_slices(a);
+  }
+  std::printf("sliced index: %llu bytes in %u bit slices over %u attributes\n",
+              static_cast<unsigned long long>(engine.ExactSizeBytes()), slices,
+              index.num_attributes());
 
   engine::EngineQuery q;
   q.predicates.push_back(engine::ValuePredicate{0, 25.0, 50.0});

@@ -81,13 +81,6 @@ void ApproximateBitmap::InsertBatch(const uint64_t* keys,
   AB_STATS_ADD(obs::Counter::kAbCellsInserted, count);
 }
 
-ApproximateBitmap ApproximateBitmap::EmptyClone() const {
-  AbParams params;
-  params.n_bits = bits_.size();
-  params.k = k_;
-  return ApproximateBitmap(params, family_);
-}
-
 ApproximateBitmap::BuildShard::BuildShard(const ApproximateBitmap& proto)
     : bits_(proto.bits_.size()),
       touched_(util::CeilDiv(

@@ -58,10 +58,6 @@ class ApproximateBitmap {
   void InsertBatch(const uint64_t* keys, const hash::CellRef* cells,
                    size_t count);
 
-  /// An empty filter with this filter's exact shape (size, k, shared hash
-  /// family), without re-deriving parameters from the dataset.
-  ApproximateBitmap EmptyClone() const;
-
   /// Words per dirty-tracking granule of a BuildShard (64 words = 512
   /// bytes = 8 cache lines). Coarse enough that the touched bitmap is
   /// 1/4096 of the filter, fine enough that a sparse shard's merge skips

@@ -7,7 +7,6 @@
 #endif
 #include <utility>
 
-#include "bitmap/bitmap_table.h"
 #include "obs/span.h"
 #include "obs/stats.h"
 #include "util/bitvector.h"
@@ -17,16 +16,13 @@
 namespace abitmap {
 namespace engine {
 
-HybridEngine::HybridEngine(Table table, const Options& options)
-    : table_(std::move(table)),
-      options_(options),
-      discretized_(table_.Discretize(options.binning)) {}
-
 HybridEngine HybridEngine::Build(Table table, const Options& options) {
+  AB_CHECK(options.backend == "auto" || options.backend.empty() ||
+           options.backend == "roaring");
   HybridEngine engine(std::move(table), options);
   // The pool is created before the index so construction itself runs
-  // through it: exact-column compression fans out over the same workers
-  // that later serve queries. The parallel build is bit-identical to the
+  // through it: attributes slice in parallel on the same workers that
+  // later serve queries. The parallel build is bit-identical to the
   // serial one, so a 1-thread engine and an N-thread engine hold the same
   // index.
   int threads = options.num_threads == 0 ? util::DefaultThreadCount()
@@ -34,17 +30,17 @@ HybridEngine HybridEngine::Build(Table table, const Options& options) {
   if (threads > 1) {
     engine.pool_ = std::make_shared<util::ThreadPool>(threads);
   }
-  bitmap::BitmapTable bitmap_table =
-      bitmap::BitmapTable::Build(engine.discretized_.dataset);
-  engine.exact_ = std::make_unique<ExactIndex>(ExactIndex::Build(
-      bitmap_table, engine.pool_.get(), options.backend));
-  // Only the bitmap build reads the binned values: queries verify against
-  // the raw table, and ingest bins through the binners and attributes.
-  std::vector<std::vector<uint32_t>>().swap(engine.discretized_.dataset.values);
+  engine.index_ = std::make_unique<SlicedIndex>(
+      SlicedIndex::Build(engine.table_, options.binning, engine.pool_.get()));
+  for (uint32_t c = 0; c < engine.table_.num_columns(); ++c) {
+    engine.attributes_.push_back(bitmap::AttributeInfo{
+        engine.table_.column_names()[c],
+        engine.index_->binner(c).coarse().cardinality()});
+  }
 #if defined(__GLIBC__)
-  // The build's transient buffers (binned values, the bitmap table, the
-  // binning sorts) were freed inside the heap, where glibc keeps their
-  // pages resident; return them, so a server's RSS is its live index.
+  // The build's transient buffers (the binning sorts) were freed inside
+  // the heap, where glibc keeps their pages resident; return them, so a
+  // server's RSS is its live index.
   malloc_trim(0);
 #endif
   engine.ingest_ = std::make_unique<IngestState>();
@@ -88,8 +84,8 @@ uint64_t HybridEngine::IngestRow(const std::vector<double>& values) {
   if (ingest_->delta == nullptr) {
     ab::MutableAbIndex::Options delta_options;
     delta_options.config = options_.ab;
-    ingest_->delta = ab::MutableAbIndex::BuildEmpty(
-        discretized_.dataset.attributes, delta_options, 1024);
+    ingest_->delta =
+        ab::MutableAbIndex::BuildEmpty(attributes_, delta_options, 1024);
   }
   // Raw values first (plain stores into a chunk no reader can touch
   // until `committed` advances past the row, release below).
@@ -105,7 +101,7 @@ uint64_t HybridEngine::IngestRow(const std::vector<double>& values) {
   for (uint32_t c = 0; c < cols; ++c) {
     AB_CHECK(!std::isnan(values[c]));
     row_values[c] = values[c];
-    bins[c] = discretized_.binners[c].BinOf(values[c]);
+    bins[c] = index_->binner(c).BinOf(values[c]);
   }
   uint64_t id = ingest_->delta->InsertRow(bins);
   AB_CHECK_EQ(id, local);
@@ -187,7 +183,7 @@ void HybridEngine::ToBinQuery(const EngineQuery& query,
   for (const ValuePredicate& p : query.predicates) {
     AB_CHECK_LT(p.attr, table_.num_columns());
     AB_CHECK_LE(p.lo, p.hi);
-    const bitmap::Binner& binner = discretized_.binners[p.attr];
+    const bitmap::NestedBinner& binner = index_->binner(p.attr);
     uint32_t lo_bin = binner.BinOf(p.lo);
     uint32_t hi_bin = binner.BinOf(p.hi);
     out->ranges.push_back(bitmap::AttributeRange{p.attr, lo_bin, hi_bin});
@@ -196,23 +192,13 @@ void HybridEngine::ToBinQuery(const EngineQuery& query,
 
 namespace {
 
-/// Which end bins of `range`, predicate `p`'s bins under `binner`, hold
-/// rows that can fail it. Bin i holds [B[i-1], B[i]) (BinOf's
-/// upper_bound) and is an edge bin unless lo <= B[i-1] and B[i] <= hi;
-/// bin 0 and the last bin are open at their outer end, so they are always
-/// edge bins.
-ExactIndex::EdgeBins EdgeBinsOf(const ValuePredicate& p,
-                                const bitmap::AttributeRange& range,
-                                const bitmap::Binner& binner) {
-  const std::vector<double>& b = binner.boundaries();
-  auto interior = [&](uint32_t i) {
-    return i > 0 && i < b.size() && p.lo <= b[i - 1] && b[i] <= p.hi;
-  };
-  return {!interior(range.lo_bin), !interior(range.hi_bin)};
-}
-
-/// Result size below which a pooled verify costs more than it saves.
+/// Rows below which a pooled whole-relation pass costs more than it saves.
 constexpr uint64_t kParallelMinRows = 1 << 14;
+/// Words per block: 64K rows, so a block's masks (8 KB apiece) are still
+/// in cache when the verify and the popcounts read them.
+constexpr size_t kBlockWords = 1024;
+/// Gathered edge rows between a value's prefetch and its read.
+constexpr size_t kPrefetchAhead = 32;
 
 /// Folds the collection outcome into the result, its trace and the engine
 /// counters: `kept` of `candidates` rows survived (all of them in
@@ -247,45 +233,20 @@ inline bool InBounds(double v, double lo, double hi) {
   return !(v < lo) & !(v > hi);
 }
 
-/// The exact check of one query, hoisted out of the candidate loop: each
-/// predicate's raw column and inclusive bounds. An approximate query
-/// carries no bounds, so every candidate passes.
-class BoundCheck {
- public:
-  BoundCheck(const Table& table, const EngineQuery& query) {
-    if (!query.exact) return;
-    bounds_.reserve(query.predicates.size());
-    for (const ValuePredicate& p : query.predicates) {
-      bounds_.push_back(Bound{table.column(p.attr).data(), p.lo, p.hi});
-    }
-  }
-
-  /// Whether `row` satisfies every predicate, without a branch per
-  /// predicate.
-  bool Passes(uint64_t row) const {
-    bool ok = true;
-    for (const Bound& b : bounds_) ok &= InBounds(b.values[row], b.lo, b.hi);
-    return ok;
-  }
-
- private:
-  struct Bound {
-    const double* values;
-    double lo;
-    double hi;
-  };
-  std::vector<Bound> bounds_;
-};
-
-/// What one collection pass saw: candidates in, rows kept.
+/// What one collection pass saw: bin-level candidates in, rows kept, raw
+/// values read, and the time the raw-value verify took.
 struct Tally {
   uint64_t candidates = 0;
   uint64_t kept = 0;
+  uint64_t raw_reads = 0;
+  uint64_t verify_ns = 0;
 };
 
 /// Runs `collect(begin, end, &part)` over the pool's contiguous chunks of
 /// [0, n), appends the parts to `row_ids` in chunk order, which is row
-/// order, and returns the sum of the tallies `collect` returns.
+/// order, and returns the tallies `collect` returns: counts summed, and
+/// the verify time of the slowest chunk, the part of the wall time it
+/// accounts for.
 template <typename Collect>
 Tally CollectChunked(util::ThreadPool* pool, uint64_t n,
                      const Collect& collect, std::vector<uint64_t>* row_ids) {
@@ -299,6 +260,8 @@ Tally CollectChunked(util::ThreadPool* pool, uint64_t n,
   for (size_t c = 0; c < parts.size(); ++c) {
     total.candidates += tallies[c].candidates;
     total.kept += tallies[c].kept;
+    total.raw_reads += tallies[c].raw_reads;
+    total.verify_ns = std::max(total.verify_ns, tallies[c].verify_ns);
     ids += parts[c].size();
   }
   row_ids->reserve(row_ids->size() + ids);
@@ -308,153 +271,241 @@ Tally CollectChunked(util::ThreadPool* pool, uint64_t n,
   return total;
 }
 
-/// Maps evaluation bits back to row ids, optionally pruning. Candidate
-/// verification against the raw values is chunked through `pool` (when
-/// present) for large results — each worker collects its chunk's
-/// survivors locally, and the chunks are concatenated in row order.
-EngineResult CollectResult(const HybridEngine& engine,
-                           const EngineQuery& query,
-                           const bitmap::BitmapQuery& bin_query,
-                           const std::vector<bool>& bits,
-                           util::ThreadPool* pool) {
-  AB_SPAN("engine/verify");
-  obs::ScopedLatencyTimer timer(obs::Histogram::kVerifyLatencyNs);
-  // Per-result timing (trace.verify_ns), not telemetry: it rides the
-  // serve layer's stage breakdown, so it is measured in both stats
-  // configurations.
-  util::Stopwatch verify_timer;
-  EngineResult result;
-  result.approximate = !query.exact;
-  // Prunes bin-boundary overshoot.
-  const BoundCheck check(engine.table(), query);
-  // Appends the survivors in [begin, end) to `row_ids`.
-  auto collect = [&](uint64_t begin, uint64_t end,
-                     std::vector<uint64_t>* row_ids) {
-    Tally tally;
-    size_t before = row_ids->size();
-    for (uint64_t i = begin; i < end; ++i) {
-      if (!bits[i]) continue;
-      ++tally.candidates;
-      uint64_t row = bin_query.rows.empty() ? i : bin_query.rows[i];
-      if (check.Passes(row)) row_ids->push_back(row);
-    }
-    tally.kept = row_ids->size() - before;
-    return tally;
-  };
-  size_t n = bin_query.rows.empty() ? bits.size() : bin_query.rows.size();
-  Tally total = pool != nullptr && n >= kParallelMinRows
-                    ? CollectChunked(pool, n, collect, &result.row_ids)
-                    : collect(0, n, &result.row_ids);
-  FinalizeVerification(query, total.candidates, total.kept, &result);
-  result.trace.verify_ns =
-      static_cast<uint64_t>(verify_timer.ElapsedMicros() * 1000.0);
-  return result;
-}
-
-/// The whole-relation verify kernel, on words. Bin i holds [B[i-1], B[i]),
-/// so a row in a predicate's interior bin passes it by construction; only
-/// the candidates in its edge bins can fail. Per predicate that has edge
-/// bins, the kernel reads the raw value of just those candidates and clears
-/// the bits of the rows that fail. An approximate query checks nothing.
-class EdgeVerify {
- public:
-  /// `edge_bits[i]` holds predicate i's edge-bin rows, or is empty when the
-  /// predicate has no edge bin.
-  EdgeVerify(const Table& table, const EngineQuery& query,
-             const std::vector<util::BitVector>& edge_bits) {
-    if (!query.exact) return;
-    for (size_t i = 0; i < edge_bits.size(); ++i) {
-      if (edge_bits[i].empty()) continue;
-      const ValuePredicate& p = query.predicates[i];
-      checks_.push_back(Check{edge_bits[i].words().data(),
-                              table.column(p.attr).data(), p.lo, p.hi});
-    }
-  }
-
-  /// Verifies words [begin, end) in place; returns the popcounts before
-  /// and after.
-  Tally Run(uint64_t* words, size_t begin, size_t end) const {
-    Tally tally;
-    tally.candidates = util::simd::PopcountWords(words + begin, end - begin);
-    for (const Check& c : checks_) {
-      for (size_t w = begin; w < end; ++w) {
-        const double* row_base = c.values + w * 64;
-        uint64_t fail = 0;
-        for (uint64_t m = words[w] & c.edge[w]; m != 0; m &= m - 1) {
-          int bit = util::simd::CountTrailingZeros64(m);
-          fail |= uint64_t{!InBounds(row_base[bit], c.lo, c.hi)} << bit;
-        }
-        words[w] &= ~fail;
-      }
-    }
-    tally.kept = checks_.empty()
-                     ? tally.candidates
-                     : util::simd::PopcountWords(words + begin, end - begin);
-    return tally;
-  }
-
- private:
-  struct Check {
-    const uint64_t* edge;
-    const double* values;
-    double lo;
-    double hi;
-  };
-  std::vector<Check> checks_;
-};
-
-/// Appends the set bits of words[begin, end), `count` of them, to
-/// `row_ids` in ascending order.
-void AppendSetRows(const uint64_t* words, size_t begin, size_t end,
+/// Appends the set bits of words[0, n), `count` of them, to `row_ids` in
+/// ascending order; word i holds rows (first_word + i) * 64 onward.
+void AppendSetRows(const uint64_t* words, size_t n, size_t first_word,
                    uint64_t count, std::vector<uint64_t>* row_ids) {
   size_t at = row_ids->size();
   row_ids->resize(at + count);
   uint64_t* out = row_ids->data() + at;
-  for (size_t w = begin; w < end; ++w) {
-    const uint64_t base = static_cast<uint64_t>(w) * 64;
-    for (uint64_t word = words[w]; word != 0; word &= word - 1) {
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t base = static_cast<uint64_t>(first_word + i) * 64;
+    for (uint64_t word = words[i]; word != 0; word &= word - 1) {
       *out++ = base + util::simd::CountTrailingZeros64(word);
     }
   }
 }
 
-/// Whole-relation collection over the packed bit-wise result: EdgeVerify
-/// clears the failing candidates in place, the count is the popcount of
-/// what remains, and row ids (unless count_only) are its set bits. With a
-/// pool, chunks split the words, so per-chunk counts sum and the id parts
-/// concatenate in row order.
-EngineResult CollectWholeRelation(const HybridEngine& engine,
-                                  const EngineQuery& query,
-                                  util::BitVector bits,
-                                  const std::vector<util::BitVector>& edge_bits,
-                                  util::ThreadPool* pool) {
-  AB_SPAN("engine/verify");
-  obs::ScopedLatencyTimer timer(obs::Histogram::kVerifyLatencyNs);
-  util::Stopwatch verify_timer;
-  EngineResult result;
-  result.approximate = !query.exact;
-  const EdgeVerify verify(engine.table(), query, edge_bits);
-  // Bits past size() in the last word are zero, so whole words are safe.
-  uint64_t* words = bits.mutable_words();
-  const size_t num_words = bits.words().size();
-  // Verifies words [begin, end) and appends their survivors to `row_ids`.
-  auto collect = [&](size_t begin, size_t end,
-                     std::vector<uint64_t>* row_ids) {
-    Tally tally = verify.Run(words, begin, end);
-    if (!query.count_only) {
-      AppendSetRows(words, begin, end, tally.kept, row_ids);
+/// One query's pass over the sliced index. Each predicate becomes the
+/// range of fine codes [FineOf(lo), FineOf(hi)]. Sub-bin c holds
+/// [F[c-1], F[c]) (FineOf's upper_bound), so every sub-bin strictly
+/// inside the range lies within [lo, hi], and an end sub-bin does too
+/// when lo <= F[c-1] and F[c] <= hi; the first and last codes are open at
+/// their outer end. Rows in the other end sub-bins, the edges, are the
+/// only ones whose raw value the verify reads. An approximate query
+/// compares the bin bits alone and reads nothing.
+class SlicedPass {
+ public:
+  SlicedPass(const SlicedIndex& index, const Table& table,
+             const EngineQuery& query)
+      : exact_(query.exact) {
+    for (const ValuePredicate& p : query.predicates) {
+      AB_CHECK_LT(p.attr, index.num_attributes());
+      AB_CHECK_LE(p.lo, p.hi);
+      const bitmap::NestedBinner& binner = index.binner(p.attr);
+      const std::vector<double>& f = binner.fine_boundaries();
+      auto interior = [&](uint32_t c) {
+        return c > 0 && c < f.size() && p.lo <= f[c - 1] && f[c] <= p.hi;
+      };
+      uint32_t lo = binner.FineOf(p.lo);
+      uint32_t hi = binner.FineOf(p.hi);
+      bool lo_edge = !interior(lo);
+      bool hi_edge = !interior(hi);
+      scans_.push_back(index.Scan(p.attr, lo, hi, lo_edge, hi_edge));
+      if (exact_ && (lo_edge || hi_edge)) {
+        checks_.push_back(Check{scans_.size() - 1,
+                                table.column(p.attr).data(), p.lo, p.hi});
+      }
+    }
+  }
+
+  /// Per-worker scratch of a pass.
+  struct Buffers {
+    std::vector<uint64_t> cand;
+    std::vector<uint64_t> keep;
+    /// Each checked predicate's edge words, one block's apiece.
+    std::vector<uint64_t> edges;
+    std::vector<uint32_t> gathered;
+  };
+
+  /// Compares the slices at n <= kBlockWords words: word i holds rows
+  /// word_id(i) * 64 onward, restricted to the bits of rows_mask(i). Leaves
+  /// the bin-level candidates in cand[0, n) and, in an exact query, the
+  /// verified fine rows in keep[0, n); adds its raw reads and verify time
+  /// to `tally`.
+  template <typename WordId, typename RowsMask>
+  void RunBlock(size_t n, const WordId& word_id, const RowsMask& rows_mask,
+                uint64_t* cand, uint64_t* keep, Buffers* buf,
+                Tally* tally) const {
+    for (size_t i = 0; i < n; ++i) cand[i] = rows_mask(i);
+    if (!exact_) {
+      for (const SlicedIndex::RangeScan& s : scans_) {
+        s.Compare(n, word_id, cand, nullptr, nullptr);
+      }
+      return;
+    }
+    std::copy(cand, cand + n, keep);
+    buf->edges.resize(checks_.size() * n);
+    uint64_t* edges = buf->edges.data();
+    for (size_t p = 0, check = 0; p < scans_.size(); ++p) {
+      uint64_t* edge = nullptr;
+      if (check < checks_.size() && checks_[check].scan == p) {
+        edge = edges + check * n;
+        ++check;
+      }
+      scans_[p].Compare(n, word_id, cand, keep, edge);
+    }
+    if (checks_.empty()) return;
+    util::Stopwatch timer;
+    for (size_t k = 0; k < checks_.size(); ++k) {
+      const Check& check = checks_[k];
+      const uint64_t* edge = edges + k * n;
+      size_t count = 0;
+      for (size_t i = 0; i < n; ++i) {
+        count += util::simd::PopCount64(keep[i] & edge[i]);
+      }
+      if (buf->gathered.size() < count) buf->gathered.resize(count);
+      uint32_t* g = buf->gathered.data();
+      size_t at = 0;
+      for (size_t i = 0; i < n; ++i) {
+        for (uint64_t m = keep[i] & edge[i]; m != 0; m &= m - 1) {
+          g[at++] = static_cast<uint32_t>(
+              i * 64 + util::simd::CountTrailingZeros64(m));
+        }
+      }
+      auto row_of = [&word_id](uint32_t e) {
+        return static_cast<uint64_t>(word_id(e / 64)) * 64 + e % 64;
+      };
+      for (size_t j = 0; j < count; ++j) {
+        if (j + kPrefetchAhead < count) {
+          __builtin_prefetch(check.values + row_of(g[j + kPrefetchAhead]));
+        }
+        const uint32_t e = g[j];
+        uint64_t fail = !InBounds(check.values[row_of(e)], check.lo, check.hi);
+        keep[e / 64] &= ~(fail << (e % 64));
+      }
+      tally->raw_reads += count;
+    }
+    tally->verify_ns +=
+        static_cast<uint64_t>(timer.ElapsedMicros() * 1000.0);
+  }
+
+  /// The whole relation, as words: counts are popcounts, and row ids
+  /// (unless count_only) the set bits. With a pool, chunks split the
+  /// words, so per-chunk counts sum and the id parts concatenate in row
+  /// order.
+  Tally WholeRelation(uint64_t num_rows, bool count_only,
+                      util::ThreadPool* pool,
+                      std::vector<uint64_t>* row_ids) const {
+    const size_t num_words = (num_rows + 63) / 64;
+    const uint64_t tail = num_rows % 64 == 0
+                              ? ~uint64_t{0}
+                              : (uint64_t{1} << (num_rows % 64)) - 1;
+    auto collect = [&](size_t begin, size_t end,
+                       std::vector<uint64_t>* ids) {
+      Tally tally;
+      Buffers buf;
+      buf.cand.resize(kBlockWords);
+      buf.keep.resize(kBlockWords);
+      for (size_t first = begin; first < end; first += kBlockWords) {
+        const size_t n = std::min(kBlockWords, end - first);
+        RunBlock(
+            n, [first](size_t i) { return first + i; },
+            [&](size_t i) {
+              return first + i + 1 == num_words ? tail : ~uint64_t{0};
+            },
+            buf.cand.data(), buf.keep.data(), &buf, &tally);
+        const uint64_t candidates =
+            util::simd::PopcountWords(buf.cand.data(), n);
+        const uint64_t* out = exact_ ? buf.keep.data() : buf.cand.data();
+        const uint64_t kept =
+            exact_ ? util::simd::PopcountWords(out, n) : candidates;
+        tally.candidates += candidates;
+        tally.kept += kept;
+        if (!count_only) AppendSetRows(out, n, first, kept, ids);
+      }
+      return tally;
+    };
+    return pool != nullptr && num_rows >= kParallelMinRows
+               ? CollectChunked(pool, num_words, collect, row_ids)
+               : collect(0, num_words, row_ids);
+  }
+
+  /// A row subset, in request order (rows may be unsorted and repeat):
+  /// the rows are grouped by 64-row word, and each word they touch is
+  /// compared once, restricted to its requested rows. Counts are per
+  /// requested row; raw reads are per distinct row.
+  Tally Subset(const std::vector<uint64_t>& rows, uint64_t num_rows,
+               bool count_only, std::vector<uint64_t>* row_ids) const {
+    // The distinct words, ascending, and each requested row's slot in
+    // them.
+    std::vector<uint64_t> words;
+    bool sorted = true;
+    for (uint64_t row : rows) {
+      AB_CHECK_LT(row, num_rows);
+      const uint64_t w = row / 64;
+      if (words.empty() || w != words.back()) {
+        sorted = sorted && (words.empty() || w > words.back());
+        words.push_back(w);
+      }
+    }
+    if (!sorted) {
+      std::sort(words.begin(), words.end());
+      words.erase(std::unique(words.begin(), words.end()), words.end());
+    }
+    std::vector<uint32_t> slot(rows.size());
+    std::vector<uint64_t> requested(words.size(), 0);
+    size_t at = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const uint64_t w = rows[i] / 64;
+      if (words[at] != w) {
+        at = sorted ? at + 1
+                    : static_cast<size_t>(
+                          std::lower_bound(words.begin(), words.end(), w) -
+                          words.begin());
+      }
+      slot[i] = static_cast<uint32_t>(at);
+      requested[at] |= uint64_t{1} << (rows[i] % 64);
+    }
+    Tally tally;
+    Buffers buf;
+    std::vector<uint64_t> cand(words.size());
+    std::vector<uint64_t> keep(exact_ ? words.size() : 0);
+    for (size_t first = 0; first < words.size(); first += kBlockWords) {
+      const size_t n = std::min(kBlockWords, words.size() - first);
+      RunBlock(
+          n, [&](size_t i) { return words[first + i]; },
+          [&](size_t i) { return requested[first + i]; },
+          cand.data() + first, exact_ ? keep.data() + first : nullptr, &buf,
+          &tally);
+    }
+    const std::vector<uint64_t>& out = exact_ ? keep : cand;
+    if (!count_only) row_ids->reserve(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const uint64_t bit = rows[i] % 64;
+      tally.candidates += (cand[slot[i]] >> bit) & 1;
+      if ((out[slot[i]] >> bit) & 1) {
+        ++tally.kept;
+        if (!count_only) row_ids->push_back(rows[i]);
+      }
     }
     return tally;
+  }
+
+ private:
+  /// A predicate whose edge rows the verify reads: its scan, raw column
+  /// and inclusive bounds.
+  struct Check {
+    size_t scan;
+    const double* values;
+    double lo;
+    double hi;
   };
-  Tally total =
-      pool != nullptr && bits.size() >= kParallelMinRows
-          ? CollectChunked(pool, num_words, collect, &result.row_ids)
-          : collect(0, num_words, &result.row_ids);
-  FinalizeVerification(query, total.candidates, total.kept, &result);
-  result.trace.verify_ns =
-      static_cast<uint64_t>(verify_timer.ElapsedMicros() * 1000.0);
-  return result;
-}
+
+  bool exact_;
+  std::vector<SlicedIndex::RangeScan> scans_;
+  std::vector<Check> checks_;
+};
 
 }  // namespace
 
@@ -462,37 +513,30 @@ EngineResult HybridEngine::ExecuteExactImpl(const EngineQuery& query) const {
   AB_SPAN("engine/exact");
   AB_STATS_INC(obs::Counter::kEngineExactRouted);
   util::Stopwatch query_timer;
-  bitmap::BitmapQuery bin_query;
-  ToBinQuery(query, &bin_query);
   EngineResult result;
-  if (bin_query.rows.empty()) {
-    // Whole relation: the bit-wise result stays packed, and each
-    // predicate's edge-bin rows come back beside it for the verify.
-    std::vector<ExactIndex::EdgeBins> edges;
-    if (query.exact) {
-      edges.reserve(query.predicates.size());
-      for (size_t i = 0; i < query.predicates.size(); ++i) {
-        const bitmap::AttributeRange& range = bin_query.ranges[i];
-        edges.push_back(EdgeBinsOf(query.predicates[i], range,
-                                   discretized_.binners[range.attr]));
-      }
-    }
-    std::vector<util::BitVector> edge_bits;
-    util::BitVector bits =
-        exact_->ExecuteBitwiseBits(bin_query, edges, &edge_bits);
-    result = CollectWholeRelation(*this, query, std::move(bits), edge_bits,
-                                  pool_.get());
-  } else {
-    // Direct access: only the containers of the chunks the subset touches.
-    std::vector<bool> bits = exact_->Evaluate(bin_query);
-    result = CollectResult(*this, query, bin_query, bits, pool_.get());
-    if (query.count_only) result.row_ids = {};
+  result.approximate = !query.exact;
+  {
+    // The compare and the verify are fused per block, so the span and the
+    // verify histogram time the whole pass; trace.verify_ns times the
+    // raw-value reads alone.
+    AB_SPAN("engine/verify");
+    obs::ScopedLatencyTimer timer(obs::Histogram::kVerifyLatencyNs);
+    const SlicedPass pass(*index_, table_, query);
+    Tally tally =
+        query.rows.empty()
+            ? pass.WholeRelation(table_.num_rows(), query.count_only,
+                                 pool_.get(), &result.row_ids)
+            : pass.Subset(query.rows, table_.num_rows(), query.count_only,
+                          &result.row_ids);
+    FinalizeVerification(query, tally.candidates, tally.kept, &result);
+    result.trace.raw_reads = tally.raw_reads;
+    result.trace.verify_ns = tally.verify_ns;
   }
   result.trace.rows_evaluated =
-      bin_query.rows.empty() ? table_.num_rows() : bin_query.rows.size();
-  result.trace.attrs_in_plan = bin_query.ranges.size();
-  // The exact arm is exact at bin granularity: the predicted precision of
-  // 1.0 is the model's statement, and pruning only removes bin overshoot.
+      query.rows.empty() ? table_.num_rows() : query.rows.size();
+  result.trace.attrs_in_plan = query.predicates.size();
+  // The index is exact at sub-bin granularity: the predicted precision of
+  // 1.0 is the model's statement, and pruning only removes edge overshoot.
   result.trace.simd_level =
       util::simd::SimdLevelName(util::simd::ActiveSimdLevel());
   result.path = "exact";
@@ -620,6 +664,7 @@ void HybridEngine::AppendDeltaMatches(const EngineQuery& query,
   result->trace.rows_evaluated += bits.size();
   result->trace.candidates += candidates;
   if (query.exact) {
+    result->trace.raw_reads += candidates * query.predicates.size();
     result->trace.verified_matches += appended;
     uint64_t total_candidates = result->trace.candidates;
     result->trace.observed_precision =

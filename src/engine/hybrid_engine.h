@@ -7,11 +7,12 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ab_index.h"
 #include "core/mutable_index.h"
-#include "engine/exact_index.h"
+#include "engine/sliced_index.h"
 #include "engine/table.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
@@ -57,25 +58,28 @@ struct EngineResult {
   obs::QueryTrace trace;
 };
 
-/// The query engine over one table: an ExactIndex of Roaring columns,
-/// plus a verify of the candidates against the raw values. The paper
-/// routes small row subsets to the Approximate Bitmap because run-length
-/// bitmaps (WAH, BBC) lose direct access ("executing a query that selects
-/// up to around 15% of the rows by using AB is still faster"). Roaring
-/// keeps direct access, so every query here runs on the exact index:
-///  * a whole-relation query evaluates the bit-wise plan as words and
-///    verifies them in place, reading a raw value only for candidates in
-///    a predicate's edge bins (rows in its interior bins pass by
-///    construction); a count is a popcount, row ids come from the
-///    verified words;
-///  * a row subset is answered by direct access: only the containers of
-///    the chunks the subset touches are read, so the cost follows the
-///    subset.
+/// The query engine over one table: a SlicedIndex of fine bin codes, plus
+/// a verify of the candidates against the raw values. The paper routes
+/// small row subsets to the Approximate Bitmap because run-length bitmaps
+/// (WAH, BBC) lose direct access ("executing a query that selects up to
+/// around 15% of the rows by using AB is still faster"). Bit slices keep
+/// direct access, so every query here runs on the sliced index:
+///  * each served equi-depth (or equi-width) bin splits into 16 equi-depth
+///    sub-bins, and a predicate becomes the range of fine codes
+///    [FineOf(lo), FineOf(hi)], compared most significant bit first
+///    against each attribute's slices, 64K rows at a time;
+///  * the compare's state after the bin bits is the bin-level mask, which
+///    is the approximate answer and `trace.candidates`; its final state is
+///    the fine answer, and only its rows in a predicate's two edge sub-bins
+///    have their raw values read (every other fine row passes by
+///    construction); a count is a popcount, row ids come from the words;
+///  * a row subset groups its requested rows by 64-row word and compares
+///    the slices once per word it touches, so the cost follows the subset.
 /// No base AB is built: the AB-vs-WAH crossover measured on this
 /// implementation is about 1% of the rows (EXPERIMENTS.md, Figure 14), and
-/// Roaring direct access beat the AB in every cell of that sweep. The AB
-/// serves only as the ingest delta (MutableAbIndex); src/core keeps the
-/// paper's AB for the figure benches.
+/// direct access beat the AB in every cell of that sweep. The AB serves
+/// only as the ingest delta (MutableAbIndex); src/core keeps the paper's
+/// AB for the figure benches.
 class HybridEngine {
  public:
   struct Options {
@@ -84,7 +88,7 @@ class HybridEngine {
     /// AB configuration (level, alpha, k, scheme) of the ingest delta.
     ab::AbConfig ab;
     /// Kept only for source compatibility: "auto", "" and "roaring" all
-    /// build the same Roaring index, and Build fails an AB_CHECK on any
+    /// build the same sliced index, and Build fails an AB_CHECK on any
     /// other value. No client byte or server flag reaches it.
     std::string backend = "auto";
     /// Worker threads for index construction and candidate verification.
@@ -93,9 +97,9 @@ class HybridEngine {
     int num_threads = 0;
   };
 
-  /// Builds the exact index, one Roaring bitmap per bin; `options.backend`
-  /// must be "auto", "" or "roaring" (see Options::backend). The table is
-  /// retained for exact-answer pruning.
+  /// Builds the sliced index; `options.backend` must be "auto", "" or
+  /// "roaring" (see Options::backend). The table is retained for
+  /// exact-answer pruning.
   static HybridEngine Build(Table table, const Options& options);
 
   /// Executes a query.
@@ -148,15 +152,17 @@ class HybridEngine {
   }
 
   const Table& table() const { return table_; }
-  uint64_t ExactSizeBytes() const { return exact_->SizeInBytes(); }
+  /// Size of the index that answers base queries: the sliced codes.
+  uint64_t ExactSizeBytes() const { return index_->SizeInBytes(); }
   /// Always 0: the engine holds no base AB (the ingest delta is sized by
   /// its own index). Kept so index-size reports that add it stay valid.
   uint64_t AbSizeBytes() const { return 0; }
 
-  const ExactIndex& exact_index() const { return *exact_; }
+  const SlicedIndex& sliced_index() const { return *index_; }
 
  private:
-  HybridEngine(Table table, const Options& options);
+  HybridEngine(Table table, const Options& options)
+      : table_(std::move(table)), options_(options) {}
 
   /// The base index alone: ingested rows and tombstones are not consulted.
   EngineResult ExecuteExactImpl(const EngineQuery& query) const;
@@ -173,15 +179,15 @@ class HybridEngine {
   void DropDeletedBaseRows(std::vector<uint64_t>* row_ids) const;
   bool HasMutations() const;
 
-  /// Translates value predicates to bin ranges, and copies the row list.
+  /// Translates value predicates to bin ranges, and copies the row list
+  /// (the ingest delta's query form).
   void ToBinQuery(const EngineQuery& query, bitmap::BitmapQuery* out) const;
 
   Table table_;
   Options options_;
-  /// The binners and attribute schema; the binned values are freed once
-  /// the index is built.
-  Table::Discretized discretized_;
-  std::unique_ptr<ExactIndex> exact_;
+  std::unique_ptr<SlicedIndex> index_;
+  /// The delta's schema: one attribute per column, with its served bins.
+  std::vector<bitmap::AttributeInfo> attributes_;
   /// Shared by index construction and exact-answer verification; null
   /// when options.num_threads resolves to 1.
   std::shared_ptr<util::ThreadPool> pool_;

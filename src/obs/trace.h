@@ -40,6 +40,13 @@ struct QueryTrace {
   // --- engine verification ---
   uint64_t candidates = 0;          ///< rows the index reported 1
   uint64_t verified_matches = 0;    ///< candidates surviving raw pruning
+  /// Raw values the verify read. On the base, one per predicate for each
+  /// row still in the fine answer that lies in one of the predicate's edge
+  /// sub-bins (a row that fails is not read again for later predicates;
+  /// a row a subset requests twice is read once). On the ingest delta, one
+  /// per predicate for each candidate. Deterministic for a fixed table and
+  /// query, in both stats configurations.
+  uint64_t raw_reads = 0;
   // --- model check (Paper Section 4) ---
   double predicted_precision = 1.0; ///< ab_theory-based estimate
   double observed_precision = -1.0; ///< verified/candidates; < 0 unknown
@@ -54,7 +61,7 @@ struct QueryTrace {
 
   /// Single-line JSON rendering (diagnostics, ab_stats --trace).
   std::string ToJson() const {
-    char buf[512];
+    char buf[640];
     std::snprintf(
         buf, sizeof(buf),
         "{\"path\": \"%s\", \"simd\": \"%s\", "
@@ -63,7 +70,7 @@ struct QueryTrace {
         "\"probe_windows\": %llu, \"rows_matched\": %llu, "
         "\"rows_short_circuited\": %llu, \"attrs_in_plan\": %llu, "
         "\"candidates\": %llu, \"verified_matches\": %llu, "
-        "\"verify_ns\": %llu, "
+        "\"raw_reads\": %llu, \"verify_ns\": %llu, "
         "\"predicted_precision\": %.6f, \"observed_precision\": %.6f}",
         path, simd_level, latency_ms,
         static_cast<unsigned long long>(rows_evaluated),
@@ -74,6 +81,7 @@ struct QueryTrace {
         static_cast<unsigned long long>(attrs_in_plan),
         static_cast<unsigned long long>(candidates),
         static_cast<unsigned long long>(verified_matches),
+        static_cast<unsigned long long>(raw_reads),
         static_cast<unsigned long long>(verify_ns),
         predicted_precision, observed_precision);
     return std::string(buf);

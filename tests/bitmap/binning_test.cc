@@ -1,8 +1,12 @@
 #include "bitmap/binning.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <random>
 
 #include "gtest/gtest.h"
+#include "serve/workload.h"
 
 namespace abitmap {
 namespace bitmap {
@@ -91,6 +95,130 @@ TEST(BinnerTest, BoundariesAreSorted) {
     EXPECT_EQ(w.cardinality(), bins);
     EXPECT_EQ(d.cardinality(), bins);
   }
+}
+
+/// Every value of `values`, each fine boundary with its two neighbouring
+/// doubles, the infinities and NaN: FineOf must nest inside BinOf, and
+/// the codes must stay below fine_cardinality().
+void ExpectNested(const NestedBinner& b, const std::vector<double>& values) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> probes = values;
+  for (double f : b.fine_boundaries()) {
+    probes.push_back(f);
+    probes.push_back(std::nextafter(f, -kInf));
+    probes.push_back(std::nextafter(f, kInf));
+  }
+  probes.push_back(-kInf);
+  probes.push_back(kInf);
+  probes.push_back(std::numeric_limits<double>::quiet_NaN());
+  for (double v : probes) {
+    uint32_t code = b.FineOf(v);
+    ASSERT_EQ(code / NestedBinner::kSubBins, b.BinOf(v)) << v;
+    ASSERT_LT(code, b.fine_cardinality()) << v;
+  }
+  // The batched search agrees with the single one.
+  std::vector<uint32_t> codes(probes.size());
+  b.FineOf(probes.data(), probes.size(), codes.data());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    ASSERT_EQ(codes[i], b.FineOf(probes[i])) << probes[i];
+  }
+  // The coarse boundaries sit verbatim between the sub-boundaries.
+  const std::vector<double>& coarse = b.coarse().boundaries();
+  ASSERT_EQ(b.fine_boundaries().size(), b.fine_cardinality() - 1);
+  for (size_t i = 0; i < coarse.size(); ++i) {
+    EXPECT_EQ(b.fine_boundaries()[(i + 1) * NestedBinner::kSubBins - 1],
+              coarse[i]);
+  }
+  EXPECT_TRUE(std::is_sorted(b.fine_boundaries().begin(),
+                             b.fine_boundaries().end()));
+}
+
+/// Whether two boundary lists hold the same doubles, bit for bit.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+           return std::signbit(x) == std::signbit(y) && (x == y);
+         });
+}
+
+TEST(NestedBinnerTest, FineCodesNestInsideBins) {
+  // The seed table's three columns.
+  engine::Table seed = serve::MakeSeedTable(20000, 1);
+  for (uint32_t c = 0; c < seed.num_columns(); ++c) {
+    SCOPED_TRACE(seed.column_names()[c]);
+    NestedBinner b = NestedBinner::EquiDepth(seed.column(c), 16);
+    EXPECT_TRUE(SameBits(b.coarse().boundaries(),
+                         Binner::EquiDepth(seed.column(c), 16).boundaries()));
+    ExpectNested(b, seed.column(c));
+  }
+  // An integer column with heavy ties: 70% zeros, the rest in 0..4.
+  std::mt19937_64 rng(3);
+  std::vector<double> ties;
+  for (int i = 0; i < 5000; ++i) {
+    ties.push_back(rng() % 10 < 7 ? 0.0 : static_cast<double>(rng() % 5));
+  }
+  {
+    SCOPED_TRACE("ties");
+    ExpectNested(NestedBinner::EquiDepth(ties, 16), ties);
+    ExpectNested(NestedBinner::EquiWidth(ties, 16), ties);
+  }
+  // A constant column: every value in one bin, the other bins empty.
+  std::vector<double> constant(300, 2.5);
+  {
+    SCOPED_TRACE("constant");
+    NestedBinner depth = NestedBinner::EquiDepth(constant, 16);
+    NestedBinner width = NestedBinner::EquiWidth(constant, 16);
+    ExpectNested(depth, constant);
+    ExpectNested(width, constant);
+    EXPECT_EQ(width.BinOf(2.5), 0u);
+  }
+  // A single bin: the code is the sub-bin alone.
+  {
+    SCOPED_TRACE("one bin");
+    NestedBinner one = NestedBinner::EquiDepth(seed.column(0), 1);
+    EXPECT_EQ(one.fine_cardinality(), NestedBinner::kSubBins);
+    ExpectNested(one, seed.column(0));
+  }
+}
+
+TEST(NestedBinnerTest, EquiWidthKeepsCoarseBoundariesVerbatim) {
+  // The coarse boundaries are Binner::EquiWidth's own, not recomputed as
+  // lo + width * b.
+  engine::Table seed = serve::MakeSeedTable(20000, 2);
+  for (uint32_t c = 0; c < seed.num_columns(); ++c) {
+    SCOPED_TRACE(seed.column_names()[c]);
+    for (uint32_t bins : {3u, 10u, 16u}) {
+      NestedBinner b = NestedBinner::EquiWidth(seed.column(c), bins);
+      EXPECT_TRUE(
+          SameBits(b.coarse().boundaries(),
+                   Binner::EquiWidth(seed.column(c), bins).boundaries()));
+      ExpectNested(b, seed.column(c));
+    }
+  }
+}
+
+TEST(NestedBinnerTest, NonPowerOfTwoBinCount) {
+  // 10 bins make 160 codes, which need 8 bits.
+  engine::Table seed = serve::MakeSeedTable(20000, 3);
+  NestedBinner b = NestedBinner::EquiDepth(seed.column(2), 10);
+  EXPECT_EQ(b.coarse().cardinality(), 10u);
+  EXPECT_EQ(b.fine_cardinality(), 160u);
+  uint32_t max_code = 0;
+  for (double v : seed.column(2)) max_code = std::max(max_code, b.FineOf(v));
+  EXPECT_EQ(max_code, 159u);
+  ExpectNested(b, seed.column(2));
+}
+
+TEST(NestedBinnerTest, SubBinsAreEquiDepthInsideEachBin) {
+  // 64,000 distinct values in 16 bins: each bin's 4,000 values split into
+  // sub-bins of 250.
+  std::vector<double> values;
+  for (int i = 0; i < 64000; ++i) values.push_back(i * 0.5);
+  std::shuffle(values.begin(), values.end(), std::mt19937_64(9));
+  NestedBinner b = NestedBinner::EquiDepth(values, 16);
+  std::vector<int> counts(b.fine_cardinality(), 0);
+  for (double v : values) ++counts[b.FineOf(v)];
+  for (int c : counts) EXPECT_EQ(c, 250);
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ TEST(InsertBatchTest, MatchesScalarInsertBitForBit) {
                        size_t{64}, size_t{507}}) {
     CellBatch batch = RandomCells(count, 42 + count);
     ApproximateBitmap scalar = MakeFilter(1 << 14, 5);
-    ApproximateBitmap batched = scalar.EmptyClone();
+    ApproximateBitmap batched = MakeFilter(1 << 14, 5);
     for (size_t i = 0; i < count; ++i) {
       scalar.Insert(batch.keys[i], batch.cells[i]);
     }
@@ -67,17 +67,6 @@ TEST(InsertBatchTest, MatchesScalarInsertBitForBit) {
     ASSERT_EQ(scalar.insertions(), batched.insertions());
     ASSERT_EQ(scalar.insertions(), count);
   }
-}
-
-TEST(EmptyCloneTest, SharesShapeAndFamily) {
-  ApproximateBitmap filter = MakeFilter(1 << 10, 7);
-  filter.Insert(123, hash::CellRef{1, 2});
-  ApproximateBitmap clone = filter.EmptyClone();
-  EXPECT_EQ(clone.size_bits(), filter.size_bits());
-  EXPECT_EQ(clone.k(), filter.k());
-  EXPECT_EQ(&clone.family(), &filter.family());
-  EXPECT_EQ(clone.insertions(), 0u);
-  EXPECT_EQ(clone.FillRatio(), 0.0);
 }
 
 TEST(ParallelBuildTest, StableAcrossThreadCountsAndRepeatedRuns) {
@@ -258,7 +247,7 @@ TEST(BuildShardTest, RangedMergeEqualsSerialAndSkipsCleanGranules) {
 
   size_t num_words = serial.bits().words().size();
   // Whole-range merge: far fewer words ORed than the filter holds.
-  ApproximateBitmap whole = serial.EmptyClone();
+  ApproximateBitmap whole = MakeFilter(uint64_t{1} << 22, 5);
   uint64_t merged = whole.MergeShardRange(shard, 0, num_words);
   whole.AbsorbShardCount(shard);
   EXPECT_EQ(serial.bits(), whole.bits());
@@ -269,7 +258,7 @@ TEST(BuildShardTest, RangedMergeEqualsSerialAndSkipsCleanGranules) {
 
   // The same merge split into three disjoint ranges (as the parallel
   // ranged merge issues them) produces the identical filter.
-  ApproximateBitmap split = serial.EmptyClone();
+  ApproximateBitmap split = MakeFilter(uint64_t{1} << 22, 5);
   uint64_t merged_split = 0;
   size_t bounds[] = {0, num_words / 3, num_words / 2, num_words};
   for (int r = 0; r < 3; ++r) {
@@ -280,7 +269,7 @@ TEST(BuildShardTest, RangedMergeEqualsSerialAndSkipsCleanGranules) {
   EXPECT_EQ(merged, merged_split);
 
   // A range the shard never touched merges zero words.
-  ApproximateBitmap empty_target = serial.EmptyClone();
+  ApproximateBitmap empty_target = MakeFilter(uint64_t{1} << 22, 5);
   ApproximateBitmap::BuildShard clean(serial);
   EXPECT_EQ(empty_target.MergeShardRange(clean, 0, num_words), 0u);
 }

@@ -148,27 +148,39 @@ TEST(HybridEngineTest, BinBoundaryOvershootIsPruned) {
   }
 }
 
-TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
-  // Above kParallelMinRows (16,384) and not a multiple of 64, so the
-  // pooled verify splits the words and the last word is partial.
-  constexpr uint64_t kRows = 20011;
+/// Whole-relation queries, exact, count-only and approximate, plus large
+/// subsets and a mutated engine, at one table size and binning; serial
+/// and pooled engines must both equal the brute force.
+void CheckWholeRelationVerify(uint64_t num_rows, BinningSpec binning) {
+  const bool equi_depth = binning.kind == BinningSpec::Kind::kEquiDepth;
+  SCOPED_TRACE(testing::Message()
+               << num_rows << " rows, " << binning.bins
+               << (equi_depth ? " equi-depth" : " equi-width") << " bins");
   HybridEngine::Options options;
-  options.binning.bins = 16;
+  options.binning = binning;
   options.ab.alpha = 16;
   options.ab.level = ab::Level::kPerAttribute;
   options.num_threads = 1;
   HybridEngine serial =
-      HybridEngine::Build(MakeRandomTable(kRows, 21), options);
+      HybridEngine::Build(MakeRandomTable(num_rows, 21), options);
   options.num_threads = 4;
   HybridEngine pooled =
-      HybridEngine::Build(MakeRandomTable(kRows, 21), options);
+      HybridEngine::Build(MakeRandomTable(num_rows, 21), options);
   const Table& t = serial.table();
   Table::Discretized bins = t.Discretize(options.binning);
+  // bins * 16 fine codes, in ceil(log2(bins * 16)) slices: 8 at 10 bins.
+  uint32_t slices = 0;
+  while ((1u << slices) < binning.bins * bitmap::NestedBinner::kSubBins) {
+    ++slices;
+  }
+  for (uint32_t a = 0; a < t.num_columns(); ++a) {
+    EXPECT_EQ(serial.sliced_index().num_slices(a), slices);
+  }
 
   // The bin-level answer: rows whose bins fall in every predicate's range.
   auto bin_candidates = [&](const EngineQuery& q) {
     std::vector<uint64_t> out;
-    for (uint64_t r = 0; r < kRows; ++r) {
+    for (uint64_t r = 0; r < num_rows; ++r) {
       bool match = true;
       for (const ValuePredicate& p : q.predicates) {
         const bitmap::Binner& b = bins.binners[p.attr];
@@ -186,9 +198,12 @@ TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
     return ValuePredicate{attr, std::min(x, y), std::max(x, y)};
   };
   // Bin i holds [B[i-1], B[i]): a bound on a boundary B[k] makes bin k + 1
-  // the range's first (lo) or last (hi) bin.
+  // the range's first (lo) or last (hi) bin. The cases name boundaries as
+  // if there were 16 bins, scaled to the boundaries there are.
   const std::vector<double>& price = bins.binners[0].boundaries();
   const std::vector<double>& rating = bins.binners[2].boundaries();
+  auto P = [&](size_t i) { return price[i * price.size() / 15]; };
+  auto R = [&](size_t i) { return rating[i * rating.size() / 15]; };
   auto inside = [](double a, double b, double f) { return a + (b - a) * f; };
   std::vector<std::vector<ValuePredicate>> cases = {
       {},
@@ -199,24 +214,24 @@ TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
       {ValuePredicate{1, 10.25, 10.75}},  // between integers: empty
       {ValuePredicate{0, -1.0, 101.0}},   // the whole domain
       // lo and hi each on a boundary, alone and with a second predicate.
-      {ValuePredicate{0, price[3], price[9]}},
-      {ValuePredicate{2, rating[1], rating[12]},
-       ValuePredicate{0, price[0], price[14]}},
+      {ValuePredicate{0, P(3), P(9)}},
+      {ValuePredicate{2, R(1), R(12)},
+       ValuePredicate{0, P(0), P(14)}},
       // Inside one bin: no interior bin at all.
-      {ValuePredicate{0, inside(price[4], price[5], 0.25),
-                      inside(price[4], price[5], 0.75)}},
-      {ValuePredicate{2, inside(rating[7], rating[8], 0.1),
-                      inside(rating[7], rating[8], 0.9)},
-       ValuePredicate{0, inside(price[2], price[3], 0.2), price[6]}},
+      {ValuePredicate{0, inside(P(4), P(5), 0.25),
+                      inside(P(4), P(5), 0.75)}},
+      {ValuePredicate{2, inside(R(7), R(8), 0.1),
+                      inside(R(7), R(8), 0.9)},
+       ValuePredicate{0, inside(P(2), P(3), 0.2), P(6)}},
       // Ranges covering bin 0 and the last bin, and ranges that end
       // inside them.
-      {ValuePredicate{0, -1.0, price[1]}},
-      {ValuePredicate{0, inside(0.0, price[0], 0.5), price[2]}},
-      {ValuePredicate{0, price[13], inside(price.back(), 100.0, 0.5)}},
+      {ValuePredicate{0, -1.0, P(1)}},
+      {ValuePredicate{0, inside(0.0, P(0), 0.5), P(2)}},
+      {ValuePredicate{0, P(13), inside(price.back(), 100.0, 0.5)}},
       {ValuePredicate{2, rating.back(), 100.0}},
-      {ValuePredicate{2, -100.0, 100.0}, ValuePredicate{0, price[0], 101.0}},
-      {ValuePredicate{0, -1.0, inside(price[0], price[1], 0.5)},
-       ValuePredicate{2, inside(rating[13], rating[14], 0.5), 100.0}},
+      {ValuePredicate{2, -100.0, 100.0}, ValuePredicate{0, P(0), 101.0}},
+      {ValuePredicate{0, -1.0, inside(P(0), P(1), 0.5)},
+       ValuePredicate{2, inside(R(13), R(14), 0.5), 100.0}},
   };
   // Serial and pooled engines must both equal the brute force, so they
   // also equal each other.
@@ -229,7 +244,7 @@ TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
       EXPECT_TRUE(truth.empty());
     }
     if (c == 6) {
-      EXPECT_EQ(truth.size(), kRows);
+      EXPECT_EQ(truth.size(), num_rows);
     }
     for (const HybridEngine* engine : {&serial, &pooled}) {
       q.exact = true;
@@ -256,11 +271,11 @@ TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
       EXPECT_EQ(approx.trace.candidates, candidates.size()) << c;
     }
   }
-  // Row subsets at or above kParallelMinRows verify through CollectResult
-  // on the pool, each chunk's survivors concatenated in request order.
+  // Large row subsets, contiguous and scattered: each word they touch is
+  // compared once, and the survivors come back in request order.
   std::mt19937_64 rng(22);
   std::vector<uint64_t> scattered;
-  for (int i = 0; i < 17000; ++i) scattered.push_back(rng() % kRows);
+  for (int i = 0; i < 17000; ++i) scattered.push_back(rng() % num_rows);
   std::sort(scattered.begin(), scattered.end());
   for (const std::vector<uint64_t>& subset :
        {bitmap::RowRange(1000, 17999), scattered}) {
@@ -282,10 +297,10 @@ TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
   // With ingested rows and base tombstones, a count is the base count
   // minus the tombstoned matches plus the delta's matches.
   std::vector<std::vector<double>> rows;
-  for (uint64_t r = 0; r < kRows; ++r) {
+  for (uint64_t r = 0; r < num_rows; ++r) {
     rows.push_back({t.value(r, 0), t.value(r, 1), t.value(r, 2)});
   }
-  std::vector<bool> dead(kRows, false);
+  std::vector<bool> dead(num_rows, false);
   std::mt19937_64 ingest_rng(23);
   for (int i = 0; i < 700; ++i) {
     rows.push_back(
@@ -323,7 +338,7 @@ TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
     }
   };
   for (HybridEngine* engine : {&serial, &pooled}) {
-    for (uint64_t r = kRows; r < rows.size(); ++r) {
+    for (uint64_t r = num_rows; r < rows.size(); ++r) {
       ASSERT_EQ(engine->IngestRow(rows[r]), r);
     }
   }
@@ -337,6 +352,139 @@ TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
   check_mutated("tombstoned");
 }
 
+TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
+  // 20,011 rows: above kParallelMinRows (16,384) and not a multiple of 64,
+  // so the pooled pass splits the words and the last word is partial. At
+  // 16 and 10 equi-depth bins (10 bins: 160 fine codes in 8 slices), at
+  // 16 equi-width bins, and on a table that crosses the 64K-row block.
+  const BinningSpec equi_depth{BinningSpec::Kind::kEquiDepth, 16};
+  const BinningSpec ten_bins{BinningSpec::Kind::kEquiDepth, 10};
+  const BinningSpec equi_width{BinningSpec::Kind::kEquiWidth, 16};
+  CheckWholeRelationVerify(20011, equi_depth);
+  CheckWholeRelationVerify(20011, ten_bins);
+  CheckWholeRelationVerify(20011, equi_width);
+  CheckWholeRelationVerify(70001, equi_depth);
+}
+
+/// The raw values the verify must read, by brute force over the fine
+/// codes. Sub-bin c holds [F[c-1], F[c]) and is an edge of a predicate
+/// whose codes are [lo, hi] when c is lo or hi and not lo <= F[c-1] and
+/// F[c] <= hi (the first and last codes are open, so always edges). Each
+/// distinct requested row inside every predicate's code range costs one
+/// read per predicate, in order, whose edge sub-bins hold it, until the
+/// first predicate it fails.
+uint64_t BruteForceRawReads(const Table& t,
+                            const std::vector<bitmap::NestedBinner>& binners,
+                            const EngineQuery& q) {
+  std::vector<uint64_t> rows = q.rows;
+  if (rows.empty()) rows = bitmap::RowRange(0, t.num_rows() - 1);
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  auto is_edge = [&](const ValuePredicate& p, uint32_t code) {
+    const bitmap::NestedBinner& b = binners[p.attr];
+    const std::vector<double>& f = b.fine_boundaries();
+    uint32_t lo = b.FineOf(p.lo), hi = b.FineOf(p.hi);
+    bool interior = code > 0 && code < f.size() && p.lo <= f[code - 1] &&
+                    f[code] <= p.hi;
+    return (code == lo || code == hi) && !interior;
+  };
+  uint64_t reads = 0;
+  for (uint64_t r : rows) {
+    bool in_range = true;
+    for (const ValuePredicate& p : q.predicates) {
+      const bitmap::NestedBinner& b = binners[p.attr];
+      uint32_t code = b.FineOf(t.value(r, p.attr));
+      in_range = in_range && code >= b.FineOf(p.lo) && code <= b.FineOf(p.hi);
+    }
+    if (!in_range) continue;
+    for (const ValuePredicate& p : q.predicates) {
+      double v = t.value(r, p.attr);
+      if (!is_edge(p, binners[p.attr].FineOf(v))) continue;
+      ++reads;
+      if (v < p.lo || v > p.hi) break;
+    }
+  }
+  return reads;
+}
+
+TEST(HybridEngineTest, RawReadsCountEdgeSubBinCandidates) {
+  // Seeded random plans, whole relation and subsets (contiguous, and
+  // shuffled with repeats), on a table that crosses the 64K-row block, at
+  // 1 and 4 engine threads.
+  const uint64_t rows = 70001;
+  const uint32_t bins = 16;
+  const Table t = MakeRandomTable(rows, 31);
+  std::vector<bitmap::NestedBinner> binners;
+  for (uint32_t c = 0; c < t.num_columns(); ++c) {
+    binners.push_back(bitmap::NestedBinner::EquiDepth(t.column(c), bins));
+  }
+  const double domain_lo[3] = {-1.0, -1.0, -1.0};
+  const double domain_hi[3] = {101.0, 50.0, 7.0};
+  for (int threads : {1, 4}) {
+    HybridEngine::Options options = EngineOptions(bins);
+    options.num_threads = threads;
+    HybridEngine engine = HybridEngine::Build(MakeRandomTable(rows, 31),
+                                              options);
+    std::mt19937_64 rng(32);
+    for (int trial = 0; trial < 60; ++trial) {
+      EngineQuery q;
+      size_t num_predicates = 1 + rng() % 3;
+      for (size_t i = 0; i < num_predicates; ++i) {
+        uint32_t attr = static_cast<uint32_t>(rng() % 3);
+        double a, b;
+        if (trial % 4 == 3) {
+          // Bounds on fine boundaries, where end sub-bins turn interior.
+          const std::vector<double>& f = binners[attr].fine_boundaries();
+          a = f[rng() % f.size()];
+          b = f[rng() % f.size()];
+        } else {
+          std::uniform_real_distribution<double> d(domain_lo[attr],
+                                                   domain_hi[attr]);
+          a = d(rng);
+          b = d(rng);
+        }
+        q.predicates.push_back(
+            ValuePredicate{attr, std::min(a, b), std::max(a, b)});
+      }
+      if (trial % 3 == 1) {
+        uint64_t first = rng() % (rows - 3000);
+        q.rows = bitmap::RowRange(first, first + 2999);
+      } else if (trial % 3 == 2) {
+        for (int i = 0; i < 2000; ++i) q.rows.push_back(rng() % rows);
+        q.rows.push_back(q.rows.front());
+        std::shuffle(q.rows.begin(), q.rows.end(), rng);
+      }
+      SCOPED_TRACE(testing::Message() << threads << " threads, trial "
+                                      << trial);
+      const uint64_t expected = BruteForceRawReads(t, binners, q);
+      EngineResult ids = engine.Execute(q);
+      EXPECT_EQ(ids.row_ids, BruteForce(t, q));
+      EXPECT_EQ(ids.trace.raw_reads, expected);
+      q.count_only = true;
+      EXPECT_EQ(engine.Execute(q).trace.raw_reads, expected);
+      q.exact = false;
+      EXPECT_EQ(engine.Execute(q).trace.raw_reads, 0u);
+    }
+    // On ingested rows the verify reads every predicate of every delta
+    // candidate.
+    EngineQuery q;
+    q.predicates = {ValuePredicate{0, 20.0, 60.0}, ValuePredicate{2, 2.5, 4.0}};
+    const uint64_t base_reads = BruteForceRawReads(t, binners, q);
+    std::vector<bitmap::Binner> coarse = t.Discretize(options.binning).binners;
+    const uint64_t base_candidates = BinBruteForce(t, coarse, q).size();
+    for (int i = 0; i < 300; ++i) {
+      engine.IngestRow({std::uniform_real_distribution<double>(0, 100)(rng),
+                        static_cast<double>(rng() % 50),
+                        std::normal_distribution<double>(3.0, 1.0)(rng)});
+    }
+    EngineResult mutated = engine.Execute(q);
+    ASSERT_GT(mutated.trace.candidates, base_candidates);
+    EXPECT_EQ(mutated.trace.raw_reads,
+              base_reads + (mutated.trace.candidates - base_candidates) *
+                               q.predicates.size());
+  }
+}
+
 TEST(HybridEngineTest, EmptyPredicateListSelectsRequestedRows) {
   HybridEngine engine = MakeEngine(500, 6);
   EngineQuery q;
@@ -346,12 +494,14 @@ TEST(HybridEngineTest, EmptyPredicateListSelectsRequestedRows) {
 }
 
 TEST(HybridEngineTest, SizesReported) {
+  // Three attributes of 8 slices (16 bins of 16 sub-bins), each slice
+  // 2,000 bits in 32 words.
   HybridEngine engine = MakeEngine(2000, 7);
-  EXPECT_GT(engine.ExactSizeBytes(), 0u);
+  EXPECT_EQ(engine.ExactSizeBytes(), 3u * 8 * 32 * sizeof(uint64_t));
 }
 
 TEST(HybridEngineTest, ParallelBuildYieldsIdenticalIndexes) {
-  // Build runs column compression through the engine pool; the parallel
+  // Build slices the attributes through the engine pool; the parallel
   // path is bit-identical to serial, so a 1-thread and a 4-thread engine
   // must hold the same index and answer identically.
   HybridEngine::Options serial_opts;
@@ -363,12 +513,18 @@ TEST(HybridEngineTest, ParallelBuildYieldsIdenticalIndexes) {
   HybridEngine serial = HybridEngine::Build(MakeRandomTable(2500, 9), serial_opts);
   HybridEngine parallel =
       HybridEngine::Build(MakeRandomTable(2500, 9), parallel_opts);
-  ASSERT_EQ(serial.exact_index().num_columns(),
-            parallel.exact_index().num_columns());
-  for (uint32_t j = 0; j < serial.exact_index().num_columns(); ++j) {
-    ASSERT_EQ(serial.exact_index().DecompressColumn(j),
-              parallel.exact_index().DecompressColumn(j))
-        << "exact column " << j;
+  const SlicedIndex& a = serial.sliced_index();
+  const SlicedIndex& b = parallel.sliced_index();
+  ASSERT_EQ(a.num_attributes(), b.num_attributes());
+  for (uint32_t attr = 0; attr < a.num_attributes(); ++attr) {
+    EXPECT_EQ(a.binner(attr).fine_boundaries(),
+              b.binner(attr).fine_boundaries())
+        << "attribute " << attr;
+    ASSERT_EQ(a.num_slices(attr), b.num_slices(attr));
+    for (uint32_t j = 0; j < a.num_slices(attr); ++j) {
+      ASSERT_EQ(a.slice(attr, j), b.slice(attr, j))
+          << "attribute " << attr << " slice " << j;
+    }
   }
   EngineQuery q;
   q.predicates.push_back(ValuePredicate{0, 10.0, 70.0});
@@ -422,32 +578,48 @@ TEST(HybridEngineTest, AbPreferredPlansUseDirectAccess) {
 }
 
 TEST(HybridEngineTest, DirectAccessSubsetsMatchOracleInAnyRowOrder) {
+  // At 16 and 10 equi-depth bins and 16 equi-width bins; the table crosses
+  // the 64K-row block.
   const uint64_t rows = 70000;
-  const uint32_t bins = 16;
-  HybridEngine engine = MakeEngine(rows, 16, bins);
-  std::vector<bitmap::Binner> binners =
-      engine.table().Discretize(EngineOptions(bins).binning).binners;
-  std::mt19937_64 rng(17);
-  std::vector<std::vector<ValuePredicate>> plans = {
-      {{0, 20.0, 45.0}},
-      {{0, 10.0, 80.0}, {1, 5.0, 30.0}},
-      {{0, 0.0, 70.0}, {1, 0.0, 40.0}, {2, 2.0, 4.0}},
-  };
-  for (const std::vector<uint64_t>& subset : EngineRowShapes(rows, &rng)) {
-    for (size_t p = 0; p < plans.size(); ++p) {
-      EngineQuery q;
-      q.predicates = plans[p];
-      q.rows = subset;
-      EngineResult exact = engine.Execute(q);
-      EXPECT_EQ(exact.path, "exact");
-      EXPECT_EQ(exact.row_ids, BruteForce(engine.table(), q)) << "plan " << p;
+  for (const BinningSpec& binning :
+       {BinningSpec{BinningSpec::Kind::kEquiDepth, 16},
+        BinningSpec{BinningSpec::Kind::kEquiDepth, 10},
+        BinningSpec{BinningSpec::Kind::kEquiWidth, 16}}) {
+    HybridEngine::Options options = EngineOptions(binning.bins);
+    options.binning = binning;
+    HybridEngine engine = HybridEngine::Build(MakeRandomTable(rows, 16),
+                                              options);
+    std::vector<bitmap::Binner> binners =
+        engine.table().Discretize(binning).binners;
+    std::mt19937_64 rng(17);
+    std::vector<std::vector<ValuePredicate>> plans = {
+        {{0, 20.0, 45.0}},
+        {{0, 10.0, 80.0}, {1, 5.0, 30.0}},
+        {{0, 0.0, 70.0}, {1, 0.0, 40.0}, {2, 2.0, 4.0}},
+    };
+    for (const std::vector<uint64_t>& subset : EngineRowShapes(rows, &rng)) {
+      for (size_t p = 0; p < plans.size(); ++p) {
+        SCOPED_TRACE(testing::Message()
+                     << binning.bins << " bins, kind "
+                     << static_cast<int>(binning.kind) << ", plan " << p
+                     << ", " << subset.size() << " rows");
+        EngineQuery q;
+        q.predicates = plans[p];
+        q.rows = subset;
+        EngineResult exact = engine.Execute(q);
+        EXPECT_EQ(exact.path, "exact");
+        EXPECT_EQ(exact.row_ids, BruteForce(engine.table(), q));
+        // Candidates are counted per requested row, repeats included.
+        std::vector<uint64_t> candidates =
+            BinBruteForce(engine.table(), binners, q);
+        EXPECT_EQ(exact.trace.candidates, candidates.size());
 
-      // Approximate: the bin-level candidates, in request order.
-      q.exact = false;
-      EngineResult approx = engine.Execute(q);
-      EXPECT_TRUE(approx.approximate);
-      EXPECT_EQ(approx.row_ids, BinBruteForce(engine.table(), binners, q))
-          << "plan " << p;
+        // Approximate: the bin-level candidates, in request order.
+        q.exact = false;
+        EngineResult approx = engine.Execute(q);
+        EXPECT_TRUE(approx.approximate);
+        EXPECT_EQ(approx.row_ids, candidates);
+      }
     }
   }
 }

@@ -88,8 +88,6 @@ int Main() {
   for (int threads : thread_sweep) {
     engine::HybridEngine::Options engine_options;
     engine_options.binning.bins = 16;
-    engine_options.ab.alpha = 16;
-    engine_options.ab.level = ab::Level::kPerAttribute;
     engine_options.num_threads = threads;
     engine::HybridEngine engine = engine::HybridEngine::Build(
         serve::MakeSeedTable(rows, 42), engine_options);

@@ -34,6 +34,37 @@ inline void PublishScalarTest(size_t resolved, size_t k) {
 /// cache-resident and the prefetch pass costs more than it hides.
 constexpr uint64_t kPrefetchMinFilterBits = uint64_t{1} << 24;
 
+/// The batched insert loop of both build targets, over their store:
+/// a window's probe positions are hashed with one ProbesBatch virtual
+/// dispatch, every target line of a large filter gets a write-intent
+/// prefetch, and then `store(pos)` sets each probe.
+template <typename Store>
+void InsertBatchWith(const hash::HashFamily& family, int k,
+                     util::BitVector* bits, const uint64_t* keys,
+                     const hash::CellRef* cells, size_t count,
+                     const Store& store) {
+  constexpr size_t kWindow = ApproximateBitmap::kBatchWindow;
+  const size_t probes_per_cell = static_cast<size_t>(k);
+  const uint64_t n = bits->size();
+  const bool want_prefetch = n >= kPrefetchMinFilterBits;
+  uint64_t probes[kWindow * kMaxHashFunctions];
+  for (size_t base = 0; base < count; base += kWindow) {
+    const size_t w = std::min(kWindow, count - base);
+    family.ProbesBatch(keys + base, cells + base, w, probes_per_cell, n,
+                       probes);
+    const size_t num_probes = w * probes_per_cell;
+    if (want_prefetch) {
+      // Every target line before any store: the scattered
+      // read-for-ownership misses overlap instead of forming a chain of
+      // dependent store stalls.
+      for (size_t j = 0; j < num_probes; ++j) {
+        bits->PrefetchBitWrite(probes[j]);
+      }
+    }
+    for (size_t j = 0; j < num_probes; ++j) store(probes[j]);
+  }
+}
+
 }  // namespace
 
 ApproximateBitmap::ApproximateBitmap(
@@ -58,25 +89,8 @@ void ApproximateBitmap::Insert(uint64_t key, const hash::CellRef& cell) {
 void ApproximateBitmap::InsertBatch(const uint64_t* keys,
                                     const hash::CellRef* cells,
                                     size_t count) {
-  size_t k = static_cast<size_t>(k_);
-  uint64_t n = bits_.size();
-  const bool want_prefetch = n >= kPrefetchMinFilterBits;
-  uint64_t probes[kBatchWindow * kMaxHashFunctions];
-  for (size_t base = 0; base < count; base += kBatchWindow) {
-    size_t w = std::min(kBatchWindow, count - base);
-    family_->ProbesBatch(keys + base, cells + base, w, k, n, probes);
-    if (want_prefetch) {
-      // Write-intent prefetch for every target line before any store: the
-      // scattered read-for-ownership misses overlap instead of forming a
-      // chain of dependent store stalls.
-      for (size_t j = 0; j < w * k; ++j) {
-        bits_.PrefetchBitWrite(probes[j]);
-      }
-    }
-    for (size_t j = 0; j < w * k; ++j) {
-      bits_.Set(probes[j]);
-    }
-  }
+  InsertBatchWith(*family_, k_, &bits_, keys, cells, count,
+                  [this](uint64_t pos) { bits_.Set(pos); });
   insertions_ += count;
   AB_STATS_ADD(obs::Counter::kAbCellsInserted, count);
 }
@@ -94,26 +108,13 @@ ApproximateBitmap::BuildShard::BuildShard(const ApproximateBitmap& proto)
 void ApproximateBitmap::BuildShard::InsertBatch(const uint64_t* keys,
                                                 const hash::CellRef* cells,
                                                 size_t count) {
-  size_t k = static_cast<size_t>(k_);
-  uint64_t n = bits_.size();
-  const bool want_prefetch = n >= kPrefetchMinFilterBits;
-  uint64_t probes[kBatchWindow * kMaxHashFunctions];
-  for (size_t base = 0; base < count; base += kBatchWindow) {
-    size_t w = std::min(kBatchWindow, count - base);
-    family_->ProbesBatch(keys + base, cells + base, w, k, n, probes);
-    if (want_prefetch) {
-      for (size_t j = 0; j < w * k; ++j) {
-        bits_.PrefetchBitWrite(probes[j]);
-      }
-    }
-    for (size_t j = 0; j < w * k; ++j) {
-      uint64_t pos = probes[j];
-      // Granule index: bit -> word (>>6) -> granule (/kMergeGranuleWords).
-      size_t g = (pos >> 6) / kMergeGranuleWords;
-      touched_[g >> 6] |= uint64_t{1} << (g & 63);
-      bits_.Set(pos);
-    }
-  }
+  InsertBatchWith(*family_, k_, &bits_, keys, cells, count,
+                  [this](uint64_t pos) {
+                    // Granule index: bit -> word (>>6) -> granule.
+                    const size_t g = (pos >> 6) / kMergeGranuleWords;
+                    touched_[g >> 6] |= uint64_t{1} << (g & 63);
+                    bits_.Set(pos);
+                  });
   insertions_ += count;
 }
 

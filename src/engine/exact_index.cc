@@ -57,17 +57,12 @@ void ExactIndex::OrRangeInto(const bitmap::AttributeRange& range,
 }
 
 util::BitVector ExactIndex::ExecuteBitwiseBits(
-    const bitmap::BitmapQuery& query, const std::vector<EdgeBins>& edges,
-    std::vector<util::BitVector>* edge_bits) const {
+    const bitmap::BitmapQuery& query) const {
   util::BitVector bits(num_rows_);
   if (query.ranges.empty()) {
     // No predicates: every row qualifies.
     bits.Flip();
     return bits;
-  }
-  AB_CHECK(edges.empty() || edges.size() == query.ranges.size());
-  if (edge_bits != nullptr) {
-    edge_bits->assign(query.ranges.size(), util::BitVector());
   }
   // The first range ORs straight into the result; each later one into
   // `attr`, which then ANDs in as words.
@@ -81,21 +76,7 @@ util::BitVector ExactIndex::ExecuteBitwiseBits(
       attr = util::BitVector(num_rows_);
       target = &attr;
     }
-    EdgeBins edge = edges.empty() ? EdgeBins{} : edges[i];
-    bool lo_edge = edge.lo || (edge.hi && range.lo_bin == range.hi_bin);
-    bool hi_edge = edge.hi && range.hi_bin > range.lo_bin;
-    if (lo_edge) {
-      OrRangeInto({range.attr, range.lo_bin, range.lo_bin}, target);
-    }
-    if (hi_edge) {
-      OrRangeInto({range.attr, range.hi_bin, range.hi_bin}, target);
-    }
-    if (edge_bits != nullptr && (lo_edge || hi_edge)) {
-      (*edge_bits)[i] = *target;
-    }
-    uint32_t first = range.lo_bin + (lo_edge ? 1 : 0);
-    uint32_t last = range.hi_bin - (hi_edge ? 1 : 0);
-    if (first <= last) OrRangeInto({range.attr, first, last}, target);
+    OrRangeInto(range, target);
     if (i > 0) bits.AndWith(attr);
   }
   return bits;

@@ -40,23 +40,10 @@ class ExactIndex {
   /// Total compressed size in bytes (sum over columns).
   uint64_t SizeInBytes() const;
 
-  /// Which end bins of an attribute range hold rows that a raw-value check
-  /// can reject: `lo` flags range.lo_bin, `hi` flags range.hi_bin.
-  struct EdgeBins {
-    bool lo = false;
-    bool hi = false;
-  };
-
   /// Bit-wise phase: OR of the bin bitmaps within each attribute range
   /// (containers copied as words), AND of the attributes as words. One
-  /// bit per row. With `edge_bits`, the call also returns one vector per
-  /// range: (*edge_bits)[i] holds the OR of the end bins that edges[i]
-  /// flags (`edges` is empty or one entry per range), and is empty when
-  /// range i flags none.
-  util::BitVector ExecuteBitwiseBits(
-      const bitmap::BitmapQuery& query,
-      const std::vector<EdgeBins>& edges = {},
-      std::vector<util::BitVector>* edge_bits = nullptr) const;
+  /// bit per row.
+  util::BitVector ExecuteBitwiseBits(const bitmap::BitmapQuery& query) const;
 
   /// Full answer for a row-subset query: one bit per requested row, in
   /// request order (rows may be unsorted and repeat); empty rows means all

@@ -9,7 +9,7 @@
 
 #include "obs/span.h"
 #include "obs/stats.h"
-#include "util/bitvector.h"
+#include "util/math.h"
 #include "util/simd.h"
 #include "util/stopwatch.h"
 
@@ -32,33 +32,30 @@ HybridEngine HybridEngine::Build(Table table, const Options& options) {
   }
   engine.index_ = std::make_unique<SlicedIndex>(
       SlicedIndex::Build(engine.table_, options.binning, engine.pool_.get()));
-  for (uint32_t c = 0; c < engine.table_.num_columns(); ++c) {
-    engine.attributes_.push_back(bitmap::AttributeInfo{
-        engine.table_.column_names()[c],
-        engine.index_->binner(c).coarse().cardinality()});
-  }
 #if defined(__GLIBC__)
   // The build's transient buffers (the binning sorts) were freed inside
   // the heap, where glibc keeps their pages resident; return them, so a
   // server's RSS is its live index.
   malloc_trim(0);
 #endif
-  engine.ingest_ = std::make_unique<IngestState>();
+  engine.ingest_ = std::make_unique<IngestState>(engine.table_.num_rows());
   return engine;
 }
 
-HybridEngine::IngestState::IngestState()
-    : chunks(new std::atomic<double*>[kMaxChunks]) {
-  for (uint64_t c = 0; c < kMaxChunks; ++c) {
-    chunks[c].store(nullptr, std::memory_order_relaxed);
-  }
+HybridEngine::IngestState::IngestState(uint64_t base_rows)
+    : chunks(new std::atomic<Chunk*>[kMaxChunks]()),
+      tombstone_chunks(util::CeilDiv(base_rows, kChunkRows) + kMaxChunks) {
+  tombstones.reset(
+      new std::atomic<std::atomic<uint64_t>*>[tombstone_chunks]());
 }
 
 HybridEngine::IngestState::~IngestState() {
   for (uint64_t c = 0; c < chunks_allocated; ++c) {
-    delete[] chunks[c].load(std::memory_order_relaxed);
+    delete chunks[c].load(std::memory_order_relaxed);
   }
-  delete[] base_tombstones.load(std::memory_order_relaxed);
+  for (uint64_t c = 0; c < tombstone_chunks; ++c) {
+    delete[] tombstones[c].load(std::memory_order_relaxed);
+  }
 }
 
 bool HybridEngine::HasMutations() const {
@@ -76,118 +73,83 @@ uint64_t HybridEngine::TotalRows() const {
 uint64_t HybridEngine::IngestRow(const std::vector<double>& values) {
   AB_SPAN("engine/ingest");
   AB_CHECK(ingest_ != nullptr);
-  uint32_t cols = static_cast<uint32_t>(table_.num_columns());
+  const uint32_t cols = static_cast<uint32_t>(table_.num_columns());
   AB_CHECK_EQ(values.size(), cols);
   std::lock_guard<std::mutex> lock(ingest_->mu);
-  uint64_t local = ingest_->committed.load(std::memory_order_relaxed);
+  const uint64_t local = ingest_->committed.load(std::memory_order_relaxed);
   AB_CHECK_LT(local, IngestState::kChunkRows * IngestState::kMaxChunks);
-  if (ingest_->delta == nullptr) {
-    ab::MutableAbIndex::Options delta_options;
-    delta_options.config = options_.ab;
-    ingest_->delta =
-        ab::MutableAbIndex::BuildEmpty(attributes_, delta_options, 1024);
+  // Values and bins first: plain stores into a chunk no reader can touch
+  // until `committed` advances past the row (release, below).
+  const uint64_t c = local / IngestState::kChunkRows;
+  IngestState::Chunk* chunk =
+      ingest_->chunks[c].load(std::memory_order_relaxed);
+  if (chunk == nullptr) {
+    chunk = new IngestState::Chunk(cols);
+    ingest_->chunks[c].store(chunk, std::memory_order_relaxed);
+    ingest_->chunks_allocated = c + 1;
   }
-  // Raw values first (plain stores into a chunk no reader can touch
-  // until `committed` advances past the row, release below).
-  uint64_t chunk = local / IngestState::kChunkRows;
-  double* data = ingest_->chunks[chunk].load(std::memory_order_relaxed);
-  if (data == nullptr) {
-    data = new double[IngestState::kChunkRows * cols];
-    ingest_->chunks[chunk].store(data, std::memory_order_relaxed);
-    ingest_->chunks_allocated = chunk + 1;
+  const size_t at = (local % IngestState::kChunkRows) * cols;
+  for (uint32_t a = 0; a < cols; ++a) {
+    AB_CHECK(!std::isnan(values[a]));
+    chunk->values[at + a] = values[a];
+    chunk->bins[at + a] = index_->binner(a).BinOf(values[a]);
   }
-  double* row_values = data + (local % IngestState::kChunkRows) * cols;
-  std::vector<uint32_t> bins(cols);
-  for (uint32_t c = 0; c < cols; ++c) {
-    AB_CHECK(!std::isnan(values[c]));
-    row_values[c] = values[c];
-    bins[c] = index_->binner(c).BinOf(values[c]);
-  }
-  uint64_t id = ingest_->delta->InsertRow(bins);
-  AB_CHECK_EQ(id, local);
   ingest_->committed.store(local + 1, std::memory_order_release);
-
-  uint64_t gen = ingest_->delta->generation();
-  if (gen != ingest_->last_generation) {
-    AB_STATS_ADD(obs::Counter::kEngineRebuilds,
-                 gen - ingest_->last_generation);
-    ingest_->last_generation = gen;
-  }
   AB_STATS_INC(obs::Counter::kEngineIngestRows);
   return table_.num_rows() + local;
 }
 
 bool HybridEngine::DeleteRow(uint64_t row) {
   AB_CHECK(ingest_ != nullptr);
-  uint64_t base_n = table_.num_rows();
+  const uint64_t base_n = table_.num_rows();
   std::lock_guard<std::mutex> lock(ingest_->mu);
-  if (row < base_n) {
-    std::atomic<uint64_t>* words =
-        ingest_->base_tombstones.load(std::memory_order_relaxed);
-    if (words == nullptr) {
-      uint64_t n_words = (base_n + 63) / 64;
-      words = new std::atomic<uint64_t>[n_words];
-      for (uint64_t w = 0; w < n_words; ++w) {
-        words[w].store(0, std::memory_order_relaxed);
-      }
-      ingest_->base_tombstones.store(words, std::memory_order_release);
-    }
-    uint64_t bit = uint64_t{1} << (row % 64);
-    if (words[row / 64].load(std::memory_order_relaxed) & bit) return false;
-    words[row / 64].fetch_or(bit, std::memory_order_release);
-    ingest_->base_deletes.fetch_add(1, std::memory_order_release);
-  } else {
-    uint64_t local = row - base_n;
-    if (ingest_->delta == nullptr ||
-        local >= ingest_->committed.load(std::memory_order_relaxed)) {
-      return false;
-    }
-    if (!ingest_->delta->DeleteRow(local)) return false;
+  if (row >= base_n + ingest_->committed.load(std::memory_order_relaxed)) {
+    return false;
   }
-  ingest_->deletes.fetch_add(1, std::memory_order_relaxed);
+  std::atomic<std::atomic<uint64_t>*>& slot =
+      ingest_->tombstones[row / IngestState::kChunkRows];
+  std::atomic<uint64_t>* words = slot.load(std::memory_order_relaxed);
+  if (words == nullptr) {
+    words = new std::atomic<uint64_t>[IngestState::kChunkRows / 64]();
+    slot.store(words, std::memory_order_release);
+  }
+  std::atomic<uint64_t>& word = words[row % IngestState::kChunkRows / 64];
+  const uint64_t bit = uint64_t{1} << (row % 64);
+  if (word.load(std::memory_order_relaxed) & bit) return false;
+  word.fetch_or(bit, std::memory_order_release);
+  (row < base_n ? ingest_->base_deletes : ingest_->delta_deletes)
+      .fetch_add(1, std::memory_order_release);
   AB_STATS_INC(obs::Counter::kEngineIngestDeletes);
   return true;
 }
 
+bool HybridEngine::Tombstoned(uint64_t row) const {
+  const std::atomic<uint64_t>* words =
+      ingest_->tombstones[row / IngestState::kChunkRows].load(
+          std::memory_order_acquire);
+  return words != nullptr &&
+         ((words[row % IngestState::kChunkRows / 64].load(
+               std::memory_order_acquire) >>
+           (row % 64)) &
+          1) != 0;
+}
+
 bool HybridEngine::RowLive(uint64_t row) const {
-  uint64_t base_n = table_.num_rows();
-  if (row < base_n) {
-    if (ingest_ == nullptr) return true;
-    const std::atomic<uint64_t>* words =
-        ingest_->base_tombstones.load(std::memory_order_acquire);
-    if (words == nullptr) return true;
-    return !(words[row / 64].load(std::memory_order_acquire) &
-             (uint64_t{1} << (row % 64)));
-  }
-  const ab::MutableAbIndex* delta = delta_index();
-  return delta != nullptr && delta->RowLive(row - base_n);
+  return row < TotalRows() && (ingest_ == nullptr || !Tombstoned(row));
 }
 
 HybridEngine::IngestStats HybridEngine::GetIngestStats() const {
   IngestStats stats;
   if (ingest_ == nullptr) return stats;
+  // Deletes before commits: a deleted row was committed first, so the
+  // live count cannot go below zero.
+  const uint64_t delta_deletes =
+      ingest_->delta_deletes.load(std::memory_order_acquire);
+  stats.deleted =
+      ingest_->base_deletes.load(std::memory_order_relaxed) + delta_deletes;
   stats.ingested = ingest_->committed.load(std::memory_order_acquire);
-  stats.deleted = ingest_->deletes.load(std::memory_order_relaxed);
-  if (const ab::MutableAbIndex* delta = delta_index()) {
-    stats.delta_live = delta->live_rows();
-    stats.delta_generations = delta->generation();
-    stats.delta_worst_fp = delta->WorstExpectedFp();
-  }
+  stats.delta_live = stats.ingested - delta_deletes;
   return stats;
-}
-
-void HybridEngine::ToBinQuery(const EngineQuery& query,
-                              bitmap::BitmapQuery* out) const {
-  out->ranges.clear();
-  out->rows = query.rows;
-  for (const ValuePredicate& p : query.predicates) {
-    AB_CHECK_LT(p.attr, table_.num_columns());
-    AB_CHECK_LE(p.lo, p.hi);
-    const bitmap::NestedBinner& binner = index_->binner(p.attr);
-    uint32_t lo_bin = binner.BinOf(p.lo);
-    uint32_t hi_bin = binner.BinOf(p.hi);
-    out->ranges.push_back(bitmap::AttributeRange{p.attr, lo_bin, hi_bin});
-  }
 }
 
 namespace {
@@ -557,15 +519,10 @@ EngineResult HybridEngine::Execute(const EngineQuery& query) const {
 
 void HybridEngine::DropDeletedBaseRows(std::vector<uint64_t>* row_ids) const {
   if (ingest_->base_deletes.load(std::memory_order_acquire) == 0) return;
-  const std::atomic<uint64_t>* words =
-      ingest_->base_tombstones.load(std::memory_order_acquire);
-  if (words == nullptr) return;
-  auto dead = [&](uint64_t row) {
-    return (words[row / 64].load(std::memory_order_acquire) &
-            (uint64_t{1} << (row % 64))) != 0;
-  };
-  row_ids->erase(std::remove_if(row_ids->begin(), row_ids->end(), dead),
-                 row_ids->end());
+  row_ids->erase(
+      std::remove_if(row_ids->begin(), row_ids->end(),
+                     [this](uint64_t row) { return Tombstoned(row); }),
+      row_ids->end());
 }
 
 EngineResult HybridEngine::ExecuteMutable(const EngineQuery& query) const {
@@ -613,58 +570,88 @@ EngineResult HybridEngine::ExecuteMutable(const EngineQuery& query) const {
 void HybridEngine::AppendDeltaMatches(const EngineQuery& query,
                                       const std::vector<uint64_t>* rows_global,
                                       EngineResult* result) const {
-  uint64_t committed = ingest_->committed.load(std::memory_order_acquire);
+  const uint64_t committed =
+      ingest_->committed.load(std::memory_order_acquire);
   if (committed == 0) return;
-  const ab::MutableAbIndex* delta = ingest_->delta.get();
   if (rows_global != nullptr && rows_global->empty()) return;
   AB_SPAN("engine/delta_eval");
-  uint64_t base_n = table_.num_rows();
-  uint32_t cols = static_cast<uint32_t>(table_.num_columns());
+  const uint64_t base_n = table_.num_rows();
+  const uint32_t cols = static_cast<uint32_t>(table_.num_columns());
 
-  bitmap::BitmapQuery bin_query;
-  ToBinQuery(query, &bin_query);
-  bin_query.rows.clear();
-  if (rows_global != nullptr) {
-    bin_query.rows.reserve(rows_global->size());
-    for (uint64_t row : *rows_global) {
-      uint64_t local = row - base_n;
-      if (local < committed) bin_query.rows.push_back(local);
-    }
-    if (bin_query.rows.empty()) return;
-  }
-  // The delta evaluation pins one index generation for the whole query
-  // and gates on row liveness, so deleted rows never surface.
-  std::vector<bool> bits = delta->Evaluate(bin_query);
-
-  auto raw_value = [&](uint64_t local, uint32_t attr) {
-    const double* chunk =
-        ingest_->chunks[local / IngestState::kChunkRows].load(
-            std::memory_order_relaxed);
-    return chunk[(local % IngestState::kChunkRows) * cols + attr];
+  // A row is a candidate when each predicate's stored bin lies in
+  // [BinOf(lo), BinOf(hi)], the base's bin-level mask. Bin b holds
+  // [B[b-1], B[b]), so a bin strictly inside that range lies inside
+  // [lo, hi]: the exact test reads a raw value only in the two end bins.
+  struct BinRange {
+    uint32_t attr;
+    uint32_t lo_bin;
+    uint32_t span;  ///< hi_bin - lo_bin
+    double lo;
+    double hi;
   };
+  std::vector<BinRange> ranges;
+  for (const ValuePredicate& p : query.predicates) {
+    AB_CHECK_LT(p.attr, cols);
+    AB_CHECK_LE(p.lo, p.hi);
+    const bitmap::NestedBinner& binner = index_->binner(p.attr);
+    const uint32_t lo_bin = binner.BinOf(p.lo);
+    ranges.push_back(
+        BinRange{p.attr, lo_bin, binner.BinOf(p.hi) - lo_bin, p.lo, p.hi});
+  }
+  uint64_t evaluated = 0;
   uint64_t candidates = 0;
   uint64_t appended = 0;
-  for (size_t i = 0; i < bits.size(); ++i) {
-    if (!bits[i]) continue;
-    ++candidates;
-    uint64_t local = bin_query.rows.empty() ? static_cast<uint64_t>(i)
-                                            : bin_query.rows[i];
+  uint64_t raw_reads = 0;
+  auto scan = [&](const IngestState::Chunk& chunk, uint64_t local) {
+    if (Tombstoned(base_n + local)) return;
+    const size_t at = (local % IngestState::kChunkRows) * cols;
+    const uint32_t* bins = chunk.bins.get() + at;
+    // Every predicate is tested, without a branch: whether a row is a
+    // candidate is data, and a mispredicted exit costs more than a test.
+    bool candidate = true;
+    for (const BinRange& r : ranges) {
+      candidate &= bins[r.attr] - r.lo_bin <= r.span;
+    }
+    candidates += candidate;
+    if (!candidate) return;
     if (query.exact) {
-      bool match = true;
-      for (const ValuePredicate& p : query.predicates) {
-        match &= InBounds(raw_value(local, p.attr), p.lo, p.hi);
+      const double* values = chunk.values.get() + at;
+      for (const BinRange& r : ranges) {
+        const uint32_t offset = bins[r.attr] - r.lo_bin;
+        if (offset != 0 && offset != r.span) continue;
+        ++raw_reads;
+        if (!InBounds(values[r.attr], r.lo, r.hi)) return;
       }
-      if (!match) continue;
     }
     if (!query.count_only) result->row_ids.push_back(base_n + local);
     ++appended;
+  };
+  auto chunk_of = [&](uint64_t local) -> const IngestState::Chunk& {
+    return *ingest_->chunks[local / IngestState::kChunkRows].load(
+        std::memory_order_relaxed);
+  };
+  if (rows_global == nullptr) {
+    for (uint64_t first = 0; first < committed;
+         first += IngestState::kChunkRows) {
+      const IngestState::Chunk& chunk = chunk_of(first);
+      const uint64_t end = std::min(committed, first + IngestState::kChunkRows);
+      for (uint64_t local = first; local < end; ++local) scan(chunk, local);
+    }
+    evaluated = committed;
+  } else {
+    for (uint64_t row : *rows_global) {
+      const uint64_t local = row - base_n;
+      if (local >= committed) continue;
+      scan(chunk_of(local), local);
+      ++evaluated;
+    }
   }
   result->count += appended;
 
-  result->trace.rows_evaluated += bits.size();
+  result->trace.rows_evaluated += evaluated;
   result->trace.candidates += candidates;
   if (query.exact) {
-    result->trace.raw_reads += candidates * query.predicates.size();
+    result->trace.raw_reads += raw_reads;
     result->trace.verified_matches += appended;
     uint64_t total_candidates = result->trace.candidates;
     result->trace.observed_precision =

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/ab_index.h"
-#include "core/mutable_index.h"
 #include "engine/sliced_index.h"
 #include "engine/table.h"
 #include "obs/trace.h"
@@ -77,15 +76,17 @@ struct EngineResult {
 ///    the slices once per word it touches, so the cost follows the subset.
 /// No base AB is built: the AB-vs-WAH crossover measured on this
 /// implementation is about 1% of the rows (EXPERIMENTS.md, Figure 14), and
-/// direct access beat the AB in every cell of that sweep. The AB serves
-/// only as the ingest delta (MutableAbIndex); src/core keeps the paper's
+/// direct access beat the AB in every cell of that sweep. Ingested rows
+/// need no index either: they are scanned from what the engine stores for
+/// them, each cell's raw value and served bin. src/core keeps the paper's
 /// AB for the figure benches.
 class HybridEngine {
  public:
   struct Options {
     /// Discretization applied to every column.
     BinningSpec binning;
-    /// AB configuration (level, alpha, k, scheme) of the ingest delta.
+    /// Not read: the engine builds no AB. Kept only so that callers which
+    /// still set it compile.
     ab::AbConfig ab;
     /// Kept only for source compatibility: "auto", "" and "roaring" all
     /// build the same sliced index, and Build fails an AB_CHECK on any
@@ -107,12 +108,12 @@ class HybridEngine {
 
   // --- Streaming ingest -------------------------------------------------
   //
-  // The base table and its index stay immutable; ingested rows live in
-  // a side store — raw values in append-only chunks, cells in a
-  // MutableAbIndex delta (lock-free readers, α-drift auto-rebuild) —
-  // and base-row deletes in an atomic tombstone bitmap. Execute merges:
-  // base result minus tombstones, plus verified delta matches. Ingest/delete calls are internally synchronized and
-  // may run concurrently with queries from other threads.
+  // The base table and its index stay immutable. Ingested rows live in
+  // append-only chunks that hold each cell's raw value and served bin,
+  // and deletes, base or ingested, set one tombstone bit per engine id.
+  // Execute merges: the base result minus tombstones, plus a scan of the
+  // live ingested rows. Ingest/delete calls are internally synchronized
+  // and may run concurrently with queries from other threads.
 
   /// Appends a row (one value per column); returns its engine row id
   /// (base rows keep ids [0, base_rows); ingested rows follow).
@@ -131,31 +132,21 @@ class HybridEngine {
   uint64_t base_rows() const { return table_.num_rows(); }
 
   struct IngestStats {
-    uint64_t ingested = 0;           ///< rows ever ingested
-    uint64_t deleted = 0;            ///< rows tombstoned (base + delta)
-    uint64_t delta_live = 0;         ///< ingested rows still live
-    uint64_t delta_generations = 0;  ///< delta-index rebuilds completed
-    double delta_worst_fp = 0;       ///< delta effective-α expected FP
+    uint64_t ingested = 0;    ///< rows ever ingested
+    uint64_t deleted = 0;     ///< rows tombstoned (base + delta)
+    uint64_t delta_live = 0;  ///< ingested rows still live
+    /// Always 0: the delta has no index to rebuild. Kept so that reports
+    /// which print them compile.
+    uint64_t delta_generations = 0;
+    double delta_worst_fp = 0;
   };
   IngestStats GetIngestStats() const;
-
-  /// The delta index, or nullptr before the first committed ingest.
-  /// IngestRow creates the delta under its mutex before it publishes the
-  /// first row with a release store of `committed`, so the pointer is
-  /// read only after an acquire load of `committed` sees a row.
-  const ab::MutableAbIndex* delta_index() const {
-    if (ingest_ == nullptr ||
-        ingest_->committed.load(std::memory_order_acquire) == 0) {
-      return nullptr;
-    }
-    return ingest_->delta.get();
-  }
 
   const Table& table() const { return table_; }
   /// Size of the index that answers base queries: the sliced codes.
   uint64_t ExactSizeBytes() const { return index_->SizeInBytes(); }
-  /// Always 0: the engine holds no base AB (the ingest delta is sized by
-  /// its own index). Kept so index-size reports that add it stay valid.
+  /// Always 0: the engine holds no AB. Kept so index-size reports that
+  /// add it stay valid.
   uint64_t AbSizeBytes() const { return 0; }
 
   const SlicedIndex& sliced_index() const { return *index_; }
@@ -169,50 +160,58 @@ class HybridEngine {
   /// Mutation-aware execution: base result minus tombstones, plus
   /// verified delta matches.
   EngineResult ExecuteMutable(const EngineQuery& query) const;
-  /// Evaluates `query` over the ingested rows (all committed when
-  /// `rows_global` is null, else the listed engine ids) and appends the
-  /// matches to `result`, updating its trace and the engine counters.
+  /// Scans the live ingested rows (all committed when `rows_global` is
+  /// null, else the listed engine ids) and appends the matches to
+  /// `result`, updating its trace and the engine counters.
   void AppendDeltaMatches(const EngineQuery& query,
                           const std::vector<uint64_t>* rows_global,
                           EngineResult* result) const;
   /// Removes tombstoned base rows from `row_ids`.
   void DropDeletedBaseRows(std::vector<uint64_t>* row_ids) const;
   bool HasMutations() const;
-
-  /// Translates value predicates to bin ranges, and copies the row list
-  /// (the ingest delta's query form).
-  void ToBinQuery(const EngineQuery& query, bitmap::BitmapQuery* out) const;
+  /// Whether engine id `row` carries a tombstone.
+  bool Tombstoned(uint64_t row) const;
 
   Table table_;
   Options options_;
   std::unique_ptr<SlicedIndex> index_;
-  /// The delta's schema: one attribute per column, with its served bins.
-  std::vector<bitmap::AttributeInfo> attributes_;
   /// Shared by index construction and exact-answer verification; null
   /// when options.num_threads resolves to 1.
   std::shared_ptr<util::ThreadPool> pool_;
 
   /// All mutation state, heap-held so the engine itself stays movable.
-  /// Raw delta values live in fixed-capacity chunk arrays whose pointers
-  /// are stored (program-order) before `committed` advances; readers
-  /// acquire `committed` and then read committed rows with plain loads.
+  /// Ingested rows live in fixed-capacity chunks whose pointers are
+  /// stored (program order) before `committed` advances; readers acquire
+  /// `committed` and then read committed rows with plain loads.
+  /// Tombstones are one bit per engine id, base and ingested alike, in
+  /// chunks of kChunkRows ids that the first delete in them allocates and
+  /// publishes with a release store.
   struct IngestState {
     static constexpr uint64_t kChunkRows = 4096;
     static constexpr uint64_t kMaxChunks = 4096;  ///< ~16.7M delta rows
 
-    std::mutex mu;  ///< serializes IngestRow/DeleteRow writers
-    std::unique_ptr<ab::MutableAbIndex> delta;  ///< created on first ingest
-    std::unique_ptr<std::atomic<double*>[]> chunks;
-    uint64_t chunks_allocated = 0;  ///< under mu; dtor cleanup bound
-    std::atomic<uint64_t> committed{0};   ///< ingested rows visible
-    std::atomic<uint64_t> deletes{0};     ///< base + delta tombstones
-    uint64_t last_generation = 0;         ///< under mu; rebuild delta
-    /// Base-row tombstone bits, allocated on first base delete.
-    std::atomic<std::atomic<uint64_t>*> base_tombstones{nullptr};
-    std::atomic<uint64_t> base_deletes{0};
+    /// kChunkRows ingested rows, row-major: each cell's raw value and its
+    /// served bin (NestedBinner::BinOf).
+    struct Chunk {
+      explicit Chunk(uint32_t cols)
+          : values(new double[kChunkRows * cols]),
+            bins(new uint32_t[kChunkRows * cols]) {}
+      std::unique_ptr<double[]> values;
+      std::unique_ptr<uint32_t[]> bins;
+    };
 
-    IngestState();
+    explicit IngestState(uint64_t base_rows);
     ~IngestState();
+
+    std::mutex mu;  ///< serializes IngestRow/DeleteRow writers
+    std::unique_ptr<std::atomic<Chunk*>[]> chunks;
+    uint64_t chunks_allocated = 0;  ///< under mu; dtor cleanup bound
+    std::atomic<uint64_t> committed{0};  ///< ingested rows visible
+    /// kChunkRows / 64 words per chunk, over every id a row can take.
+    std::unique_ptr<std::atomic<std::atomic<uint64_t>*>[]> tombstones;
+    uint64_t tombstone_chunks = 0;
+    std::atomic<uint64_t> base_deletes{0};
+    std::atomic<uint64_t> delta_deletes{0};
   };
   std::unique_ptr<IngestState> ingest_;
 };

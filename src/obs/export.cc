@@ -51,15 +51,9 @@ const char* const kCounterHelp[kNumCounters] = {
     "Requests whose deadline expired before execution",
     "Query executions (run to completion, one query each)",
     "Queries executed",
-    "Rows inserted into mutable AB indexes",
-    "Rows deleted from mutable AB indexes",
-    "Mutable-index generation rebuilds (drift-triggered or explicit)",
-    "Live rows carried into regrown mutable-index generations",
-    "Seqlock probe windows readers retried as torn",
     "Rows ingested through HybridEngine::IngestRow",
     "Rows tombstoned through HybridEngine::DeleteRow",
-    "Verified query matches served from the ingest delta",
-    "Delta-index generation rebuilds observed by the engine",
+    "Query matches served from the ingested rows",
     "Rows accepted by POST /insert",
 };
 
@@ -74,7 +68,6 @@ const char* const kHistogramHelp[kNumHistograms] = {
     "Cells per worker shard in private-shard builds",
     "Serve request wall time from admission to rendered response in nanoseconds",
     "Serve request wait from admission to execution start in nanoseconds",
-    "Mutable-index generation rebuild wall time in nanoseconds",
     "Serve request frame/JSON decode wall time in nanoseconds",
     "Serve response rendering wall time in nanoseconds",
     "Serve response socket-flush wall time in nanoseconds",

@@ -43,15 +43,9 @@ const char* const kCounterNames[kNumCounters] = {
     "serve_deadline_expired",
     "serve_batches",
     "serve_batch_queries",
-    "mutable_inserts",
-    "mutable_deletes",
-    "mutable_rebuilds",
-    "mutable_rebuild_rows",
-    "mutable_reader_retries",
     "engine_ingest_rows",
     "engine_ingest_deletes",
     "engine_delta_matches",
-    "engine_rebuilds",
     "serve_inserts",
 };
 
@@ -66,7 +60,6 @@ const char* const kHistogramNames[kNumHistograms] = {
     "build_shard_cells",
     "serve_request_latency_ns",
     "serve_queue_wait_ns",
-    "mutable_rebuild_ns",
     "serve_decode_ns",
     "serve_serialize_ns",
     "serve_flush_ns",

@@ -81,17 +81,10 @@ enum class Counter : uint32_t {
   kServeDeadlineExpired,   ///< requests whose deadline lapsed in backlog
   kServeBatches,           ///< executions (each runs one query)
   kServeBatchQueries,      ///< queries executed
-  // --- mutable AB index (core/mutable_index) ---
-  kMutableInserts,         ///< rows inserted into a mutable index
-  kMutableDeletes,         ///< rows deleted from a mutable index
-  kMutableRebuilds,        ///< generation rebuilds (drift or explicit)
-  kMutableRebuildRows,     ///< live rows carried into new generations
-  kMutableReaderRetries,   ///< seqlock probe windows retried by readers
   // --- HybridEngine streaming ingest ---
   kEngineIngestRows,       ///< rows ingested through IngestRow
   kEngineIngestDeletes,    ///< rows tombstoned through DeleteRow
   kEngineDeltaMatches,     ///< verified matches served from the delta
-  kEngineRebuilds,         ///< delta-index generation rebuilds observed
   kServeInserts,           ///< rows accepted by POST /insert
   kNumCounters,
 };
@@ -112,7 +105,6 @@ enum class Histogram : uint32_t {
   kBuildShardCells,      ///< cells per worker shard (build imbalance)
   kServeRequestLatencyNs,///< serve: admission to response rendered
   kServeQueueWaitNs,     ///< serve: admission to execution start
-  kMutableRebuildNs,     ///< mutable index: generation rebuild wall time
   kServeDecodeNs,        ///< serve: frame/JSON decode time on the worker
   kServeSerializeNs,     ///< serve: response rendering time
   kServeFlushNs,         ///< serve: response socket-flush time

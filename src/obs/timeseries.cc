@@ -22,7 +22,6 @@ TsSample TsSampleFromStats(const StatsSnapshot& snapshot) {
   s.engine_queries = snapshot.counter(Counter::kEngineQueries);
   s.engine_ingest_rows = snapshot.counter(Counter::kEngineIngestRows);
   s.engine_ingest_deletes = snapshot.counter(Counter::kEngineIngestDeletes);
-  s.engine_rebuilds = snapshot.counter(Counter::kEngineRebuilds);
   const HistogramSnapshot& lat =
       snapshot.histogram(Histogram::kServeRequestLatencyNs);
   s.request_p50_us =
@@ -64,21 +63,15 @@ std::string TimeSeriesToJson() {
             ", \"serve_deadline_expired\": %" PRIu64
             ", \"serve_batches\": %" PRIu64 ", \"engine_queries\": %" PRIu64
             ", \"engine_ingest_rows\": %" PRIu64
-            ", \"engine_ingest_deletes\": %" PRIu64
-            ", \"engine_rebuilds\": %" PRIu64,
+            ", \"engine_ingest_deletes\": %" PRIu64,
             i == 0 ? "" : ",", s.wall_ms, s.mono_ns, s.serve_requests,
             s.serve_bad_requests, s.serve_overload_rejected,
             s.serve_deadline_expired, s.serve_batches, s.engine_queries,
-            s.engine_ingest_rows, s.engine_ingest_deletes,
-            s.engine_rebuilds);
+            s.engine_ingest_rows, s.engine_ingest_deletes);
     Appendf(&out,
             ", \"request_p50_us\": %.1f, \"request_p99_us\": %.1f"
-            ", \"delta_live\": %" PRIu64 ", \"delta_generations\": %" PRIu64
-            ", \"delta_worst_fp\": %.8f, \"delta_fp_budget\": %.8f"
-            ", \"rebuild_running\": %u}",
-            s.request_p50_us, s.request_p99_us, s.delta_live,
-            s.delta_generations, s.delta_worst_fp, s.delta_fp_budget,
-            s.rebuild_running);
+            ", \"delta_live\": %" PRIu64 "}",
+            s.request_p50_us, s.request_p99_us, s.delta_live);
   }
   out += samples.empty() ? "]\n}\n" : "\n  ]\n}\n";
   return out;

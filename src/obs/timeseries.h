@@ -41,17 +41,11 @@ struct TsSample {
   uint64_t engine_queries = 0;
   uint64_t engine_ingest_rows = 0;
   uint64_t engine_ingest_deletes = 0;
-  uint64_t engine_rebuilds = 0;
   // --- latency distribution (bucket upper bounds, microseconds) ---
   double request_p50_us = 0.0;
   double request_p99_us = 0.0;
-  // --- ingest/rebuild gauges (sampler-filled from the engine) ---
+  // --- ingest gauge (sampler-filled from the engine) ---
   uint64_t delta_live = 0;
-  uint64_t delta_generations = 0;
-  double delta_worst_fp = 0.0;
-  double delta_fp_budget = 0.0;
-  uint32_t rebuild_running = 0;
-  uint32_t reserved = 0;  ///< padding kept explicit for the word copy
 };
 
 /// Retained samples. At the default 1 s cadence this is ~8.5 minutes of

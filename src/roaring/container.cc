@@ -157,22 +157,6 @@ Container Container::FullRange(uint32_t n) {
   return c;
 }
 
-void Container::AppendOrdered(uint16_t value) {
-  AB_DCHECK(kind_ != ContainerKind::kRun);
-  AB_DCHECK(cardinality_ == 0 || kind_ == ContainerKind::kBitset ||
-            array_.back() < value);
-  if (kind_ == ContainerKind::kArray) {
-    if (cardinality_ < kArrayMax) {
-      array_.push_back(value);
-      ++cardinality_;
-      return;
-    }
-    ConvertToBitset();
-  }
-  words_[value >> 6] |= uint64_t{1} << (value & 63);
-  ++cardinality_;
-}
-
 bool Container::Get(uint16_t value) const {
   switch (kind_) {
     case ContainerKind::kArray:

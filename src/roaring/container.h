@@ -73,11 +73,6 @@ class Container {
   /// no-predicate "all rows" chunk.
   static Container FullRange(uint32_t n);
 
-  /// Appends a value strictly greater than every value already present
-  /// (the column-build path: row ids arrive ascending). Promotes to a
-  /// bitset at the 4096 boundary.
-  void AppendOrdered(uint16_t value);
-
   ContainerKind kind() const { return kind_; }
   uint32_t cardinality() const { return cardinality_; }
   bool empty() const { return cardinality_ == 0; }

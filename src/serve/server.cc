@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/mutable_index.h"
 #include "obs/appendf.h"
 #include "obs/http.h"
 #include "obs/slowlog.h"
@@ -128,25 +127,8 @@ std::string IngestGaugesPrometheus(engine::HybridEngine* engine,
               "Committed rows, base plus ingested (dead rows included)",
               static_cast<double>(engine->TotalRows()));
   AppendGauge(&out, "abitmap_engine_delta_live",
-              "Ingested rows still live in the delta index",
+              "Ingested rows not deleted",
               static_cast<double>(ing.delta_live));
-  AppendGauge(&out, "abitmap_engine_delta_generations",
-              "Completed delta-index rebuild generations",
-              static_cast<double>(ing.delta_generations));
-  AppendGauge(&out, "abitmap_engine_delta_worst_fp",
-              "Worst expected false-positive rate across the delta "
-              "generation's filters at live cell counts",
-              ing.delta_worst_fp);
-  const ab::MutableAbIndex* delta = engine->delta_index();
-  AppendGauge(&out, "abitmap_engine_delta_fp_budget",
-              "Delta rebuild trigger: as-designed FP times the budget "
-              "factor",
-              delta != nullptr
-                  ? delta->DesignFp() * delta->options().fp_budget_factor
-                  : 0.0);
-  AppendGauge(&out, "abitmap_engine_delta_rebuild_running",
-              "1 while a background delta rebuild is in flight",
-              delta != nullptr && delta->rebuild_running() ? 1.0 : 0.0);
   AppendGauge(&out, "abitmap_serve_queue_depth",
               "Queries decoded and not yet executed, across workers",
               static_cast<double>(backlog_depth));
@@ -711,15 +693,7 @@ void QueryServer::TelemetryLoop() {
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::system_clock::now().time_since_epoch())
             .count());
-    engine::HybridEngine::IngestStats ing = engine_->GetIngestStats();
-    s.delta_live = ing.delta_live;
-    s.delta_generations = ing.delta_generations;
-    s.delta_worst_fp = ing.delta_worst_fp;
-    if (const ab::MutableAbIndex* delta = engine_->delta_index()) {
-      s.delta_fp_budget =
-          delta->DesignFp() * delta->options().fp_budget_factor;
-      s.rebuild_running = delta->rebuild_running() ? 1 : 0;
-    }
+    s.delta_live = engine_->GetIngestStats().delta_live;
     obs::RecordTimeSeriesSample(s);
   }
 }

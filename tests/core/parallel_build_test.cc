@@ -15,7 +15,6 @@
 #include "bitmap/bitmap_table.h"
 #include "core/ab_index.h"
 #include "core/approximate_bitmap.h"
-#include "core/counting_index.h"
 #include "data/generators.h"
 #include "hash/hash_family.h"
 #include "util/simd.h"
@@ -101,25 +100,6 @@ TEST(ParallelBuildTest, StableAcrossThreadCountsAndRepeatedRuns) {
     for (size_t f = 0; f < reference.num_filters(); ++f) {
       ASSERT_EQ(reference.filter(f).bits(), pooled.filter(f).bits())
           << LevelName(level) << " pooled filter " << f;
-    }
-  }
-}
-
-TEST(ParallelBuildTest, CountingIndexParallelMatchesSerialCounters) {
-  bitmap::BinnedDataset d = data::MakeSynthetic(
-      "cnt", 2000, 4, 6, data::Distribution::kUniform, 17);
-  for (Level level :
-       {Level::kPerDataset, Level::kPerAttribute, Level::kPerColumn}) {
-    AbConfig cfg;
-    cfg.level = level;
-    cfg.alpha = 8;
-    CountingAbIndex serial = CountingAbIndex::Build(d, cfg);
-    CountingAbIndex parallel = CountingAbIndex::Build(d, cfg, 4);
-    ASSERT_EQ(serial.num_filters(), parallel.num_filters());
-    for (size_t f = 0; f < serial.num_filters(); ++f) {
-      ASSERT_EQ(serial.filter(f).raw_counters(),
-                parallel.filter(f).raw_counters())
-          << LevelName(level) << " filter " << f;
     }
   }
 }
@@ -272,35 +252,6 @@ TEST(BuildShardTest, RangedMergeEqualsSerialAndSkipsCleanGranules) {
   ApproximateBitmap empty_target = MakeFilter(uint64_t{1} << 22, 5);
   ApproximateBitmap::BuildShard clean(serial);
   EXPECT_EQ(empty_target.MergeShardRange(clean, 0, num_words), 0u);
-}
-
-TEST(CountingMergeTest, SaturatingMergeIsExactUnderSaturation) {
-  // min(15, min(15,a) + min(15,b)) == min(15, a+b): repeat one cell 20
-  // times split 12/8 across two shards — both the merged and the serial
-  // filter must clamp to the same counters, byte for byte.
-  AbParams params;
-  params.n_bits = 1 << 12;
-  params.k = 4;
-  auto family = std::shared_ptr<const hash::HashFamily>(
-      hash::MakeIndependentFamily());
-  CountingApproximateBitmap serial(params, family);
-  CountingApproximateBitmap shard_a = serial.EmptyClone();
-  CountingApproximateBitmap shard_b = serial.EmptyClone();
-  hash::CellRef cell{7, 3};
-  for (int i = 0; i < 20; ++i) serial.Insert(42, cell);
-  for (int i = 0; i < 12; ++i) shard_a.Insert(42, cell);
-  for (int i = 0; i < 8; ++i) shard_b.Insert(42, cell);
-  // Plus background cells on both sides of the split.
-  CellBatch batch = RandomCells(600, 55);
-  for (size_t i = 0; i < batch.keys.size(); ++i) {
-    serial.Insert(batch.keys[i], batch.cells[i]);
-    (i < 300 ? shard_a : shard_b).Insert(batch.keys[i], batch.cells[i]);
-  }
-  CountingApproximateBitmap merged = serial.EmptyClone();
-  merged.MergeSaturating(shard_a);
-  merged.MergeSaturating(shard_b);
-  EXPECT_EQ(serial.raw_counters(), merged.raw_counters());
-  EXPECT_EQ(serial.live(), merged.live());
 }
 
 }  // namespace

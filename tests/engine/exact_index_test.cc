@@ -227,72 +227,6 @@ TEST(ExactIndexTest, RoaringIndexSubsetsMatchWholeRelationThenPick) {
   EXPECT_EQ(index.Evaluate(q), std::vector<bool>(3, true));
 }
 
-TEST(ExactIndexTest, EdgeBitsHoldTheFlaggedEndBins) {
-  // Random plans under every EdgeBins combination, on a table that spans
-  // the 2^16-row chunk boundary: the edge split leaves the plan's bits
-  // unchanged, and each edge vector is the OR of the flagged end bins.
-  const uint64_t rows = 70000;
-  bitmap::BinnedDataset dataset = ChunkedDataset(rows, 45);
-  bitmap::BitmapTable table = bitmap::BitmapTable::Build(dataset);
-  ExactIndex index = ExactIndex::Build(table, nullptr);
-  wah::WahIndex reference = wah::WahIndex::Build(table);
-  const bitmap::ColumnMapping& mapping = table.mapping();
-  const std::vector<ExactIndex::EdgeBins> kCombos = {
-      {false, false}, {true, false}, {false, true}, {true, true}};
-  std::mt19937_64 rng(46);
-  for (int trial = 0; trial < 40; ++trial) {
-    bitmap::BitmapQuery q;
-    size_t num_ranges = 1 + rng() % 3;
-    for (size_t i = 0; i < num_ranges; ++i) {
-      uint32_t attr = static_cast<uint32_t>(rng() % dataset.attributes.size());
-      uint32_t card = mapping.cardinality(attr);
-      uint32_t lo = static_cast<uint32_t>(rng() % card);
-      // Every fourth range is a single bin: lo_bin == hi_bin.
-      uint32_t hi =
-          trial % 4 == 0 ? lo : lo + static_cast<uint32_t>(rng() % (card - lo));
-      q.ranges.push_back(bitmap::AttributeRange{attr, lo, hi});
-    }
-    util::BitVector plain = index.ExecuteBitwiseBits(q);
-    ASSERT_EQ(plain, reference.ExecuteBitwiseBits(q)) << "trial " << trial;
-    // Each range in turn takes every combination; the others draw one.
-    for (size_t r = 0; r < num_ranges; ++r) {
-      for (const ExactIndex::EdgeBins& combo : kCombos) {
-        std::vector<ExactIndex::EdgeBins> edges;
-        for (size_t i = 0; i < num_ranges; ++i) {
-          edges.push_back(i == r ? combo : kCombos[rng() % kCombos.size()]);
-        }
-        std::vector<util::BitVector> edge_bits;
-        util::BitVector bits = index.ExecuteBitwiseBits(q, edges, &edge_bits);
-        ASSERT_EQ(bits, plain) << "trial " << trial << " range " << r;
-        ASSERT_EQ(edge_bits.size(), num_ranges);
-        for (size_t i = 0; i < num_ranges; ++i) {
-          const bitmap::AttributeRange& range = q.ranges[i];
-          util::BitVector want(rows);
-          bool flagged = false;
-          if (edges[i].lo) {
-            want.OrWith(table.column(mapping.GlobalColumn(range.attr,
-                                                          range.lo_bin)));
-            flagged = true;
-          }
-          if (edges[i].hi) {
-            want.OrWith(table.column(mapping.GlobalColumn(range.attr,
-                                                          range.hi_bin)));
-            flagged = true;
-          }
-          if (flagged) {
-            EXPECT_EQ(edge_bits[i], want)
-                << "trial " << trial << " range " << i << " lo "
-                << edges[i].lo << " hi " << edges[i].hi;
-          } else {
-            EXPECT_TRUE(edge_bits[i].empty())
-                << "trial " << trial << " range " << i;
-          }
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace engine
 }  // namespace abitmap

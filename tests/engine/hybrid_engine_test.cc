@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <random>
 #include <thread>
+#include <unordered_set>
 
 #include "gtest/gtest.h"
 #include "obs/stats.h"
@@ -29,8 +31,6 @@ Table MakeRandomTable(uint64_t rows, uint64_t seed) {
 HybridEngine::Options EngineOptions(uint32_t bins) {
   HybridEngine::Options options;
   options.binning.bins = bins;
-  options.ab.alpha = 16;
-  options.ab.level = ab::Level::kPerAttribute;
   return options;
 }
 
@@ -59,26 +59,49 @@ std::vector<uint64_t> BruteForce(const Table& t, const EngineQuery& q) {
   return out;
 }
 
-/// The bin-level truth (the approximate answer): the rows, in request
+/// The bin-level truth (the approximate answer): the live rows, in request
 /// order, whose bin under `binners` lies within each predicate's bins.
-std::vector<uint64_t> BinBruteForce(const Table& t,
-                                    const std::vector<bitmap::Binner>& binners,
-                                    const EngineQuery& q) {
+/// `value(r, attr)` reads row r of `num_rows`; `live` is empty when every
+/// row is live.
+template <typename Value>
+std::vector<uint64_t> BinMatches(uint64_t num_rows, const Value& value,
+                                 const std::vector<bool>& live,
+                                 const std::vector<bitmap::Binner>& binners,
+                                 const EngineQuery& q) {
   std::vector<uint64_t> rows = q.rows;
   if (rows.empty()) {
-    for (uint64_t r = 0; r < t.num_rows(); ++r) rows.push_back(r);
+    for (uint64_t r = 0; r < num_rows; ++r) rows.push_back(r);
   }
   std::vector<uint64_t> out;
   for (uint64_t r : rows) {
-    bool match = true;
+    bool match = live.empty() || live[r];
     for (const ValuePredicate& p : q.predicates) {
       const bitmap::Binner& binner = binners[p.attr];
-      uint32_t bin = binner.BinOf(t.value(r, p.attr));
+      uint32_t bin = binner.BinOf(value(r, p.attr));
       match &= bin >= binner.BinOf(p.lo) && bin <= binner.BinOf(p.hi);
     }
     if (match) out.push_back(r);
   }
   return out;
+}
+
+std::vector<uint64_t> BinBruteForce(const Table& t,
+                                    const std::vector<bitmap::Binner>& binners,
+                                    const EngineQuery& q) {
+  return BinMatches(
+      t.num_rows(), [&t](uint64_t r, uint32_t a) { return t.value(r, a); },
+      {}, binners, q);
+}
+
+/// BinBruteForce over a mutated engine's rows: base then ingested, with
+/// their liveness.
+std::vector<uint64_t> BinBruteForce(
+    const std::vector<std::vector<double>>& rows,
+    const std::vector<bool>& live, const std::vector<bitmap::Binner>& binners,
+    const EngineQuery& q) {
+  return BinMatches(
+      rows.size(), [&rows](uint64_t r, uint32_t a) { return rows[r][a]; },
+      live, binners, q);
 }
 
 TEST(HybridEngineTest, ExactResultsMatchBruteForceBothPaths) {
@@ -158,8 +181,6 @@ void CheckWholeRelationVerify(uint64_t num_rows, BinningSpec binning) {
                << (equi_depth ? " equi-depth" : " equi-width") << " bins");
   HybridEngine::Options options;
   options.binning = binning;
-  options.ab.alpha = 16;
-  options.ab.level = ab::Level::kPerAttribute;
   options.num_threads = 1;
   HybridEngine serial =
       HybridEngine::Build(MakeRandomTable(num_rows, 21), options);
@@ -465,23 +486,44 @@ TEST(HybridEngineTest, RawReadsCountEdgeSubBinCandidates) {
       q.exact = false;
       EXPECT_EQ(engine.Execute(q).trace.raw_reads, 0u);
     }
-    // On ingested rows the verify reads every predicate of every delta
-    // candidate.
+    // On ingested rows the scan reads a raw value only for a predicate
+    // whose stored bin is one of its two end bins, in predicate order,
+    // until the first predicate the row fails.
     EngineQuery q;
     q.predicates = {ValuePredicate{0, 20.0, 60.0}, ValuePredicate{2, 2.5, 4.0}};
     const uint64_t base_reads = BruteForceRawReads(t, binners, q);
     std::vector<bitmap::Binner> coarse = t.Discretize(options.binning).binners;
     const uint64_t base_candidates = BinBruteForce(t, coarse, q).size();
+    uint64_t delta_candidates = 0;
+    uint64_t delta_reads = 0;
     for (int i = 0; i < 300; ++i) {
-      engine.IngestRow({std::uniform_real_distribution<double>(0, 100)(rng),
-                        static_cast<double>(rng() % 50),
-                        std::normal_distribution<double>(3.0, 1.0)(rng)});
+      const std::vector<double> v = {
+          std::uniform_real_distribution<double>(0, 100)(rng),
+          static_cast<double>(rng() % 50),
+          std::normal_distribution<double>(3.0, 1.0)(rng)};
+      engine.IngestRow(v);
+      bool candidate = true;
+      for (const ValuePredicate& p : q.predicates) {
+        const bitmap::Binner& b = coarse[p.attr];
+        const uint32_t bin = b.BinOf(v[p.attr]);
+        candidate &= bin >= b.BinOf(p.lo) && bin <= b.BinOf(p.hi);
+      }
+      if (!candidate) continue;
+      ++delta_candidates;
+      for (const ValuePredicate& p : q.predicates) {
+        const bitmap::Binner& b = coarse[p.attr];
+        const uint32_t bin = b.BinOf(v[p.attr]);
+        if (bin != b.BinOf(p.lo) && bin != b.BinOf(p.hi)) continue;
+        ++delta_reads;
+        if (v[p.attr] < p.lo || v[p.attr] > p.hi) break;
+      }
     }
     EngineResult mutated = engine.Execute(q);
-    ASSERT_GT(mutated.trace.candidates, base_candidates);
-    EXPECT_EQ(mutated.trace.raw_reads,
-              base_reads + (mutated.trace.candidates - base_candidates) *
-                               q.predicates.size());
+    ASSERT_GT(delta_candidates, 0u);
+    EXPECT_EQ(mutated.trace.candidates, base_candidates + delta_candidates);
+    EXPECT_EQ(mutated.trace.raw_reads, base_reads + delta_reads);
+    // Interior bins pass without a read.
+    EXPECT_LT(delta_reads, delta_candidates * q.predicates.size());
   }
 }
 
@@ -506,7 +548,6 @@ TEST(HybridEngineTest, ParallelBuildYieldsIdenticalIndexes) {
   // must hold the same index and answer identically.
   HybridEngine::Options serial_opts;
   serial_opts.binning.bins = 16;
-  serial_opts.ab.alpha = 8;
   serial_opts.num_threads = 1;
   HybridEngine::Options parallel_opts = serial_opts;
   parallel_opts.num_threads = 4;
@@ -808,13 +849,15 @@ TEST(HybridEngineTest, IngestStatsTrackChurnAndMergeSignal) {
   EXPECT_EQ(after.ingested, 200u);
   EXPECT_EQ(after.deleted, 50u);
   EXPECT_EQ(after.delta_live, 160u);
-  EXPECT_GT(after.delta_worst_fp, 0.0);
-  EXPECT_LT(after.delta_worst_fp, 1.0);
+  // The delta has no index: nothing to rebuild, no filter to fill.
+  EXPECT_EQ(after.delta_generations, 0u);
+  EXPECT_EQ(after.delta_worst_fp, 0.0);
 }
 
 TEST(HybridEngineTest, FirstIngestRacesLockFreeReaders) {
-  // TSan witness: the first IngestRow creates the delta index under the
-  // ingest mutex while GetIngestStats and RowLive read it without one.
+  // TSan witness: the first IngestRow allocates the first chunk under the
+  // ingest mutex while GetIngestStats, RowLive and Execute read it
+  // without one. A row live before a query starts is in its answer.
   HybridEngine engine = MakeEngine(600, 29);
   const uint64_t first_id = engine.base_rows();
   std::atomic<int> running{0};
@@ -823,13 +866,23 @@ TEST(HybridEngineTest, FirstIngestRacesLockFreeReaders) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&]() {
       running.fetch_add(1);
+      // Only the ingested row has price 50 and quantity 10.
+      EngineQuery whole;
+      whole.predicates = {ValuePredicate{0, 50.0, 50.0},
+                          ValuePredicate{1, 10.0, 10.0}};
+      EngineQuery subset = whole;
+      subset.rows = {first_id};
       while (!done.load(std::memory_order_acquire)) {
         HybridEngine::IngestStats stats = engine.GetIngestStats();
         EXPECT_LE(stats.ingested, 1u);
         EXPECT_LE(stats.delta_live, 1u);
-        if (engine.RowLive(first_id)) {
-          EXPECT_NE(engine.delta_index(), nullptr);
-        }
+        const bool live = engine.RowLive(first_id);
+        const uint64_t count = engine.Execute(whole).count;
+        EXPECT_LE(count, 1u);
+        if (!live) continue;  // the id names no row yet
+        EXPECT_EQ(count, 1u);
+        EXPECT_EQ(engine.Execute(subset).row_ids,
+                  std::vector<uint64_t>{first_id});
       }
     });
   }
@@ -868,6 +921,323 @@ TEST(HybridEngineTest, WholeAndSubsetQueriesSeeMutations) {
             BruteForceMutable(rows, live, whole));
   EXPECT_EQ(engine.Execute(subset).row_ids,
             BruteForceMutable(rows, live, subset));
+}
+
+/// The base rows of `engine` as value vectors, the start of a mutated
+/// engine's ground truth.
+std::vector<std::vector<double>> BaseRows(const HybridEngine& engine) {
+  std::vector<std::vector<double>> rows;
+  const Table& t = engine.table();
+  for (uint64_t r = 0; r < t.num_rows(); ++r) {
+    rows.push_back({t.value(r, 0), t.value(r, 1), t.value(r, 2)});
+  }
+  return rows;
+}
+
+/// A row for MakeRandomTable's schema, reaching past its domain, with
+/// one value in eight put on a served bin boundary.
+std::vector<double> RandomRow(const std::vector<bitmap::Binner>& binners,
+                              std::mt19937_64* rng) {
+  std::vector<double> v = {
+      std::uniform_real_distribution<double>(-5, 105)(*rng),
+      static_cast<double>((*rng)() % 60),
+      std::normal_distribution<double>(3.0, 1.5)(*rng)};
+  if ((*rng)() % 8 == 0) {
+    const uint32_t a = static_cast<uint32_t>((*rng)() % 3);
+    const std::vector<double>& b = binners[a].boundaries();
+    v[a] = b[(*rng)() % b.size()];
+  }
+  return v;
+}
+
+/// One to three predicates over MakeRandomTable's schema.
+std::vector<ValuePredicate> RandomPredicates(std::mt19937_64* rng) {
+  const double lo[3] = {-10.0, -1.0, -1.0};
+  const double hi[3] = {110.0, 60.0, 7.0};
+  std::vector<ValuePredicate> out;
+  const size_t n = 1 + (*rng)() % 3;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t attr = static_cast<uint32_t>((*rng)() % 3);
+    std::uniform_real_distribution<double> d(lo[attr], hi[attr]);
+    const double a = d(*rng), b = d(*rng);
+    out.push_back(ValuePredicate{attr, std::min(a, b), std::max(a, b)});
+  }
+  return out;
+}
+
+/// The rows `trace.candidates` counts: the base counts its bin-level
+/// candidates before tombstones drop, ingested rows are scanned live.
+std::vector<bool> CandidateRows(std::vector<bool> live, uint64_t base_rows) {
+  std::fill(live.begin(), live.begin() + base_rows, true);
+  return live;
+}
+
+/// `q` with its rows in the order Execute answers them: base rows first,
+/// then ingested ones, each part in request order.
+EngineQuery AnswerOrder(EngineQuery q, uint64_t base_rows) {
+  std::stable_partition(q.rows.begin(), q.rows.end(),
+                        [base_rows](uint64_t r) { return r < base_rows; });
+  return q;
+}
+
+TEST(HybridEngineTest, SeededOpFuzzMatchesBruteForce) {
+  // Seeded sequences of IngestRow, DeleteRow and Execute at 1 and 4
+  // engine threads. Every answer, whole or subset (unsorted, repeating,
+  // across the base/delta boundary), exact, approximate or count-only,
+  // equals the brute force over the rows committed so far: raw values
+  // for exact answers, bins for approximate ones.
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    HybridEngine::Options options = EngineOptions(16);
+    options.num_threads = threads;
+    HybridEngine engine =
+        HybridEngine::Build(MakeRandomTable(2000, 41), options);
+    const uint64_t base_n = engine.base_rows();
+    const std::vector<bitmap::Binner> binners =
+        engine.table().Discretize(options.binning).binners;
+    std::vector<std::vector<double>> rows = BaseRows(engine);
+    std::vector<bool> live(rows.size(), true);
+    std::mt19937_64 rng(42);
+    for (int op = 0; op < 3000; ++op) {
+      const uint64_t dice = rng() % 100;
+      if (dice < 45) {
+        std::vector<double> v = RandomRow(binners, &rng);
+        ASSERT_EQ(engine.IngestRow(v), rows.size());
+        rows.push_back(v);
+        live.push_back(true);
+      } else if (dice < 70) {
+        // Unknown ids included.
+        const uint64_t row = rng() % (rows.size() + 10);
+        const bool expected = row < rows.size() && live[row];
+        ASSERT_EQ(engine.DeleteRow(row), expected) << "op " << op;
+        if (expected) live[row] = false;
+        EXPECT_FALSE(engine.RowLive(row));
+      } else {
+        EngineQuery q;
+        q.predicates = RandomPredicates(&rng);
+        if (rng() % 3 != 0) {
+          const size_t n = 1 + rng() % 300;
+          for (size_t i = 0; i < n; ++i) q.rows.push_back(rng() % rows.size());
+        }
+        q.exact = rng() % 2 == 0;
+        q.count_only = rng() % 3 == 0;
+        const EngineQuery ordered = AnswerOrder(q, base_n);
+        const std::vector<uint64_t> expected =
+            q.exact ? BruteForceMutable(rows, live, ordered)
+                    : BinBruteForce(rows, live, binners, ordered);
+        EngineResult result = engine.Execute(q);
+        ASSERT_EQ(result.count, expected.size()) << "op " << op;
+        if (q.count_only) {
+          EXPECT_TRUE(result.row_ids.empty()) << "op " << op;
+        } else {
+          EXPECT_EQ(result.row_ids, expected) << "op " << op;
+        }
+        // Candidates are the bin-level rows, in both modes.
+        EXPECT_EQ(result.trace.candidates,
+                  BinBruteForce(rows, CandidateRows(live, base_n), binners,
+                                ordered)
+                      .size())
+            << "op " << op;
+      }
+    }
+    EXPECT_EQ(engine.TotalRows(), rows.size());
+  }
+}
+
+TEST(HybridEngineTest, ApproximateDeltaAnswersAreTheBinLevelSet) {
+  // Approximate answers over ingested rows mean what they mean on the
+  // base: the live rows whose bins fall in every predicate's bin range,
+  // no more. Two engines fed the same operations, at 1 and 4 threads,
+  // give identical answers.
+  const uint64_t base_rows = 5000;
+  std::vector<HybridEngine> engines;
+  for (int threads : {1, 4}) {
+    HybridEngine::Options options = EngineOptions(16);
+    options.num_threads = threads;
+    engines.push_back(
+        HybridEngine::Build(MakeRandomTable(base_rows, 43), options));
+  }
+  const std::vector<bitmap::Binner> binners =
+      engines[0].table().Discretize(EngineOptions(16).binning).binners;
+  std::vector<std::vector<double>> rows = BaseRows(engines[0]);
+  std::mt19937_64 rng(44);
+  for (int i = 0; i < 6000; ++i) {
+    std::vector<double> v = RandomRow(binners, &rng);
+    for (HybridEngine& engine : engines) engine.IngestRow(v);
+    rows.push_back(v);
+  }
+  std::vector<bool> live(rows.size(), true);
+  for (uint64_t r = 3; r < rows.size(); r += 11) {
+    for (HybridEngine& engine : engines) ASSERT_TRUE(engine.DeleteRow(r));
+    live[r] = false;
+  }
+  uint64_t delta_matches = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    EngineQuery q;
+    q.predicates = RandomPredicates(&rng);
+    q.exact = false;
+    if (trial % 2 == 1) {
+      for (int i = 0; i < 2000; ++i) q.rows.push_back(rng() % rows.size());
+    }
+    const EngineQuery ordered = AnswerOrder(q, base_rows);
+    const std::vector<uint64_t> expected =
+        BinBruteForce(rows, live, binners, ordered);
+    const uint64_t candidates =
+        BinBruteForce(rows, CandidateRows(live, base_rows), binners, ordered)
+            .size();
+    for (const uint64_t r : expected) delta_matches += r >= base_rows;
+    std::vector<EngineResult> results;
+    for (const HybridEngine& engine : engines) {
+      results.push_back(engine.Execute(q));
+      EXPECT_TRUE(results.back().approximate);
+      EXPECT_EQ(results.back().row_ids, expected) << "trial " << trial;
+      EXPECT_EQ(results.back().trace.candidates, candidates);
+      EXPECT_EQ(results.back().trace.raw_reads, 0u);
+    }
+    EXPECT_EQ(results[0].row_ids, results[1].row_ids);
+    q.count_only = true;
+    for (const HybridEngine& engine : engines) {
+      EXPECT_EQ(engine.Execute(q).count, expected.size()) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(delta_matches, 0u);
+}
+
+TEST(HybridEngineTest, ConcurrentWritersAndReadersSeeNoFalseNegatives) {
+  // Two writers ingest rows, delete a third of their own rows and a fifth
+  // of the base, while three readers run whole and subset queries, exact,
+  // approximate and count-only. A row committed before a query starts and
+  // never deleted is in its answer (or its count); a row deleted before
+  // the query starts is not in it. Runs in the TSan pass.
+  HybridEngine::Options options = EngineOptions(16);
+  options.num_threads = 2;
+  HybridEngine engine =
+      HybridEngine::Build(MakeRandomTable(3000, 51), options);
+  const Table& t = engine.table();
+  const uint64_t base_n = t.num_rows();
+  const std::vector<bitmap::Binner> binners =
+      t.Discretize(options.binning).binners;
+  // Base rows with id % 5 == 0 are deleted during the run.
+  auto base_kept = [](uint64_t row) { return row % 5 != 0; };
+
+  struct Logged {
+    uint64_t id;
+    std::vector<double> values;
+    bool kept;
+  };
+  std::mutex log_mu;
+  std::vector<Logged> log;        // committed ingested rows
+  std::vector<uint64_t> deleted;  // ids whose DeleteRow returned true
+  constexpr int kWriters = 2;
+  constexpr int kRowsPerWriter = 400;
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w]() {
+      std::mt19937_64 rng(60 + w);
+      std::vector<uint64_t> doomed;
+      for (int i = 0; i < kRowsPerWriter; ++i) {
+        std::vector<double> v = RandomRow(binners, &rng);
+        const uint64_t id = engine.IngestRow(v);
+        const bool kept = i % 3 != 0;
+        {
+          std::lock_guard<std::mutex> lock(log_mu);
+          log.push_back(Logged{id, v, kept});
+        }
+        if (!kept) doomed.push_back(id);
+        // Delete a doomed row a few ingests after it was committed, and
+        // this writer's share of the doomed base rows.
+        std::vector<uint64_t> kills;
+        if (doomed.size() > 2) {
+          kills.push_back(doomed.front());
+          doomed.erase(doomed.begin());
+        }
+        const uint64_t base_victim = 5 * (uint64_t{2} * i + w);
+        if (base_victim < base_n) kills.push_back(base_victim);
+        for (uint64_t row : kills) {
+          EXPECT_TRUE(engine.DeleteRow(row)) << row;
+          std::lock_guard<std::mutex> lock(log_mu);
+          deleted.push_back(row);
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < 3; ++r) {
+    threads.emplace_back([&, r]() {
+      std::mt19937_64 rng(70 + r);
+      for (int n = 0; writers_left.load() > 0 || n < 12; ++n) {
+        // What is known before the query starts.
+        std::vector<Logged> committed;
+        std::unordered_set<uint64_t> dead;
+        {
+          std::lock_guard<std::mutex> lock(log_mu);
+          committed = log;
+          dead.insert(deleted.begin(), deleted.end());
+        }
+        EngineQuery q;
+        q.predicates = RandomPredicates(&rng);
+        const int mode = n % 6;
+        q.exact = mode % 3 != 1;
+        q.count_only = mode % 3 == 2;
+        std::vector<uint64_t> requested;
+        if (mode >= 3) {
+          const uint64_t first = rng() % (base_n - 300);
+          for (uint64_t row = first; row < first + 300; ++row) {
+            requested.push_back(row);
+          }
+          for (size_t i = 0; i < committed.size(); i += 1 + rng() % 3) {
+            requested.push_back(committed[i].id);
+          }
+          std::shuffle(requested.begin(), requested.end(), rng);
+          q.rows = requested;
+        }
+        const std::unordered_set<uint64_t> in_request(requested.begin(),
+                                                      requested.end());
+        auto requested_row = [&](uint64_t row) {
+          return q.rows.empty() || in_request.count(row) > 0;
+        };
+        auto matches = [&q](const std::vector<double>& v) {
+          for (const ValuePredicate& p : q.predicates) {
+            if (v[p.attr] < p.lo || v[p.attr] > p.hi) return false;
+          }
+          return true;
+        };
+        // Rows that must be in the answer: kept, committed, matching.
+        std::vector<uint64_t> must;
+        for (uint64_t row = 0; row < base_n; ++row) {
+          if (base_kept(row) && requested_row(row) &&
+              matches({t.value(row, 0), t.value(row, 1), t.value(row, 2)})) {
+            must.push_back(row);
+          }
+        }
+        for (const Logged& l : committed) {
+          if (l.kept && requested_row(l.id) && matches(l.values)) {
+            must.push_back(l.id);
+          }
+        }
+        EngineResult result = engine.Execute(q);
+        if (q.count_only) {
+          EXPECT_GE(result.count, must.size()) << "mode " << mode;
+          continue;
+        }
+        const std::unordered_set<uint64_t> got(result.row_ids.begin(),
+                                               result.row_ids.end());
+        for (uint64_t row : must) {
+          EXPECT_EQ(got.count(row), 1u)
+              << "false negative: row " << row << ", mode " << mode;
+        }
+        for (uint64_t row : result.row_ids) {
+          EXPECT_EQ(dead.count(row), 0u)
+              << "deleted row " << row << " answered, mode " << mode;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  HybridEngine::IngestStats stats = engine.GetIngestStats();
+  EXPECT_EQ(stats.ingested, uint64_t{kWriters} * kRowsPerWriter);
+  EXPECT_EQ(stats.deleted, deleted.size());
 }
 
 }  // namespace

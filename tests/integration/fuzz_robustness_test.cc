@@ -20,7 +20,6 @@
 #include "bbc/bbc_vector.h"
 #include "bitmap/bitmap_table.h"
 #include "core/ab_index.h"
-#include "core/mutable_index.h"
 #include "data/generators.h"
 #include "util/byte_io.h"
 #include "util/file_io.h"
@@ -210,89 +209,6 @@ TEST(FuzzRobustnessTest, RandomProbesNeverFalseNegativeAtAnyLevel) {
         ASSERT_EQ(batched, scalar);  // kernel bit-identity
         for (size_t i = 0; i < exact.size(); ++i) {
           if (exact[i]) EXPECT_TRUE(scalar[i]) << "false negative at " << i;
-        }
-      }
-    });
-  }
-}
-
-TEST(FuzzRobustnessTest, RandomMutationOpsNeverFalseNegativeAtAnyLevel) {
-  // The mutable index under a seeded op fuzz: inserts, deletes, and
-  // generation rebuilds fired at random points, across all three encoding
-  // levels and every supported SIMD dispatch level. After every burst the
-  // live ground truth must probe positive cell-by-cell, Evaluate() must
-  // agree bit-for-bit with a query composed from single-cell probes (the
-  // read-path parity contract), and dead rows must never match.
-  std::mt19937_64 rng(8);
-  const uint32_t kAttrs = 3;
-  const uint32_t kBins = 6;
-
-  for (ab::Level level : {ab::Level::kPerDataset, ab::Level::kPerAttribute,
-                          ab::Level::kPerColumn}) {
-    SCOPED_TRACE(ab::LevelName(level));
-    bitmap::BinnedDataset d = data::MakeSynthetic(
-        "mz", /*rows=*/600, kAttrs, kBins, data::Distribution::kUniform, 13);
-    ab::MutableAbIndex::Options options;
-    options.config.level = level;
-    options.config.alpha = 4;  // deliberately small: drift happens fast
-    options.auto_rebuild = false;
-    auto index = ab::MutableAbIndex::Build(d, options);
-    std::vector<bool> alive(d.num_rows(), true);
-
-    ForEachSupportedSimdLevel([&](util::simd::SimdLevel) {
-      // A burst of random mutations...
-      for (int op = 0; op < 300; ++op) {
-        uint64_t dice = rng() % 100;
-        if (dice < 45) {
-          std::vector<uint32_t> bins(kAttrs);
-          for (uint32_t a = 0; a < kAttrs; ++a) {
-            bins[a] = static_cast<uint32_t>(rng() % kBins);
-            d.values[a].push_back(bins[a]);
-          }
-          uint64_t row = index->InsertRow(bins);
-          ASSERT_EQ(row, alive.size());
-          alive.push_back(true);
-        } else if (dice < 90) {
-          uint64_t row = rng() % alive.size();
-          EXPECT_EQ(index->DeleteRow(row), static_cast<bool>(alive[row]));
-          alive[row] = false;
-        } else {
-          index->Rebuild();
-        }
-      }
-      // ...then the full contract sweep.
-      for (uint64_t row = 0; row < alive.size(); ++row) {
-        if (!alive[row]) continue;
-        for (uint32_t a = 0; a < kAttrs; ++a) {
-          ASSERT_TRUE(index->TestCell(row, a, d.values[a][row]))
-              << "false negative row " << row << " attr " << a;
-        }
-      }
-      for (int trial = 0; trial < 8; ++trial) {
-        bitmap::BitmapQuery q;
-        uint32_t a0 = rng() % kAttrs, a1 = (a0 + 1) % kAttrs;
-        uint32_t lo0 = rng() % (kBins - 1), lo1 = rng() % (kBins - 1);
-        q.ranges = {{a0, lo0, lo0 + 1}, {a1, lo1, lo1 + 1}};
-        std::vector<bool> got = index->Evaluate(q);
-        ASSERT_EQ(got.size(), alive.size());
-        for (uint64_t row = 0; row < alive.size(); ++row) {
-          if (!alive[row]) {
-            EXPECT_FALSE(got[row]) << "dead row " << row << " matched";
-            continue;
-          }
-          // Read-path parity: Evaluate == AND-of-OR over TestCell.
-          bool composed = true;
-          for (const bitmap::AttributeRange& range : q.ranges) {
-            bool any = false;
-            for (uint32_t b = range.lo_bin; b <= range.hi_bin; ++b) {
-              any = any || index->TestCell(row, range.attr, b);
-            }
-            composed = composed && any;
-          }
-          EXPECT_EQ(got[row], composed) << "parity break at row " << row;
-          bool truth = d.values[a0][row] >= lo0 && d.values[a0][row] <= lo0 + 1 &&
-                       d.values[a1][row] >= lo1 && d.values[a1][row] <= lo1 + 1;
-          if (truth) EXPECT_TRUE(got[row]) << "false negative at " << row;
         }
       }
     });

@@ -23,7 +23,6 @@
 #include "bitmap/bitmap_table.h"
 #include "core/ab_index.h"
 #include "core/ab_theory.h"
-#include "core/mutable_index.h"
 #include "data/generators.h"
 #include "data/query_gen.h"
 #include "obs/trace.h"
@@ -110,97 +109,6 @@ TEST(PrecisionModelTest, ObservedFpWithinBinomialBandAcrossGrid) {
         << "level=" << ab::LevelName(point.level)
         << " alpha=" << point.alpha << " k=" << point.k
         << " probes=" << probes;
-  }
-}
-
-// Filter index a (attr, global_col) cell routes to under each level;
-// matches CountingAbIndex's routing and so indexes FilterStatsSnapshot().
-size_t RouteMutable(ab::Level level, uint32_t attr, uint32_t global_col) {
-  switch (level) {
-    case ab::Level::kPerDataset: return 0;
-    case ab::Level::kPerAttribute: return attr;
-    case ab::Level::kPerColumn: return global_col;
-  }
-  return 0;
-}
-
-TEST(PrecisionModelTest, PostChurnFpWithinBinomialBandAtEffectiveAlpha) {
-  // The mutable index's precision model after streaming churn: delete a
-  // big slice and insert fresh rows, then price every truly-zero probe of
-  // a *live* row with FalsePositiveRateExact at the filter's *live* cell
-  // count — the effective α, not the as-built one. Observed false
-  // positives must sit inside the same 6σ binomial band the read-only
-  // grid uses; any false negative on a live row fails hard.
-  const std::vector<std::pair<ab::Level, double>> grid = {
-      {ab::Level::kPerDataset, 8.0},
-      {ab::Level::kPerAttribute, 8.0},
-      {ab::Level::kPerColumn, 4.0},
-  };
-  const uint64_t kRows = 1500;
-  const uint32_t kAttrs = 3;
-  const uint32_t kBins = 8;
-
-  for (const auto& [level, alpha] : grid) {
-    bitmap::BinnedDataset dataset =
-        data::MakeSynthetic("churn", kRows, kAttrs, kBins,
-                            data::Distribution::kUniform, /*seed=*/29);
-    ab::MutableAbIndex::Options options;
-    options.config.level = level;
-    options.config.alpha = alpha;
-    options.auto_rebuild = false;  // keep generation 0: drift, don't regrow
-    auto index = ab::MutableAbIndex::Build(dataset, options);
-
-    std::mt19937_64 rng(31);
-    std::vector<bool> alive(kRows, true);
-    for (uint64_t row = 0; row < kRows; ++row) {
-      if (rng() % 5 < 2) {  // ~40% deleted
-        index->DeleteRow(row);
-        alive[row] = false;
-      }
-    }
-    for (int i = 0; i < 300; ++i) {
-      std::vector<uint32_t> bins(kAttrs);
-      for (uint32_t a = 0; a < kAttrs; ++a) {
-        bins[a] = static_cast<uint32_t>(rng() % kBins);
-        dataset.values[a].push_back(bins[a]);
-      }
-      index->InsertRow(bins);
-      alive.push_back(true);
-    }
-
-    std::vector<ab::MutableAbIndex::FilterStats> stats =
-        index->FilterStatsSnapshot();
-    double expected_fp = 0;
-    double variance = 0;
-    uint64_t observed_fp = 0;
-    uint64_t probes = 0;
-    for (uint64_t row = 0; row < alive.size(); ++row) {
-      if (!alive[row]) continue;
-      for (uint32_t attr = 0; attr < kAttrs; ++attr) {
-        uint32_t true_bin = dataset.values[attr][row];
-        for (uint32_t bin = 0; bin < kBins; ++bin) {
-          if (bin == true_bin) {
-            ASSERT_TRUE(index->TestCell(row, attr, bin))
-                << "post-churn false negative: row " << row;
-            continue;
-          }
-          const ab::MutableAbIndex::FilterStats& f = stats[RouteMutable(
-              level, attr, index->mapping().GlobalColumn(attr, bin))];
-          double p =
-              ab::FalsePositiveRateExact(f.num_counters, f.live, f.k);
-          expected_fp += p;
-          variance += p * (1 - p);
-          observed_fp += index->TestCell(row, attr, bin) ? 1 : 0;
-          ++probes;
-        }
-      }
-    }
-    ASSERT_GT(probes, 0u);
-    double band = 6.0 * std::sqrt(variance) + 0.02 * expected_fp + 10.0;
-    EXPECT_NEAR(static_cast<double>(observed_fp), expected_fp, band)
-        << "level=" << ab::LevelName(level) << " alpha=" << alpha
-        << " probes=" << probes
-        << " worst_fp=" << index->WorstExpectedFp();
   }
 }
 

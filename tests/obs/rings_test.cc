@@ -245,7 +245,6 @@ TEST(TimeSeriesTest, SampleFromStatsDistillsCounters) {
   }
   // Gauge block is the sampler's job, untouched here.
   EXPECT_EQ(s.delta_live, 0u);
-  EXPECT_EQ(s.rebuild_running, 0u);
 }
 
 TEST(TimeSeriesTest, SamplesRoundTripInOrder) {
@@ -255,8 +254,7 @@ TEST(TimeSeriesTest, SamplesRoundTripInOrder) {
     s.mono_ns = 1000 + i;
     s.serve_requests = i * 10;
     s.delta_live = i;
-    s.delta_worst_fp = 0.001 * static_cast<double>(i);
-    s.rebuild_running = i % 2;
+    s.request_p99_us = 0.5 * static_cast<double>(i);
     RecordTimeSeriesSample(s);
   }
   std::vector<TsSample> samples = SnapshotTimeSeries();
@@ -269,9 +267,8 @@ TEST(TimeSeriesTest, SamplesRoundTripInOrder) {
     EXPECT_EQ(samples[i].mono_ns, 1000 + i);
     EXPECT_EQ(samples[i].serve_requests, i * 10);
     EXPECT_EQ(samples[i].delta_live, i);
-    EXPECT_DOUBLE_EQ(samples[i].delta_worst_fp,
-                     0.001 * static_cast<double>(i));
-    EXPECT_EQ(samples[i].rebuild_running, i % 2);
+    EXPECT_DOUBLE_EQ(samples[i].request_p99_us,
+                     0.5 * static_cast<double>(i));
   }
 }
 
@@ -309,7 +306,7 @@ TEST(TimeSeriesTest, JsonCarriesTheSchema) {
     EXPECT_NE(json.find("\"mono_ns\": 777"), std::string::npos) << json;
     EXPECT_NE(json.find("\"delta_live\": 3"), std::string::npos) << json;
     EXPECT_NE(json.find("\"request_p99_us\""), std::string::npos);
-    EXPECT_NE(json.find("\"rebuild_running\""), std::string::npos);
+    EXPECT_NE(json.find("\"engine_ingest_deletes\""), std::string::npos);
   } else {
     EXPECT_NE(json.find("\"enabled\": false"), std::string::npos);
   }

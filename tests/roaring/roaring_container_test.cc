@@ -192,20 +192,6 @@ TEST(RoaringContainerTest, OptimizePicksSmallestRepresentation) {
   EXPECT_EQ(full.cardinality(), Container::kCapacity);
 }
 
-TEST(RoaringContainerTest, AppendOrderedPromotesAtBoundary) {
-  Container c;
-  for (uint32_t v = 0; v < 5000; ++v) {
-    c.AppendOrdered(static_cast<uint16_t>(v * 2));  // no runs form
-    EXPECT_EQ(c.cardinality(), v + 1);
-    EXPECT_EQ(c.kind(), v + 1 > Container::kArrayMax ? ContainerKind::kBitset
-                                                     : ContainerKind::kArray);
-  }
-  for (uint32_t v = 0; v < 5000; ++v) {
-    EXPECT_TRUE(c.Get(static_cast<uint16_t>(v * 2)));
-    EXPECT_FALSE(c.Get(static_cast<uint16_t>(v * 2 + 1)));
-  }
-}
-
 TEST(RoaringContainerTest, GetAndNextSetAgreeWithGroundTruth) {
   for (const auto& values : FuzzSets(13)) {
     BitVector bits = ToBits(values);

@@ -17,8 +17,6 @@ namespace {
 engine::HybridEngine MakeEngine(uint64_t rows) {
   engine::HybridEngine::Options options;
   options.binning.bins = 16;
-  options.ab.alpha = 16;
-  options.ab.level = ab::Level::kPerAttribute;
   options.num_threads = 1;  // keep unit tests single-threaded in the engine
   return engine::HybridEngine::Build(MakeSeedTable(rows, 11), options);
 }

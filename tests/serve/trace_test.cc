@@ -32,8 +32,6 @@ constexpr uint64_t kRows = 2000;
 engine::HybridEngine MakeEngine() {
   engine::HybridEngine::Options options;
   options.binning.bins = 16;
-  options.ab.alpha = 16;
-  options.ab.level = ab::Level::kPerAttribute;
   options.num_threads = 2;
   return engine::HybridEngine::Build(MakeSeedTable(kRows, 11), options);
 }
@@ -275,9 +273,6 @@ TEST_F(TraceTest, MetricsExposeIngestGauges) {
   // The gauge block is live state, served in both stats configurations.
   EXPECT_NE(body.find("abitmap_engine_total_rows"), std::string::npos) << body;
   EXPECT_NE(body.find("abitmap_engine_delta_live"), std::string::npos);
-  EXPECT_NE(body.find("abitmap_engine_delta_worst_fp"), std::string::npos);
-  EXPECT_NE(body.find("abitmap_engine_delta_rebuild_running"),
-            std::string::npos);
   EXPECT_NE(body.find("abitmap_serve_slow_threshold_ns"), std::string::npos);
   EXPECT_NE(body.find("# HELP abitmap_engine_delta_live"), std::string::npos);
   server.Stop();

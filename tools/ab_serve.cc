@@ -115,8 +115,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(rows));
   engine::HybridEngine::Options engine_options;
   engine_options.binning.bins = 16;
-  engine_options.ab.alpha = 16;
-  engine_options.ab.level = ab::Level::kPerAttribute;
   engine_options.num_threads = engine_threads;
   engine::HybridEngine engine = engine::HybridEngine::Build(
       serve::MakeSeedTable(rows, seed), engine_options);

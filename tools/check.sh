@@ -64,10 +64,12 @@
 #
 # A perfbench smoke runs `python3 perfbench/run.py --self-test` (the
 # brute-force oracle must catch a corrupted expected answer) and one
-# 1-second run each of exact_scan and ab_subset, which must report
-# "correct": true and "failed": 0, so served answers are checked against
-# the oracle on the benchmark's 1M-row table. Advisory by default;
-# AB_CHECK_PERFBENCH=strict makes a failure fatal, =0 skips.
+# 1-second run each of exact_scan, ab_subset and ingest_mix, which must
+# report "correct": true and "failed": 0, so served answers are checked
+# against the oracle on the benchmark's 1M-row table. ingest_mix is the
+# one check where answers over rows inserted through POST /insert meet
+# the oracle. Advisory by default; AB_CHECK_PERFBENCH=strict makes a
+# failure fatal, =0 skips.
 #
 # Usage: tools/check.sh [build-dir]   (default: build/check)
 set -euo pipefail
@@ -573,10 +575,12 @@ if [ "${AB_CHECK_PERFBENCH:-advisory}" != "0" ]; then
   echo "== perfbench smoke =="
   # The served benchmark's oracle, end to end at 1M rows: run.py's
   # self-test must catch a corrupted expected answer on every workload,
-  # then one 1-second exact_scan run and one 1-second ab_subset run must
-  # answer every served query correctly ("correct": true, "failed": 0). run.py builds into
-  # .bench_build/ and writes .bench_out/ at the repo root. Advisory by
-  # default; AB_CHECK_PERFBENCH=strict makes a failure fatal, =0 skips.
+  # then one 1-second run each of exact_scan, ab_subset and ingest_mix
+  # must answer every served query correctly ("correct": true,
+  # "failed": 0); ingest_mix queries rows inserted while it runs. run.py
+  # builds into .bench_build/ and writes .bench_out/ at the repo root.
+  # Advisory by default; AB_CHECK_PERFBENCH=strict makes a failure
+  # fatal, =0 skips.
   perf_log="$build_dir/perfbench_smoke.log"
   perf_ok=1
   if ! (cd "$repo_root" && python3 perfbench/run.py --self-test) \
@@ -586,7 +590,7 @@ if [ "${AB_CHECK_PERFBENCH:-advisory}" != "0" ]; then
   fi
   # ab_subset's row subsets verify through the same bound check as the
   # whole-relation counts, so it gets the same gate.
-  for perf_workload in exact_scan ab_subset; do
+  for perf_workload in exact_scan ab_subset ingest_mix; do
     [ "$perf_ok" = "1" ] || break
     perf_result="$(cd "$repo_root" && python3 perfbench/run.py \
       --workload "$perf_workload" --seed 1 --seconds 1 --trace 0 \
@@ -607,7 +611,7 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
     fi
     echo "perfbench smoke: ADVISORY failure (AB_CHECK_PERFBENCH=strict to enforce)" >&2
   else
-    echo "perfbench smoke: oracle self-test + exact_scan + ab_subset correct, 0 failed"
+    echo "perfbench smoke: oracle self-test + exact_scan + ab_subset + ingest_mix correct, 0 failed"
   fi
 fi
 

@@ -1,15 +1,15 @@
-// Scalar vs batched vs batched+parallel AB query evaluation (the
-// tentpole of the batched-pipeline change). Each benchmark evaluates a
-// fixed 2-attribute range query over the whole relation and reports rows
-// per second; the three variants share the index and the query, so any
-// difference is purely the evaluation pipeline. Run with
-// --benchmark_format=json for machine-readable output.
+// Scalar vs batched vs batched+parallel AB query evaluation. Each
+// benchmark evaluates a fixed 2-attribute range query over the whole
+// relation and reports rows per second; the three variants share the
+// index and the query, so any difference is purely the evaluation
+// pipeline. Run with --benchmark_format=json for machine-readable output.
 //
 // After the google-benchmark pass, main() times the individual query-side
 // kernels (probe hashing, batched membership, and the word-wise
 // verification ops) at the forced-scalar dispatch level and at
 // the detected SIMD level, and writes both the pipeline and kernel numbers
-// to BENCH_query.json (the query-side mirror of BENCH_build.json). The
+// to BENCH_query.json (the query-side mirror of BENCH_build.json), each as
+// the median, min and max of kReps runs, with the git sha. The
 // comparison table and the SIMD banner go to stderr so stdout stays pure
 // google-benchmark output when piped as JSON.
 //
@@ -183,26 +183,38 @@ class ScopedSimdLevel {
   util::simd::SimdLevel previous_;
 };
 
+/// Runs per timed row: one regeneration of single timings moved rows past
+/// their own differences, so every row records its spread.
+constexpr int kReps = 5;
+
 struct KernelTiming {
   std::string name;
   uint64_t items = 0;  // work items per repetition (keys or 64-bit words)
-  double scalar_s = 0;
-  double simd_s = 0;
+  Spread scalar_s;
+  Spread simd_s;
 
-  double Speedup() const { return simd_s > 0 ? scalar_s / simd_s : 0.0; }
+  double Speedup() const {
+    return simd_s.median > 0 ? scalar_s.median / simd_s.median : 0.0;
+  }
 };
 
-/// Best-of-3 wall time of `fn` at the given dispatch level.
+/// Wall time of `fn` in seconds at the given dispatch level, over kReps
+/// runs.
 template <typename Fn>
-double TimeAtLevel(util::simd::SimdLevel level, Fn&& fn) {
+Spread TimeAtLevel(util::simd::SimdLevel level, Fn&& fn) {
   ScopedSimdLevel guard(level);
-  double best = 1e100;
-  for (int rep = 0; rep < 3; ++rep) {
+  std::vector<double> seconds;
+  for (int rep = 0; rep < kReps; ++rep) {
     util::Stopwatch timer;
     fn();
-    best = std::min(best, timer.ElapsedMillis() / 1000);
+    seconds.push_back(timer.ElapsedMillis() / 1000);
   }
-  return best;
+  return SpreadOf(seconds);
+}
+
+/// `s` scaled by `factor` (seconds to milliseconds).
+Spread Scaled(const Spread& s, double factor) {
+  return Spread{s.median * factor, s.min * factor, s.max * factor};
 }
 
 /// Times one kernel body at forced-scalar and at the detected level.
@@ -338,17 +350,21 @@ SparseIntersect MeasureSparseIntersect() {
   roaring::RoaringBitmap roar_b = roaring::RoaringBitmap::FromBitVector(b);
   roar_a.Optimize();
   roar_b.Optimize();
-  constexpr int kReps = 200;
+  constexpr int kIntersectReps = 200;
   uint64_t sink = 0;
   // Warm both paths once, then time.
   sink += And(wah_a, wah_b).NumWords();
   sink += And(roar_a, roar_b).Count();
   util::Stopwatch wah_timer;
-  for (int r = 0; r < kReps; ++r) sink += And(wah_a, wah_b).NumWords();
-  t.wah_ms = wah_timer.ElapsedMillis() / kReps;
+  for (int r = 0; r < kIntersectReps; ++r) {
+    sink += And(wah_a, wah_b).NumWords();
+  }
+  t.wah_ms = wah_timer.ElapsedMillis() / kIntersectReps;
   util::Stopwatch roaring_timer;
-  for (int r = 0; r < kReps; ++r) sink += And(roar_a, roar_b).Count();
-  t.roaring_ms = roaring_timer.ElapsedMillis() / kReps;
+  for (int r = 0; r < kIntersectReps; ++r) {
+    sink += And(roar_a, roar_b).Count();
+  }
+  t.roaring_ms = roaring_timer.ElapsedMillis() / kIntersectReps;
   benchmark::DoNotOptimize(sink);
   return t;
 }
@@ -358,27 +374,29 @@ SparseIntersect MeasureSparseIntersect() {
 /// sweep, at one representative configuration.
 struct PipelineTiming {
   uint64_t rows = 0;
-  double scalar_ms = 0;        // AbIndex::Evaluate
-  double batched_ms = 0;       // AbIndex::EvaluateBatched, detected SIMD
-  double batched_scalar_ms = 0;  // EvaluateBatched at forced-scalar
+  Spread scalar_ms;          // AbIndex::Evaluate
+  Spread batched_ms;         // AbIndex::EvaluateBatched, detected SIMD
+  Spread batched_scalar_ms;  // EvaluateBatched at forced-scalar
 };
 
 PipelineTiming MeasurePipeline() {
   PipelineTiming t;
   const Case& c = GetCase(ScaledRows(1000000), 8, ab::Level::kPerAttribute);
   t.rows = c.index.num_rows();
-  t.scalar_ms = 1000 * TimeAtLevel(util::simd::DetectedSimdLevel(), [&] {
+  auto evaluate = [&] {
     std::vector<bool> bits = c.index.Evaluate(c.query);
     benchmark::DoNotOptimize(bits.size());
-  });
-  t.batched_ms = 1000 * TimeAtLevel(util::simd::DetectedSimdLevel(), [&] {
+  };
+  auto batched = [&] {
     std::vector<bool> bits = c.index.EvaluateBatched(c.query);
     benchmark::DoNotOptimize(bits.size());
-  });
-  t.batched_scalar_ms = 1000 * TimeAtLevel(util::simd::SimdLevel::kScalar, [&] {
-    std::vector<bool> bits = c.index.EvaluateBatched(c.query);
-    benchmark::DoNotOptimize(bits.size());
-  });
+  };
+  t.scalar_ms =
+      Scaled(TimeAtLevel(util::simd::DetectedSimdLevel(), evaluate), 1000);
+  t.batched_ms =
+      Scaled(TimeAtLevel(util::simd::DetectedSimdLevel(), batched), 1000);
+  t.batched_scalar_ms =
+      Scaled(TimeAtLevel(util::simd::SimdLevel::kScalar, batched), 1000);
   return t;
 }
 
@@ -467,15 +485,17 @@ void WriteQueryJson(const PipelineTiming& pipeline,
   // build's JSON and an -DAB_DISABLE_STATS=ON build's (EXPERIMENTS.md).
   JsonWriter w;
   w.BeginObject();
+  w.Key("source"), w.String(SourceId());
   AppendSimdInfo(&w);
   w.Key("stats_enabled"), w.Bool(obs::kStatsEnabled);
+  w.Key("reps"), w.Uint(kReps);
   w.Key("pipeline");
   w.BeginObject();
   w.Key("rows"), w.Uint(pipeline.rows);
-  w.Key("eval_scalar_ms"), w.Double(pipeline.scalar_ms);
-  w.Key("eval_batched_ms"), w.Double(pipeline.batched_ms);
-  w.Key("eval_batched_scalar_kernels_ms");
-  w.Double(pipeline.batched_scalar_ms);
+  AppendSpread(&w, "eval_scalar_ms", pipeline.scalar_ms);
+  AppendSpread(&w, "eval_batched_ms", pipeline.batched_ms);
+  AppendSpread(&w, "eval_batched_scalar_kernels_ms",
+               pipeline.batched_scalar_ms);
   w.EndObject();
   w.Key("kernels");
   w.BeginArray();
@@ -483,8 +503,8 @@ void WriteQueryJson(const PipelineTiming& pipeline,
     w.BeginObject();
     w.Key("name"), w.String(t.name);
     w.Key("items"), w.Uint(t.items);
-    w.Key("scalar_s"), w.Double(t.scalar_s, 5);
-    w.Key("simd_s"), w.Double(t.simd_s, 5);
+    AppendSpread(&w, "scalar_s", t.scalar_s, 5);
+    AppendSpread(&w, "simd_s", t.simd_s, 5);
     w.Key("simd_speedup"), w.Double(t.Speedup(), 2);
     w.EndObject();
   }
@@ -535,6 +555,14 @@ void WriteQueryJson(const PipelineTiming& pipeline,
 
 void RunKernelComparison() {
   PipelineTiming pipeline = MeasurePipeline();
+  std::fprintf(stderr,
+               "\npipeline over %llu rows, ms median [min, max] of %d: "
+               "Evaluate %.1f [%.1f, %.1f], EvaluateBatched %.1f [%.1f, "
+               "%.1f]\n",
+               static_cast<unsigned long long>(pipeline.rows), kReps,
+               pipeline.scalar_ms.median, pipeline.scalar_ms.min,
+               pipeline.scalar_ms.max, pipeline.batched_ms.median,
+               pipeline.batched_ms.min, pipeline.batched_ms.max);
   std::vector<KernelTiming> kernels = MeasureKernels();
   std::fprintf(stderr, "\nkernels: forced-scalar vs %s dispatch\n",
                util::simd::SimdLevelName(util::simd::DetectedSimdLevel()));
@@ -543,7 +571,7 @@ void RunKernelComparison() {
   for (const KernelTiming& t : kernels) {
     std::fprintf(stderr, "%-20s %12llu %12.5f %12.5f %8.2fx\n",
                  t.name.c_str(), static_cast<unsigned long long>(t.items),
-                 t.scalar_s, t.simd_s, t.Speedup());
+                 t.scalar_s.median, t.simd_s.median, t.Speedup());
   }
   std::vector<BackendSizes> backends = MeasureBackendSizes();
   std::fprintf(stderr, "\nexact backends per dataset\n");

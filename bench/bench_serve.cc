@@ -1,18 +1,19 @@
 // Multi-core serving sweep: an in-process QueryServer over the seed table,
 // driven by the closed-loop load generator, at every combination of
-// server workers {1, 2, 4} and engine threads {1, 4}. Serving is run to
-// completion, so workers are the inter-query parallelism (each executes
-// the queries it decodes) and engine threads the intra-query parallelism
-// (a whole-relation query's verify splits across the engine pool). Two
-// query mixes bracket the choice:
+// server workers {1, 2, 4} and engine threads {1, 4}, several reps per
+// point. Serving is run to completion, so workers are the inter-query
+// parallelism (each executes the queries it decodes) and engine threads
+// the intra-query parallelism (a whole-relation query's pass splits
+// across the engine pool). Two query mixes bracket the choice:
 //   * subset: 1,000-row subsets, uniform over 1,024 templates — the
 //     paper's direct-access regime, where a query costs tens of µs;
 //   * whole:  whole-relation exact counts, zipf 1.2 over 32 templates —
 //     milliseconds per query, the regime where the pool can help.
 //
-// Writes BENCH_serve.json. The human-readable table goes to stderr so
-// stdout stays clean. ABITMAP_BENCH_SCALE shrinks rows and per-point
-// duration for smoke runs.
+// Writes BENCH_serve.json: every rep, plus each point's median, min and
+// max qps and p50. The human-readable table goes to stderr so stdout
+// stays clean. ABITMAP_BENCH_SCALE shrinks rows and per-point duration
+// for smoke runs.
 
 #include <cstdio>
 #include <string>
@@ -39,23 +40,8 @@ struct SweepPoint {
   const char* mix = "";
   int workers = 1;
   int engine_threads = 1;
-  serve::LoadgenResult result;
+  std::vector<serve::LoadgenResult> reps;
 };
-
-/// `git describe --always --dirty` of the working directory, so the JSON
-/// names the source it was measured on ("unknown" outside a checkout).
-std::string SourceId() {
-  std::string out;
-  if (FILE* p = popen("git describe --always --dirty 2>/dev/null", "r")) {
-    char buf[128];
-    while (fgets(buf, sizeof(buf), p) != nullptr) out += buf;
-    pclose(p);
-  }
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  return out.empty() ? "unknown" : out;
-}
 
 int Main() {
   const uint64_t scale = DatasetScale();
@@ -64,6 +50,7 @@ int Main() {
   const int connections = 8;
   const std::vector<int> worker_sweep = {1, 2, 4};
   const std::vector<int> thread_sweep = {1, 4};
+  const int reps = 3;
 
   std::vector<Mix> mixes(2);
   mixes[0].name = "subset";
@@ -80,56 +67,71 @@ int Main() {
   fprintf(stderr, "%s\n", SimdBannerLine().c_str());
   fprintf(stderr,
           "bench_serve: rows=%llu connections=%d duration=%.1fs per point "
-          "host_threads=%d\n",
-          (unsigned long long)rows, connections, duration_s,
+          "reps=%d host_threads=%d\n",
+          (unsigned long long)rows, connections, duration_s, reps,
           util::DefaultThreadCount());
 
-  std::vector<SweepPoint> points;
+  std::vector<engine::HybridEngine> engines;
+  engines.reserve(thread_sweep.size());
   for (int threads : thread_sweep) {
     engine::HybridEngine::Options engine_options;
     engine_options.binning.bins = 16;
     engine_options.num_threads = threads;
-    engine::HybridEngine engine = engine::HybridEngine::Build(
-        serve::MakeSeedTable(rows, 42), engine_options);
+    engines.push_back(engine::HybridEngine::Build(
+        serve::MakeSeedTable(rows, 42), engine_options));
+  }
+  std::vector<SweepPoint> points;
+  for (int threads : thread_sweep) {
     for (int workers : worker_sweep) {
-      serve::QueryServer::Options options;
-      options.num_workers = workers;
-      serve::QueryServer server(&engine, options);
-      util::Status status = server.Start();
-      if (!status.ok()) {
-        fprintf(stderr, "bench_serve: server start failed: %s\n",
-                status.message().c_str());
-        return 1;
-      }
       for (const Mix& mix : mixes) {
-        serve::LoadgenOptions loadgen;
-        loadgen.port = server.port();
-        loadgen.connections = connections;
-        loadgen.duration_s = duration_s;
-        loadgen.zipf_theta = mix.zipf_theta;
-        loadgen.seed = 1;
-        util::StatusOr<serve::LoadgenResult> result = serve::RunLoadgen(
-            serve::MakeQueryTemplates(rows, mix.templates), loadgen);
-        if (!result.ok()) {
-          fprintf(stderr, "bench_serve: loadgen failed: %s\n",
-                  result.status().message().c_str());
-          return 1;
-        }
         SweepPoint point;
         point.mix = mix.name;
         point.workers = workers;
         point.engine_threads = threads;
-        point.result = result.value();
         points.push_back(point);
-        fprintf(stderr,
-                "  %-6s workers=%d engine_threads=%d qps=%9.1f "
-                "p50=%8.1fus p99=%8.1fus errors=%llu rejected=%llu\n",
-                mix.name, workers, threads, point.result.qps,
-                point.result.p50_us, point.result.p99_us,
-                (unsigned long long)point.result.errors,
-                (unsigned long long)point.result.rejected);
       }
-      server.Stop();
+    }
+  }
+  // Reps are the outer loop, so drift on the host spreads over every
+  // point instead of landing on one.
+  for (int rep = 0; rep < reps; ++rep) {
+    size_t at = 0;
+    for (size_t e = 0; e < engines.size(); ++e) {
+      for (int workers : worker_sweep) {
+        serve::QueryServer::Options options;
+        options.num_workers = workers;
+        serve::QueryServer server(&engines[e], options);
+        util::Status status = server.Start();
+        if (!status.ok()) {
+          fprintf(stderr, "bench_serve: server start failed: %s\n",
+                  status.message().c_str());
+          return 1;
+        }
+        for (const Mix& mix : mixes) {
+          serve::LoadgenOptions loadgen;
+          loadgen.port = server.port();
+          loadgen.connections = connections;
+          loadgen.duration_s = duration_s;
+          loadgen.zipf_theta = mix.zipf_theta;
+          loadgen.seed = 1;
+          util::StatusOr<serve::LoadgenResult> result = serve::RunLoadgen(
+              serve::MakeQueryTemplates(rows, mix.templates), loadgen);
+          if (!result.ok()) {
+            fprintf(stderr, "bench_serve: loadgen failed: %s\n",
+                    result.status().message().c_str());
+            return 1;
+          }
+          const serve::LoadgenResult& r = result.value();
+          points[at++].reps.push_back(r);
+          fprintf(stderr,
+                  "  rep=%d %-6s workers=%d engine_threads=%d qps=%9.1f "
+                  "p50=%8.1fus p99=%8.1fus errors=%llu rejected=%llu\n",
+                  rep, mix.name, workers, thread_sweep[e], r.qps, r.p50_us,
+                  r.p99_us, (unsigned long long)r.errors,
+                  (unsigned long long)r.rejected);
+        }
+        server.Stop();
+      }
     }
   }
 
@@ -146,6 +148,8 @@ int Main() {
   w.Uint(static_cast<uint64_t>(connections));
   w.Key("duration_s");
   w.Double(duration_s, 2);
+  w.Key("reps");
+  w.Uint(static_cast<uint64_t>(reps));
   w.Key("mixes");
   w.BeginArray();
   for (const Mix& mix : mixes) {
@@ -173,26 +177,40 @@ int Main() {
     w.Uint(static_cast<uint64_t>(p.workers));
     w.Key("engine_threads");
     w.Uint(static_cast<uint64_t>(p.engine_threads));
-    w.Key("requests");
-    w.Uint(p.result.requests);
-    w.Key("ok");
-    w.Uint(p.result.ok);
-    w.Key("rejected");
-    w.Uint(p.result.rejected);
-    w.Key("errors");
-    w.Uint(p.result.errors);
-    w.Key("qps");
-    w.Double(p.result.qps, 1);
-    w.Key("mean_us");
-    w.Double(p.result.mean_us, 1);
-    w.Key("p50_us");
-    w.Double(p.result.p50_us, 1);
-    w.Key("p90_us");
-    w.Double(p.result.p90_us, 1);
-    w.Key("p99_us");
-    w.Double(p.result.p99_us, 1);
-    w.Key("max_us");
-    w.Double(p.result.max_us, 1);
+    std::vector<double> qps, p50;
+    for (const serve::LoadgenResult& r : p.reps) {
+      qps.push_back(r.qps);
+      p50.push_back(r.p50_us);
+    }
+    AppendSpread(&w, "qps", SpreadOf(qps), 1);
+    AppendSpread(&w, "p50_us", SpreadOf(p50), 1);
+    w.Key("reps");
+    w.BeginArray();
+    for (const serve::LoadgenResult& r : p.reps) {
+      w.BeginObject();
+      w.Key("requests");
+      w.Uint(r.requests);
+      w.Key("ok");
+      w.Uint(r.ok);
+      w.Key("rejected");
+      w.Uint(r.rejected);
+      w.Key("errors");
+      w.Uint(r.errors);
+      w.Key("qps");
+      w.Double(r.qps, 1);
+      w.Key("mean_us");
+      w.Double(r.mean_us, 1);
+      w.Key("p50_us");
+      w.Double(r.p50_us, 1);
+      w.Key("p90_us");
+      w.Double(r.p90_us, 1);
+      w.Key("p99_us");
+      w.Double(r.p99_us, 1);
+      w.Key("max_us");
+      w.Double(r.max_us, 1);
+      w.EndObject();
+    }
+    w.EndArray();
     w.EndObject();
   }
   w.EndArray();

@@ -1,5 +1,6 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -227,6 +228,38 @@ void AppendSimdInfo(JsonWriter* writer) {
   writer->Key("active");
   writer->String(util::simd::SimdLevelName(util::simd::ActiveSimdLevel()));
   writer->EndObject();
+}
+
+Spread SpreadOf(std::vector<double> values) {
+  AB_CHECK(!values.empty());
+  std::sort(values.begin(), values.end());
+  return Spread{values[values.size() / 2], values.front(), values.back()};
+}
+
+void AppendSpread(JsonWriter* writer, const char* name, const Spread& spread,
+                  int precision) {
+  writer->Key(name);
+  writer->BeginObject();
+  writer->Key("median");
+  writer->Double(spread.median, precision);
+  writer->Key("min");
+  writer->Double(spread.min, precision);
+  writer->Key("max");
+  writer->Double(spread.max, precision);
+  writer->EndObject();
+}
+
+std::string SourceId() {
+  std::string out;
+  if (std::FILE* p = popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
+    pclose(p);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
 }
 
 bool WriteJsonFile(const std::string& path, const std::string& content) {

@@ -121,6 +121,23 @@ class JsonWriter {
 /// Appends the common `"simd": {"detected": ..., "active": ...}` entry.
 void AppendSimdInfo(JsonWriter* writer);
 
+/// Median, min and max of repeated measurements of one quantity.
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+Spread SpreadOf(std::vector<double> values);
+
+/// Appends `"name": {"median": ..., "min": ..., "max": ...}`.
+void AppendSpread(JsonWriter* writer, const char* name, const Spread& spread,
+                  int precision = 4);
+
+/// `git describe --always --dirty` of the working directory, so a JSON
+/// record names the source it was measured on ("unknown" outside a
+/// checkout).
+std::string SourceId();
+
 /// Writes `content` to `path`, printing a warning to stderr on failure.
 /// Returns true on success.
 bool WriteJsonFile(const std::string& path, const std::string& content);

@@ -179,7 +179,9 @@ AbIndex AbIndex::Build(const bitmap::BinnedDataset& dataset,
   // Figure 3: insert every set bit of the bitmap table. Iterating the
   // dataset column-by-column visits exactly the set cells (one per
   // attribute per row) without materializing the table.
-  index.InsertRowRange(dataset, 0, dataset.num_rows(), 0);
+  for (uint32_t a = 0; a < dataset.num_attributes(); ++a) {
+    index.InsertAttributeCells(dataset, a, 0, dataset.num_rows());
+  }
   index.built_fp_ = index.WorstExpectedFp();
   AB_STATS_INC(obs::Counter::kIndexBuilds);
   AB_STATS_ADD(obs::Counter::kIndexRowsIndexed, dataset.num_rows());
@@ -345,7 +347,7 @@ constexpr size_t kInsertBuffer = 256;
 template <typename Sink>
 void AbIndex::ForEachAttributeCellBatch(const bitmap::BinnedDataset& dataset,
                                         uint32_t a, uint64_t row_begin,
-                                        uint64_t row_end, uint64_t id_offset,
+                                        uint64_t row_end,
                                         Sink&& sink) const {
   const std::vector<uint32_t>& column_values = dataset.values[a];
   uint64_t keys[kInsertBuffer];
@@ -353,9 +355,8 @@ void AbIndex::ForEachAttributeCellBatch(const bitmap::BinnedDataset& dataset,
   size_t m = 0;
   for (uint64_t i = row_begin; i < row_end; ++i) {
     uint32_t gcol = mapping_.GlobalColumn(a, column_values[i]);
-    uint64_t row = id_offset + i;
-    keys[m] = mapper_.Key(row, gcol);
-    cells[m] = hash::CellRef{row, gcol};
+    keys[m] = mapper_.Key(i, gcol);
+    cells[m] = hash::CellRef{i, gcol};
     if (++m == kInsertBuffer) {
       sink(keys, cells, m);
       m = 0;
@@ -366,7 +367,7 @@ void AbIndex::ForEachAttributeCellBatch(const bitmap::BinnedDataset& dataset,
 
 void AbIndex::InsertAttributeCells(const bitmap::BinnedDataset& dataset,
                                    uint32_t a, uint64_t row_begin,
-                                   uint64_t row_end, uint64_t id_offset) {
+                                   uint64_t row_end) {
   if (config_.level == Level::kPerColumn) {
     // Routing is per-cell here (one filter per bitmap column), so a
     // column scan has no single-filter window to batch-hash; the filters
@@ -374,8 +375,7 @@ void AbIndex::InsertAttributeCells(const bitmap::BinnedDataset& dataset,
     const std::vector<uint32_t>& column_values = dataset.values[a];
     for (uint64_t i = row_begin; i < row_end; ++i) {
       uint32_t gcol = mapping_.GlobalColumn(a, column_values[i]);
-      uint64_t row = id_offset + i;
-      filters_[gcol].Insert(mapper_.Key(row, gcol), hash::CellRef{row, gcol});
+      filters_[gcol].Insert(mapper_.Key(i, gcol), hash::CellRef{i, gcol});
     }
     return;
   }
@@ -383,20 +383,10 @@ void AbIndex::InsertAttributeCells(const bitmap::BinnedDataset& dataset,
   // filter, so the column scan feeds the batched kernel directly.
   ApproximateBitmap* filter = &filters_[Route(a, mapping_.GlobalColumn(a, 0))];
   ForEachAttributeCellBatch(
-      dataset, a, row_begin, row_end, id_offset,
+      dataset, a, row_begin, row_end,
       [filter](const uint64_t* keys, const hash::CellRef* cells, size_t m) {
         filter->InsertBatch(keys, cells, m);
       });
-}
-
-void AbIndex::InsertRowRange(const bitmap::BinnedDataset& dataset,
-                             uint64_t row_begin, uint64_t row_end,
-                             uint64_t id_offset) {
-  AB_CHECK_LE(row_begin, row_end);
-  AB_CHECK_LE(id_offset + row_end, num_rows_);
-  for (uint32_t a = 0; a < dataset.num_attributes(); ++a) {
-    InsertAttributeCells(dataset, a, row_begin, row_end, id_offset);
-  }
 }
 
 void AbIndex::BuildAttributeOwner(const bitmap::BinnedDataset& dataset,
@@ -410,8 +400,7 @@ void AbIndex::BuildAttributeOwner(const bitmap::BinnedDataset& dataset,
       0, dataset.num_attributes(), [&](uint64_t ab, uint64_t ae, int) {
         AB_SPAN("ab/build/attr-owner");
         for (uint64_t a = ab; a < ae; ++a) {
-          InsertAttributeCells(dataset, static_cast<uint32_t>(a), 0, n_rows,
-                               0);
+          InsertAttributeCells(dataset, static_cast<uint32_t>(a), 0, n_rows);
         }
       });
 }
@@ -438,7 +427,7 @@ void AbIndex::BuildPrivateShards(const bitmap::BinnedDataset& dataset,
           AB_SPAN("ab/build/shard");
           for (uint32_t a = attr_begin; a < attr_end; ++a) {
             ForEachAttributeCellBatch(
-                dataset, a, begin, end, 0,
+                dataset, a, begin, end,
                 [&worker_shards, chunk](const uint64_t* keys,
                                         const hash::CellRef* cells,
                                         size_t m) {
@@ -493,12 +482,6 @@ bool AbIndex::TestCell(uint64_t row, uint32_t attr, uint32_t bin) const {
   uint32_t gcol = mapping_.GlobalColumn(attr, bin);
   return filters_[Route(attr, gcol)].Test(mapper_.Key(row, gcol),
                                           hash::CellRef{row, gcol});
-}
-
-bool AbIndex::TestCellGlobal(uint64_t row, uint32_t global_col) const {
-  uint32_t attr, bin;
-  mapping_.AttrBin(global_col, &attr, &bin);
-  return TestCell(row, attr, bin);
 }
 
 uint64_t AbIndex::RangeSelectivityRows(
@@ -798,32 +781,6 @@ double AbIndex::EstimateQueryPrecision(
   return std::min(1.0, p_true / p_reported);
 }
 
-void AbIndex::AppendRows(const bitmap::BinnedDataset& delta) {
-  AB_SPAN("ab/append");
-  delta.CheckValid();
-  AB_CHECK_EQ(delta.num_attributes(), mapping_.num_attributes());
-  for (uint32_t a = 0; a < delta.num_attributes(); ++a) {
-    AB_CHECK_EQ(delta.attributes[a].cardinality, mapping_.cardinality(a));
-  }
-  uint64_t base = num_rows_;
-  uint64_t added = delta.num_rows();
-  num_rows_ = base + added;
-  for (uint32_t a = 0; a < delta.num_attributes(); ++a) {
-    for (uint32_t v : delta.values[a]) {
-      ++column_set_bits_[mapping_.GlobalColumn(a, v)];
-    }
-  }
-  // Delta rows are local ids 0..added-1; they hash as rows base+i.
-  InsertRowRange(delta, 0, added, base);
-  AB_STATS_ADD(obs::Counter::kIndexRowsAppended, added);
-}
-
-bool AbIndex::NeedsRebuild(double fp_budget_factor) const {
-  AB_CHECK_GT(fp_budget_factor, 0.0);
-  if (built_fp_ <= 0) return false;
-  return WorstExpectedFp() > built_fp_ * fp_budget_factor;
-}
-
 void AbIndex::Serialize(util::ByteWriter* out) const {
   out->WriteU8(static_cast<uint8_t>(config_.level));
   out->WriteDouble(config_.alpha);
@@ -964,16 +921,6 @@ util::StatusOr<AbIndex> AbIndex::LoadFromFile(const std::string& path) {
   if (!status.ok()) return status;
   util::ByteReader reader(payload);
   return Deserialize(&reader);
-}
-
-std::vector<bool> AbIndex::EvaluateCells(
-    const bitmap::CellQuery& query) const {
-  std::vector<bool> out;
-  out.reserve(query.size());
-  for (const bitmap::Cell& c : query) {
-    out.push_back(TestCellGlobal(c.row, c.col));
-  }
-  return out;
 }
 
 }  // namespace ab

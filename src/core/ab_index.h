@@ -164,9 +164,6 @@ class AbIndex {
   /// negatives: a true bitmap 1 is always reported 1.
   bool TestCell(uint64_t row, uint32_t attr, uint32_t bin) const;
 
-  /// Approximate value of bitmap cell (row, global column id).
-  bool TestCellGlobal(uint64_t row, uint32_t global_col) const;
-
   /// Figure 7: evaluates a bitmap query, one output bit per requested row
   /// (all rows when query.rows is empty). Within an attribute the bins are
   /// ORed with early exit on the first hit; across attributes the results
@@ -234,28 +231,8 @@ class AbIndex {
     return column_set_bits_[mapping_.GlobalColumn(attr, bin)];
   }
 
-  /// Appends the rows of `delta` (same schema) to the index: their cells
-  /// are hashed into the existing filters with row ids starting at
-  /// num_rows(). Appending raises the fill ratio beyond the alpha the
-  /// filters were sized for; NeedsRebuild() reports when the expected
-  /// false positive rate has degraded past `fp_budget_factor` times the
-  /// as-built rate.
-  void AppendRows(const bitmap::BinnedDataset& delta);
-
-  /// True when accumulated appends have pushed the worst filter's
-  /// expected FP rate beyond `fp_budget_factor` x its as-built rate.
-  bool NeedsRebuild(double fp_budget_factor = 2.0) const;
-
-  /// Largest expected FP rate across filters at the current insertion
-  /// counts (the NeedsRebuild measure).
-  double WorstExpectedFp() const;
-
-  /// As-built expected FP of the worst filter (the NeedsRebuild baseline).
+  /// As-built expected FP of the worst filter, stored with the index.
   double built_fp() const { return built_fp_; }
-
-  /// Row-subset variant of Section 3.1 retrieval: approximate values of an
-  /// arbitrary cell list (global column ids).
-  std::vector<bool> EvaluateCells(const bitmap::CellQuery& query) const;
 
   /// Appends the whole index (config, schema, all filters) to `out`.
   void Serialize(util::ByteWriter* out) const;
@@ -282,17 +259,14 @@ class AbIndex {
                               const FamilyFactory& factory);
 
   /// Inserts attribute `a`'s cells of rows [row_begin, row_end) into the
-  /// index's own filters. Row ids are shifted by `id_offset` (AppendRows
-  /// inserts a delta whose local row 0 is the index's row num_rows()).
-  /// Per-dataset/per-attribute cells all route to one filter and go
-  /// through the batched kernel (one ProbesBatch dispatch + one
-  /// write-prefetch pass per window); per-column routing is per-cell, so
-  /// those filters take the scalar path (they are small and
+  /// index's own filters. Per-dataset/per-attribute cells all route to
+  /// one filter and go through the batched kernel (one ProbesBatch
+  /// dispatch + one write-prefetch pass per window); per-column routing is
+  /// per-cell, so those filters take the scalar path (they are small and
   /// cache-resident). Writes only filters attribute `a` can reach at the
   /// per-attribute and per-column levels.
   void InsertAttributeCells(const bitmap::BinnedDataset& dataset, uint32_t a,
-                            uint64_t row_begin, uint64_t row_end,
-                            uint64_t id_offset);
+                            uint64_t row_begin, uint64_t row_end);
 
   /// The staging loop shared by the batched insert paths: maps attribute
   /// `a`'s cells of rows [row_begin, row_end) to (key, cell) pairs in
@@ -301,8 +275,7 @@ class AbIndex {
   template <typename Sink>
   void ForEachAttributeCellBatch(const bitmap::BinnedDataset& dataset,
                                  uint32_t a, uint64_t row_begin,
-                                 uint64_t row_end, uint64_t id_offset,
-                                 Sink&& sink) const;
+                                 uint64_t row_end, Sink&& sink) const;
 
   /// The two parallel bodies behind BuildParallel. Each populates this
   /// index's filters from the whole dataset using `pool`.
@@ -310,12 +283,6 @@ class AbIndex {
                            util::ThreadPool* pool);
   void BuildPrivateShards(const bitmap::BinnedDataset& dataset,
                           util::ThreadPool* pool);
-
-  /// Inserts the set bits of rows [row_begin, row_end) into the index's
-  /// own filters, attribute by attribute (Figure 3's column-major order).
-  void InsertRowRange(const bitmap::BinnedDataset& dataset,
-                      uint64_t row_begin, uint64_t row_end,
-                      uint64_t id_offset);
 
   /// Index of the filter responsible for a global column.
   size_t Route(uint32_t attr, uint32_t global_col) const;
@@ -338,7 +305,10 @@ class AbIndex {
   /// Rows matching an attribute range, from the bin histograms.
   uint64_t RangeSelectivityRows(const bitmap::AttributeRange& range) const;
 
-  /// As-built expected FP of the worst filter (NeedsRebuild baseline).
+  /// Largest expected FP rate across filters at their insertion counts.
+  double WorstExpectedFp() const;
+
+  /// As-built expected FP of the worst filter.
   double built_fp_ = 0;
 
   AbConfig config_;
@@ -346,7 +316,7 @@ class AbIndex {
   uint64_t num_rows_;
   CellMapper mapper_;
   std::vector<ApproximateBitmap> filters_;
-  /// Rows per bitmap column (bin histogram), maintained across appends.
+  /// Rows per bitmap column (bin histogram).
   std::vector<uint64_t> column_set_bits_;
 };
 

@@ -123,15 +123,18 @@ bool HybridEngine::DeleteRow(uint64_t row) {
   return true;
 }
 
-bool HybridEngine::Tombstoned(uint64_t row) const {
+uint64_t HybridEngine::TombstoneWord(uint64_t w) const {
   const std::atomic<uint64_t>* words =
-      ingest_->tombstones[row / IngestState::kChunkRows].load(
+      ingest_->tombstones[w / (IngestState::kChunkRows / 64)].load(
           std::memory_order_acquire);
-  return words != nullptr &&
-         ((words[row % IngestState::kChunkRows / 64].load(
-               std::memory_order_acquire) >>
-           (row % 64)) &
-          1) != 0;
+  return words == nullptr
+             ? 0
+             : words[w % (IngestState::kChunkRows / 64)].load(
+                   std::memory_order_acquire);
+}
+
+bool HybridEngine::Tombstoned(uint64_t row) const {
+  return ((TombstoneWord(row / 64) >> (row % 64)) & 1) != 0;
 }
 
 bool HybridEngine::RowLive(uint64_t row) const {
@@ -353,10 +356,12 @@ class SlicedPass {
   }
 
   /// The whole relation, as words: counts are popcounts, and row ids
-  /// (unless count_only) the set bits. With a pool, chunks split the
+  /// (unless count_only) the set bits. `dead(w)` is word w's tombstone
+  /// bits, masked out before the compare. With a pool, chunks split the
   /// words, so per-chunk counts sum and the id parts concatenate in row
   /// order.
-  Tally WholeRelation(uint64_t num_rows, bool count_only,
+  template <typename Dead>
+  Tally WholeRelation(uint64_t num_rows, bool count_only, const Dead& dead,
                       util::ThreadPool* pool,
                       std::vector<uint64_t>* row_ids) const {
     const size_t num_words = (num_rows + 63) / 64;
@@ -374,7 +379,8 @@ class SlicedPass {
         RunBlock(
             n, [first](size_t i) { return first + i; },
             [&](size_t i) {
-              return first + i + 1 == num_words ? tail : ~uint64_t{0};
+              return (first + i + 1 == num_words ? tail : ~uint64_t{0}) &
+                     ~dead(first + i);
             },
             buf.cand.data(), buf.keep.data(), &buf, &tally);
         const uint64_t candidates =
@@ -395,10 +401,13 @@ class SlicedPass {
 
   /// A row subset, in request order (rows may be unsorted and repeat):
   /// the rows are grouped by 64-row word, and each word they touch is
-  /// compared once, restricted to its requested rows. Counts are per
-  /// requested row; raw reads are per distinct row.
+  /// compared once, restricted to its requested rows less `dead(w)`, word
+  /// w's tombstone bits. Counts are per requested row; raw reads are per
+  /// distinct row.
+  template <typename Dead>
   Tally Subset(const std::vector<uint64_t>& rows, uint64_t num_rows,
-               bool count_only, std::vector<uint64_t>* row_ids) const {
+               bool count_only, const Dead& dead,
+               std::vector<uint64_t>* row_ids) const {
     // The distinct words, ascending, and each requested row's slot in
     // them.
     std::vector<uint64_t> words;
@@ -429,6 +438,7 @@ class SlicedPass {
       slot[i] = static_cast<uint32_t>(at);
       requested[at] |= uint64_t{1} << (rows[i] % 64);
     }
+    for (size_t i = 0; i < words.size(); ++i) requested[i] &= ~dead(words[i]);
     Tally tally;
     Buffers buf;
     std::vector<uint64_t> cand(words.size());
@@ -471,7 +481,8 @@ class SlicedPass {
 
 }  // namespace
 
-EngineResult HybridEngine::ExecuteExactImpl(const EngineQuery& query) const {
+EngineResult HybridEngine::ExecuteExactImpl(const EngineQuery& query,
+                                            bool mask_deleted) const {
   AB_SPAN("engine/exact");
   AB_STATS_INC(obs::Counter::kEngineExactRouted);
   util::Stopwatch query_timer;
@@ -484,12 +495,17 @@ EngineResult HybridEngine::ExecuteExactImpl(const EngineQuery& query) const {
     AB_SPAN("engine/verify");
     obs::ScopedLatencyTimer timer(obs::Histogram::kVerifyLatencyNs);
     const SlicedPass pass(*index_, table_, query);
+    auto run = [&](const auto& dead) {
+      return query.rows.empty()
+                 ? pass.WholeRelation(table_.num_rows(), query.count_only,
+                                      dead, pool_.get(), &result.row_ids)
+                 : pass.Subset(query.rows, table_.num_rows(),
+                               query.count_only, dead, &result.row_ids);
+    };
     Tally tally =
-        query.rows.empty()
-            ? pass.WholeRelation(table_.num_rows(), query.count_only,
-                                 pool_.get(), &result.row_ids)
-            : pass.Subset(query.rows, table_.num_rows(), query.count_only,
-                          &result.row_ids);
+        mask_deleted
+            ? run([this](uint64_t w) { return TombstoneWord(w); })
+            : run([](uint64_t) { return uint64_t{0}; });
     FinalizeVerification(query, tally.candidates, tally.kept, &result);
     result.trace.raw_reads = tally.raw_reads;
     result.trace.verify_ns = tally.verify_ns;
@@ -514,34 +530,25 @@ EngineResult HybridEngine::Execute(const EngineQuery& query) const {
   if (HasMutations()) {
     return ExecuteMutable(query);
   }
-  return ExecuteExactImpl(query);
-}
-
-void HybridEngine::DropDeletedBaseRows(std::vector<uint64_t>* row_ids) const {
-  if (ingest_->base_deletes.load(std::memory_order_acquire) == 0) return;
-  row_ids->erase(
-      std::remove_if(row_ids->begin(), row_ids->end(),
-                     [this](uint64_t row) { return Tombstoned(row); }),
-      row_ids->end());
+  return ExecuteExactImpl(query, /*mask_deleted=*/false);
 }
 
 EngineResult HybridEngine::ExecuteMutable(const EngineQuery& query) const {
+  // Tombstoned base rows are masked out of the base pass itself, so its
+  // counts stay popcounts and every trace count covers live rows only.
+  const bool mask_deleted =
+      ingest_->base_deletes.load(std::memory_order_acquire) > 0;
   EngineResult result;
   std::vector<uint64_t> delta_rows;
   const std::vector<uint64_t>* delta_subset = nullptr;
-  // With base tombstones, the base part of a count is the size of its id
-  // list once the tombstoned ids are dropped.
-  EngineQuery base_query = query;
-  base_query.count_only =
-      query.count_only &&
-      ingest_->base_deletes.load(std::memory_order_acquire) == 0;
   if (query.rows.empty()) {
-    result = ExecuteExactImpl(base_query);
+    result = ExecuteExactImpl(query, mask_deleted);
   } else {
     // Split the row subset: base ids go to the base index, ingested ids
     // to the delta. Result ids come out base-part first (in query order),
     // then delta-part (in query order).
     uint64_t base_n = table_.num_rows();
+    EngineQuery base_query = query;
     base_query.rows.clear();
     for (uint64_t row : query.rows) {
       if (row < base_n) {
@@ -551,19 +558,14 @@ EngineResult HybridEngine::ExecuteMutable(const EngineQuery& query) const {
       }
     }
     if (!base_query.rows.empty()) {
-      result = ExecuteExactImpl(base_query);
+      result = ExecuteExactImpl(base_query, mask_deleted);
     } else {
       result.path = "delta";
       result.approximate = !query.exact;
     }
     delta_subset = &delta_rows;
   }
-  if (!base_query.count_only) {
-    DropDeletedBaseRows(&result.row_ids);
-    result.count = result.row_ids.size();
-  }
   AppendDeltaMatches(query, delta_subset, &result);
-  if (query.count_only) result.row_ids = {};
   return result;
 }
 

@@ -111,9 +111,11 @@ class HybridEngine {
   // The base table and its index stay immutable. Ingested rows live in
   // append-only chunks that hold each cell's raw value and served bin,
   // and deletes, base or ingested, set one tombstone bit per engine id.
-  // Execute merges: the base result minus tombstones, plus a scan of the
-  // live ingested rows. Ingest/delete calls are internally synchronized
-  // and may run concurrently with queries from other threads.
+  // Execute merges: the base pass with its tombstone words masked out of
+  // the rows it compares, plus a scan of the live ingested rows, so every
+  // count and trace count covers live rows only. Ingest/delete calls are
+  // internally synchronized and may run concurrently with queries from
+  // other threads.
 
   /// Appends a row (one value per column); returns its engine row id
   /// (base rows keep ids [0, base_rows); ingested rows follow).
@@ -155,10 +157,12 @@ class HybridEngine {
   HybridEngine(Table table, const Options& options)
       : table_(std::move(table)), options_(options) {}
 
-  /// The base index alone: ingested rows and tombstones are not consulted.
-  EngineResult ExecuteExactImpl(const EngineQuery& query) const;
-  /// Mutation-aware execution: base result minus tombstones, plus
-  /// verified delta matches.
+  /// The base index alone: ingested rows are not consulted, and
+  /// tombstoned base rows are masked out of the pass when `mask_deleted`.
+  EngineResult ExecuteExactImpl(const EngineQuery& query,
+                                bool mask_deleted) const;
+  /// Mutation-aware execution: the base pass less its tombstoned rows,
+  /// plus verified delta matches.
   EngineResult ExecuteMutable(const EngineQuery& query) const;
   /// Scans the live ingested rows (all committed when `rows_global` is
   /// null, else the listed engine ids) and appends the matches to
@@ -166,9 +170,9 @@ class HybridEngine {
   void AppendDeltaMatches(const EngineQuery& query,
                           const std::vector<uint64_t>* rows_global,
                           EngineResult* result) const;
-  /// Removes tombstoned base rows from `row_ids`.
-  void DropDeletedBaseRows(std::vector<uint64_t>* row_ids) const;
   bool HasMutations() const;
+  /// The tombstone bits of engine ids [w * 64, w * 64 + 64).
+  uint64_t TombstoneWord(uint64_t w) const;
   /// Whether engine id `row` carries a tombstone.
   bool Tombstoned(uint64_t row) const;
 

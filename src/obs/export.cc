@@ -34,7 +34,6 @@ const char* const kCounterHelp[kNumCounters] = {
     "Serial AbIndex builds completed",
     "Pool-parallel AbIndex builds completed",
     "Rows inserted by AbIndex builds",
-    "Rows added by AbIndex::AppendRows",
     "Shard-merge words actually ORed",
     "Shard-merge words skipped as untouched",
     "HybridEngine queries executed",

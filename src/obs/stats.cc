@@ -26,7 +26,6 @@ const char* const kCounterNames[kNumCounters] = {
     "index_builds",
     "index_builds_parallel",
     "index_rows_indexed",
-    "index_rows_appended",
     "build_merge_words_ored",
     "build_merge_words_skipped",
     "engine_queries",

@@ -61,7 +61,6 @@ enum class Counter : uint32_t {
   kIndexBuilds,            ///< serial builds completed
   kIndexBuildsParallel,    ///< pool builds completed
   kIndexRowsIndexed,       ///< rows inserted by builds
-  kIndexRowsAppended,      ///< rows added by AppendRows
   kBuildMergeWordsOred,    ///< shard-merge words actually ORed
   kBuildMergeWordsSkipped, ///< shard-merge words skipped as untouched
   // --- HybridEngine execution / verification ---

@@ -127,89 +127,6 @@ TEST(PrecisionEstimateTest, MoreSelectiveQueriesEstimateLowerPrecision) {
             index.EstimateQueryPrecision(wide));
 }
 
-TEST(AppendTest, AppendedRowsAreQueryable) {
-  bitmap::BinnedDataset base = data::MakeSynthetic(
-      "u", 1000, 2, 8, data::Distribution::kUniform, 8);
-  bitmap::BinnedDataset delta = data::MakeSynthetic(
-      "u2", 300, 2, 8, data::Distribution::kUniform, 9);
-  AbConfig cfg;
-  cfg.alpha = 16;
-  AbIndex index = AbIndex::Build(base, cfg);
-  index.AppendRows(delta);
-  EXPECT_EQ(index.num_rows(), 1300u);
-  // Old rows unaffected, new rows present.
-  for (uint64_t i = 0; i < 1000; ++i) {
-    for (uint32_t a = 0; a < 2; ++a) {
-      EXPECT_TRUE(index.TestCell(i, a, base.values[a][i]));
-    }
-  }
-  for (uint64_t i = 0; i < 300; ++i) {
-    for (uint32_t a = 0; a < 2; ++a) {
-      EXPECT_TRUE(index.TestCell(1000 + i, a, delta.values[a][i]));
-    }
-  }
-}
-
-TEST(AppendTest, AppendEqualsBuildOverConcatenation) {
-  // The AB is order-insensitive, so append must equal a from-scratch build
-  // over the concatenated data with the same filter sizes. (Sizes are
-  // fixed at build time, so compare against a build with n_bits_override.)
-  bitmap::BinnedDataset base = data::MakeSynthetic(
-      "u", 800, 2, 6, data::Distribution::kUniform, 10);
-  bitmap::BinnedDataset delta = data::MakeSynthetic(
-      "u2", 200, 2, 6, data::Distribution::kUniform, 11);
-  AbConfig cfg;
-  cfg.alpha = 8;
-  cfg.k = 4;
-  cfg.level = Level::kPerAttribute;
-  AbIndex appended = AbIndex::Build(base, cfg);
-  uint64_t frozen_bits = appended.filter(0).size_bits();
-  appended.AppendRows(delta);
-
-  bitmap::BinnedDataset all = base;
-  for (uint32_t a = 0; a < 2; ++a) {
-    all.values[a].insert(all.values[a].end(), delta.values[a].begin(),
-                         delta.values[a].end());
-  }
-  AbConfig frozen_cfg = cfg;
-  frozen_cfg.n_bits_override = frozen_bits;
-  AbIndex rebuilt = AbIndex::Build(all, frozen_cfg);
-  for (size_t f = 0; f < appended.num_filters(); ++f) {
-    EXPECT_EQ(appended.filter(f).bits(), rebuilt.filter(f).bits()) << f;
-  }
-}
-
-TEST(AppendTest, NeedsRebuildAfterHeavyAppends) {
-  bitmap::BinnedDataset base = data::MakeSynthetic(
-      "u", 500, 2, 8, data::Distribution::kUniform, 12);
-  AbConfig cfg;
-  cfg.alpha = 8;
-  AbIndex index = AbIndex::Build(base, cfg);
-  EXPECT_FALSE(index.NeedsRebuild());
-  // Quadruple the data: expected FP rises well past 2x the as-built rate.
-  for (int round = 0; round < 3; ++round) {
-    index.AppendRows(data::MakeSynthetic("d", 500, 2, 8,
-                                         data::Distribution::kUniform,
-                                         13 + round));
-  }
-  EXPECT_TRUE(index.NeedsRebuild());
-  EXPECT_FALSE(index.NeedsRebuild(/*fp_budget_factor=*/1000.0));
-}
-
-TEST(AppendTest, HistogramsFollowAppends) {
-  bitmap::BinnedDataset base = data::MakeSynthetic(
-      "u", 400, 1, 4, data::Distribution::kUniform, 14);
-  bitmap::BinnedDataset delta = data::MakeSynthetic(
-      "d", 100, 1, 4, data::Distribution::kUniform, 15);
-  AbConfig cfg;
-  cfg.alpha = 8;
-  AbIndex index = AbIndex::Build(base, cfg);
-  index.AppendRows(delta);
-  uint64_t total = 0;
-  for (uint32_t b = 0; b < 4; ++b) total += index.ColumnSetBits(0, b);
-  EXPECT_EQ(total, 500u);
-}
-
 TEST(AppendTest, StatisticsSurviveSerialization) {
   bitmap::BinnedDataset d = SkewedDataset(1000, 16);
   AbConfig cfg;
@@ -229,7 +146,7 @@ TEST(AppendTest, StatisticsSurviveSerialization) {
   q.ranges = {{0, 1, 3}, {1, 0, 2}};
   EXPECT_DOUBLE_EQ(back.value().EstimateQueryPrecision(q),
                    original.EstimateQueryPrecision(q));
-  EXPECT_EQ(back.value().NeedsRebuild(), original.NeedsRebuild());
+  EXPECT_EQ(back.value().built_fp(), original.built_fp());
 }
 
 }  // namespace

@@ -234,19 +234,6 @@ TEST(AbIndexTest, ParallelBuildMoreThreadsThanRows) {
   }
 }
 
-TEST(AbIndexTest, EvaluateCellsMatchesTestCellGlobal) {
-  bitmap::BinnedDataset d = TestDataset(300, 11);
-  AbConfig cfg;
-  cfg.alpha = 8;
-  AbIndex index = AbIndex::Build(d, cfg);
-  bitmap::CellQuery cells = {{5, 0}, {5, 12}, {299, 29}, {0, 0}};
-  std::vector<bool> got = index.EvaluateCells(cells);
-  ASSERT_EQ(got.size(), cells.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(got[i], index.TestCellGlobal(cells[i].row, cells[i].col));
-  }
-}
-
 TEST(AbIndexTest, ColumnGroupSchemeWorksAtAttributeLevel) {
   bitmap::BinnedDataset d = TestDataset(600, 12);
   AbConfig cfg;

@@ -965,13 +965,6 @@ std::vector<ValuePredicate> RandomPredicates(std::mt19937_64* rng) {
   return out;
 }
 
-/// The rows `trace.candidates` counts: the base counts its bin-level
-/// candidates before tombstones drop, ingested rows are scanned live.
-std::vector<bool> CandidateRows(std::vector<bool> live, uint64_t base_rows) {
-  std::fill(live.begin(), live.begin() + base_rows, true);
-  return live;
-}
-
 /// `q` with its rows in the order Execute answers them: base rows first,
 /// then ingested ones, each part in request order.
 EngineQuery AnswerOrder(EngineQuery q, uint64_t base_rows) {
@@ -997,6 +990,7 @@ TEST(HybridEngineTest, SeededOpFuzzMatchesBruteForce) {
         engine.table().Discretize(options.binning).binners;
     std::vector<std::vector<double>> rows = BaseRows(engine);
     std::vector<bool> live(rows.size(), true);
+    uint64_t base_deletes = 0;
     std::mt19937_64 rng(42);
     for (int op = 0; op < 3000; ++op) {
       const uint64_t dice = rng() % 100;
@@ -1011,6 +1005,7 @@ TEST(HybridEngineTest, SeededOpFuzzMatchesBruteForce) {
         const bool expected = row < rows.size() && live[row];
         ASSERT_EQ(engine.DeleteRow(row), expected) << "op " << op;
         if (expected) live[row] = false;
+        base_deletes += expected && row < base_n;
         EXPECT_FALSE(engine.RowLive(row));
       } else {
         EngineQuery q;
@@ -1032,15 +1027,19 @@ TEST(HybridEngineTest, SeededOpFuzzMatchesBruteForce) {
         } else {
           EXPECT_EQ(result.row_ids, expected) << "op " << op;
         }
-        // Candidates are the bin-level rows, in both modes.
+        // Candidates are the live bin-level rows, in both modes, and an
+        // exact answer's verified matches are its count.
         EXPECT_EQ(result.trace.candidates,
-                  BinBruteForce(rows, CandidateRows(live, base_n), binners,
-                                ordered)
-                      .size())
+                  BinBruteForce(rows, live, binners, ordered).size())
             << "op " << op;
+        if (q.exact) {
+          EXPECT_EQ(result.trace.verified_matches, result.count)
+              << "op " << op;
+        }
       }
     }
     EXPECT_EQ(engine.TotalRows(), rows.size());
+    EXPECT_GT(base_deletes, 0u);
   }
 }
 
@@ -1082,9 +1081,7 @@ TEST(HybridEngineTest, ApproximateDeltaAnswersAreTheBinLevelSet) {
     const EngineQuery ordered = AnswerOrder(q, base_rows);
     const std::vector<uint64_t> expected =
         BinBruteForce(rows, live, binners, ordered);
-    const uint64_t candidates =
-        BinBruteForce(rows, CandidateRows(live, base_rows), binners, ordered)
-            .size();
+    const uint64_t candidates = expected.size();
     for (const uint64_t r : expected) delta_matches += r >= base_rows;
     std::vector<EngineResult> results;
     for (const HybridEngine& engine : engines) {

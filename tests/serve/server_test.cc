@@ -26,7 +26,11 @@ constexpr uint64_t kRows = 3000;
 engine::HybridEngine MakeEngine() {
   engine::HybridEngine::Options options;
   options.binning.bins = 16;
-  options.num_threads = 2;  // exercise the pool path under TSan
+  // A pooled build. At 3,000 rows no query reaches the pooled
+  // whole-relation pass (HybridEngine's 16,384-row floor), so every query
+  // runs on its worker's thread; ConcurrentPoolCoordinatorsMatchSerialExecute
+  // drives the pooled pass.
+  options.num_threads = 2;
   return engine::HybridEngine::Build(MakeSeedTable(kRows, 11), options);
 }
 
@@ -452,9 +456,9 @@ TEST_F(QueryServerTest, DeadlineExpiryAnsweredAs504Equivalent) {
 TEST_F(QueryServerTest, ConcurrentPoolCoordinatorsMatchSerialExecute) {
   // Run to completion makes every worker a coordinator of the engine's
   // pool: 4 workers execute at once on a 4-thread engine, each splitting
-  // its large verifies across the same pool. Every answer must equal a
-  // serial (1-thread) engine's, bit for bit.
-  constexpr uint64_t kPoolRows = 40000;  // above the pooled-verify cutoff
+  // its whole-relation passes across the same pool. Every answer must
+  // equal a serial (1-thread) engine's, bit for bit.
+  constexpr uint64_t kPoolRows = 40000;  // above the pooled-pass floor
   engine::HybridEngine::Options engine_options;
   engine_options.binning.bins = 16;
   engine_options.num_threads = 4;
@@ -464,9 +468,9 @@ TEST_F(QueryServerTest, ConcurrentPoolCoordinatorsMatchSerialExecute) {
   engine::HybridEngine serial = engine::HybridEngine::Build(
       MakeSeedTable(kPoolRows, 11), engine_options);
 
-  // Whole-relation queries, small subsets and half-relation subsets (the
-  // latter two below and above the pooled cutoff), as ids and as counts,
-  // exact and approximate.
+  // Whole-relation queries (the pooled pass), small subsets and
+  // half-relation subsets (always on the worker's thread), as ids and as
+  // counts, exact and approximate.
   std::vector<QueryRequest> mix;
   for (double fraction : {0.0, 0.0025, 0.5}) {
     TemplateOptions template_options;

@@ -40,6 +40,12 @@
 # AB_CHECK_SCALING=strict to make a failed sweep fatal (recommended
 # locally on multi-core machines) or AB_CHECK_SCALING=0 to skip.
 #
+# After the build, `nm -C` must find no abitmap::ab:: symbol in
+# tools/ab_serve: the served engine is the sliced index, and the paper's
+# AB stays out of the serve path. It also fails when nm cannot read the
+# binary or lists no symbols (a stripped build would pass vacuously).
+# Skipped with a message when nm is not on PATH.
+#
 # A serving smoke boots tools/ab_serve on an ephemeral port, drives it
 # with a 2-second ab_loadgen burst, and requires qps > 0 plus a clean
 # SIGINT shutdown. Advisory by default; AB_CHECK_SERVE=strict makes a
@@ -182,6 +188,28 @@ cmake -S "$repo_root" -B "$build_dir" \
 
 echo "== build =="
 cmake --build "$build_dir" -j "$jobs"
+
+echo "== ab_serve links no AB =="
+if command -v nm >/dev/null 2>&1; then
+  ab_serve_syms="$build_dir/ab_serve.nm"
+  if ! nm -C "$build_dir/tools/ab_serve" >"$ab_serve_syms"; then
+    echo "error: nm could not read $build_dir/tools/ab_serve" >&2
+    exit 1
+  fi
+  if [ ! -s "$ab_serve_syms" ]; then
+    echo "error: nm found no symbols in ab_serve (stripped?)" >&2
+    exit 1
+  fi
+  ab_symbols="$(grep -c 'abitmap::ab::' "$ab_serve_syms" || true)"
+  if [ "$ab_symbols" != "0" ]; then
+    echo "error: ab_serve holds $ab_symbols abitmap::ab:: symbols:" >&2
+    grep 'abitmap::ab::' "$ab_serve_syms" | head >&2
+    exit 1
+  fi
+  echo "ab_serve: no abitmap::ab:: symbols ($(wc -l <"$ab_serve_syms") read)"
+else
+  echo "ab_serve AB-symbol check skipped: nm is not on PATH"
+fi
 
 echo "== tier-1 tests =="
 ctest --test-dir "$build_dir" -L tier1 --output-on-failure -j "$jobs"

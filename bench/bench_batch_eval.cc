@@ -9,7 +9,8 @@
 // verification ops) at the forced-scalar dispatch level and at
 // the detected SIMD level, and writes both the pipeline and kernel numbers
 // to BENCH_query.json (the query-side mirror of BENCH_build.json), each as
-// the median, min and max of kReps runs, with the git sha. The
+// the median, min and max of kReps runs (the pipelines' runs interleaved,
+// one of each per round), with the git sha. The
 // comparison table and the SIMD banner go to stderr so stdout stays pure
 // google-benchmark output when piped as JSON.
 //
@@ -212,11 +213,6 @@ Spread TimeAtLevel(util::simd::SimdLevel level, Fn&& fn) {
   return SpreadOf(seconds);
 }
 
-/// `s` scaled by `factor` (seconds to milliseconds).
-Spread Scaled(const Spread& s, double factor) {
-  return Spread{s.median * factor, s.min * factor, s.max * factor};
-}
-
 /// Times one kernel body at forced-scalar and at the detected level.
 template <typename Fn>
 KernelTiming MeasureKernel(const std::string& name, uint64_t items, Fn&& fn) {
@@ -391,12 +387,31 @@ PipelineTiming MeasurePipeline() {
     std::vector<bool> bits = c.index.EvaluateBatched(c.query);
     benchmark::DoNotOptimize(bits.size());
   };
-  t.scalar_ms =
-      Scaled(TimeAtLevel(util::simd::DetectedSimdLevel(), evaluate), 1000);
-  t.batched_ms =
-      Scaled(TimeAtLevel(util::simd::DetectedSimdLevel(), batched), 1000);
-  t.batched_scalar_ms =
-      Scaled(TimeAtLevel(util::simd::SimdLevel::kScalar, batched), 1000);
+  // The reps interleave, one of each pipeline per round, and the order
+  // within a round alternates: back-to-back blocks of one pipeline moved
+  // its median by half while the other's held, so only interleaved reps
+  // can order the two.
+  std::vector<double> scalar_ms, batched_ms, batched_scalar_ms;
+  auto time_ms = [](util::simd::SimdLevel level, auto& fn,
+                    std::vector<double>* out) {
+    ScopedSimdLevel guard(level);
+    util::Stopwatch timer;
+    fn();
+    out->push_back(timer.ElapsedMillis());
+  };
+  for (int rep = 0; rep < kReps; ++rep) {
+    if (rep % 2 == 0) {
+      time_ms(util::simd::DetectedSimdLevel(), evaluate, &scalar_ms);
+      time_ms(util::simd::DetectedSimdLevel(), batched, &batched_ms);
+    } else {
+      time_ms(util::simd::DetectedSimdLevel(), batched, &batched_ms);
+      time_ms(util::simd::DetectedSimdLevel(), evaluate, &scalar_ms);
+    }
+    time_ms(util::simd::SimdLevel::kScalar, batched, &batched_scalar_ms);
+  }
+  t.scalar_ms = SpreadOf(scalar_ms);
+  t.batched_ms = SpreadOf(batched_ms);
+  t.batched_scalar_ms = SpreadOf(batched_scalar_ms);
   return t;
 }
 

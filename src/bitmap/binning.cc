@@ -1,6 +1,7 @@
 #include "bitmap/binning.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "util/logging.h"
@@ -119,6 +120,23 @@ NestedBinner::NestedBinner(Binner coarse, const std::vector<double>& sorted)
     begin = end;
   }
   AB_CHECK(std::is_sorted(fine_.begin(), fine_.end()));
+  // Code c holds [fine_[c-1], fine_[c]) (FineOf's upper_bound), which in
+  // the sorted column is the run from lower_bound(fine_[c-1]) to
+  // lower_bound(fine_[c]); its first and last values are the code's range.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  observed_min_.assign(fine_cardinality(), kInf);
+  observed_max_.assign(fine_cardinality(), -kInf);
+  auto first = sorted.begin();
+  for (uint32_t c = 0; c < fine_cardinality(); ++c) {
+    auto last = c < fine_.size()
+                    ? std::lower_bound(first, sorted.end(), fine_[c])
+                    : sorted.end();
+    if (last != first) {
+      observed_min_[c] = *first;
+      observed_max_[c] = *(last - 1);
+    }
+    first = last;
+  }
 }
 
 uint32_t NestedBinner::FineOf(double value) const {

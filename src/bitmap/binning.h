@@ -57,7 +57,9 @@ class Binner {
 /// FineOf(v) / kSubBins == BinOf(v) for every v, NaN included. One sort of
 /// the column yields both boundary sets: the coarse boundaries, exactly
 /// those Binner::EquiDepth or Binner::EquiWidth computes over the same
-/// values, and inside each bin the quantiles of the values it holds.
+/// values, and inside each bin the quantiles of the values it holds. The
+/// same sort gives each code's observed value range, which decides most
+/// codes at a range's ends without reading a value (see observed_min).
 class NestedBinner {
  public:
   /// Sub-bins per bin, and the low bits of a fine code they take.
@@ -92,13 +94,24 @@ class NestedBinner {
   /// sub-boundaries.
   const std::vector<double>& fine_boundaries() const { return fine_; }
 
+  /// The smallest and largest value of the binned column whose code is c:
+  /// its observed range. It lies inside [fine_boundaries()[c-1],
+  /// fine_boundaries()[c]) and is often much narrower: on a column of few
+  /// distinct values a code often holds a single one. An empty code reads
+  /// [+inf, -inf], so every range contains it. Defined for columns without
+  /// NaN.
+  double observed_min(uint32_t code) const { return observed_min_[code]; }
+  double observed_max(uint32_t code) const { return observed_max_[code]; }
+
  private:
   /// Splits each bin of `coarse` over `sorted`, the column's values in
-  /// ascending order.
+  /// ascending order, and records each code's observed range.
   NestedBinner(Binner coarse, const std::vector<double>& sorted);
 
   Binner coarse_;
   std::vector<double> fine_;
+  std::vector<double> observed_min_;
+  std::vector<double> observed_max_;
 };
 
 }  // namespace bitmap

@@ -182,7 +182,6 @@ AbIndex AbIndex::Build(const bitmap::BinnedDataset& dataset,
   for (uint32_t a = 0; a < dataset.num_attributes(); ++a) {
     index.InsertAttributeCells(dataset, a, 0, dataset.num_rows());
   }
-  index.built_fp_ = index.WorstExpectedFp();
   AB_STATS_INC(obs::Counter::kIndexBuilds);
   AB_STATS_ADD(obs::Counter::kIndexRowsIndexed, dataset.num_rows());
   return index;
@@ -262,7 +261,6 @@ AbIndex AbIndex::BuildParallel(const bitmap::BinnedDataset& dataset,
   } else {
     index.BuildPrivateShards(dataset, pool);
   }
-  index.built_fp_ = index.WorstExpectedFp();
   AB_STATS_INC(obs::Counter::kIndexBuildsParallel);
   AB_STATS_ADD(obs::Counter::kIndexRowsIndexed, dataset.num_rows());
   return index;
@@ -800,7 +798,9 @@ void AbIndex::Serialize(util::ByteWriter* out) const {
   for (uint64_t c : column_set_bits_) {
     out->WriteVarint(c);
   }
-  out->WriteDouble(built_fp_);
+  // The format keeps the as-built worst expected FP here. Filters never
+  // change after build, so it is recomputed; Deserialize discards it.
+  out->WriteDouble(WorstExpectedFp());
 }
 
 util::StatusOr<AbIndex> AbIndex::Deserialize(util::ByteReader* in) {
@@ -899,7 +899,8 @@ util::StatusOr<AbIndex> AbIndex::Deserialize(util::ByteReader* in,
       return util::Status::Corruption("AbIndex: truncated histograms");
     }
   }
-  if (!in->ReadDouble(&index.built_fp_)) {
+  double worst_fp;  // recomputed from the filters whenever needed
+  if (!in->ReadDouble(&worst_fp)) {
     return util::Status::Corruption("AbIndex: truncated statistics");
   }
   return index;

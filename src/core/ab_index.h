@@ -231,9 +231,6 @@ class AbIndex {
     return column_set_bits_[mapping_.GlobalColumn(attr, bin)];
   }
 
-  /// As-built expected FP of the worst filter, stored with the index.
-  double built_fp() const { return built_fp_; }
-
   /// Appends the whole index (config, schema, all filters) to `out`.
   void Serialize(util::ByteWriter* out) const;
 
@@ -307,9 +304,6 @@ class AbIndex {
 
   /// Largest expected FP rate across filters at their insertion counts.
   double WorstExpectedFp() const;
-
-  /// As-built expected FP of the worst filter.
-  double built_fp_ = 0;
 
   AbConfig config_;
   bitmap::ColumnMapping mapping_;

@@ -254,30 +254,37 @@ void AppendSetRows(const uint64_t* words, size_t n, size_t first_word,
 /// One query's pass over the sliced index. Each predicate becomes the
 /// range of fine codes [FineOf(lo), FineOf(hi)]. Sub-bin c holds
 /// [F[c-1], F[c]) (FineOf's upper_bound), so every sub-bin strictly
-/// inside the range lies within [lo, hi], and an end sub-bin does too
-/// when lo <= F[c-1] and F[c] <= hi; the first and last codes are open at
-/// their outer end. Rows in the other end sub-bins, the edges, are the
-/// only ones whose raw value the verify reads. An approximate query
-/// compares the bin bits alone and reads nothing.
+/// inside the range lies within [lo, hi]. Each of the two end sub-bins is
+/// decided from the values the base column holds in it, their observed
+/// range [min_c, max_c]: it is in when lo <= min_c and max_c <= hi (an
+/// empty sub-bin too), out when max_c < lo or min_c > hi, which clears its
+/// rows from the fine answer, and an edge otherwise. Rows in edge
+/// sub-bins are the only ones whose raw value the verify reads. The code
+/// range itself is not narrowed, so the bin-level mask stays as it is. An
+/// approximate query compares the bin bits alone and reads nothing.
 class SlicedPass {
  public:
   SlicedPass(const SlicedIndex& index, const Table& table,
              const EngineQuery& query)
       : exact_(query.exact) {
+    using End = SlicedIndex::End;
     for (const ValuePredicate& p : query.predicates) {
       AB_CHECK_LT(p.attr, index.num_attributes());
       AB_CHECK_LE(p.lo, p.hi);
       const bitmap::NestedBinner& binner = index.binner(p.attr);
-      const std::vector<double>& f = binner.fine_boundaries();
-      auto interior = [&](uint32_t c) {
-        return c > 0 && c < f.size() && p.lo <= f[c - 1] && f[c] <= p.hi;
+      auto end = [&](uint32_t c) {
+        const double min = binner.observed_min(c);
+        const double max = binner.observed_max(c);
+        if (p.lo <= min && max <= p.hi) return End::kIn;
+        if (max < p.lo || min > p.hi) return End::kOut;
+        return End::kEdge;
       };
       uint32_t lo = binner.FineOf(p.lo);
       uint32_t hi = binner.FineOf(p.hi);
-      bool lo_edge = !interior(lo);
-      bool hi_edge = !interior(hi);
-      scans_.push_back(index.Scan(p.attr, lo, hi, lo_edge, hi_edge));
-      if (exact_ && (lo_edge || hi_edge)) {
+      End lo_end = end(lo);
+      End hi_end = end(hi);
+      scans_.push_back(index.Scan(p.attr, lo, hi, lo_end, hi_end));
+      if (exact_ && (lo_end == End::kEdge || hi_end == End::kEdge)) {
         checks_.push_back(Check{scans_.size() - 1,
                                 table.column(p.attr).data(), p.lo, p.hi});
       }

@@ -69,9 +69,14 @@ struct EngineResult {
 ///    against each attribute's slices, 64K rows at a time;
 ///  * the compare's state after the bin bits is the bin-level mask, which
 ///    is the approximate answer and `trace.candidates`; its final state is
-///    the fine answer, and only its rows in a predicate's two edge sub-bins
-///    have their raw values read (every other fine row passes by
-///    construction); a count is a popcount, row ids come from the words;
+///    the fine answer, where every sub-bin strictly inside the range passes
+///    by construction;
+///  * each of a predicate's two end sub-bins is decided from the observed
+///    range [min, max] of the base values it holds: in (lo <= min and
+///    max <= hi, or empty) keeps its rows unread, out (max < lo or
+///    min > hi) clears them from the fine answer unread, and only an edge,
+///    anything else, has its rows' raw values read; a count is a popcount,
+///    row ids come from the words;
 ///  * a row subset groups its requested rows by 64-row word and compares
 ///    the slices once per word it touches, so the cost follows the subset.
 /// No base AB is built: the AB-vs-WAH crossover measured on this

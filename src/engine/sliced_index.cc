@@ -76,8 +76,8 @@ uint64_t SlicedIndex::SizeInBytes() const {
 }
 
 SlicedIndex::RangeScan SlicedIndex::Scan(uint32_t attr, uint32_t lo,
-                                         uint32_t hi, bool lo_edge,
-                                         bool hi_edge) const {
+                                         uint32_t hi, End lo_end,
+                                         End hi_end) const {
   AB_CHECK_LT(attr, attributes_.size());
   const Attribute& a = attributes_[attr];
   AB_CHECK_LE(lo, hi);
@@ -89,8 +89,11 @@ SlicedIndex::RangeScan SlicedIndex::Scan(uint32_t attr, uint32_t lo,
   }
   scan.lo_ = lo;
   scan.hi_ = hi;
-  scan.lo_edge_ = lo_edge ? ~uint64_t{0} : 0;
-  scan.hi_edge_ = hi_edge ? ~uint64_t{0} : 0;
+  auto mask = [](bool set) { return set ? ~uint64_t{0} : 0; };
+  scan.lo_edge_ = mask(lo_end == End::kEdge);
+  scan.hi_edge_ = mask(hi_end == End::kEdge);
+  scan.lo_drop_ = mask(lo_end == End::kOut);
+  scan.hi_drop_ = mask(hi_end == End::kOut);
   return scan;
 }
 

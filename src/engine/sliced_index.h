@@ -24,7 +24,8 @@ namespace engine {
 /// The compare's state just after the bin bits is the bin-level mask,
 /// and its final state holds the two end codes, so one pass yields the
 /// approximate answer, the narrower fine answer and the edge sub-bins
-/// whose rows a raw-value check must still confirm.
+/// whose rows a raw-value check must still confirm. An end code whose
+/// rows all fail is cleared from the fine answer in the same pass.
 class SlicedIndex {
  public:
   static constexpr uint32_t kSubBits = bitmap::NestedBinner::kSubBits;
@@ -62,8 +63,9 @@ class SlicedIndex {
     /// significant bit first, a run of kStepWords words at a time so that
     /// the compare state stays in L1. ANDs each word's bin-level mask (the
     /// state after the bin bits) into coarse[i]. With `fine`, also ANDs
-    /// the final in-range mask into fine[i] and, with `edge`, stores the
-    /// rows whose code is an end code flagged as an edge into edge[i].
+    /// the final in-range mask, less the rows of an End::kOut end code,
+    /// into fine[i] and, with `edge`, stores the rows of an End::kEdge end
+    /// code into edge[i].
     template <typename WordId>
     void Compare(size_t n, const WordId& word_id, uint64_t* coarse,
                  uint64_t* fine, uint64_t* edge) const {
@@ -127,7 +129,8 @@ class SlicedIndex {
         if (fine == nullptr) continue;
         for (; j >= 0; --j) step(j);
         for (size_t i = 0; i < m; ++i) {
-          fine[first + i] &= (gt[i] | eq_lo[i]) & (lt[i] | eq_hi[i]);
+          fine[first + i] &= (gt[i] | eq_lo[i]) & (lt[i] | eq_hi[i]) &
+                             ~((eq_lo[i] & lo_drop_) | (eq_hi[i] & hi_drop_));
         }
         if (edge == nullptr) continue;
         for (size_t i = 0; i < m; ++i) {
@@ -148,13 +151,22 @@ class SlicedIndex {
     uint32_t hi_ = 0;
     uint64_t lo_edge_ = 0;
     uint64_t hi_edge_ = 0;
+    uint64_t lo_drop_ = 0;
+    uint64_t hi_drop_ = 0;
   };
 
-  /// Prepares the compare of `attr`'s codes against [lo, hi]. Rows whose
-  /// code is lo are reported as edges when `lo_edge` holds, rows whose
-  /// code is hi when `hi_edge` holds.
-  RangeScan Scan(uint32_t attr, uint32_t lo, uint32_t hi, bool lo_edge,
-                 bool hi_edge) const;
+  /// What the fine answer does with the rows of a range's end code.
+  enum class End {
+    kIn,    ///< keeps them: every one passes
+    kOut,   ///< clears them: every one fails
+    kEdge,  ///< keeps them and reports them as edges, for a raw-value check
+  };
+
+  /// Prepares the compare of `attr`'s codes against [lo, hi], treating
+  /// the rows whose code is lo as `lo_end` says and those whose code is hi
+  /// as `hi_end` says (lo == hi takes both).
+  RangeScan Scan(uint32_t attr, uint32_t lo, uint32_t hi, End lo_end,
+                 End hi_end) const;
 
  private:
   struct Attribute {

@@ -221,6 +221,81 @@ TEST(NestedBinnerTest, SubBinsAreEquiDepthInsideEachBin) {
   for (int c : counts) EXPECT_EQ(c, 250);
 }
 
+/// Each code's observed range equals a brute-force scan of `values`
+/// (an empty code reads [+inf, -inf]) and lies inside the code's
+/// boundaries. Returns the number of empty codes.
+uint32_t ExpectObservedRanges(const NestedBinner& b,
+                              const std::vector<double>& values) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> min(b.fine_cardinality(), kInf);
+  std::vector<double> max(b.fine_cardinality(), -kInf);
+  for (double v : values) {
+    const uint32_t c = b.FineOf(v);
+    min[c] = std::min(min[c], v);
+    max[c] = std::max(max[c], v);
+  }
+  const std::vector<double>& f = b.fine_boundaries();
+  uint32_t empty = 0;
+  for (uint32_t c = 0; c < b.fine_cardinality(); ++c) {
+    EXPECT_EQ(b.observed_min(c), min[c]) << "code " << c;
+    EXPECT_EQ(b.observed_max(c), max[c]) << "code " << c;
+    if (min[c] > max[c]) {
+      ++empty;
+      continue;
+    }
+    if (c > 0) EXPECT_LE(f[c - 1], b.observed_min(c)) << "code " << c;
+    if (c < f.size()) EXPECT_LT(b.observed_max(c), f[c]) << "code " << c;
+  }
+  return empty;
+}
+
+TEST(NestedBinnerTest, ObservedRangesBoundEachCode) {
+  engine::Table seed = serve::MakeSeedTable(20000, 1);
+  for (uint32_t c = 0; c < seed.num_columns(); ++c) {
+    SCOPED_TRACE(seed.column_names()[c]);
+    ExpectObservedRanges(NestedBinner::EquiDepth(seed.column(c), 16),
+                         seed.column(c));
+    ExpectObservedRanges(NestedBinner::EquiWidth(seed.column(c), 16),
+                         seed.column(c));
+    ExpectObservedRanges(NestedBinner::EquiDepth(seed.column(c), 10),
+                         seed.column(c));
+  }
+  // Heavy ties collapse sub-boundaries, leaving empty codes between them.
+  std::mt19937_64 rng(3);
+  std::vector<double> ties;
+  for (int i = 0; i < 5000; ++i) {
+    ties.push_back(rng() % 10 < 7 ? 0.0 : static_cast<double>(rng() % 5));
+  }
+  {
+    SCOPED_TRACE("ties");
+    EXPECT_GT(ExpectObservedRanges(NestedBinner::EquiDepth(ties, 16), ties),
+              0u);
+    EXPECT_GT(ExpectObservedRanges(NestedBinner::EquiWidth(ties, 16), ties),
+              0u);
+  }
+  // A constant column: one code holds [2.5, 2.5], every other is empty.
+  std::vector<double> constant(300, 2.5);
+  for (const NestedBinner& b : {NestedBinner::EquiDepth(constant, 16),
+                                NestedBinner::EquiWidth(constant, 16)}) {
+    SCOPED_TRACE("constant");
+    EXPECT_EQ(ExpectObservedRanges(b, constant), b.fine_cardinality() - 1);
+    EXPECT_EQ(b.observed_min(b.FineOf(2.5)), 2.5);
+    EXPECT_EQ(b.observed_max(b.FineOf(2.5)), 2.5);
+  }
+  // Infinite values land in the first and last codes' ranges.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> infinite = seed.column(0);
+  infinite[0] = -kInf;
+  infinite[1] = kInf;
+  {
+    SCOPED_TRACE("infinite");
+    NestedBinner b = NestedBinner::EquiDepth(infinite, 16);
+    ExpectObservedRanges(b, infinite);
+    EXPECT_EQ(b.observed_min(0), -kInf);
+    EXPECT_EQ(b.observed_max(b.fine_cardinality() - 1), kInf);
+  }
+}
+
 }  // namespace
 }  // namespace bitmap
 }  // namespace abitmap

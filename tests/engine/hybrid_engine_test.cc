@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <mutex>
 #include <random>
 #include <thread>
@@ -388,45 +389,96 @@ TEST(HybridEngineTest, WholeRelationVerifyMatchesBruteForce) {
 }
 
 /// The raw values the verify must read, by brute force over the fine
-/// codes. Sub-bin c holds [F[c-1], F[c]) and is an edge of a predicate
-/// whose codes are [lo, hi] when c is lo or hi and not lo <= F[c-1] and
-/// F[c] <= hi (the first and last codes are open, so always edges). Each
-/// distinct requested row inside every predicate's code range costs one
-/// read per predicate, in order, whose edge sub-bins hold it, until the
-/// first predicate it fails.
-uint64_t BruteForceRawReads(const Table& t,
-                            const std::vector<bitmap::NestedBinner>& binners,
-                            const EngineQuery& q) {
-  std::vector<uint64_t> rows = q.rows;
-  if (rows.empty()) rows = bitmap::RowRange(0, t.num_rows() - 1);
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  auto is_edge = [&](const ValuePredicate& p, uint32_t code) {
-    const bitmap::NestedBinner& b = binners[p.attr];
-    const std::vector<double>& f = b.fine_boundaries();
-    uint32_t lo = b.FineOf(p.lo), hi = b.FineOf(p.hi);
-    bool interior = code > 0 && code < f.size() && p.lo <= f[code - 1] &&
-                    f[code] <= p.hi;
-    return (code == lo || code == hi) && !interior;
-  };
-  uint64_t reads = 0;
-  for (uint64_t r : rows) {
-    bool in_range = true;
-    for (const ValuePredicate& p : q.predicates) {
-      const bitmap::NestedBinner& b = binners[p.attr];
-      uint32_t code = b.FineOf(t.value(r, p.attr));
-      in_range = in_range && code >= b.FineOf(p.lo) && code <= b.FineOf(p.hi);
-    }
-    if (!in_range) continue;
-    for (const ValuePredicate& p : q.predicates) {
-      double v = t.value(r, p.attr);
-      if (!is_edge(p, binners[p.attr].FineOf(v))) continue;
-      ++reads;
-      if (v < p.lo || v > p.hi) break;
+/// codes. Each code's observed range [min, max] comes from a scan of the
+/// table. An end code of a predicate whose codes are [lo, hi] is in when
+/// lo <= min and max <= hi (an empty code too), out when max < lo or
+/// min > hi, and an edge otherwise. A row is in the fine answer when its
+/// code lies in every predicate's code range and is no out end code; each
+/// distinct requested row there costs one read per predicate, in order,
+/// whose edge end code holds it, until the first predicate it fails.
+class RawReadOracle {
+ public:
+  RawReadOracle(const Table& t, uint32_t bins) : t_(t) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (uint32_t a = 0; a < t.num_columns(); ++a) {
+      binners_.push_back(bitmap::NestedBinner::EquiDepth(t.column(a), bins));
+      const uint32_t codes = binners_[a].fine_cardinality();
+      min_.emplace_back(codes, kInf);
+      max_.emplace_back(codes, -kInf);
+      for (double v : t.column(a)) {
+        const uint32_t c = binners_[a].FineOf(v);
+        min_[a][c] = std::min(min_[a][c], v);
+        max_[a][c] = std::max(max_[a][c], v);
+      }
+      extremes_.emplace_back();
+      for (uint32_t c = 0; c < codes; ++c) {
+        if (min_[a][c] > max_[a][c]) continue;
+        extremes_[a].push_back(min_[a][c]);
+        extremes_[a].push_back(max_[a][c]);
+      }
     }
   }
-  return reads;
-}
+
+  const std::vector<bitmap::NestedBinner>& binners() const {
+    return binners_;
+  }
+
+  /// The smallest or largest value of one non-empty code on `attr`,
+  /// picked by `pick`.
+  double Extreme(uint32_t attr, uint64_t pick) const {
+    return extremes_[attr][pick % extremes_[attr].size()];
+  }
+
+  uint64_t Reads(const EngineQuery& q) const {
+    std::vector<uint64_t> rows = q.rows;
+    if (rows.empty()) rows = bitmap::RowRange(0, t_.num_rows() - 1);
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    uint64_t reads = 0;
+    for (uint64_t r : rows) {
+      bool fine = true;
+      for (const ValuePredicate& p : q.predicates) {
+        const uint32_t code = Code(r, p.attr);
+        fine = fine && code >= Lo(p) && code <= Hi(p) &&
+               End(p, code) != kOut;
+      }
+      if (!fine) continue;
+      for (const ValuePredicate& p : q.predicates) {
+        if (End(p, Code(r, p.attr)) != kEdge) continue;
+        ++reads;
+        const double v = t_.value(r, p.attr);
+        if (v < p.lo || v > p.hi) break;
+      }
+    }
+    return reads;
+  }
+
+ private:
+  enum Kind { kInterior, kIn, kOut, kEdge };
+
+  uint32_t Code(uint64_t r, uint32_t attr) const {
+    return binners_[attr].FineOf(t_.value(r, attr));
+  }
+  uint32_t Lo(const ValuePredicate& p) const {
+    return binners_[p.attr].FineOf(p.lo);
+  }
+  uint32_t Hi(const ValuePredicate& p) const {
+    return binners_[p.attr].FineOf(p.hi);
+  }
+  Kind End(const ValuePredicate& p, uint32_t code) const {
+    if (code != Lo(p) && code != Hi(p)) return kInterior;
+    const double min = min_[p.attr][code], max = max_[p.attr][code];
+    if (p.lo <= min && max <= p.hi) return kIn;
+    if (max < p.lo || min > p.hi) return kOut;
+    return kEdge;
+  }
+
+  const Table& t_;
+  std::vector<bitmap::NestedBinner> binners_;
+  std::vector<std::vector<double>> min_;
+  std::vector<std::vector<double>> max_;
+  std::vector<std::vector<double>> extremes_;
+};
 
 TEST(HybridEngineTest, RawReadsCountEdgeSubBinCandidates) {
   // Seeded random plans, whole relation and subsets (contiguous, and
@@ -435,10 +487,8 @@ TEST(HybridEngineTest, RawReadsCountEdgeSubBinCandidates) {
   const uint64_t rows = 70001;
   const uint32_t bins = 16;
   const Table t = MakeRandomTable(rows, 31);
-  std::vector<bitmap::NestedBinner> binners;
-  for (uint32_t c = 0; c < t.num_columns(); ++c) {
-    binners.push_back(bitmap::NestedBinner::EquiDepth(t.column(c), bins));
-  }
+  const RawReadOracle oracle(t, bins);
+  const std::vector<bitmap::NestedBinner>& binners = oracle.binners();
   const double domain_lo[3] = {-1.0, -1.0, -1.0};
   const double domain_hi[3] = {101.0, 50.0, 7.0};
   for (int threads : {1, 4}) {
@@ -454,10 +504,16 @@ TEST(HybridEngineTest, RawReadsCountEdgeSubBinCandidates) {
         uint32_t attr = static_cast<uint32_t>(rng() % 3);
         double a, b;
         if (trial % 4 == 3) {
-          // Bounds on fine boundaries, where end sub-bins turn interior.
+          // Bounds on fine boundaries, where an end sub-bin's boundary
+          // meets the bound.
           const std::vector<double>& f = binners[attr].fine_boundaries();
           a = f[rng() % f.size()];
           b = f[rng() % f.size()];
+        } else if (trial % 4 == 1) {
+          // Bounds on a code's smallest or largest value, where an end
+          // sub-bin's observed range meets the bound.
+          a = oracle.Extreme(attr, rng());
+          b = oracle.Extreme(attr, rng());
         } else {
           std::uniform_real_distribution<double> d(domain_lo[attr],
                                                    domain_hi[attr]);
@@ -477,7 +533,7 @@ TEST(HybridEngineTest, RawReadsCountEdgeSubBinCandidates) {
       }
       SCOPED_TRACE(testing::Message() << threads << " threads, trial "
                                       << trial);
-      const uint64_t expected = BruteForceRawReads(t, binners, q);
+      const uint64_t expected = oracle.Reads(q);
       EngineResult ids = engine.Execute(q);
       EXPECT_EQ(ids.row_ids, BruteForce(t, q));
       EXPECT_EQ(ids.trace.raw_reads, expected);
@@ -491,7 +547,7 @@ TEST(HybridEngineTest, RawReadsCountEdgeSubBinCandidates) {
     // until the first predicate the row fails.
     EngineQuery q;
     q.predicates = {ValuePredicate{0, 20.0, 60.0}, ValuePredicate{2, 2.5, 4.0}};
-    const uint64_t base_reads = BruteForceRawReads(t, binners, q);
+    const uint64_t base_reads = oracle.Reads(q);
     std::vector<bitmap::Binner> coarse = t.Discretize(options.binning).binners;
     const uint64_t base_candidates = BinBruteForce(t, coarse, q).size();
     uint64_t delta_candidates = 0;
@@ -524,6 +580,57 @@ TEST(HybridEngineTest, RawReadsCountEdgeSubBinCandidates) {
     EXPECT_EQ(mutated.trace.raw_reads, base_reads + delta_reads);
     // Interior bins pass without a read.
     EXPECT_LT(delta_reads, delta_candidates * q.predicates.size());
+  }
+}
+
+TEST(HybridEngineTest, ObservedRangesDecideEndSubBinsWithoutReads) {
+  // quantity holds the integers 0..49, and each non-empty code on it holds
+  // one of them, so a bound between two integers leaves its end code
+  // wholly in or wholly out, and so does a bound at or beyond a column's
+  // extreme. None of these predicates reads a raw value, and the counts
+  // still equal the brute force: [10.5, 20.5] clears the rows of 10 from
+  // its lo code, [12.2, 12.7] clears its one code, and the price bounds
+  // lie beyond the column's [0, 100).
+  const uint64_t rows = 70001;
+  const Table t = MakeRandomTable(rows, 41);
+  const std::vector<std::vector<ValuePredicate>> plans = {
+      {{1, 10.5, 20.5}},
+      {{1, 12.2, 12.7}},
+      {{1, 5.0, 49.0}},
+      {{1, 0.5, 1e9}},
+      {{0, -5.0, 200.0}},
+      {{1, 10.5, 20.5}, {0, -1.0, 101.0}, {1, 3.5, 49.0}},
+  };
+  std::vector<EngineQuery> queries;
+  for (const std::vector<ValuePredicate>& plan : plans) {
+    EngineQuery q;
+    q.predicates = plan;
+    queries.push_back(q);
+    q.rows = bitmap::RowRange(1000, 4999);
+    queries.push_back(q);
+    q.rows.clear();
+    std::mt19937_64 rng(42);
+    for (int i = 0; i < 3000; ++i) q.rows.push_back(rng() % rows);
+    queries.push_back(q);
+  }
+  for (int threads : {1, 4}) {
+    HybridEngine::Options options = EngineOptions(16);
+    options.num_threads = threads;
+    HybridEngine engine = HybridEngine::Build(MakeRandomTable(rows, 41),
+                                              options);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, query " << i);
+      EngineQuery q = queries[i];
+      const std::vector<uint64_t> expected = BruteForce(t, q);
+      if (i / 3 == 1) EXPECT_TRUE(expected.empty());
+      EngineResult ids = engine.Execute(q);
+      EXPECT_EQ(ids.row_ids, expected);
+      EXPECT_EQ(ids.trace.raw_reads, 0u);
+      q.count_only = true;
+      EngineResult count = engine.Execute(q);
+      EXPECT_EQ(count.count, expected.size());
+      EXPECT_EQ(count.trace.raw_reads, 0u);
+    }
   }
 }
 
